@@ -110,31 +110,17 @@ def density_matrix(m: Model, y_t: float, y_prev: float, first: bool = False) -> 
     return DensityMatrix(entries)
 
 
-def _log_normalizers(chain: LinearGaussianChain, y: np.ndarray, y_prev: float) -> np.ndarray:
-    """Per-step log normalizers log s_t of the filter; their sum is the
-    log likelihood. Scalar loop over t, vectorized over hidden states."""
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    out = np.empty(n)
-    prev = y_prev
-    w = chain.pi
-    p = chain.transition
-    for t in range(n):
-        base = w if t == 0 else w @ p
-        unnorm = base * chain.emission_pdf(y[t], prev)
-        _check_underflow(unnorm, t + 1)
-        s = unnorm.sum()
-        out[t] = math.log(s)
-        w = unnorm / s
-        prev = y[t]
-    return out
+def _path_log_normalizers(m: Model, y: np.ndarray, y_prev: float) -> np.ndarray:
+    """Per-step log normalizers log s_t of one path's filter; their sum is
+    the log likelihood. The batch filter with a single row."""
+    y = np.asarray(y, dtype=float)[None, :]
+    return batch_log_normalizers(as_chain(m), y, np.array([float(y_prev)]))[0]
 
 
 def log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float:
     """Log density of the observation sequence given y_prev, via the
     normalized filter. Stable for long sequences."""
-    chain = as_chain(m)
-    return float(_log_normalizers(chain, np.asarray(y, dtype=float), y_prev).sum())
+    return float(_path_log_normalizers(m, y, y_prev).sum())
 
 
 def per_step_log_ratios(p: Model, q: Model, y: np.ndarray, y_prev: float = 0.0) -> np.ndarray:
@@ -145,8 +131,7 @@ def per_step_log_ratios(p: Model, q: Model, y: np.ndarray, y_prev: float = 0.0) 
     parameters the two filters run identical float operations, so every
     increment is bitwise zero.
     """
-    y = np.asarray(y, dtype=float)
-    return _log_normalizers(as_chain(p), y, y_prev) - _log_normalizers(as_chain(q), y, y_prev)
+    return _path_log_normalizers(p, y, y_prev) - _path_log_normalizers(q, y, y_prev)
 
 
 def brute_force_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float:

@@ -15,12 +15,17 @@ Discretizing the equation on a tensor lattice turns the kernel into a
 invariant density, and the divergence functionals J^alpha and J_log are
 quadratures of the one-step ratio statistics against it.
 
-Two model families are supported. The two-state family (per-state AR
-emissions) admits a closed form for Q through a noncentral chi-square CDF.
-The two-lag family works on the four pair states (X_{t-1}, X_t); there Q is
-the probability that a signed four-term Gaussian mixture is nonpositive,
-which this module evaluates exactly by locating the mixture's sign changes
-(an exponential-sum root cascade) and summing Gaussian CDF masses over the
+Both model families run through one code path on their common chain form
+(`models.as_chain`): a hidden chain whose state s emits
+N(c_s + b_s * y_prev, s_s^2), with family B lifted to the four pair states
+(X_{t-1}, X_t). One assembler builds the kernel, one predictive mixture and
+one quadrature evaluate the functionals; the lifted chain's zero transitions
+encode that a pair (i, j) can only move to (j, k). Only Q is family-specific.
+The two-state family (per-state AR emissions) admits a closed form for Q
+through a noncentral chi-square CDF. For the two-lag family Q is the
+probability that a signed four-term Gaussian mixture is nonpositive, which
+this module evaluates exactly by locating the mixture's sign changes (an
+exponential-sum root cascade) and summing Gaussian CDF masses over the
 nonpositive intervals.
 
 Throughout, theta1 denotes the data-generating model and theta the
@@ -35,7 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from .models import ModelAParams, ModelBParams, require_valid
+from .models import (
+    LinearGaussianChain,
+    ModelAParams,
+    ModelBParams,
+    as_chain,
+    require_valid,
+    transition_matrix,
+)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -269,10 +281,6 @@ def _exp_sum_roots(e, c, lo, hi):
     return np.sort(roots, axis=1)
 
 
-def _pair_probs(p01: float, p10: float) -> np.ndarray:
-    return np.array([[1.0 - p01, p01], [p10, 1.0 - p10]])
-
-
 def _q_four_state_batch(x, u, w, j: int, k: int, tg: ModelBParams,
                         tf: ModelBParams):
     """Q_{jk}(x; u, w) for flat arrays x, u, w of equal length."""
@@ -282,7 +290,7 @@ def _q_four_state_batch(x, u, w, j: int, k: int, tg: ModelBParams,
 
     mu_f = np.asarray(tf.mu, dtype=float)
     sf = tf.sigma
-    pf = _pair_probs(tf.p01, tf.p10)
+    pf = transition_matrix(tf).entries
     # signed coefficients of the four pair components (00, 01, 10, 11)
     s_coef = np.stack(
         [
@@ -359,85 +367,57 @@ def _norm_pdf(y, mean, sd):
     return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
-def _build_kernel_two_state(tg: ModelAParams, tf: ModelAParams,
-                            grid: GridSpec) -> np.ndarray:
-    N = grid.N
-    v = grid.v_nodes
-    wn = grid.x_nodes
+def _predictive(transition: np.ndarray, w_nodes) -> np.ndarray:
+    """Filter's predictive state probabilities w * T[0] + (1 - w) * T[1],
+    shape (w, state); w is the filter weight of state 0. For the pair lift
+    rows 0 and 1 are (0,0) and (0,1), which end in states 0 and 1."""
+    return w_nodes[:, None] * transition[0] + (1.0 - w_nodes)[:, None] * transition[1]
+
+
+def _q_half_two_state(tg: ModelAParams, tf: ModelAParams, grid: GridSpec) -> np.ndarray:
+    """Closed-form Q at the half nodes, shape (state, u, half, w)."""
     half = grid.x_half_nodes
-    p1 = np.array([[tg.p00, 1.0 - tg.p00], [1.0 - tg.p11, tg.p11]])
-    pf = np.array([[tf.p00, 1.0 - tf.p00], [1.0 - tf.p11, tf.p11]])
-
+    pred = _predictive(transition_matrix(tf).entries, grid.x_nodes)
     # z(w, x): odds x/(1-x) scaled by the filter's predictive probabilities
-    pred0 = pf[0, 0] * wn + pf[1, 0] * (1.0 - wn)
-    pred1 = pf[0, 1] * wn + pf[1, 1] * (1.0 - wn)
-    zhalf = (half[:, None] / (1.0 - half[:, None])) * (pred1 / pred0)[None, :]
+    zhalf = (half[:, None] / (1.0 - half[:, None])) * (pred[:, 1] / pred[:, 0])[None, :]
+    u = grid.v_nodes[:, None, None]
+    return np.stack([_q_two_state_array(u, zhalf[None, :, :], j, tg, tf) for j in (0, 1)])
 
-    g_emis = np.stack(
-        [_norm_pdf(v[:, None], tg.mu[i] + tg.psi[i] * v[None, :], tg.sigma[i])
-         for i in (0, 1)]
-    )  # (i, u_idx, v_idx)
 
-    q_half = np.stack(
-        [_q_two_state_array(v[:, None, None], zhalf[None, :, :], j, tg, tf)
-         for j in (0, 1)]
-    )  # (j, u_idx, half_idx, w_idx)
+def _q_half_four_state(tg: ModelBParams, tf: ModelBParams, grid: GridSpec) -> np.ndarray:
+    """Root-cascade Q at the half nodes, shape (pair state, u, half, w)."""
+    ug, xg, wg = np.meshgrid(grid.v_nodes, grid.x_half_nodes, grid.x_nodes, indexing="ij")
+    return np.stack(
+        [_q_four_state_batch(xg.ravel(), ug.ravel(), wg.ravel(), j, k, tg, tf).reshape(ug.shape)
+         for j in (0, 1) for k in (0, 1)]
+    )
+
+
+def _assemble(gen: LinearGaussianChain, q_half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Kernel entry (target t, u, x; source s, v, w) =
+    T1[s, t] * f_s(u | v) * dQ_t/dx(x; u, w) * cell area, with dQ/dx the
+    central difference of Q between neighbouring half nodes. Blocks with
+    T1[s, t] = 0 stay zero."""
+    d, n1 = gen.d, grid.N - 1
+    v = grid.v_nodes
     dq = np.diff(q_half, axis=2)
     np.clip(dq, 0.0, None, out=dq)
-    rate = dq / (2.0 * grid.delta)  # (j, u_idx, x_idx, w_idx)
+    rate = dq / (2.0 * grid.delta)  # (t, u_idx, x_idx, w_idx)
+    # f_s(u | v): observation carried from lattice node v to u
+    f_trans = [_norm_pdf(v[:, None], gen.c[s] + gen.b[s] * v[None, :], gen.s[s])
+               for s in range(d)]
 
-    n1 = N - 1
-    k6 = np.zeros((2, n1, n1, 2, n1, n1))
-    for j in (0, 1):
-        for i in (0, 1):
-            k6[j, :, :, i, :, :] = (
-                p1[i, j]
-                * g_emis[i][:, None, :, None]
-                * rate[j][:, :, None, :]
-                * grid.cell_area
-            )
-    return k6.reshape(2 * n1 * n1, 2 * n1 * n1)
-
-
-def _build_kernel_four_state(tg: ModelBParams, tf: ModelBParams,
-                             grid: GridSpec) -> np.ndarray:
-    N = grid.N
-    v = grid.v_nodes
-    wn = grid.x_nodes
-    half = grid.x_half_nodes
-    n1 = N - 1
-    p1 = _pair_probs(tg.p01, tg.p10)
-    mu1 = np.asarray(tg.mu, dtype=float)
-
-    # f_{ij,theta1}(u | v): observation carried from lattice node v to u
-    f_trans = np.empty((2, 2, n1, n1))
-    for i in (0, 1):
-        for j in (0, 1):
-            mean = tg.psi2 * mu1[i] + tg.psi1 * mu1[j] + tg.phi * v[None, :]
-            f_trans[i, j] = _norm_pdf(v[:, None], mean, tg.sigma)
-
-    ug, xg, wg = np.meshgrid(v, half, wn, indexing="ij")
-    flat = (ug.ravel(), xg.ravel(), wg.ravel())
-    q_half = np.empty((2, 2, n1, N, n1))
-    for j in (0, 1):
-        for k in (0, 1):
-            q = _q_four_state_batch(flat[1], flat[0], flat[2], j, k, tg, tf)
-            q_half[j, k] = q.reshape(n1, N, n1)
-    dq = np.diff(q_half, axis=3)
-    np.clip(dq, 0.0, None, out=dq)
-    rate = dq / (2.0 * grid.delta)  # (j, k, u_idx, x_idx, w_idx)
-
-    k6 = np.zeros((4, n1, n1, 4, n1, n1))
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                k6[2 * j + k, :, :, 2 * i + j, :, :] = (
-                    p1[j, k]
-                    * f_trans[i, j][:, None, :, None]
-                    * rate[j, k][:, :, None, :]
+    k6 = np.zeros((d, n1, n1, d, n1, n1))
+    for t in range(d):
+        for s in range(d):
+            if gen.transition[s, t] > 0.0:
+                k6[t, :, :, s, :, :] = (
+                    gen.transition[s, t]
+                    * f_trans[s][:, None, :, None]
+                    * rate[t][:, :, None, :]
                     * grid.cell_area
                 )
-    return k6.reshape(4 * n1 * n1, 4 * n1 * n1)
+    return k6.reshape(d * n1 * n1, d * n1 * n1)
 
 
 def build_kernel(theta_gen, theta_filt, grid: GridSpec, family: str) -> KernelMatrix:
@@ -455,15 +435,14 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec, family: str) -> KernelMa
     if family == "A":
         if not isinstance(theta_gen, ModelAParams) or not isinstance(theta_filt, ModelAParams):
             raise TypeError("family A requires per-state AR parameters")
-        entries = _build_kernel_two_state(theta_gen, theta_filt, grid)
-        s = 2
+        q_half = _q_half_two_state(theta_gen, theta_filt, grid)
     elif family == "B":
         if not isinstance(theta_gen, ModelBParams) or not isinstance(theta_filt, ModelBParams):
             raise TypeError("family B requires two-lag parameters")
-        entries = _build_kernel_four_state(theta_gen, theta_filt, grid)
-        s = 4
+        q_half = _q_half_four_state(theta_gen, theta_filt, grid)
     else:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    entries = _assemble(as_chain(theta_gen), q_half, grid)
 
     col_sums = entries.sum(axis=0)
     if np.any(col_sums < 0.5) or np.any(col_sums > 1.5):
@@ -477,7 +456,7 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec, family: str) -> KernelMa
         dim=entries.shape[0],
         entries=entries,
         pre_norm_col_sums=col_sums,
-        n_components=s,
+        n_components=q_half.shape[0],
         grid=grid,
     )
 
@@ -538,129 +517,55 @@ def _log_gauss(y, mean, sd):
     return -0.5 * z * z - math.log(sd) - _LOG_SQRT_2PI
 
 
-def _mix_log_two_state(theta: ModelAParams, w_nodes, u_nodes, y_nodes):
-    """log of the one-step predictive density sum_j (predictive prob of j
-    given weight w) * f_j(y | u), on the (w, u, y) grid."""
-    p = np.array([[theta.p00, 1.0 - theta.p00], [1.0 - theta.p11, theta.p11]])
+def _mix_log(theta, grid: GridSpec) -> np.ndarray:
+    """log of the one-step predictive density sum_s pred_s(w) * f_s(y | u)
+    on the (w, u, y) grid, with w the filter weight of state 0 and u, y
+    the quadrature nodes."""
+    chain = as_chain(theta)
+    nodes, _ = _simpson(-grid.a, grid.a, grid.quad_points)
     logf = np.stack(
-        [_log_gauss(y_nodes[None, :], theta.mu[j] + theta.psi[j] * u_nodes[:, None],
-                    theta.sigma[j])
-         for j in (0, 1)]
-    )  # (j, u, y)
-    pred = np.stack([p[0, :] * w + p[1, :] * (1.0 - w) for w in w_nodes])  # (w, j)
-    return logsumexp(
-        np.log(pred)[:, :, None, None] + logf[None, :, :, :], axis=1
-    )
+        [_log_gauss(nodes[None, :], chain.c[s] + chain.b[s] * nodes[:, None], chain.s[s])
+         for s in range(chain.d)]
+    )  # (s, u, y)
+    logpred = np.log(_predictive(chain.transition, grid.x_nodes))  # (w, s)
+    return logsumexp(logpred[:, :, None, None] + logf[None, :, :, :], axis=1)
 
 
-def _mix_log_four_state(theta: ModelBParams, w_nodes, u_nodes, y_nodes):
-    """log of w*(p00 f00 + p01 f01) + (1-w)*(p10 f10 + p11 f11) on the
-    (w, u, y) grid; w is the weight of X_{t-1} = 0."""
-    p = _pair_probs(theta.p01, theta.p10)
-    mu = np.asarray(theta.mu, dtype=float)
-    logf = np.stack(
-        [_log_gauss(y_nodes[None, :],
-                    theta.psi2 * mu[i] + theta.psi1 * mu[j] + theta.phi * u_nodes[:, None],
-                    theta.sigma)
-         for i in (0, 1) for j in (0, 1)]
-    )  # (pair, u, y)
-    coef = np.stack(
-        [np.array([w * p[0, 0], w * p[0, 1], (1 - w) * p[1, 0], (1 - w) * p[1, 1]])
-         for w in w_nodes]
-    )  # (w, pair)
-    with np.errstate(divide="ignore"):
-        logcoef = np.log(coef)
-    return logsumexp(logcoef[:, :, None, None] + logf[None, :, :, :], axis=1)
-
-
-def _j_quadrature(theta1, theta_filt, m: InvariantDensityGrid, grid: GridSpec,
-                  alpha: float | None, ratio_theta: object | None):
+def _j_quadrature(theta1, m: InvariantDensityGrid, grid: GridSpec, r: np.ndarray,
+                  alpha: float | None) -> float:
     """Shared quadrature core for J^alpha and J_log.
 
-    alpha set: integrand exp((alpha-1) * log ratio) with ratio the predictive
-    mixture under ratio_theta[0] over ratio_theta[1]. alpha None: integrand
-    log of the predictive mixture under theta_filt. The inner conditional
-    expectations are self-normalized by the ratio-free integral so that a
-    constant integrand integrates to exactly itself regardless of grid
-    truncation.
+    r is a log predictive density (or a difference of two) on the (w, u, y)
+    grid. alpha set: integrand exp((alpha-1) * r). alpha None: integrand r.
+    Data come from theta1: source state s carries the observation from v to
+    u, target state t draws y given u. The inner conditional expectations
+    are self-normalized by the integrand-free integral so that a constant
+    integrand integrates to exactly itself regardless of grid truncation.
     """
+    gen = as_chain(theta1)
     u_nodes, wu = _simpson(-grid.a, grid.a, grid.quad_points)
     y_nodes, wy = _simpson(-grid.a, grid.a, grid.quad_points)
     v = grid.v_nodes
-    w_nodes = grid.x_nodes
-    four = isinstance(theta1, ModelBParams)
-
-    if alpha is not None:
-        t_num, t_den = ratio_theta
-        if four:
-            r = (_mix_log_four_state(t_num, w_nodes, u_nodes, y_nodes)
-                 - _mix_log_four_state(t_den, w_nodes, u_nodes, y_nodes))
-        else:
-            r = (_mix_log_two_state(t_num, w_nodes, u_nodes, y_nodes)
-                 - _mix_log_two_state(t_den, w_nodes, u_nodes, y_nodes))
-    else:
-        if four:
-            r = _mix_log_four_state(theta_filt, w_nodes, u_nodes, y_nodes)
-        else:
-            r = _mix_log_two_state(theta_filt, w_nodes, u_nodes, y_nodes)
+    f_emis = [np.exp(_log_gauss(u_nodes[None, :], gen.c[s] + gen.b[s] * v[:, None], gen.s[s]))
+              for s in range(gen.d)]  # (v, u) per source state
 
     total = 0.0
-    if four:
-        p1 = _pair_probs(theta1.p01, theta1.p10)
-        mu1 = np.asarray(theta1.mu, dtype=float)
-        for j in (0, 1):
-            f_emis_j = np.stack(
-                [np.exp(_log_gauss(u_nodes[None, :],
-                                   theta1.psi2 * mu1[i] + theta1.psi1 * mu1[j]
-                                   + theta1.phi * v[:, None],
-                                   theta1.sigma))
-                 for i in (0, 1)]
-            )  # (i, v, u)
-            for k in (0, 1):
-                log_gen = _log_gauss(
-                    y_nodes[None, :],
-                    theta1.psi2 * mu1[j] + theta1.psi1 * mu1[k]
-                    + theta1.phi * u_nodes[:, None],
-                    theta1.sigma,
-                )  # (u, y)
-                gen = np.exp(log_gen)
-                inner0 = gen @ wy  # (u,)
-                if alpha is not None:
-                    inner = np.exp((alpha - 1.0) * r + log_gen[None, :, :]) @ wy
-                else:
-                    inner = (r * gen[None, :, :]) @ wy  # (w, u)
-                for i in (0, 1):
-                    g = np.einsum("u,vu,wu->vw", wu, f_emis_j[i], inner)
-                    g0 = f_emis_j[i] @ (wu * inner0)  # (v,)
-                    total += p1[j, k] * float(
-                        np.sum(m.components[2 * i + j] * (g / g0[:, None]))
-                    ) * m.cell_area
-    else:
-        p1 = np.array([[theta1.p00, 1.0 - theta1.p00],
-                       [1.0 - theta1.p11, theta1.p11]])
-        f_emis = np.stack(
-            [np.exp(_log_gauss(u_nodes[None, :],
-                               theta1.mu[i] + theta1.psi[i] * v[:, None],
-                               theta1.sigma[i]))
-             for i in (0, 1)]
-        )  # (i, v, u)
-        for j in (0, 1):
-            log_gen = _log_gauss(
-                y_nodes[None, :],
-                theta1.mu[j] + theta1.psi[j] * u_nodes[:, None],
-                theta1.sigma[j],
-            )
-            gen = np.exp(log_gen)
-            inner0 = gen @ wy
-            if alpha is not None:
-                inner = np.exp((alpha - 1.0) * r + log_gen[None, :, :]) @ wy
-            else:
-                inner = (r * gen[None, :, :]) @ wy
-            for i in (0, 1):
-                g = np.einsum("u,vu,wu->vw", wu, f_emis[i], inner)
-                g0 = f_emis[i] @ (wu * inner0)
-                total += p1[i, j] * float(
-                    np.sum(m.components[i] * (g / g0[:, None]))
+    for t in range(gen.d):
+        log_gen = _log_gauss(
+            y_nodes[None, :], gen.c[t] + gen.b[t] * u_nodes[:, None], gen.s[t]
+        )  # (u, y)
+        dens = np.exp(log_gen)
+        inner0 = dens @ wy  # (u,)
+        if alpha is not None:
+            inner = np.exp((alpha - 1.0) * r + log_gen[None, :, :]) @ wy
+        else:
+            inner = (r * dens[None, :, :]) @ wy  # (w, u)
+        for s in range(gen.d):
+            if gen.transition[s, t] > 0.0:
+                g = np.einsum("u,vu,wu->vw", wu, f_emis[s], inner)
+                g0 = f_emis[s] @ (wu * inner0)  # (v,)
+                total += gen.transition[s, t] * float(
+                    np.sum(m.components[s] * (g / g0[:, None]))
                 ) * m.cell_area
     return total
 
@@ -672,14 +577,15 @@ def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
     The divergence is log(J^alpha)/(alpha-1)."""
     if abs(alpha - 1.0) < 1e-12:
         raise ValueError("alpha = 1 has no power functional; use j_log")
-    return _j_quadrature(theta1, None, m, grid, alpha, (theta1, theta))
+    r = _mix_log(theta1, grid) - _mix_log(theta, grid)
+    return _j_quadrature(theta1, m, grid, r, alpha)
 
 
 def j_log(theta_filt, theta1, m: InvariantDensityGrid, grid: GridSpec) -> float:
     """J_log: expected log predictive density under theta_filt, with data
     generated by theta1 and m solved with the matching theta_filt. The KL
     rate is j_log(theta1, theta1, m1) - j_log(theta, theta1, m_theta)."""
-    return _j_quadrature(theta1, theta_filt, m, grid, None, None)
+    return _j_quadrature(theta1, m, grid, _mix_log(theta_filt, grid), None)
 
 
 def _family_of(theta) -> str:

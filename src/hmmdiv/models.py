@@ -182,32 +182,53 @@ class PathSample:
 Model = ModelAParams | ModelBParams | LinearGaussianChain
 
 
+def _pair_shape_problems(m: Model, names) -> list[str]:
+    return [f"{name} must have exactly 2 entries, got {getattr(m, name)!r}"
+            for name in names if np.shape(getattr(m, name)) != (2,)]
+
+
 def validate_model(m: Model) -> list[str]:
     """Check parameter constraints; returns a list of violations (empty = ok).
 
     Report-style on purpose: the CLI wants every violated constraint named,
-    not just the first.
+    not just the first. Non-finite parameters are violations; a per-state
+    tuple of the wrong length is reported alone, since the per-state checks
+    cannot run on it.
     """
     problems: list[str] = []
     if isinstance(m, ModelAParams):
+        problems += _pair_shape_problems(m, ("mu", "psi", "sigma"))
+        if problems:
+            return problems
         for name in ("p00", "p11"):
             v = getattr(m, name)
             if not (0.0 < v < 1.0):
                 problems.append(f"0 < {name} < 1 required, got {v}")
         for k in (0, 1):
+            if not math.isfinite(m.mu[k]):
+                problems.append(f"mu[{k}] must be finite, got {m.mu[k]}")
             if not abs(m.psi[k]) < 1.0:
                 problems.append(f"|psi[{k}]| < 1 required, got {m.psi[k]}")
-            if not m.sigma[k] > 0.0:
-                problems.append(f"sigma[{k}] must be positive, got {m.sigma[k]}")
+            if not 0.0 < m.sigma[k] < math.inf:
+                problems.append(f"sigma[{k}] must be positive and finite, got {m.sigma[k]}")
     elif isinstance(m, ModelBParams):
+        problems += _pair_shape_problems(m, ("mu",))
+        if problems:
+            return problems
         for name in ("p01", "p10"):
             v = getattr(m, name)
             if not (0.0 < v < 1.0):
                 problems.append(f"0 < {name} < 1 required, got {v}")
+        for k in (0, 1):
+            if not math.isfinite(m.mu[k]):
+                problems.append(f"mu[{k}] must be finite, got {m.mu[k]}")
+        for name in ("psi1", "psi2"):
+            if not math.isfinite(getattr(m, name)):
+                problems.append(f"{name} must be finite, got {getattr(m, name)}")
         if not abs(m.phi) < 1.0:
             problems.append(f"|phi| < 1 required, got {m.phi}")
-        if not m.sigma > 0.0:
-            problems.append(f"sigma must be positive, got {m.sigma}")
+        if not 0.0 < m.sigma < math.inf:
+            problems.append(f"sigma must be positive and finite, got {m.sigma}")
     elif isinstance(m, LinearGaussianChain):
         if np.any(np.abs(m.pi.sum() - 1.0) > 1e-12) or np.any(m.pi < 0):
             problems.append("pi must be a probability vector")

@@ -112,32 +112,23 @@ def replication_log_ratios(p: Model, q: Model, cfg: McConfig) -> np.ndarray:
         raise DegenerateInputError(f"{exc} (replication = path index)") from exc
 
 
-def _estimate(rho: np.ndarray, alpha: float) -> tuple[float, float]:
+def estimate_from_log_ratios(rho: np.ndarray, alpha: float) -> DivergenceEstimate:
+    """Build the estimate for one alpha from precomputed log ratios."""
     n = rho.shape[1]
     if abs(alpha - 1.0) < 1e-8:
         stats = rho.mean(axis=1)
     else:
         stats = (logsumexp((alpha - 1.0) * rho, axis=1) - math.log(n)) / (alpha - 1.0)
-    mean = float(stats.mean())
     sd = float(stats.std(ddof=1)) if stats.shape[0] > 1 else 0.0
-    return mean, sd
-
-
-def estimate_from_log_ratios(rho: np.ndarray, alpha: float) -> DivergenceEstimate:
-    """Build the estimate for one alpha from precomputed log ratios."""
-    mean, sd = _estimate(rho, alpha)
     return DivergenceEstimate(
-        alpha=float(alpha), mean=mean, std_dev=sd, reps=rho.shape[0]
+        alpha=float(alpha), mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0]
     )
 
 
 def estimate_kl_mc(p: Model, q: Model, cfg: McConfig | None = None) -> DivergenceEstimate:
     """KL divergence rate estimate: each replication contributes the
     normalized log likelihood ratio of its path."""
-    cfg = cfg or McConfig()
-    rho = replication_log_ratios(p, q, cfg)
-    mean, sd = _estimate(rho, 1.0)
-    return DivergenceEstimate(alpha=1.0, mean=mean, std_dev=sd, reps=cfg.reps)
+    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg or McConfig()), 1.0)
 
 
 def estimate_renyi_mc(p: Model, q: Model, alpha: float,
@@ -151,7 +142,5 @@ def estimate_renyi_mc(p: Model, q: Model, alpha: float,
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    cfg = cfg or McConfig()
-    rho = replication_log_ratios(p, q, cfg)
-    mean, sd = _estimate(rho, float(alpha))
-    return DivergenceEstimate(alpha=float(alpha), mean=mean, std_dev=sd, reps=cfg.reps)
+    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg or McConfig()),
+                                    float(alpha))

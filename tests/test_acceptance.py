@@ -17,12 +17,14 @@ from hmmdiv import (
     ModelBParams,
     brute_force_log_likelihood,
     divergence_fredholm,
+    estimate_from_log_ratios,
     estimate_renyi_mc,
     log_likelihood,
     matrix_log_likelihood,
     noncentral_chisq1_cdf,
     q_four_state,
     q_two_state,
+    replication_log_ratios,
     sample_path,
 )
 from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE
@@ -86,6 +88,20 @@ def test_engines_agree_within_simulation_error(fredholm_results, mc_estimates):
                 f"case {cid} alpha={alpha}: |{det:.4f} - {est.mean:.4f}| "
                 f"> 3 * {est.std_dev:.4f}"
             )
+
+
+def test_engines_agree_on_family_a():
+    # the selftest pair: state-dependent AR coefficients and noise scales,
+    # so both the chi-square Q and the per-state emissions are exercised
+    theta1 = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
+    theta = ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9))
+    rho = replication_log_ratios(theta1, theta, McConfig())
+    for alpha in ("kl", 0.5):
+        det = divergence_fredholm(theta1, theta, alpha).value
+        est = estimate_from_log_ratios(rho, 1.0 if alpha == "kl" else alpha)
+        assert abs(det - est.mean) <= 3 * est.std_dev, (
+            f"alpha={alpha}: |{det:.4f} - {est.mean:.4f}| > 3 * {est.std_dev:.4f}"
+        )
 
 
 # --- 5. likelihood routes agree on random models --------------------------------------

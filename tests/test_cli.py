@@ -4,9 +4,13 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hmmdiv
 from hmmdiv import (
     CaseSpec,
     ConfigError,
@@ -337,3 +341,22 @@ def test_main_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    # run against the package this suite imported, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(hmmdiv.__file__)),
+                    env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-m", "hmmdiv", "print-defaults"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == default_config()
+
+
+def test_public_names_resolve():
+    assert "solve_invariant" in hmmdiv.__all__
+    assert [n for n in hmmdiv.__all__ if not hasattr(hmmdiv, n)] == []

@@ -292,8 +292,8 @@ def test_density_matrix_layout():
 
 
 def test_batch_normalizers_match_scalar_filter():
-    from hmmdiv.forward import _log_normalizers
-
+    # reference: the step-by-step filter, one observation at a time; its
+    # log-likelihood increments are the per-step log normalizers
     rng = np.random.default_rng(6)
     chain = as_chain(CASE1_GEN)
     y = rng.normal(1.5, 1.2, size=(5, 60))
@@ -301,8 +301,13 @@ def test_batch_normalizers_match_scalar_filter():
     batch = batch_log_normalizers(chain, y, y_prev)
     assert batch.shape == (5, 60)
     for r in range(5):
-        scalar = _log_normalizers(chain, y[r], float(y_prev[r]))
-        np.testing.assert_allclose(batch[r], scalar, rtol=1e-12, atol=1e-12)
+        state = forward_init(chain, y[r, 0], float(y_prev[r]))
+        cumulative = [state.log_likelihood]
+        for t in range(1, 60):
+            state = forward_step(chain, state, y[r, t], y[r, t - 1])
+            cumulative.append(state.log_likelihood)
+        steps = np.diff(cumulative, prepend=0.0)
+        np.testing.assert_allclose(batch[r], steps, rtol=1e-12, atol=1e-12)
 
 
 def test_four_state_reduces_to_two_state_when_memoryless():

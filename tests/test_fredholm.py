@@ -357,6 +357,27 @@ def test_divergence_diagnostics_present():
     assert d["grid"]["N"] == 8
 
 
+# Cases 1 and 6 have psi2 = 0, so their emissions depend on the current
+# state only and each has an exact family-A mirror (p00 = 1 - p01,
+# p11 = 1 - p10, per-state copies of phi and sigma). The chi-square Q path
+# and the root-cascade path must then give the same rates.
+FAMILY_A_MIRRORS = {
+    1: (ModelAParams(0.59, 0.4, (2.0, 1.0), (0.0, 0.0), (1.5, 1.5)),
+        ModelAParams(0.59, 0.4, (1.0, 0.0), (0.0, 0.0), (2.0, 2.0))),
+    6: (ModelAParams(0.401, 0.6, (2.0, 1.0), (0.3, 0.3), (1.1, 1.1)),
+        ModelAParams(0.401, 0.6, (1.0, 0.0), (0.2, 0.2), (1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(FAMILY_A_MIRRORS))
+def test_family_a_mirror_matches_family_b(cid):
+    grid = GridSpec(N=8, quad_points=101)
+    for alpha in ("kl", 0.5, 2.0):
+        want = divergence_fredholm(*CASES[cid], alpha, grid).value
+        got = divergence_fredholm(*FAMILY_A_MIRRORS[cid], alpha, grid).value
+        assert math.isclose(got, want, rel_tol=1e-12), (cid, alpha, got, want)
+
+
 def test_divergence_reference_values(fredholm_results):
     assert abs(fredholm_results[(1, "kl")].value - 0.1773) <= 0.01
     assert abs(fredholm_results[(1, 0.5)].value - 0.1091) <= 0.01

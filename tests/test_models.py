@@ -67,6 +67,33 @@ def test_validate_reports_every_violation():
     assert len(problems) == 3
 
 
+def model_a(**overrides):
+    base = dict(p00=0.6, p11=0.7, mu=(0.5, -0.5), psi=(0.2, -0.1), sigma=(1.0, 1.4))
+    base.update(overrides)
+    return ModelAParams(**base)
+
+
+@pytest.mark.parametrize(
+    "model, needle",
+    [
+        (model_a(mu=(math.nan, 1.0)), "mu[0] must be finite"),
+        (model_a(sigma=(1.0, math.inf)), "sigma[1] must be positive and finite"),
+        (model_a(mu=(0.0, 1.0, 2.0)), "mu must have exactly 2 entries"),
+        (model_a(sigma=(1.0,)), "sigma must have exactly 2 entries"),
+        (model_b(mu=(1.0,)), "mu must have exactly 2 entries"),
+        (model_b(mu=(1.0, -math.inf)), "mu[1] must be finite"),
+        (model_b(psi1=math.nan), "psi1 must be finite"),
+        (model_b(psi2=math.inf), "psi2 must be finite"),
+        (model_b(sigma=math.inf), "sigma must be positive and finite"),
+    ],
+)
+def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
+    problems = validate_model(model)
+    assert any(needle in p for p in problems), problems
+    with pytest.raises(ValueError):
+        as_chain(model)
+
+
 # --- stationary distributions -----------------------------------------------
 
 
