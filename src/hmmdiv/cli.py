@@ -44,20 +44,31 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import cases as bench
-from .fredholm import GridSpec, build_kernel, j_alpha, j_log, solve_invariant
-from .models import ModelAParams, ModelBParams, validate_model
+from .fredholm import (
+    DivergenceResult,
+    GridSpec,
+    build_kernel,
+    j_alpha,
+    j_log,
+    solve_invariant,
+)
+from .models import ModelAParams, ModelBParams, infinite_renyi_rate, validate_model
 from .montecarlo import (
     McConfig,
     estimate_from_log_ratios,
+    infinite_estimate,
     replication_log_ratios,
 )
 
 METHODS = ("mc", "fredholm")
+
+
+_FAMILIES = {"A": ModelAParams, "B": ModelBParams}
 
 
 class ConfigError(ValueError):
@@ -75,9 +86,9 @@ class CaseSpec:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
-        if self.family not in ("A", "B"):
+        if self.family not in _FAMILIES:
             raise ConfigError(f"case {self.name!r}: family must be 'A' or 'B'")
-        want = ModelAParams if self.family == "A" else ModelBParams
+        want = _FAMILIES[self.family]
         for label, theta in (("theta1", self.theta1), ("theta", self.theta)):
             if not isinstance(theta, want):
                 raise ConfigError(
@@ -123,16 +134,16 @@ def _is_kl(alpha) -> bool:
 # config parsing
 
 
-_THETA_KEYS = {
-    "A": ("p00", "p11", "mu", "psi", "sigma"),
-    "B": ("p01", "p10", "mu", "phi", "psi1", "psi2", "sigma"),
-}
+def _settings(obj) -> dict:
+    """The init fields of a parameter dataclass by name, in field order."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
 
 
 def _parse_theta(doc: dict, family: str, where: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object")
-    keys = _THETA_KEYS[family]
+    cls = _FAMILIES[family]
+    keys = [f.name for f in fields(cls)]
     missing = [k for k in keys if k not in doc]
     if missing:
         raise ConfigError(f"{where}: missing key(s) {', '.join(missing)}")
@@ -140,69 +151,29 @@ def _parse_theta(doc: dict, family: str, where: str):
     if extra:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(extra)}")
     try:
-        if family == "A":
-            return ModelAParams(
-                p00=float(doc["p00"]),
-                p11=float(doc["p11"]),
-                mu=tuple(float(v) for v in doc["mu"]),
-                psi=tuple(float(v) for v in doc["psi"]),
-                sigma=tuple(float(v) for v in doc["sigma"]),
-            )
-        return ModelBParams(
-            p01=float(doc["p01"]),
-            p10=float(doc["p10"]),
-            mu=tuple(float(v) for v in doc["mu"]),
-            phi=float(doc["phi"]),
-            psi1=float(doc["psi1"]),
-            psi2=float(doc["psi2"]),
-            sigma=float(doc["sigma"]),
-        )
+        # per-state fields (annotated tuple[...]) are pairs, the rest scalars
+        return cls(**{f.name: tuple(float(v) for v in doc[f.name])
+                      if str(f.type).startswith("tuple") else float(doc[f.name])
+                      for f in fields(cls)})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _theta_dict(theta) -> dict:
-    if isinstance(theta, ModelAParams):
-        return {
-            "p00": theta.p00, "p11": theta.p11, "mu": list(theta.mu),
-            "psi": list(theta.psi), "sigma": list(theta.sigma),
-        }
-    return {
-        "p01": theta.p01, "p10": theta.p10, "mu": list(theta.mu),
-        "phi": theta.phi, "psi1": theta.psi1, "psi2": theta.psi2,
-        "sigma": theta.sigma,
-    }
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in _settings(theta).items()}
 
 
-def _parse_mc(doc: dict, where: str) -> McConfig:
-    allowed = {"n", "reps", "burn_in", "seed"}
-    extra = set(doc) - allowed
+def _parse_settings(cls, doc: dict, where: str):
+    """Build McConfig or GridSpec from the keys the config gives; every
+    other field keeps its dataclass default, cast like that default."""
+    casts = {f.name: type(f.default) for f in fields(cls) if f.init}
+    extra = set(doc) - set(casts)
     if extra:
-        raise ConfigError(f"{where}.mc: unknown key(s) {', '.join(sorted(extra))}")
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(extra))}")
     try:
-        return McConfig(
-            n=int(doc.get("n", 2000)),
-            reps=int(doc.get("reps", 100)),
-            burn_in=int(doc.get("burn_in", 100)),
-            seed=int(doc.get("seed", 0)),
-        )
+        return cls(**{k: casts[k](v) for k, v in doc.items()})
     except ValueError as exc:
-        raise ConfigError(f"{where}.mc: {exc}") from exc
-
-
-def _parse_grid(doc: dict, where: str) -> GridSpec:
-    allowed = {"N", "a", "quad_points"}
-    extra = set(doc) - allowed
-    if extra:
-        raise ConfigError(f"{where}.grid: unknown key(s) {', '.join(sorted(extra))}")
-    try:
-        return GridSpec(
-            N=int(doc.get("N", 16)),
-            a=float(doc.get("a", 15.0)),
-            quad_points=int(doc.get("quad_points", 201)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}.grid: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_alphas(raw, where: str) -> tuple:
@@ -232,8 +203,8 @@ def parse_config(doc: dict) -> list[CaseSpec]:
         raise ConfigError(f"top level: unknown key(s) {', '.join(sorted(extra))}")
 
     default_alphas = _parse_alphas(doc["alphas"], "top level") if "alphas" in doc else None
-    default_mc = _parse_mc(doc.get("mc", {}), "top level")
-    default_grid = _parse_grid(doc.get("grid", {}), "top level")
+    default_mc = _parse_settings(McConfig, doc.get("mc", {}), "top level.mc")
+    default_grid = _parse_settings(GridSpec, doc.get("grid", {}), "top level.grid")
 
     specs = []
     for idx, c in enumerate(doc["cases"]):
@@ -247,7 +218,7 @@ def parse_config(doc: dict) -> list[CaseSpec]:
         if unknown:
             raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
         family = str(c["family"])
-        if family not in ("A", "B"):
+        if family not in _FAMILIES:
             raise ConfigError(f"{where}.family: must be 'A' or 'B', got {family!r}")
         alphas = (_parse_alphas(c["alphas"], where) if "alphas" in c
                   else default_alphas)
@@ -260,8 +231,10 @@ def parse_config(doc: dict) -> list[CaseSpec]:
                 theta1=_parse_theta(c["theta1"], family, f"{where}.theta1"),
                 theta=_parse_theta(c["theta"], family, f"{where}.theta"),
                 alphas=alphas,
-                mc=_parse_mc(c["mc"], where) if "mc" in c else default_mc,
-                grid=_parse_grid(c["grid"], where) if "grid" in c else default_grid,
+                mc=(_parse_settings(McConfig, c["mc"], f"{where}.mc") if "mc" in c
+                    else default_mc),
+                grid=(_parse_settings(GridSpec, c["grid"], f"{where}.grid") if "grid" in c
+                      else default_grid),
             )
         )
     names = [s.name for s in specs]
@@ -280,10 +253,8 @@ def serialize_config(specs: list[CaseSpec]) -> dict:
                 "theta1": _theta_dict(s.theta1),
                 "theta": _theta_dict(s.theta),
                 "alphas": list(s.alphas),
-                "mc": {"n": s.mc.n, "reps": s.mc.reps,
-                       "burn_in": s.mc.burn_in, "seed": s.mc.seed},
-                "grid": {"N": s.grid.N, "a": s.grid.a,
-                         "quad_points": s.grid.quad_points},
+                "mc": _settings(s.mc),
+                "grid": _settings(s.grid),
             }
             for s in specs
         ]
@@ -324,45 +295,55 @@ def load_config(path: str) -> list[CaseSpec]:
 # execution
 
 
-def _fredholm_case_values(spec: CaseSpec) -> tuple[dict, dict, float]:
-    """All Fredholm values for one case, sharing kernel solves across the
-    alpha grid: every Renyi order reuses the theta-filter solve, and the KL
-    rows add one theta1-filter solve."""
-    t0 = time.perf_counter()
-    values: dict = {}
-    diag: dict = {}
-    if spec.theta1 == spec.theta:
-        for a in spec.alphas:
-            values[a] = 0.0
-        diag["identity"] = True
-        return values, diag, time.perf_counter() - t0
+def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]:
+    """Fredholm values {alpha: rate} for every order in alphas, and the
+    solver diagnostics.
 
-    # the theta-filter solve serves both the Renyi orders and the KL cross term
-    k0 = build_kernel(spec.theta1, spec.theta, spec.grid, spec.family)
-    m0 = solve_invariant(k0)
-    residuals = [m0.eigen_residual]
-    col_devs = [float(np.abs(k0.pre_norm_col_sums - 1.0).max())]
-    iters = m0.iterations
-    if any(_is_kl(a) for a in spec.alphas):
-        k1 = build_kernel(spec.theta1, spec.theta1, spec.grid, spec.family)
-        m1 = solve_invariant(k1)
-        residuals.append(m1.eigen_residual)
-        col_devs.append(float(np.abs(k1.pre_norm_col_sums - 1.0).max()))
-        iters += m1.iterations
-        kl_value = (j_log(spec.theta1, spec.theta1, m1, spec.grid)
-                    - j_log(spec.theta, spec.theta1, m0, spec.grid))
-    for a in spec.alphas:
-        if _is_kl(a):
-            values[a] = kl_value
-        else:
-            j = j_alpha(spec.theta1, spec.theta, float(a), m0, spec.grid)
-            values[a] = math.log(j) / (float(a) - 1.0)
-    diag["eigen_residual"] = max(residuals)
-    diag["max_col_sum_deviation"] = max(col_devs)
-    diag["iterations"] = iters
-    diag["grid"] = {"N": spec.grid.N, "a": spec.grid.a,
-                    "quad_points": spec.grid.quad_points}
-    return values, diag, time.perf_counter() - t0
+    One theta-filter kernel solve serves every Renyi order and the KL cross
+    term; a theta1-filter solve is added only when some order is KL (within
+    1e-8 of 1, or "kl"), which differences the two log functionals.
+    Identical models give exactly zero: the ratio integrand is identically
+    1, so no discretization may blur the answer. Orders whose rate is
+    infinite (`models.infinite_renyi_rate`) give inf.
+    """
+    values = dict.fromkeys(alphas, 0.0)
+    diag: dict = {}
+    if theta1 == theta:
+        diag["identity"] = True
+    else:
+        kernels = [build_kernel(theta1, theta, grid)]
+        solves = [solve_invariant(kernels[0])]
+        if any(_is_kl(a) for a in alphas):
+            kernels.append(build_kernel(theta1, theta1, grid))
+            solves.append(solve_invariant(kernels[1]))
+            kl = (j_log(theta1, theta1, solves[1], grid)
+                  - j_log(theta, theta1, solves[0], grid))
+        for a in alphas:
+            if _is_kl(a):
+                values[a] = kl
+            elif infinite_renyi_rate(theta1, theta, float(a)):
+                values[a] = math.inf
+            else:
+                j = j_alpha(theta1, theta, float(a), solves[0], grid)
+                values[a] = math.log(j) / (float(a) - 1.0)
+        diag["eigen_residual"] = max(m.eigen_residual for m in solves)
+        diag["max_col_sum_deviation"] = max(
+            float(np.abs(k.pre_norm_col_sums - 1.0).max()) for k in kernels)
+        diag["iterations"] = sum(m.iterations for m in solves)
+    diag["grid"] = _settings(grid)
+    return values, diag
+
+
+def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> DivergenceResult:
+    """Divergence rate of theta1 from theta by the deterministic engine:
+    the one-order call of the per-case Fredholm pipeline.
+
+    alpha may be a number or "kl"; values within 1e-8 of 1 route to the KL
+    path. Identical models give exactly 0, infinite Renyi orders inf.
+    """
+    values, diag = _fredholm_values(theta1, theta, (alpha,), grid or GridSpec())
+    return DivergenceResult(alpha=1.0 if _is_kl(alpha) else float(alpha),
+                            value=values[alpha], diagnostics=diag)
 
 
 def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
@@ -378,7 +359,10 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
     fred_values: dict = {}
     fred_time = None
     if "fredholm" in methods:
-        fred_values, fred_diag, seconds = _fredholm_case_values(spec)
+        t0 = time.perf_counter()
+        fred_values, fred_diag = _fredholm_values(spec.theta1, spec.theta,
+                                                  spec.alphas, spec.grid)
+        seconds = time.perf_counter() - t0
         diag.update(fred_diag)
         diag["fredholm_seconds"] = seconds
         fred_time = seconds / n_rows
@@ -392,7 +376,11 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
         per_alpha = []
         for a in spec.alphas:
             t1 = time.perf_counter()
-            est = estimate_from_log_ratios(rho, 1.0 if _is_kl(a) else float(a))
+            order = 1.0 if _is_kl(a) else float(a)
+            if infinite_renyi_rate(spec.theta1, spec.theta, order):
+                est = infinite_estimate(order, spec.mc.reps)
+            else:
+                est = estimate_from_log_ratios(rho, order)
             per_alpha.append(time.perf_counter() - t1)
             mc_rows[a] = est
         mc_time = {a: shared / n_rows + dt for a, dt in zip(spec.alphas, per_alpha)}
@@ -403,7 +391,8 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
         fred = fred_values.get(a)
         est = mc_rows.get(a)
         rel = None
-        if fred is not None and est is not None and est.mean != 0.0:
+        if (fred is not None and est is not None and est.mean != 0.0
+                and math.isfinite(est.mean)):
             rel = (fred - est.mean) / est.mean * 100.0
         rows.append(
             ResultRow(
@@ -478,12 +467,14 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
     for row in rows:
         spec = spec_by_name[row.case]
         cell = f"{row.case} alpha={row.alpha}"
-        if row.fredholm is not None and row.mc_mean is not None and row.mc_sd:
-            if abs(row.fredholm - row.mc_mean) > 3.0 * row.mc_sd:
+        if (row.fredholm is not None and row.mc_mean is not None
+                and row.fredholm != row.mc_mean):
+            gap = abs(row.fredholm - row.mc_mean)
+            # a one-sided infinity fails at any sd; two equal ones never get here
+            if math.isinf(gap) or (row.mc_sd and gap > 3.0 * row.mc_sd):
                 failures.append(
-                    f"{cell}: |fredholm - mc| = "
-                    f"{abs(row.fredholm - row.mc_mean):.4f} exceeds 3*sd = "
-                    f"{3.0 * row.mc_sd:.4f}"
+                    f"{cell}: |fredholm - mc| = {gap:.4f} exceeds 3*sd = "
+                    f"{3.0 * (row.mc_sd or 0.0):.4f}"
                 )
         bench_id = by_params.get((spec.theta1, spec.theta))
         key = "kl" if _is_kl(row.alpha) else float(row.alpha)
@@ -586,12 +577,7 @@ def selftest(out=print) -> bool:
     passes."""
     from .cases import CASES, gaussian_kl
     from .forward import brute_force_log_likelihood, log_likelihood
-    from .fredholm import (
-        divergence_fredholm,
-        noncentral_chisq1_cdf,
-        q_four_state,
-        q_two_state,
-    )
+    from .fredholm import noncentral_chisq1_cdf, q_four_state, q_two_state
     from .models import sample_path
     from .montecarlo import estimate_renyi_mc
     from scipy.stats import ncx2

@@ -29,7 +29,8 @@ exponential-sum root cascade) and summing Gaussian CDF masses over the
 nonpositive intervals.
 
 Throughout, theta1 denotes the data-generating model and theta the
-alternative; filter weights track P(X_t = 0 | data).
+alternative; filter weights track P(X_t = 0 | data). `hmmdiv.cli` combines
+these pieces into divergence rates (`divergence_fredholm`).
 """
 
 from __future__ import annotations
@@ -420,7 +421,7 @@ def _assemble(gen: LinearGaussianChain, q_half: np.ndarray, grid: GridSpec) -> n
     return k6.reshape(d * n1 * n1, d * n1 * n1)
 
 
-def build_kernel(theta_gen, theta_filt, grid: GridSpec, family: str) -> KernelMatrix:
+def build_kernel(theta_gen, theta_filt, grid: GridSpec) -> KernelMatrix:
     """Assemble the discretized kernel and column-normalize it.
 
     Each entry couples a target lattice point (component, u, x) to a source
@@ -428,20 +429,19 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec, family: str) -> KernelMa
     x central-difference dQ/dx x cell area. Exact column sums would be 1 for
     the untruncated operator; the truncation to [-a, a] and the finite
     difference leave sums near 1, which normalization makes exact. Sums far
-    from 1 mean the lattice cannot resolve the densities.
+    from 1 mean the lattice cannot resolve the densities. The parameter
+    types pick the family, and with it the Q evaluator; a mixed pair raises
+    TypeError.
     """
     require_valid(theta_gen)
     require_valid(theta_filt)
-    if family == "A":
-        if not isinstance(theta_gen, ModelAParams) or not isinstance(theta_filt, ModelAParams):
-            raise TypeError("family A requires per-state AR parameters")
+    if isinstance(theta_gen, ModelAParams) and isinstance(theta_filt, ModelAParams):
         q_half = _q_half_two_state(theta_gen, theta_filt, grid)
-    elif family == "B":
-        if not isinstance(theta_gen, ModelBParams) or not isinstance(theta_filt, ModelBParams):
-            raise TypeError("family B requires two-lag parameters")
+    elif isinstance(theta_gen, ModelBParams) and isinstance(theta_filt, ModelBParams):
         q_half = _q_half_four_state(theta_gen, theta_filt, grid)
     else:
-        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+        raise TypeError("theta_gen and theta_filt must both be family A "
+                        "(per-state AR) or both family B (two-lag) parameters")
     entries = _assemble(as_chain(theta_gen), q_half, grid)
 
     col_sums = entries.sum(axis=0)
@@ -586,74 +586,3 @@ def j_log(theta_filt, theta1, m: InvariantDensityGrid, grid: GridSpec) -> float:
     generated by theta1 and m solved with the matching theta_filt. The KL
     rate is j_log(theta1, theta1, m1) - j_log(theta, theta1, m_theta)."""
     return _j_quadrature(theta1, m, grid, _mix_log(theta_filt, grid), None)
-
-
-def _family_of(theta) -> str:
-    if isinstance(theta, ModelAParams):
-        return "A"
-    if isinstance(theta, ModelBParams):
-        return "B"
-    raise TypeError(f"unsupported model type {type(theta).__name__}")
-
-
-def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> DivergenceResult:
-    """Divergence rate of theta1 from theta by the deterministic engine.
-
-    alpha may be a number or "kl"; values within 1e-8 of 1 route to the KL
-    path, which solves two Fredholm systems (filter theta1 and filter theta)
-    and differences the log functionals. Identical models short-circuit to
-    exactly zero: the ratio integrand is identically 1, so no discretization
-    should be allowed to blur the answer.
-    """
-    if grid is None:
-        grid = GridSpec()
-    family = _family_of(theta1)
-    if _family_of(theta) != family:
-        raise TypeError("theta1 and theta must belong to the same family")
-    is_kl = (isinstance(alpha, str) and alpha.lower() == "kl") or (
-        not isinstance(alpha, str) and abs(float(alpha) - 1.0) < 1e-8
-    )
-    alpha_out = 1.0 if is_kl else float(alpha)
-
-    if theta1 == theta:
-        return DivergenceResult(
-            alpha=alpha_out,
-            value=0.0,
-            diagnostics={"identity": True, "grid": _grid_dict(grid)},
-        )
-
-    if is_kl:
-        k1 = build_kernel(theta1, theta1, grid, family)
-        m1 = solve_invariant(k1)
-        k0 = build_kernel(theta1, theta, grid, family)
-        m0 = solve_invariant(k0)
-        value = j_log(theta1, theta1, m1, grid) - j_log(theta, theta1, m0, grid)
-        diag = {
-            "eigen_residual": max(m1.eigen_residual, m0.eigen_residual),
-            "max_col_sum_deviation": float(
-                max(
-                    np.abs(k1.pre_norm_col_sums - 1.0).max(),
-                    np.abs(k0.pre_norm_col_sums - 1.0).max(),
-                )
-            ),
-            "iterations": m1.iterations + m0.iterations,
-            "grid": _grid_dict(grid),
-        }
-        return DivergenceResult(alpha=alpha_out, value=value, diagnostics=diag)
-
-    a = float(alpha)
-    kernel = build_kernel(theta1, theta, grid, family)
-    m = solve_invariant(kernel)
-    j = j_alpha(theta1, theta, a, m, grid)
-    value = math.log(j) / (a - 1.0)
-    diag = {
-        "eigen_residual": m.eigen_residual,
-        "max_col_sum_deviation": float(np.abs(kernel.pre_norm_col_sums - 1.0).max()),
-        "iterations": m.iterations,
-        "grid": _grid_dict(grid),
-    }
-    return DivergenceResult(alpha=alpha_out, value=value, diagnostics=diag)
-
-
-def _grid_dict(grid: GridSpec) -> dict:
-    return {"N": grid.N, "a": grid.a, "quad_points": grid.quad_points}

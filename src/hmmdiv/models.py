@@ -359,39 +359,68 @@ def _standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
     return ndtri(np.clip(u, eps, 1.0 - eps))
 
 
-def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSample:
-    """Sample n observations after burn_in discarded steps.
+def sample_paths(chain: LinearGaussianChain, seeds, n: int, burn_in: int):
+    """Sample one path per seed, all rows stepped together.
 
-    The chain starts from its stationary distribution, Y is initialized at 0,
-    and the recorded hidden states are the model's primitive states (for
+    Row r draws its uniforms and normals from PCG64(seeds[r]); the chain
+    starts from `chain.pi`, Y is initialized at 0, and burn_in steps are
+    discarded. Returns (y, y_prev, x): observations of shape (rows, n), the
+    observation preceding y[:, 0] (0.0 when burn_in = 0), and the chain
+    states behind y as int8.
+    """
+    rows = len(seeds)
+    total = burn_in + n
+    u_state = np.empty((rows, total + 1))
+    eps = np.empty((rows, total))
+    for r, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        u_state[r] = rng.random(total + 1)
+        eps[r] = _standard_normals(rng, total)
+
+    cum = np.cumsum(chain.transition, axis=1)
+    cum_pi = np.cumsum(chain.pi)
+    z = np.minimum((cum_pi[None, :] <= u_state[:, 0:1]).sum(axis=1), chain.d - 1)
+    y = np.zeros(rows)
+    ys = np.empty((rows, total))
+    states = np.empty((rows, total), dtype=np.int8)
+    c, b, s = chain.c, chain.b, chain.s
+    for t in range(total):
+        z = np.minimum((cum[z] <= u_state[:, t + 1, None]).sum(axis=1), chain.d - 1)
+        y = c[z] + b[z] * y + s[z] * eps[:, t]
+        ys[:, t] = y
+        states[:, t] = z
+    y_prev = ys[:, burn_in - 1] if burn_in > 0 else np.zeros(rows)
+    return ys[:, burn_in:], y_prev, states[:, burn_in:]
+
+
+def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSample:
+    """Sample n observations after burn_in discarded steps: the one-row
+    call of `sample_paths`.
+
+    The recorded hidden states are the model's primitive states (for
     family B the current X_t, not the pair state). Deterministic in
     (m, n, burn_in, seed).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    chain = as_chain(m)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    total = burn_in + n
-    u_state = rng.random(total + 1)
-    eps = _standard_normals(rng, total)
-    cum = np.cumsum(chain.transition, axis=1)
-    cum_pi = np.cumsum(chain.pi)
-
-    z = int(np.searchsorted(cum_pi, u_state[0], side="right"))
-    z = min(z, chain.d - 1)
-    states = np.empty(total, dtype=np.int64)
-    ys = np.empty(total, dtype=float)
-    y = 0.0
-    c, b, s = chain.c, chain.b, chain.s
-    for t in range(total):
-        z = int(np.searchsorted(cum[z], u_state[t + 1], side="right"))
-        z = min(z, chain.d - 1)
-        states[t] = z
-        y = c[z] + b[z] * y + s[z] * eps[t]
-        ys[t] = y
-
-    y_prev = float(ys[burn_in - 1]) if burn_in > 0 else 0.0
-    x = states[burn_in:]
+    y, y_prev, x = sample_paths(as_chain(m), [seed], n, burn_in)
+    x = x[0]
     if isinstance(m, ModelBParams):
         x = x % 2  # pair state (i, j) -> current state j
-    return PathSample(y=ys[burn_in:], x=x, seed=seed, burn_in=burn_in, y_prev=y_prev)
+    return PathSample(y=y[0], x=x, seed=seed, burn_in=burn_in, y_prev=float(y_prev[0]))
+
+
+def infinite_renyi_rate(theta1: Model, theta: Model, alpha: float) -> bool:
+    """Whether the Renyi rate of order alpha of theta1 from theta is +inf.
+
+    For alpha > 1 the one-step integrand p1^alpha * p^(1-alpha) has a
+    Gaussian tail set by the widest emission of each model, largest sd s1
+    under theta1 and s under theta: it decays only when
+    alpha / s1^2 > (alpha - 1) / s^2. Otherwise the integral diverges for
+    every history, and so does the rate.
+    """
+    if not alpha > 1.0:
+        return False
+    s1 = float(as_chain(theta1).s.max())
+    s = float(as_chain(theta).s.max())
+    return alpha * s * s <= (alpha - 1.0) * s1 * s1

@@ -27,12 +27,12 @@ from scipy.special import logsumexp
 
 from .forward import DegenerateInputError, batch_log_normalizers
 from .models import (
-    LinearGaussianChain,
     Model,
-    _standard_normals,
     as_chain,
+    infinite_renyi_rate,
     mix_seed,
     require_valid,
+    sample_paths,
 )
 
 
@@ -68,33 +68,6 @@ class DivergenceEstimate:
             raise ValueError("std_dev cannot be negative")
 
 
-def _sample_paths(chain: LinearGaussianChain, cfg: McConfig):
-    """Sample cfg.reps paths at once; row r reproduces the single-path
-    sampler run with seed mix_seed(cfg.seed, r). Returns (y, y_prev) of
-    shapes (reps, n) and (reps,)."""
-    total = cfg.burn_in + cfg.n
-    u_state = np.empty((cfg.reps, total + 1))
-    eps = np.empty((cfg.reps, total))
-    for r in range(cfg.reps):
-        rng = np.random.Generator(np.random.PCG64(mix_seed(cfg.seed, r)))
-        u_state[r] = rng.random(total + 1)
-        eps[r] = _standard_normals(rng, total)
-
-    cum = np.cumsum(chain.transition, axis=1)
-    cum_pi = np.cumsum(chain.pi)
-    z = np.minimum((cum_pi[None, :] <= u_state[:, 0:1]).sum(axis=1), chain.d - 1)
-    y = np.zeros(cfg.reps)
-    ys = np.empty((cfg.reps, total))
-    c, b, s = chain.c, chain.b, chain.s
-    for t in range(total):
-        rows = cum[z]
-        z = np.minimum((rows <= u_state[:, t + 1, None]).sum(axis=1), chain.d - 1)
-        y = c[z] + b[z] * y + s[z] * eps[:, t]
-        ys[:, t] = y
-    y_prev = ys[:, cfg.burn_in - 1] if cfg.burn_in > 0 else np.zeros(cfg.reps)
-    return ys[:, cfg.burn_in:], y_prev
-
-
 def replication_log_ratios(p: Model, q: Model, cfg: McConfig) -> np.ndarray:
     """Per-step log likelihood ratios rho for every replication, shape
     (reps, n). Paths are sampled under p. The rows are the sole input of
@@ -104,7 +77,8 @@ def replication_log_ratios(p: Model, q: Model, cfg: McConfig) -> np.ndarray:
     require_valid(q)
     chain_p = as_chain(p)
     chain_q = as_chain(q)
-    y, y_prev = _sample_paths(chain_p, cfg)
+    seeds = [mix_seed(cfg.seed, r) for r in range(cfg.reps)]
+    y, y_prev, _ = sample_paths(chain_p, seeds, cfg.n, cfg.burn_in)
     try:
         return (batch_log_normalizers(chain_p, y, y_prev)
                 - batch_log_normalizers(chain_q, y, y_prev))
@@ -125,6 +99,12 @@ def estimate_from_log_ratios(rho: np.ndarray, alpha: float) -> DivergenceEstimat
     )
 
 
+def infinite_estimate(alpha: float, reps: int) -> DivergenceEstimate:
+    """The estimate of an order whose rate is infinite: every replication's
+    power average diverges, so the mean is inf and there is no spread."""
+    return DivergenceEstimate(alpha=alpha, mean=math.inf, std_dev=0.0, reps=reps)
+
+
 def estimate_kl_mc(p: Model, q: Model, cfg: McConfig | None = None) -> DivergenceEstimate:
     """KL divergence rate estimate: each replication contributes the
     normalized log likelihood ratio of its path."""
@@ -138,9 +118,12 @@ def estimate_renyi_mc(p: Model, q: Model, alpha: float,
     Orders within 1e-8 of 1 fall back to the KL statistic, the alpha -> 1
     limit of the power average. For p = q the per-step ratios are exact
     zeros (the two filters run identical arithmetic), so the estimate is
-    exactly 0 for every alpha and seed.
+    exactly 0 for every alpha and seed. An order whose rate is infinite
+    (`models.infinite_renyi_rate`) returns mean inf without sampling.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg or McConfig()),
-                                    float(alpha))
+    cfg = cfg or McConfig()
+    if infinite_renyi_rate(p, q, float(alpha)):
+        return infinite_estimate(float(alpha), cfg.reps)
+    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg), float(alpha))

@@ -1,6 +1,6 @@
 """Shared fixtures: benchmark-case results computed once per session.
 
-The heavy work (72 deterministic solves, 8 x 100 simulated replications)
+The heavy work (8 deterministic case runs, 8 x 100 simulated replications)
 is cached at session scope so the module tests and the acceptance suite
 draw on the same numbers.
 """
@@ -8,7 +8,7 @@ draw on the same numbers.
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hmmdiv import McConfig, divergence_fredholm, replication_log_ratios
+from hmmdiv import CaseSpec, McConfig, replication_log_ratios, run_cases
 from hmmdiv.cases import ALPHA_GRID, CASES
 from hmmdiv.montecarlo import estimate_from_log_ratios
 
@@ -19,14 +19,23 @@ settings.load_profile("suite")
 
 
 @pytest.fixture(scope="session")
-def fredholm_results():
-    """{(case_id, alpha): DivergenceResult} for the full benchmark grid at
-    default grid settings."""
+def fredholm_cases():
+    """{case_id: (rows, diagnostics)} from one Fredholm-only run per
+    benchmark case over the full alpha grid at default grid settings, so
+    each case builds and solves its two kernels once."""
     out = {}
     for cid, (t1, t) in CASES.items():
-        for a in ALPHA_GRID:
-            out[(cid, a)] = divergence_fredholm(t1, t, a)
+        spec = CaseSpec(f"case{cid}", "B", t1, t, ALPHA_GRID)
+        rows, diags = run_cases([spec], ("fredholm",), with_diagnostics=True)
+        out[cid] = rows, diags[spec.name]
     return out
+
+
+@pytest.fixture(scope="session")
+def fredholm_results(fredholm_cases):
+    """{(case_id, alpha): Fredholm value} for the full benchmark grid."""
+    return {(cid, row.alpha): row.fredholm
+            for cid, (rows, _) in fredholm_cases.items() for row in rows}
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ tolerance. Everything here runs against the public API at the default
 configuration (lattice N = 16, a = 15; simulation n = 2000, reps = 100)
 unless the criterion itself is about changing that configuration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import ndtr
 from scipy.stats import ncx2
 
 from hmmdiv import (
+    CaseSpec,
     GridSpec,
     McConfig,
     ModelAParams,
@@ -25,9 +27,11 @@ from hmmdiv import (
     q_four_state,
     q_two_state,
     replication_log_ratios,
+    run_case,
     sample_path,
 )
-from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE
+from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE, gaussian_renyi
+from hmmdiv.cli import check_rows
 
 EFFECTIVE_ALPHA = {a: (1.0 if a == "kl" else float(a)) for a in ALPHA_GRID}
 ORDERED_ALPHAS = sorted(ALPHA_GRID, key=EFFECTIVE_ALPHA.get)
@@ -40,7 +44,7 @@ def test_deterministic_engine_matches_reference_table(fredholm_results):
     worst = 0.0
     for alpha, by_case in REFERENCE.items():
         for cid, (det_ref, _, _) in by_case.items():
-            got = fredholm_results[(cid, alpha)].value
+            got = fredholm_results[(cid, alpha)]
             band = max(0.01, 0.05 * abs(det_ref))
             worst = max(worst, abs(got - det_ref) / band)
             assert abs(got - det_ref) <= band, (
@@ -67,7 +71,7 @@ def test_simulation_engine_matches_reference_table(mc_estimates):
 
 def test_static_gaussian_case_matches_closed_forms(fredholm_results, mc_estimates):
     for alpha, exact in CASE8_CLOSED_FORM.items():
-        det = fredholm_results[(8, alpha)].value
+        det = fredholm_results[(8, alpha)]
         assert abs(det - exact) <= 0.02 * exact, f"alpha={alpha}: {det} vs {exact}"
         est = mc_estimates[(8, alpha)]
         se = est.std_dev / math.sqrt(est.reps)
@@ -82,7 +86,7 @@ def test_static_gaussian_case_matches_closed_forms(fredholm_results, mc_estimate
 def test_engines_agree_within_simulation_error(fredholm_results, mc_estimates):
     for cid in CASES:
         for alpha in ALPHA_GRID:
-            det = fredholm_results[(cid, alpha)].value
+            det = fredholm_results[(cid, alpha)]
             est = mc_estimates[(cid, alpha)]
             assert abs(det - est.mean) <= 3 * est.std_dev, (
                 f"case {cid} alpha={alpha}: |{det:.4f} - {est.mean:.4f}| "
@@ -158,11 +162,29 @@ def test_divergence_identity_is_exactly_zero():
             assert est.mean == 0.0 and est.std_dev == 0.0
 
 
+def test_infinite_renyi_orders_are_explicit():
+    # case 8 with a wider generating law: the closed form is infinite at
+    # alpha = 2, where (1 - alpha) * 1.5^2 + alpha * 1^2 < 0, finite at 1.5
+    theta1, theta = dataclasses.replace(CASES[8][0], sigma=1.5), CASES[8][1]
+    with pytest.raises(ValueError, match="infinite"):
+        gaussian_renyi(2.0, 1.5, 1.0, 1.0, 2.0)
+    assert divergence_fredholm(theta1, theta, 2.0).value == math.inf
+    cfg = McConfig(n=200, reps=4, burn_in=20, seed=5)
+    assert estimate_renyi_mc(theta1, theta, 2.0, cfg).mean == math.inf
+    spec = CaseSpec("wide", "B", theta1, theta, (1.5, 2.0), mc=cfg)
+    finite, infinite = run_case(spec)
+    assert infinite.fredholm == infinite.mc_mean == math.inf
+    assert check_rows([spec], [infinite]) == []
+    assert check_rows([spec], [dataclasses.replace(infinite, mc_mean=3.0, mc_sd=1.0)])
+    exact = gaussian_renyi(2.0, 1.5, 1.0, 1.0, 1.5)
+    assert abs(finite.fredholm - exact) <= 1e-3, (finite.fredholm, exact)
+
+
 def test_divergence_continuous_at_alpha_one(fredholm_results):
     for cid in CASES:
-        kl = fredholm_results[(cid, "kl")].value
+        kl = fredholm_results[(cid, "kl")]
         for alpha in (0.999, 1.001):
-            near = fredholm_results[(cid, alpha)].value
+            near = fredholm_results[(cid, alpha)]
             assert abs(near - kl) <= 0.01 * max(1.0, kl), (
                 f"case {cid}: D_{alpha}={near:.5f} vs KL={kl:.5f}"
             )
@@ -170,7 +192,7 @@ def test_divergence_continuous_at_alpha_one(fredholm_results):
 
 def test_divergence_monotone_in_alpha(fredholm_results, mc_estimates):
     for cid in CASES:
-        det = [fredholm_results[(cid, a)].value for a in ORDERED_ALPHAS]
+        det = [fredholm_results[(cid, a)] for a in ORDERED_ALPHAS]
         for lo, hi in zip(det, det[1:]):
             assert hi >= lo - 1e-6, f"case {cid}: {det}"
         # simulation estimates share paths, so compare with pooled error
@@ -188,14 +210,13 @@ def test_divergence_monotone_in_alpha(fredholm_results, mc_estimates):
 # --- 7. numerical health: solver residuals and lattice refinement ----------------------
 
 
-def test_solver_health_and_grid_refinement(fredholm_results):
-    for res in fredholm_results.values():
-        d = res.diagnostics
+def test_solver_health_and_grid_refinement(fredholm_cases, fredholm_results):
+    for _, d in fredholm_cases.values():
         assert d["eigen_residual"] <= 1e-10
         assert d["max_col_sum_deviation"] <= 0.2
     fine = GridSpec(N=32)
     for cid, (theta1, theta) in CASES.items():
-        coarse_kl = fredholm_results[(cid, "kl")].value
+        coarse_kl = fredholm_results[(cid, "kl")]
         fine_kl = divergence_fredholm(theta1, theta, "kl", fine).value
         rel = abs(fine_kl - coarse_kl) / max(abs(fine_kl), 1e-12)
         assert rel <= 0.02, (

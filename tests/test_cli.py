@@ -18,6 +18,7 @@ from hmmdiv import (
     McConfig,
     ResultRow,
     default_config,
+    divergence_fredholm,
     load_config,
     parse_config,
     reproduce_table,
@@ -26,6 +27,7 @@ from hmmdiv import (
     serialize_config,
 )
 from hmmdiv import cases as bench
+from hmmdiv import cli, fredholm
 from hmmdiv.cli import check_rows, format_csv, format_table, main, selftest
 
 T1 = {"p01": 0.4, "p10": 0.59, "mu": [2.0, 2.0], "phi": 0.0, "psi1": 1.0,
@@ -99,6 +101,7 @@ def test_per_case_overrides():
         (lambda d: d.update(mc={"m": 3}), "unknown key(s) m"),
         (lambda d: d.update(cases="nope"), "cases"),
         (lambda d: d.update(cases=[]), "cases"),
+        (lambda d: d["cases"][0].update(grid={"N": 2}), "cases[0].grid: N must be at least 4"),
     ],
 )
 def test_config_errors_name_the_key(mangle, needle):
@@ -178,6 +181,33 @@ def test_run_case_method_filtering():
         run_case(spec, methods=("bogus",))
     with pytest.raises(ValueError):
         run_case(spec, methods=())
+
+
+def test_run_case_fredholm_column_is_divergence_fredholm():
+    t1, t = bench.CASES[1]
+    grid = GridSpec(N=8, quad_points=101)
+    spec = CaseSpec("case1", "B", t1, t, ("kl", 0.5, 2.0), grid=grid)
+    for row in run_case(spec, ("fredholm",)):
+        want = divergence_fredholm(t1, t, row.alpha, grid).value
+        assert repr(row.fredholm) == repr(want), row.alpha
+
+
+def test_fredholm_layers_are_looked_up_on_cli(monkeypatch):
+    # the benchmark's tracer and fault injection patch these names on cli
+    calls = {}
+    for name in ("build_kernel", "solve_invariant", "j_alpha", "j_log"):
+        real = getattr(fredholm, name)
+        assert getattr(cli, name) is real
+
+        def counted(*args, _name=name, _real=real):
+            calls.setdefault(_name, []).append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    run_case(tiny_spec(alphas=("kl", 0.5, 2.0)), ("fredholm",))
+    assert {k: len(v) for k, v in calls.items()} == {
+        "build_kernel": 2, "solve_invariant": 2, "j_log": 2, "j_alpha": 2}
+    assert [args[2] for args in calls["j_alpha"]] == [0.5, 2.0]
 
 
 def test_run_cases_thread_count_independent(monkeypatch):

@@ -217,13 +217,13 @@ def test_q_four_state_simulation_oracle_two_lag_pair():
 
 
 def test_kernel_dimension_family_a():
-    k = build_kernel(WIDE_GEN, WIDE_FILT, GridSpec(N=4), "A")
+    k = build_kernel(WIDE_GEN, WIDE_FILT, GridSpec(N=4))
     assert k.dim == 2 * 9
     assert k.n_components == 2
 
 
 def test_kernel_columns_stochastic():
-    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8), "B")
+    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8))
     np.testing.assert_allclose(k.entries.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(k.entries >= 0)
     assert np.all(k.pre_norm_col_sums > 0.5) and np.all(k.pre_norm_col_sums < 1.5)
@@ -231,7 +231,7 @@ def test_kernel_columns_stochastic():
 
 def test_kernel_single_entry_hand_assembled():
     grid = GridSpec(N=8)
-    k = build_kernel(WIDE_GEN, WIDE_FILT, grid, "A")
+    k = build_kernel(WIDE_GEN, WIDE_FILT, grid)
     n1 = grid.N - 1
     j, u_i, x_i = 1, 2, 3
     i, v_i, w_i = 0, 1, 4
@@ -262,17 +262,16 @@ def test_kernel_single_entry_hand_assembled():
 
 
 def test_kernel_family_type_checks():
+    # the family follows from the parameter types; a mixed pair has none
     with pytest.raises(TypeError):
-        build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8), "A")
+        build_kernel(CASE1_GEN, WIDE_FILT, GridSpec(N=8))
     with pytest.raises(TypeError):
-        build_kernel(WIDE_GEN, WIDE_FILT, GridSpec(N=8), "B")
-    with pytest.raises(ValueError):
-        build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8), "C")
+        build_kernel(WIDE_GEN, CASE1_ALT, GridSpec(N=8))
 
 
 def test_kernel_too_coarse_raises():
     with pytest.raises(GridTooCoarseError):
-        build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=16, a=1.0), "B")
+        build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=16, a=1.0))
 
 
 # --- eigensolve -----------------------------------------------------------------
@@ -286,7 +285,7 @@ def test_power_iteration_toy():
 
 
 def test_solve_invariant_properties():
-    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8), "B")
+    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8))
     m = solve_invariant(k)
     assert m.eigen_residual <= 1e-12
     assert np.all(m.components >= 0)
@@ -297,7 +296,7 @@ def test_solve_invariant_properties():
 
 
 def test_solve_invariant_iteration_cap():
-    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8), "B")
+    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8))
     with pytest.raises(NonConvergenceError):
         solve_invariant(k, tol=1e-15, max_iters=1)
 
@@ -307,7 +306,7 @@ def test_solve_invariant_iteration_cap():
 
 def test_j_alpha_identity_is_one():
     grid = GridSpec()
-    k = build_kernel(CASE1_GEN, CASE1_GEN, grid, "B")
+    k = build_kernel(CASE1_GEN, CASE1_GEN, grid)
     m = solve_invariant(k)
     for alpha in (0.5, 2.0):
         j = j_alpha(CASE1_GEN, CASE1_GEN, alpha, m, grid)
@@ -316,7 +315,7 @@ def test_j_alpha_identity_is_one():
 
 def test_j_alpha_rejects_alpha_one():
     grid = GridSpec(N=8)
-    k = build_kernel(CASE1_GEN, CASE1_ALT, grid, "B")
+    k = build_kernel(CASE1_GEN, CASE1_ALT, grid)
     m = solve_invariant(k)
     with pytest.raises(ValueError):
         j_alpha(CASE1_GEN, CASE1_ALT, 1.0, m, grid)
@@ -325,7 +324,7 @@ def test_j_alpha_rejects_alpha_one():
 def test_j_log_iid_entropy():
     m = iid_model(0.7, 1.3)
     grid = GridSpec()
-    k = build_kernel(m, m, grid, "B")
+    k = build_kernel(m, m, grid)
     dens = solve_invariant(k)
     got = j_log(m, m, dens, grid)
     want = -0.5 * math.log(2 * math.pi * 1.3 ** 2) - 0.5
@@ -379,14 +378,14 @@ def test_family_a_mirror_matches_family_b(cid):
 
 
 def test_divergence_reference_values(fredholm_results):
-    assert abs(fredholm_results[(1, "kl")].value - 0.1773) <= 0.01
-    assert abs(fredholm_results[(1, 0.5)].value - 0.1091) <= 0.01
-    assert abs(fredholm_results[(6, 2.0)].value - 1.5699) <= max(0.01, 0.05 * 1.5699)
-    assert abs(fredholm_results[(8, "kl")].value - 0.5104) <= 0.01
+    assert abs(fredholm_results[(1, "kl")] - 0.1773) <= 0.01
+    assert abs(fredholm_results[(1, 0.5)] - 0.1091) <= 0.01
+    assert abs(fredholm_results[(6, 2.0)] - 1.5699) <= max(0.01, 0.05 * 1.5699)
+    assert abs(fredholm_results[(8, "kl")] - 0.5104) <= 0.01
 
 
 def test_divergence_alpha_continuity(fredholm_results):
     for cid in CASES:
-        kl = fredholm_results[(cid, "kl")].value
-        near = fredholm_results[(cid, 0.999)].value
+        kl = fredholm_results[(cid, "kl")]
+        near = fredholm_results[(cid, 0.999)]
         assert abs(near - kl) <= 0.01 * max(1.0, kl)

@@ -18,7 +18,7 @@ from hmmdiv import (
     transition_matrix,
     validate_model,
 )
-from hmmdiv.models import mix_seed
+from hmmdiv.models import mix_seed, sample_paths
 from hmmdiv.cases import CASES
 
 CASE1_GEN, CASE1_ALT = CASES[1]
@@ -226,6 +226,16 @@ def test_sample_path_deterministic():
     assert a.y_prev == b.y_prev
     c = sample_path(CASE1_GEN, 500, burn_in=50, seed=43)
     assert not np.array_equal(a.y, c.y)
+
+
+def test_sample_path_is_the_batch_row():
+    seeds = [mix_seed(3, r) for r in range(3)]
+    y, y_prev, x = sample_paths(as_chain(CASE1_GEN), seeds, 400, 30)
+    assert y.shape == x.shape == (3, 400) and x.dtype == np.int8
+    for r, seed in enumerate(seeds):
+        path = sample_path(CASE1_GEN, 400, burn_in=30, seed=seed)
+        assert np.array_equal(path.y, y[r]) and path.y_prev == y_prev[r]
+        assert np.array_equal(path.x, x[r] % 2)
 
 
 def test_sample_path_regime_frequencies():
