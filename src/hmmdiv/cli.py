@@ -305,26 +305,37 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     Identical models give exactly zero: the ratio integrand is identically
     1, so no discretization may blur the answer. Orders whose rate is
     infinite (`models.infinite_renyi_rate`) give inf.
+
+    The diagnostics time the three stages: kernel assembly, invariant
+    solves and the J quadratures (`j_log` and `j_alpha` together).
     """
     values = dict.fromkeys(alphas, 0.0)
-    diag: dict = {}
+    diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
+
+    def timed(stage, layer, *args):
+        t0 = time.perf_counter()
+        out = layer(*args)
+        diag[stage] += time.perf_counter() - t0
+        return out
+
     if theta1 == theta:
         diag["identity"] = True
     else:
-        kernels = [build_kernel(theta1, theta, grid)]
-        solves = [solve_invariant(kernels[0])]
+        kernels = [timed("kernel_seconds", build_kernel, theta1, theta, grid)]
+        solves = [timed("solve_seconds", solve_invariant, kernels[0])]
         if any(_is_kl(a) for a in alphas):
-            kernels.append(build_kernel(theta1, theta1, grid))
-            solves.append(solve_invariant(kernels[1]))
-            kl = (j_log(theta1, theta1, solves[1], grid)
-                  - j_log(theta, theta1, solves[0], grid))
+            kernels.append(timed("kernel_seconds", build_kernel, theta1, theta1, grid))
+            solves.append(timed("solve_seconds", solve_invariant, kernels[1]))
+            kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
+                  - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
         for a in alphas:
             if _is_kl(a):
                 values[a] = kl
             elif infinite_renyi_rate(theta1, theta, float(a)):
                 values[a] = math.inf
             else:
-                j = j_alpha(theta1, theta, float(a), solves[0], grid)
+                j = timed("quadrature_seconds", j_alpha, theta1, theta, float(a),
+                          solves[0], grid)
                 values[a] = math.log(j) / (float(a) - 1.0)
         diag["eigen_residual"] = max(m.eigen_residual for m in solves)
         diag["max_col_sum_deviation"] = max(

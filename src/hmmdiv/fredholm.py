@@ -35,6 +35,7 @@ these pieces into divergence rates (`divergence_fredholm`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -232,11 +233,18 @@ def q_two_state(u: float, z: float, j: int, theta_gen: ModelAParams,
 
 def _sign_exp_sum(e, logmag, sgn, y):
     """Sign of sum_r sgn_r exp(logmag_r + e_r y) at y[..., None]-compatible
-    shapes; stable via max-exponent factoring."""
+    shapes; stable via max-exponent factoring. The last axis has at most
+    four terms, so its max and its left-to-right sum are unrolled: numpy's
+    reductions over so short an axis cost more than the arithmetic."""
     expo = logmag + e * y[..., None]
-    top = np.max(expo, axis=-1, keepdims=True)
+    top = expo[..., 0]
+    for r in range(1, expo.shape[-1]):
+        top = np.maximum(top, expo[..., r])
     top = np.where(np.isfinite(top), top, 0.0)
-    val = np.sum(sgn * np.exp(expo - top), axis=-1)
+    terms = sgn * np.exp(expo - top[..., None])
+    val = terms[..., 0]
+    for r in range(1, terms.shape[-1]):
+        val = val + terms[..., r]
     return np.sign(val)
 
 
@@ -272,12 +280,17 @@ def _exp_sum_roots(e, c, lo, hi):
     hi_pad = np.broadcast_to(hi[:, None], bracket.shape)
     a = np.where(bracket, nodes[:, :-1], hi_pad)
     b = np.where(bracket, nodes[:, 1:], hi_pad)
+    # at most 80 halvings; a step is a fixed map of (a, b), so once one
+    # changes no bracket end the rest would change none either
     for _ in range(80):
         mid = 0.5 * (a + b)
         fm = _sign_exp_sum(e[:, None, :], logmag[:, None, :], sgn[:, None, :], mid)
         left = fm * fa >= 0
-        a = np.where(left, mid, a)
-        b = np.where(left, b, mid)
+        a_next = np.where(left, mid, a)
+        b_next = np.where(left, b, mid)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break
+        a, b = a_next, b_next
     roots = np.where(bracket, 0.5 * (a + b), hi[:, None])
     return np.sort(roots, axis=1)
 
@@ -517,10 +530,18 @@ def _log_gauss(y, mean, sd):
     return -0.5 * z * z - math.log(sd) - _LOG_SQRT_2PI
 
 
+@functools.lru_cache(maxsize=4)
 def _mix_log(theta, grid: GridSpec) -> np.ndarray:
     """log of the one-step predictive density sum_s pred_s(w) * f_s(y | u)
     on the (w, u, y) grid, with w the filter weight of state 0 and u, y
-    the quadrature nodes."""
+    the quadrature nodes.
+
+    Every order of a case reads the same two grids (theta1's and theta's),
+    so they are cached: four entries hold both grids of two cases running
+    at once. The result is shared and therefore read-only. It is built one
+    filter weight at a time, which gives the same bits as one logsumexp
+    over the state axis of the full (w, s, u, y) array without holding it.
+    """
     chain = as_chain(theta)
     nodes, _ = _simpson(-grid.a, grid.a, grid.quad_points)
     logf = np.stack(
@@ -528,7 +549,9 @@ def _mix_log(theta, grid: GridSpec) -> np.ndarray:
          for s in range(chain.d)]
     )  # (s, u, y)
     logpred = np.log(_predictive(chain.transition, grid.x_nodes))  # (w, s)
-    return logsumexp(logpred[:, :, None, None] + logf[None, :, :, :], axis=1)
+    out = np.stack([logsumexp(lp[:, None, None] + logf, axis=0) for lp in logpred])
+    out.flags.writeable = False
+    return out
 
 
 def _j_quadrature(theta1, m: InvariantDensityGrid, grid: GridSpec, r: np.ndarray,

@@ -44,6 +44,9 @@ class ModelAParams:
     psi: tuple[float, float]
     sigma: tuple[float, float]
 
+    def __post_init__(self):
+        _freeze_lists(self, ("mu", "psi", "sigma"))
+
 
 @dataclass(frozen=True)
 class ModelBParams:
@@ -62,6 +65,17 @@ class ModelBParams:
     psi1: float
     psi2: float
     sigma: float
+
+    def __post_init__(self):
+        _freeze_lists(self, ("mu",))
+
+
+def _freeze_lists(m, names) -> None:
+    """Store list-valued per-state fields as tuples, so that a model is a
+    hashable value: the Fredholm engine keys its mixture cache on it."""
+    for name in names:
+        if isinstance(getattr(m, name), list):
+            object.__setattr__(m, name, tuple(getattr(m, name)))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,23 @@ def test_fredholm_layers_are_looked_up_on_cli(monkeypatch):
     assert [args[2] for args in calls["j_alpha"]] == [0.5, 2.0]
 
 
+STAGE_KEYS = ("kernel_seconds", "solve_seconds", "quadrature_seconds")
+
+
+def test_fredholm_stage_timings_in_diagnostics():
+    spec = tiny_spec(alphas=("kl", 0.5, 2.0))
+    _, diags = run_cases([spec], ("fredholm",), with_diagnostics=True)
+    diag = diags["c8"]
+    assert all(diag[k] >= 0.0 for k in STAGE_KEYS)
+    assert diag["kernel_seconds"] > 0.0 and diag["quadrature_seconds"] > 0.0
+    assert sum(diag[k] for k in STAGE_KEYS) <= diag["fredholm_seconds"]
+    res = divergence_fredholm(spec.theta1, spec.theta, 0.5, spec.grid)
+    assert all(res.diagnostics[k] >= 0.0 for k in STAGE_KEYS)
+    # identical pairs skip every stage
+    same = divergence_fredholm(spec.theta1, spec.theta1, 0.5, spec.grid)
+    assert [same.diagnostics[k] for k in STAGE_KEYS] == [0.0, 0.0, 0.0]
+
+
 def test_run_cases_thread_count_independent(monkeypatch):
     doc = tiny_doc(alphas=(0.5,))
     doc["cases"].append({**doc["cases"][0], "name": "c8b"})
@@ -307,6 +324,7 @@ def test_reproduce_table_artifacts(tmp_path):
     assert set(diag) >= {"config", "methods", "wall_seconds", "cases",
                          "check_failures"}
     assert diag["cases"]["c8"]["eigen_residual"] <= 1e-10
+    assert all(diag["cases"]["c8"][k] >= 0.0 for k in STAGE_KEYS)
     assert parse_config(diag["config"])  # embedded config is itself loadable
 
 

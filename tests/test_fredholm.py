@@ -1,10 +1,11 @@
 """Deterministic engine: Q functions, kernel assembly, eigensolve, functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
 from scipy.stats import ncx2
 
 from hmmdiv import (
@@ -22,8 +23,19 @@ from hmmdiv import (
     q_two_state,
     solve_invariant,
 )
-from hmmdiv.cases import CASES
-from hmmdiv.fredholm import _power_iteration
+from hmmdiv import fredholm
+from hmmdiv.cases import ALPHA_GRID, CASES
+from hmmdiv.cli import _fredholm_values
+from hmmdiv.fredholm import (
+    _exp_sum_roots,
+    _log_gauss,
+    _mix_log,
+    _power_iteration,
+    _predictive,
+    _q_half_four_state,
+    _simpson,
+)
+from hmmdiv.models import as_chain
 
 CASE1_GEN, CASE1_ALT = CASES[1]
 CASE7_GEN, CASE7_ALT = CASES[7]
@@ -213,6 +225,89 @@ def test_q_four_state_simulation_oracle_two_lag_pair():
         assert abs(got - mc) <= 3 * se + 1e-6
 
 
+# The root cascade as first written: a fixed 80-step bisection and sign
+# evaluation by numpy reductions over the term axis. The cascade now stops
+# once a step changes no bracket and unrolls those reductions; its roots
+# must keep every bit.
+
+
+def _sign_exp_sum_reference(e, logmag, sgn, y):
+    expo = logmag + e * y[..., None]
+    top = np.max(expo, axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    val = np.sum(sgn * np.exp(expo - top), axis=-1)
+    return np.sign(val)
+
+
+def _exp_sum_roots_reference(e, c, lo, hi):
+    B, T = c.shape
+    if T == 1:
+        return np.empty((B, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = np.where(c != 0.0, np.log(np.abs(c)), -np.inf)
+    sgn = np.sign(c)
+    if T == 2:
+        valid = sgn[:, 0] * sgn[:, 1] < 0
+        with np.errstate(invalid="ignore"):
+            r = (logmag[:, 0] - logmag[:, 1]) / (e[:, 1] - e[:, 0])
+        r = np.where(valid & np.isfinite(r), np.clip(r, lo, hi), hi)
+        return r[:, None]
+    crit = _exp_sum_roots_reference(e[:, 1:] - e[:, :1],
+                                    c[:, 1:] * (e[:, 1:] - e[:, :1]), lo, hi)
+    nodes = np.sort(np.concatenate([lo[:, None], crit, hi[:, None]], axis=1), axis=1)
+    signs = _sign_exp_sum_reference(e[:, None, :], logmag[:, None, :], sgn[:, None, :], nodes)
+    fa = signs[:, :-1]
+    bracket = fa * signs[:, 1:] < 0
+    hi_pad = np.broadcast_to(hi[:, None], bracket.shape)
+    a = np.where(bracket, nodes[:, :-1], hi_pad)
+    b = np.where(bracket, nodes[:, 1:], hi_pad)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = _sign_exp_sum_reference(e[:, None, :], logmag[:, None, :], sgn[:, None, :], mid)
+        left = fm * fa >= 0
+        a = np.where(left, mid, a)
+        b = np.where(left, b, mid)
+    roots = np.where(bracket, 0.5 * (a + b), hi[:, None])
+    return np.sort(roots, axis=1)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("terms", [3, 4])
+def test_exp_sum_roots_match_fixed_bisection_random(terms):
+    rng = np.random.default_rng(terms)
+    B = 4000
+    e = np.cumsum(rng.uniform(0.05, 3.0, size=(B, terms)), axis=1) - 2.0
+    c = rng.normal(size=(B, terms)) * np.exp(rng.uniform(-10.0, 10.0, size=(B, terms)))
+    c[rng.random((B, terms)) < 0.05] = 0.0  # absent terms, as merged components leave
+    lo = -rng.uniform(5.0, 40.0, size=B)
+    hi = rng.uniform(5.0, 40.0, size=B)
+    roots = _exp_sum_roots(e, c, lo, hi)
+    assert np.any(roots < hi[:, None])  # some sums do change sign
+    assert_same_bits(roots, _exp_sum_roots_reference(e, c, lo, hi))
+
+
+def test_exp_sum_roots_match_fixed_bisection_case7(monkeypatch):
+    # every cascade call of case 7's half-node Q batch, under both filters
+    calls = []
+    real = fredholm._exp_sum_roots
+
+    def recording(e, c, lo, hi):
+        roots = real(e, c, lo, hi)
+        calls.append((e, c, lo, hi, roots))
+        return roots
+
+    monkeypatch.setattr(fredholm, "_exp_sum_roots", recording)
+    for filt in (CASE7_ALT, CASE7_GEN):
+        _q_half_four_state(CASE7_GEN, filt, GridSpec())
+    assert any(c.shape[1] == 4 for _, c, _, _, _ in calls)
+    for e, c, lo, hi, roots in calls:
+        assert_same_bits(roots, _exp_sum_roots_reference(e, c, lo, hi))
+
+
 # --- kernel assembly ---------------------------------------------------------------
 
 
@@ -389,3 +484,71 @@ def test_divergence_alpha_continuity(fredholm_results):
         kl = fredholm_results[(cid, "kl")]
         near = fredholm_results[(cid, 0.999)]
         assert abs(near - kl) <= 0.01 * max(1.0, kl)
+
+
+# --- shared predictive mixture ----------------------------------------------------
+
+
+def _mix_log_reference(theta, grid):
+    """The predictive mixture as one logsumexp over the state axis of the
+    full (w, s, u, y) array."""
+    chain = as_chain(theta)
+    nodes, _ = _simpson(-grid.a, grid.a, grid.quad_points)
+    logf = np.stack(
+        [_log_gauss(nodes[None, :], chain.c[s] + chain.b[s] * nodes[:, None], chain.s[s])
+         for s in range(chain.d)]
+    )
+    logpred = np.log(_predictive(chain.transition, grid.x_nodes))
+    return logsumexp(logpred[:, :, None, None] + logf[None, :, :, :], axis=1)
+
+
+@pytest.mark.parametrize("theta", [FAMILY_A_MIRRORS[6][0], CASE1_GEN, CASE1_ALT,
+                                   CASE7_GEN, CASE7_ALT],
+                         ids=["a-case6", "case1-gen", "case1-alt", "case7-gen", "case7-alt"])
+def test_mix_log_read_only_and_equal_to_one_reduction(theta):
+    grid = GridSpec()
+    got = _mix_log(theta, grid)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0, 0] = 0.0
+    assert_same_bits(got, _mix_log_reference(theta, grid))
+
+
+def test_functionals_equal_with_cold_and_warm_mixture_cache():
+    grid = GridSpec(quad_points=101)
+    m = solve_invariant(build_kernel(CASE7_GEN, CASE7_ALT, grid))
+    calls = [lambda: j_alpha(CASE7_GEN, CASE7_ALT, 0.5, m, grid),
+             lambda: j_alpha(CASE7_GEN, CASE7_ALT, 2.0, m, grid),
+             lambda: j_log(CASE7_ALT, CASE7_GEN, m, grid)]
+    for call in calls:
+        _mix_log.cache_clear()
+        cold = call()
+        misses = _mix_log.cache_info().misses
+        warm = call()
+        assert _mix_log.cache_info().misses == misses  # served from the cache
+        assert repr(warm) == repr(cold)
+
+
+def test_case_builds_each_mixture_grid_once():
+    grid = GridSpec(N=8, quad_points=101)
+    assert sum(a != "kl" for a in ALPHA_GRID) == 8
+    _mix_log.cache_clear()
+    _fredholm_values(CASE1_GEN, CASE1_ALT, ALPHA_GRID, grid)
+    assert _mix_log.cache_info().misses == 2
+    # the lattice count is part of the key: N=16 and N=32 get their own grids
+    _mix_log.cache_clear()
+    a = _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101))
+    b = _mix_log(CASE1_ALT, GridSpec(N=32, quad_points=101))
+    assert _mix_log.cache_info().misses == 2
+    assert a.shape == (15, 101, 101) and b.shape == (31, 101, 101)
+
+
+def test_list_valued_parameters_are_stored_as_tuples():
+    # the mixture cache hashes the models, so a list field must not reach it
+    listed = (dataclasses.replace(CASE1_GEN, mu=list(CASE1_GEN.mu)),
+              ModelAParams(0.6, 0.7, [0.5, -0.5], [0.2, -0.1], [1.0, 1.4]))
+    assert listed[0] == CASE1_GEN and isinstance(listed[0].mu, tuple)
+    assert all(isinstance(v, tuple) for v in (listed[1].mu, listed[1].psi, listed[1].sigma))
+    grid = GridSpec(N=8, quad_points=101)
+    want = divergence_fredholm(CASE1_GEN, CASE1_ALT, 0.5, grid).value
+    assert repr(divergence_fredholm(listed[0], CASE1_ALT, 0.5, grid).value) == repr(want)
