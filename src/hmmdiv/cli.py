@@ -53,6 +53,7 @@ from .fredholm import (
     DivergenceResult,
     GridSpec,
     build_kernel,
+    case_mixtures,
     j_alpha,
     j_log,
     solve_invariant,
@@ -323,20 +324,21 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     else:
         kernels = [timed("kernel_seconds", build_kernel, theta1, theta, grid)]
         solves = [timed("solve_seconds", solve_invariant, kernels[0])]
-        if any(_is_kl(a) for a in alphas):
-            kernels.append(timed("kernel_seconds", build_kernel, theta1, theta1, grid))
-            solves.append(timed("solve_seconds", solve_invariant, kernels[1]))
-            kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
-                  - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
-        for a in alphas:
-            if _is_kl(a):
-                values[a] = kl
-            elif infinite_renyi_rate(theta1, theta, float(a)):
-                values[a] = math.inf
-            else:
-                j = timed("quadrature_seconds", j_alpha, theta1, theta, float(a),
-                          solves[0], grid)
-                values[a] = math.log(j) / (float(a) - 1.0)
+        with case_mixtures():  # every J of the case reads the same two mixtures
+            if any(_is_kl(a) for a in alphas):
+                kernels.append(timed("kernel_seconds", build_kernel, theta1, theta1, grid))
+                solves.append(timed("solve_seconds", solve_invariant, kernels[1]))
+                kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
+                      - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
+            for a in alphas:
+                if _is_kl(a):
+                    values[a] = kl
+                elif infinite_renyi_rate(theta1, theta, float(a)):
+                    values[a] = math.inf
+                else:
+                    j = timed("quadrature_seconds", j_alpha, theta1, theta, float(a),
+                              solves[0], grid)
+                    values[a] = math.log(j) / (float(a) - 1.0)
         diag["eigen_residual"] = max(m.eigen_residual for m in solves)
         diag["max_col_sum_deviation"] = max(
             float(np.abs(k.pre_norm_col_sums - 1.0).max()) for k in kernels)

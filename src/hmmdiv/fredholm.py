@@ -35,8 +35,9 @@ these pieces into divergence rates (`divergence_fredholm`).
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -530,19 +531,46 @@ def _log_gauss(y, mean, sd):
     return -0.5 * z * z - math.log(sd) - _LOG_SQRT_2PI
 
 
-@functools.lru_cache(maxsize=4)
+_case = threading.local()
+
+
+@contextlib.contextmanager
+def case_mixtures():
+    """Share the predictive-mixture grids of one case on this thread.
+
+    Every order of a case reads the same two grids (theta1's and theta's).
+    Inside the block `_mix_log` builds each (model, grid) mixture once and
+    later `j_log` / `j_alpha` calls read it; the grids are dropped when the
+    block exits. Each thread has its own store, so cases running at once
+    keep their own grids, and outside a block every call builds anew.
+    """
+    _case.mixtures = {}
+    try:
+        yield
+    finally:
+        _case.mixtures = None
+
+
 def _mix_log(theta, grid: GridSpec) -> np.ndarray:
     """log of the one-step predictive density sum_s pred_s(w) * f_s(y | u)
     on the (w, u, y) grid, with w the filter weight of state 0 and u, y
-    the quadrature nodes.
-
-    Every order of a case reads the same two grids (theta1's and theta's),
-    so they are cached: four entries hold both grids of two cases running
-    at once. The result is shared and therefore read-only. It is built one
-    filter weight at a time, which gives the same bits as one logsumexp
-    over the state axis of the full (w, s, u, y) array without holding it.
-    """
+    the quadrature nodes. Read-only, since `case_mixtures` shares it."""
     chain = as_chain(theta)
+    store = getattr(_case, "mixtures", None)
+    if store is None:
+        return _build_mix_log(chain, grid)
+    # the grid depends on the chain's numbers only, whatever the model type
+    key = (chain.transition.tobytes(), chain.c.tobytes(), chain.b.tobytes(),
+           chain.s.tobytes(), grid)
+    if key not in store:
+        store[key] = _build_mix_log(chain, grid)
+    return store[key]
+
+
+def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
+    """`_mix_log` built one filter weight at a time: the same bits as one
+    logsumexp over the state axis of the full (w, s, u, y) array, without
+    holding that array."""
     nodes, _ = _simpson(-grid.a, grid.a, grid.quad_points)
     logf = np.stack(
         [_log_gauss(nodes[None, :], chain.c[s] + chain.b[s] * nodes[:, None], chain.s[s])

@@ -45,7 +45,7 @@ class ModelAParams:
     sigma: tuple[float, float]
 
     def __post_init__(self):
-        _freeze_lists(self, ("mu", "psi", "sigma"))
+        _freeze_pairs(self, ("mu", "psi", "sigma"))
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,18 @@ class ModelBParams:
     sigma: float
 
     def __post_init__(self):
-        _freeze_lists(self, ("mu",))
+        _freeze_pairs(self, ("mu",))
 
 
-def _freeze_lists(m, names) -> None:
-    """Store list-valued per-state fields as tuples, so that a model is a
-    hashable value: the Fredholm engine keys its mixture cache on it."""
+def _freeze_pairs(m, names) -> None:
+    """Store list- or array-valued per-state fields as tuples, so that a
+    model is a hashable value and `==` between models is a plain bool."""
     for name in names:
-        if isinstance(getattr(m, name), list):
-            object.__setattr__(m, name, tuple(getattr(m, name)))
+        value = getattr(m, name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, list):
+            object.__setattr__(m, name, tuple(value))
 
 
 @dataclass(frozen=True)

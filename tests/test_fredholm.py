@@ -1,5 +1,6 @@
 """Deterministic engine: Q functions, kernel assembly, eigensolve, functionals."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -34,6 +35,7 @@ from hmmdiv.fredholm import (
     _predictive,
     _q_half_four_state,
     _simpson,
+    case_mixtures,
 )
 from hmmdiv.models import as_chain
 
@@ -514,41 +516,82 @@ def test_mix_log_read_only_and_equal_to_one_reduction(theta):
     assert_same_bits(got, _mix_log_reference(theta, grid))
 
 
-def test_functionals_equal_with_cold_and_warm_mixture_cache():
+def count_builds(monkeypatch):
+    """Record the models of every mixture grid actually built."""
+    built = []
+    real = fredholm._build_mix_log
+
+    def counting(chain, grid):
+        built.append(chain)
+        return real(chain, grid)
+
+    monkeypatch.setattr(fredholm, "_build_mix_log", counting)
+    return built
+
+
+def test_functionals_equal_inside_and_outside_a_case(monkeypatch):
     grid = GridSpec(quad_points=101)
     m = solve_invariant(build_kernel(CASE7_GEN, CASE7_ALT, grid))
     calls = [lambda: j_alpha(CASE7_GEN, CASE7_ALT, 0.5, m, grid),
              lambda: j_alpha(CASE7_GEN, CASE7_ALT, 2.0, m, grid),
              lambda: j_log(CASE7_ALT, CASE7_GEN, m, grid)]
-    for call in calls:
-        _mix_log.cache_clear()
-        cold = call()
-        misses = _mix_log.cache_info().misses
-        warm = call()
-        assert _mix_log.cache_info().misses == misses  # served from the cache
-        assert repr(warm) == repr(cold)
+    built = count_builds(monkeypatch)
+    alone = [call() for call in calls]
+    assert len(built) == 5  # outside a case every call builds its own grids
+    with case_mixtures():
+        shared = [call() for call in calls]
+        assert len(built) == 7  # the two models' grids, once each
+        again = [call() for call in calls]
+        assert len(built) == 7
+    assert repr(shared) == repr(alone) == repr(again)
 
 
-def test_case_builds_each_mixture_grid_once():
+def test_case_builds_each_mixture_grid_once(monkeypatch):
     grid = GridSpec(N=8, quad_points=101)
     assert sum(a != "kl" for a in ALPHA_GRID) == 8
-    _mix_log.cache_clear()
+    built = count_builds(monkeypatch)
     _fredholm_values(CASE1_GEN, CASE1_ALT, ALPHA_GRID, grid)
-    assert _mix_log.cache_info().misses == 2
+    assert len(built) == 2
     # the lattice count is part of the key: N=16 and N=32 get their own grids
-    _mix_log.cache_clear()
-    a = _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101))
-    b = _mix_log(CASE1_ALT, GridSpec(N=32, quad_points=101))
-    assert _mix_log.cache_info().misses == 2
+    with case_mixtures():
+        a = _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101))
+        b = _mix_log(CASE1_ALT, GridSpec(N=32, quad_points=101))
+        assert _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101)) is a
+    assert len(built) == 4
     assert a.shape == (15, 101, 101) and b.shape == (31, 101, 101)
+    # the grids go with the case: a later call builds anew
+    assert _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101)) is not a
+    assert len(built) == 5
 
 
-def test_list_valued_parameters_are_stored_as_tuples():
-    # the mixture cache hashes the models, so a list field must not reach it
-    listed = (dataclasses.replace(CASE1_GEN, mu=list(CASE1_GEN.mu)),
-              ModelAParams(0.6, 0.7, [0.5, -0.5], [0.2, -0.1], [1.0, 1.4]))
-    assert listed[0] == CASE1_GEN and isinstance(listed[0].mu, tuple)
-    assert all(isinstance(v, tuple) for v in (listed[1].mu, listed[1].psi, listed[1].sigma))
+def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
+    # one store per thread: cases running at once never evict each other's
     grid = GridSpec(N=8, quad_points=101)
+    pairs = [CASES[1], CASES[2], CASES[6]]
+    built = count_builds(monkeypatch)
+    with concurrent.futures.ThreadPoolExecutor(3) as pool:
+        got = list(pool.map(lambda p: _fredholm_values(*p, ("kl", 0.5, 2.0), grid)[0],
+                            pairs))
+    assert len(built) == 6
+    assert repr(got) == repr([_fredholm_values(*p, ("kl", 0.5, 2.0), grid)[0]
+                              for p in pairs])
+
+
+def test_array_and_chain_models_reach_the_functionals():
+    # models with list or array fields become tuples, so `==` between them is
+    # a plain bool; the chain form, which holds arrays, needs no hashing
+    as_array = dataclasses.replace(CASE1_GEN, mu=np.array(CASE1_GEN.mu))
+    listed = ModelAParams(0.6, 0.7, [0.5, -0.5], np.array([0.2, -0.1]), [1.0, 1.4])
+    assert as_array == CASE1_GEN and isinstance(as_array.mu, tuple)
+    assert all(isinstance(v, tuple) for v in (listed.mu, listed.psi, listed.sigma))
+    grid = GridSpec(N=8, quad_points=101)
+    m = solve_invariant(build_kernel(CASE1_GEN, CASE1_ALT, grid))
+    want = repr(j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m, grid))
+    chains = (as_chain(CASE1_GEN), as_chain(CASE1_ALT))
+    assert repr(j_alpha(as_array, CASE1_ALT, 0.5, m, grid)) == want
+    assert repr(j_alpha(*chains, 0.5, m, grid)) == want
+    with case_mixtures():
+        assert repr(j_alpha(*chains, 0.5, m, grid)) == want
+        assert repr(j_alpha(as_array, CASE1_ALT, 0.5, m, grid)) == want
     want = divergence_fredholm(CASE1_GEN, CASE1_ALT, 0.5, grid).value
-    assert repr(divergence_fredholm(listed[0], CASE1_ALT, 0.5, grid).value) == repr(want)
+    assert repr(divergence_fredholm(as_array, CASE1_ALT, 0.5, grid).value) == repr(want)
