@@ -384,16 +384,20 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
     mc_time = None
     if "mc" in methods:
         t0 = time.perf_counter()
-        rho = replication_log_ratios(spec.theta1, spec.theta, spec.mc)
+        orders = {a: 1.0 if _is_kl(a) else float(a) for a in spec.alphas}
+        infinite = {a for a, order in orders.items()
+                    if infinite_renyi_rate(spec.theta1, spec.theta, order)}
+        diag.update(sample_seconds=0.0, filter_seconds=0.0)
+        if len(infinite) < len(orders):  # no paths are needed when every order is inf
+            rho = replication_log_ratios(spec.theta1, spec.theta, spec.mc, timings=diag)
         shared = time.perf_counter() - t0
         per_alpha = []
         for a in spec.alphas:
             t1 = time.perf_counter()
-            order = 1.0 if _is_kl(a) else float(a)
-            if infinite_renyi_rate(spec.theta1, spec.theta, order):
-                est = infinite_estimate(order, spec.mc.reps)
+            if a in infinite:
+                est = infinite_estimate(orders[a], spec.mc.reps)
             else:
-                est = estimate_from_log_ratios(rho, order)
+                est = estimate_from_log_ratios(rho, orders[a])
             per_alpha.append(time.perf_counter() - t1)
             mc_rows[a] = est
         mc_time = {a: shared / n_rows + dt for a, dt in zip(spec.alphas, per_alpha)}

@@ -10,6 +10,15 @@ with likelihood sum_j a_n(j). The filter below renormalizes a_t to sum 1
 after every step and accumulates log of the normalizers, which is what keeps
 it stable for n in the 1e5 range where the raw product underflows.
 
+`batch_log_normalizers` works through the path in blocks of time steps.
+The emission densities, the underflow check and the logs of a block are
+each one vectorized call over the whole block, and only the weight update
+runs step by step. Every value is the one a step-at-a-time loop computes,
+bit for bit. The output is allocated C-ordered and filled block by block:
+an F-ordered array of equal values would make reductions over a row sum
+in another order, and so change the simulation estimates in the last
+digits.
+
 Two deliberately independent evaluators back the filter for testing:
 `brute_force_log_likelihood` sums the complete-data density over every hidden
 path, and `matrix_log_likelihood` multiplies the density matrices
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LinearGaussianChain, Model, as_chain
+from .models import _TIME_BLOCK, LinearGaussianChain, Model, as_chain
 
 
 class DegenerateInputError(ValueError):
@@ -184,26 +193,40 @@ def batch_log_normalizers(chain: LinearGaussianChain, y: np.ndarray,
                           y_prev: np.ndarray) -> np.ndarray:
     """Filter normalizers for many paths at once.
 
-    y has shape (reps, n) and y_prev shape (reps,); returns (reps, n) of
-    log s_t. Deterministic: two calls with identical chains and data run
-    identical float operations, so log-ratio statistics between a model and
-    itself cancel to exact zeros.
+    y has shape (reps, n) and y_prev shape (reps,); returns a C-ordered
+    (reps, n) array of log s_t. Deterministic: two calls with identical
+    chains and data run identical float operations, so log-ratio statistics
+    between a model and itself cancel to exact zeros.
+
+    Works in blocks of time steps (see the module docstring). A block's
+    emission densities are overwritten by its unnormalized weights, which
+    the underflow check reads once per block.
     """
     y = np.asarray(y, dtype=float)
     reps, n = y.shape
     p = chain.transition
     w = np.broadcast_to(chain.pi, (reps, chain.d)).copy()
-    prev = np.asarray(y_prev, dtype=float).copy()
+    prev = np.asarray(y_prev, dtype=float)
     out = np.empty((reps, n))
-    for t in range(n):
-        base = w if t == 0 else w @ p
-        unnorm = base * chain.emission_pdf(y[:, t], prev)
-        s = unnorm.sum(axis=1)
-        if np.any(np.all(unnorm < _UNDERFLOW, axis=1)):
+    for t0 in range(0, n, _TIME_BLOCK):
+        y_blk = y[:, t0:t0 + _TIME_BLOCK].T.copy()  # time-major copy of one block
+        prev_blk = np.concatenate((prev[None, :], y_blk[:-1]))
+        unnorm = chain.emission_pdf(y_blk, prev_blk)  # (block, reps, d), updated in place
+        s = np.empty(y_blk.shape)
+        # a row that underflows turns into nan from here on; the check
+        # below reports it before any of its values are used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(y_blk.shape[0]):
+                u = unnorm[k]
+                u *= w if t0 + k == 0 else w @ p
+                np.add.reduce(u, axis=1, out=s[k])
+                w = u / s[k][:, None]
+        dead = np.any(np.all(unnorm < _UNDERFLOW, axis=-1), axis=-1)
+        if dead.any():
             raise DegenerateInputError(
-                f"all forward weights underflowed at step {t + 1} in a batch path"
+                f"all forward weights underflowed at step {t0 + int(dead.argmax()) + 1} "
+                "in a batch path"
             )
-        out[:, t] = np.log(s)
-        w = unnorm / s[:, None]
-        prev = y[:, t]
+        out[:, t0:t0 + y_blk.shape[0]] = np.log(s).T
+        prev = y_blk[-1]
     return out

@@ -32,6 +32,9 @@ from scipy.special import ndtri
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MASK64 = (1 << 64) - 1
+# Time steps per block in the simulation loops: the sampler and the filter
+# compute what does not depend on the recursion one block at a time.
+_TIME_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -381,33 +384,62 @@ def sample_paths(chain: LinearGaussianChain, seeds, n: int, burn_in: int):
 
     Row r draws its uniforms and normals from PCG64(seeds[r]); the chain
     starts from `chain.pi`, Y is initialized at 0, and burn_in steps are
-    discarded. Returns (y, y_prev, x): observations of shape (rows, n), the
-    observation preceding y[:, 0] (0.0 when burn_in = 0), and the chain
-    states behind y as int8.
+    discarded. Returns (y, y_prev, x): C-ordered observations of shape
+    (rows, n), the observation preceding y[:, 0] (0.0 when burn_in = 0),
+    and the C-ordered chain states behind y as int8.
+
+    The state and observation recursions run one step at a time; what they
+    read that does not depend on them (every state's successor at each
+    step, the per-state intercepts, slopes and noise terms) is computed
+    vectorized beforehand. Every value equals that of a loop doing all of
+    it per step, bit for bit.
     """
     rows = len(seeds)
     total = burn_in + n
-    u_state = np.empty((rows, total + 1))
-    eps = np.empty((rows, total))
+    d = chain.d
+    # time-major draws, so that one step's values across rows are contiguous
+    u_state = np.empty((total + 1, rows))
+    eps = np.empty((total, rows))
     for r, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
-        u_state[r] = rng.random(total + 1)
-        eps[r] = _standard_normals(rng, total)
+        u_state[:, r] = rng.random(total + 1)
+        eps[:, r] = _standard_normals(rng, total)
 
+    # The state drawn at step t from state j depends on the step's uniform
+    # alone: nxt[t, r, j] is it for every j, so the loop is one lookup.
     cum = np.cumsum(chain.transition, axis=1)
-    cum_pi = np.cumsum(chain.pi)
-    z = np.minimum((cum_pi[None, :] <= u_state[:, 0:1]).sum(axis=1), chain.d - 1)
-    y = np.zeros(rows)
-    ys = np.empty((rows, total))
-    states = np.empty((rows, total), dtype=np.int8)
-    c, b, s = chain.c, chain.b, chain.s
+    nxt = np.empty((total, rows, d), dtype=np.int8)
+    for j in range(d):
+        count = np.zeros((total, rows), dtype=np.int8)
+        for k in range(d):
+            count += cum[j, k] <= u_state[1:]
+        nxt[:, :, j] = np.minimum(count, d - 1)
+    z = np.minimum((np.cumsum(chain.pi) <= u_state[0, :, None]).sum(axis=1), d - 1)
+    del u_state
+    states = np.empty((total, rows), dtype=np.int8)
+    row_offsets = np.arange(rows) * d
     for t in range(total):
-        z = np.minimum((cum[z] <= u_state[:, t + 1, None]).sum(axis=1), chain.d - 1)
-        y = c[z] + b[z] * y + s[z] * eps[:, t]
-        ys[:, t] = y
-        states[:, t] = z
-    y_prev = ys[:, burn_in - 1] if burn_in > 0 else np.zeros(rows)
-    return ys[:, burn_in:], y_prev, states[:, burn_in:]
+        # the indices are in range by construction; "clip" skips the
+        # buffered bounds check of the default mode
+        z = np.take(nxt[t], row_offsets + z, out=states[t], mode="clip")
+    del nxt
+
+    # y_t = (c[z] + b[z] * y_{t-1}) + s[z] * eps_t, written over eps in place
+    c, b, s = chain.c, chain.b, chain.s
+    y = np.zeros(rows)
+    for t0 in range(0, total, _TIME_BLOCK):
+        z_blk = states[t0:t0 + _TIME_BLOCK]
+        c_blk, b_blk = c[z_blk], b[z_blk]
+        noise = eps[t0:t0 + _TIME_BLOCK]
+        noise *= s[z_blk]
+        for k in range(z_blk.shape[0]):
+            mean = b_blk[k] * y
+            mean += c_blk[k]
+            y = noise[k]
+            y += mean
+    y_prev = eps[burn_in - 1].copy() if burn_in > 0 else np.zeros(rows)
+    return (np.ascontiguousarray(eps[burn_in:].T), y_prev,
+            np.ascontiguousarray(states[burn_in:].T))
 
 
 def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSample:

@@ -10,8 +10,8 @@ rho_t = log s_t(p) - log s_t(q) into one statistic:
 i.e. the time average of the ratio's (alpha-1) power, aggregated in the log
 domain so heavy-tailed ratios at alpha near 2 cannot overflow. The reported
 value is the mean over replications and the spread is the sample standard
-deviation of the replication statistics (not the standard error of the
-mean).
+deviation of the replication statistics; `DivergenceEstimate.std_error`
+is the standard error of the mean, sd / sqrt(reps).
 
 Replication r uses an independent generator seeded by a splitmix64 mix of
 (seed, r), so results are reproducible and independent of execution order.
@@ -20,6 +20,7 @@ Replication r uses an independent generator seeded by a splitmix64 mix of
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,23 +68,40 @@ class DivergenceEstimate:
         if self.std_dev < 0:
             raise ValueError("std_dev cannot be negative")
 
+    @property
+    def std_error(self) -> float:
+        """Standard error of the mean, std_dev / sqrt(reps); 0 for a single
+        replication, which has no spread."""
+        return self.std_dev / math.sqrt(self.reps) if self.reps > 1 else 0.0
 
-def replication_log_ratios(p: Model, q: Model, cfg: McConfig) -> np.ndarray:
+
+def replication_log_ratios(p: Model, q: Model, cfg: McConfig,
+                           timings: dict | None = None) -> np.ndarray:
     """Per-step log likelihood ratios rho for every replication, shape
     (reps, n). Paths are sampled under p. The rows are the sole input of
     every estimator here, so callers evaluating several alpha values can
-    compute them once and share them."""
+    compute them once and share them.
+
+    When `timings` is given, the seconds spent sampling the paths and
+    running the two filters are stored in it as "sample_seconds" and
+    "filter_seconds".
+    """
     require_valid(p)
     require_valid(q)
     chain_p = as_chain(p)
     chain_q = as_chain(q)
     seeds = [mix_seed(cfg.seed, r) for r in range(cfg.reps)]
+    t0 = time.perf_counter()
     y, y_prev, _ = sample_paths(chain_p, seeds, cfg.n, cfg.burn_in)
+    t1 = time.perf_counter()
     try:
-        return (batch_log_normalizers(chain_p, y, y_prev)
-                - batch_log_normalizers(chain_q, y, y_prev))
+        rho = (batch_log_normalizers(chain_p, y, y_prev)
+               - batch_log_normalizers(chain_q, y, y_prev))
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"{exc} (replication = path index)") from exc
+    if timings is not None:
+        timings.update(sample_seconds=t1 - t0, filter_seconds=time.perf_counter() - t1)
+    return rho
 
 
 def estimate_from_log_ratios(rho: np.ndarray, alpha: float) -> DivergenceEstimate:

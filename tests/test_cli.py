@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from hmmdiv import (
 from hmmdiv import cases as bench
 from hmmdiv import cli, fredholm
 from hmmdiv.cli import check_rows, format_csv, format_table, main, selftest
+from hmmdiv.montecarlo import replication_log_ratios
 
 T1 = {"p01": 0.4, "p10": 0.59, "mu": [2.0, 2.0], "phi": 0.0, "psi1": 1.0,
       "psi2": 0.0, "sigma": 0.9}
@@ -227,6 +229,38 @@ def test_fredholm_stage_timings_in_diagnostics():
     assert [same.diagnostics[k] for k in STAGE_KEYS] == [0.0, 0.0, 0.0]
 
 
+MC_STAGE_KEYS = ("sample_seconds", "filter_seconds")
+
+
+def test_mc_stage_timings_in_diagnostics():
+    spec = tiny_spec(alphas=("kl", 0.5))
+    _, diags = run_cases([spec], ("mc",), with_diagnostics=True)
+    diag = diags["c8"]
+    assert all(diag[k] >= 0.0 for k in MC_STAGE_KEYS)
+    assert sum(diag[k] for k in MC_STAGE_KEYS) <= diag["mc_seconds"]
+
+
+def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
+    # sigma1 = 1.5 against sigma = 1: the order-2 rate is infinite
+    theta1 = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
+    spec = CaseSpec("wide", "B", theta1, bench.CASES[8][1], (2.0,),
+                    mc=McConfig(n=100, reps=4, burn_in=10))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return replication_log_ratios(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "replication_log_ratios", counted)
+    rows, diag = cli._run_case(spec, ("mc",))
+    assert calls == []
+    assert [r.mc_mean for r in rows] == [math.inf]
+    assert diag["sample_seconds"] == diag["filter_seconds"] == 0.0
+    # one finite order brings the simulation back
+    cli._run_case(dataclasses.replace(spec, alphas=(1.5, 2.0)), ("mc",))
+    assert len(calls) == 1
+
+
 def test_run_cases_thread_count_independent(monkeypatch):
     doc = tiny_doc(alphas=(0.5,))
     doc["cases"].append({**doc["cases"][0], "name": "c8b"})
@@ -324,7 +358,7 @@ def test_reproduce_table_artifacts(tmp_path):
     assert set(diag) >= {"config", "methods", "wall_seconds", "cases",
                          "check_failures"}
     assert diag["cases"]["c8"]["eigen_residual"] <= 1e-10
-    assert all(diag["cases"]["c8"][k] >= 0.0 for k in STAGE_KEYS)
+    assert all(diag["cases"]["c8"][k] >= 0.0 for k in STAGE_KEYS + MC_STAGE_KEYS)
     assert parse_config(diag["config"])  # embedded config is itself loadable
 
 

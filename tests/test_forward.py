@@ -22,7 +22,8 @@ from hmmdiv import (
     sample_path,
 )
 from hmmdiv.cases import CASES
-from hmmdiv.forward import batch_log_normalizers
+from hmmdiv.forward import _UNDERFLOW, batch_log_normalizers
+from hmmdiv.models import _TIME_BLOCK, mix_seed, sample_paths
 
 CASE1_GEN, CASE1_ALT = CASES[1]
 
@@ -308,6 +309,54 @@ def test_batch_normalizers_match_scalar_filter():
             cumulative.append(state.log_likelihood)
         steps = np.diff(cumulative, prepend=0.0)
         np.testing.assert_allclose(batch[r], steps, rtol=1e-12, atol=1e-12)
+
+
+def step_loop_log_normalizers(chain, y, y_prev):
+    """The batch filter one time step at a time, every operation per step:
+    the reference that the blocked filter must match bit for bit."""
+    reps, n = y.shape
+    p = chain.transition
+    w = np.broadcast_to(chain.pi, (reps, chain.d)).copy()
+    prev = np.asarray(y_prev, dtype=float).copy()
+    out = np.empty((reps, n))
+    for t in range(n):
+        base = w if t == 0 else w @ p
+        unnorm = base * chain.emission_pdf(y[:, t], prev)
+        s = unnorm.sum(axis=1)
+        if np.any(np.all(unnorm < _UNDERFLOW, axis=1)):
+            raise DegenerateInputError(
+                f"all forward weights underflowed at step {t + 1} in a batch path"
+            )
+        out[:, t] = np.log(s)
+        w = unnorm / s[:, None]
+        prev = y[:, t]
+    return out
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("reps", [1, 6])
+def test_blocked_filter_matches_step_loop_bitwise(family, reps):
+    # two full time blocks and a partial third; d = 2 (A) and d = 4 (B)
+    rng = np.random.default_rng(31)
+    gen, alt = random_model(rng, family), random_model(rng, family)
+    n = 2 * _TIME_BLOCK + 3
+    y, y_prev, _ = sample_paths(as_chain(gen), [mix_seed(5, r) for r in range(reps)],
+                                n, 20)
+    for chain in (as_chain(gen), as_chain(alt)):
+        got = batch_log_normalizers(chain, y, y_prev)
+        assert got.shape == (reps, n) and got.flags.c_contiguous
+        assert np.array_equal(got, step_loop_log_normalizers(chain, y, y_prev))
+
+
+def test_blocked_filter_underflow_names_the_reference_step():
+    chain = as_chain(iid_model(0.0, 0.5))
+    n = 2 * _TIME_BLOCK + 3
+    y = np.random.default_rng(32).normal(scale=0.5, size=(3, n))
+    step = _TIME_BLOCK + 6  # inside the second block
+    y[1, step - 1] = 1e3  # every state's density underflows to 0 here
+    for filt in (step_loop_log_normalizers, batch_log_normalizers):
+        with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
+            filt(chain, y, np.zeros(3))
 
 
 def test_four_state_reduces_to_two_state_when_memoryless():

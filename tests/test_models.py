@@ -18,7 +18,7 @@ from hmmdiv import (
     transition_matrix,
     validate_model,
 )
-from hmmdiv.models import mix_seed, sample_paths
+from hmmdiv.models import _TIME_BLOCK, _standard_normals, mix_seed, sample_paths
 from hmmdiv.cases import CASES
 
 CASE1_GEN, CASE1_ALT = CASES[1]
@@ -236,6 +236,53 @@ def test_sample_path_is_the_batch_row():
         path = sample_path(CASE1_GEN, 400, burn_in=30, seed=seed)
         assert np.array_equal(path.y, y[r]) and path.y_prev == y_prev[r]
         assert np.array_equal(path.x, x[r] % 2)
+
+
+def step_loop_sample_paths(chain, seeds, n, burn_in):
+    """The path sampler one time step at a time, every operation per step:
+    the reference that the table-driven sampler must match bit for bit."""
+    rows = len(seeds)
+    total = burn_in + n
+    u_state = np.empty((rows, total + 1))
+    eps = np.empty((rows, total))
+    for r, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        u_state[r] = rng.random(total + 1)
+        eps[r] = _standard_normals(rng, total)
+    cum = np.cumsum(chain.transition, axis=1)
+    cum_pi = np.cumsum(chain.pi)
+    z = np.minimum((cum_pi[None, :] <= u_state[:, 0:1]).sum(axis=1), chain.d - 1)
+    y = np.zeros(rows)
+    ys = np.empty((rows, total))
+    states = np.empty((rows, total), dtype=np.int8)
+    c, b, s = chain.c, chain.b, chain.s
+    for t in range(total):
+        z = np.minimum((cum[z] <= u_state[:, t + 1, None]).sum(axis=1), chain.d - 1)
+        y = c[z] + b[z] * y + s[z] * eps[:, t]
+        ys[:, t] = y
+        states[:, t] = z
+    y_prev = ys[:, burn_in - 1] if burn_in > 0 else np.zeros(rows)
+    return ys[:, burn_in:], y_prev, states[:, burn_in:]
+
+
+FAMILY_A = ModelAParams(p00=0.6, p11=0.7, mu=(0.5, -0.5), psi=(0.2, -0.1),
+                        sigma=(1.0, 1.4))
+
+
+@pytest.mark.parametrize("m", [CASES[7][0], FAMILY_A], ids=["B", "A"])
+@pytest.mark.parametrize("burn_in", [0, 1, _TIME_BLOCK + 7])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_sample_paths_match_step_loop_bitwise(m, burn_in, rows):
+    chain = as_chain(m)
+    seeds = [mix_seed(burn_in, r) for r in range(rows)]
+    n = _TIME_BLOCK + 50
+    got = sample_paths(chain, seeds, n, burn_in)
+    want = step_loop_sample_paths(chain, seeds, n, burn_in)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    y, _, x = got
+    assert y.flags.c_contiguous and x.flags.c_contiguous and x.dtype == np.int8
 
 
 def test_sample_path_regime_frequencies():

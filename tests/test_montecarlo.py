@@ -7,6 +7,7 @@ import pytest
 
 from hmmdiv import (
     DegenerateInputError,
+    DivergenceEstimate,
     McConfig,
     ModelBParams,
     estimate_kl_mc,
@@ -70,6 +71,13 @@ def test_estimate_metadata():
     assert est.reps == FAST.reps
     assert est.method == "monte-carlo"
     assert est.std_dev >= 0.0
+
+
+def test_std_error_is_sd_over_root_reps():
+    assert DivergenceEstimate(alpha=0.5, mean=0.1, std_dev=0.4, reps=16).std_error == 0.1
+    assert DivergenceEstimate(alpha=0.5, mean=0.1, std_dev=0.3, reps=1).std_error == 0.0
+    est = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, 0.5, FAST)
+    assert est.std_error == est.std_dev / math.sqrt(FAST.reps) > 0.0
 
 
 def test_kl_alpha_encoded_as_one():
