@@ -58,7 +58,13 @@ from .fredholm import (
     j_log,
     solve_invariant,
 )
-from .models import ModelAParams, ModelBParams, infinite_renyi_rate, validate_model
+from .models import (
+    ModelAParams,
+    ModelBParams,
+    infinite_renyi_rate,
+    tail_sd,
+    validate_model,
+)
 from .montecarlo import (
     McConfig,
     estimate_from_log_ratios,
@@ -309,9 +315,16 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
 
     The diagnostics time the three stages: kernel assembly, invariant
     solves and the J quadratures (`j_log` and `j_alpha` together).
+    `tail_margin_sd` is the smallest grid.a / s_eff over the finite
+    orders (`models.tail_sd`): how many standard deviations of the
+    integrand's Gaussian tail the lattice keeps. None when every order is
+    infinite.
     """
     values = dict.fromkeys(alphas, 0.0)
     diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
+    sds = [tail_sd(theta1, theta, 1.0 if _is_kl(a) else float(a)) for a in alphas]
+    diag["tail_margin_sd"] = min((grid.a / sd for sd in sds if math.isfinite(sd)),
+                                 default=None)
 
     def timed(stage, layer, *args):
         t0 = time.perf_counter()

@@ -10,11 +10,14 @@ with likelihood sum_j a_n(j). The filter below renormalizes a_t to sum 1
 after every step and accumulates log of the normalizers, which is what keeps
 it stable for n in the 1e5 range where the raw product underflows.
 
-`batch_log_normalizers` works through the path in blocks of time steps.
-The emission densities, the underflow check and the logs of a block are
-each one vectorized call over the whole block, and only the weight update
-runs step by step. Every value is the one a step-at-a-time loop computes,
-bit for bit. The output is allocated C-ordered and filled block by block:
+`batch_log_normalizers(chains, y, y_prev)` runs the filters of several
+chains with equal state counts over the same paths in one loop, and works
+through the path in blocks of time steps. The emission densities, the
+underflow check and the logs of a block are each one vectorized call over
+the whole block, and only the weight update runs step by step, one batched
+matmul for all chains. Every value is the one a step-at-a-time loop of a
+single chain computes, bit for bit. The output is allocated C-ordered and
+filled block by block:
 an F-ordered array of equal values would make reductions over a row sum
 in another order, and so change the simulation estimates in the last
 digits.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +127,7 @@ def _path_log_normalizers(m: Model, y: np.ndarray, y_prev: float) -> np.ndarray:
     """Per-step log normalizers log s_t of one path's filter; their sum is
     the log likelihood. The batch filter with a single row."""
     y = np.asarray(y, dtype=float)[None, :]
-    return batch_log_normalizers(as_chain(m), y, np.array([float(y_prev)]))[0]
+    return batch_log_normalizers([as_chain(m)], y, np.array([float(y_prev)]))[0, 0]
 
 
 def log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float:
@@ -189,44 +193,62 @@ def matrix_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float
     return log_scale + math.log(v.sum())
 
 
-def batch_log_normalizers(chain: LinearGaussianChain, y: np.ndarray,
+def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
                           y_prev: np.ndarray) -> np.ndarray:
-    """Filter normalizers for many paths at once.
+    """Filter normalizers of several chains over the same paths at once.
 
-    y has shape (reps, n) and y_prev shape (reps,); returns a C-ordered
-    (reps, n) array of log s_t. Deterministic: two calls with identical
-    chains and data run identical float operations, so log-ratio statistics
-    between a model and itself cancel to exact zeros.
+    `chains` is a sequence of k chains with equal d; y has shape (reps, n)
+    and y_prev shape (reps,). Returns a C-ordered (k, reps, n) array of
+    log s_t, row i for chains[i]. The k filters run in one loop: each step
+    is one batched matmul of the (k, reps, d) weights by the (k, d, d)
+    transitions. Every value is the one a one-chain call computes, bit for
+    bit, so log-ratio statistics between a model and itself cancel to exact
+    zeros.
 
     Works in blocks of time steps (see the module docstring). A block's
     emission densities are overwritten by its unnormalized weights, which
-    the underflow check reads once per block.
+    the underflow check reads once per block. When several filters
+    underflow, the error names the first chain in `chains` that did, at
+    its first dead step.
     """
+    chains = list(chains)
+    d = chains[0].d
+    if any(chain.d != d for chain in chains):
+        raise ValueError("batch_log_normalizers needs chains of equal d, got "
+                         f"{[chain.d for chain in chains]}")
     y = np.asarray(y, dtype=float)
     reps, n = y.shape
-    p = chain.transition
-    w = np.broadcast_to(chain.pi, (reps, chain.d)).copy()
+    k = len(chains)
+    p = np.stack([chain.transition for chain in chains])  # (k, d, d)
+    w = np.broadcast_to(np.stack([chain.pi for chain in chains])[:, None, :],
+                        (k, reps, d)).copy()
     prev = np.asarray(y_prev, dtype=float)
-    out = np.empty((reps, n))
+    out = np.empty((k, reps, n))
+    dead_at = {}  # chain index -> first step at which all its weights underflowed
     for t0 in range(0, n, _TIME_BLOCK):
         y_blk = y[:, t0:t0 + _TIME_BLOCK].T.copy()  # time-major copy of one block
         prev_blk = np.concatenate((prev[None, :], y_blk[:-1]))
-        unnorm = chain.emission_pdf(y_blk, prev_blk)  # (block, reps, d), updated in place
-        s = np.empty(y_blk.shape)
+        # (block, k, reps, d), updated in place
+        unnorm = np.stack([chain.emission_pdf(y_blk, prev_blk) for chain in chains], axis=1)
+        s = np.empty(unnorm.shape[:-1])
         # a row that underflows turns into nan from here on; the check
         # below reports it before any of its values are used
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(y_blk.shape[0]):
-                u = unnorm[k]
-                u *= w if t0 + k == 0 else w @ p
-                np.add.reduce(u, axis=1, out=s[k])
-                w = u / s[k][:, None]
-        dead = np.any(np.all(unnorm < _UNDERFLOW, axis=-1), axis=-1)
-        if dead.any():
-            raise DegenerateInputError(
-                f"all forward weights underflowed at step {t0 + int(dead.argmax()) + 1} "
-                "in a batch path"
-            )
-        out[:, t0:t0 + y_blk.shape[0]] = np.log(s).T
+            for j in range(y_blk.shape[0]):
+                u = unnorm[j]
+                u *= w if t0 + j == 0 else np.matmul(w, p)
+                np.add.reduce(u, axis=-1, out=s[j])
+                w = u / s[j][..., None]
+            out[:, :, t0:t0 + y_blk.shape[0]] = np.log(s).transpose(1, 2, 0)
+        dead = np.any(np.all(unnorm < _UNDERFLOW, axis=-1), axis=-1)  # (block, k)
+        for i in np.flatnonzero(dead.any(axis=0)):
+            dead_at.setdefault(int(i), t0 + int(dead[:, i].argmax()) + 1)
+        if 0 in dead_at:  # no chain before the first can still die
+            break
         prev = y_blk[-1]
+    if dead_at:
+        raise DegenerateInputError(
+            f"all forward weights underflowed at step {dead_at[min(dead_at)]} "
+            "in a batch path"
+        )
     return out

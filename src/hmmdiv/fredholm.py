@@ -41,12 +41,13 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
 from .models import (
     LinearGaussianChain,
     ModelAParams,
     ModelBParams,
+    _logsumexp,
     as_chain,
     require_valid,
     transition_matrix,
@@ -276,23 +277,23 @@ def _exp_sum_roots(e, c, lo, hi):
     nodes = np.sort(np.concatenate([lo[:, None], crit, hi[:, None]], axis=1), axis=1)
     signs = _sign_exp_sum(e[:, None, :], logmag[:, None, :], sgn[:, None, :], nodes)
 
-    fa = signs[:, :-1]
-    bracket = fa * signs[:, 1:] < 0
-    hi_pad = np.broadcast_to(hi[:, None], bracket.shape)
-    a = np.where(bracket, nodes[:, :-1], hi_pad)
-    b = np.where(bracket, nodes[:, 1:], hi_pad)
-    # at most 80 halvings; a step is a fixed map of (a, b), so once one
+    # bisect only the sign changes, gathered flat: (row, interval) pairs
+    rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
+    fa = signs[rows, cols]
+    a, b = nodes[rows, cols], nodes[rows, cols + 1]
+    e, logmag, sgn = e[rows], logmag[rows], sgn[rows]
+    # at most 80 halvings; a step is a fixed map of each (a, b), so once one
     # changes no bracket end the rest would change none either
     for _ in range(80):
         mid = 0.5 * (a + b)
-        fm = _sign_exp_sum(e[:, None, :], logmag[:, None, :], sgn[:, None, :], mid)
-        left = fm * fa >= 0
+        left = _sign_exp_sum(e, logmag, sgn, mid) * fa >= 0
         a_next = np.where(left, mid, a)
         b_next = np.where(left, b, mid)
         if np.array_equal(a_next, a) and np.array_equal(b_next, b):
             break
         a, b = a_next, b_next
-    roots = np.where(bracket, 0.5 * (a + b), hi[:, None])
+    roots = np.repeat(hi[:, None], T - 1, axis=1)
+    roots[rows, cols] = 0.5 * (a + b)
     return np.sort(roots, axis=1)
 
 
@@ -577,7 +578,7 @@ def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
          for s in range(chain.d)]
     )  # (s, u, y)
     logpred = np.log(_predictive(chain.transition, grid.x_nodes))  # (w, s)
-    out = np.stack([logsumexp(lp[:, None, None] + logf, axis=0) for lp in logpred])
+    out = np.stack([_logsumexp(lp[:, None, None] + logf, axis=0) for lp in logpred])
     out.flags.writeable = False
     return out
 

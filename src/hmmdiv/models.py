@@ -363,6 +363,30 @@ def as_chain(m: Model) -> LinearGaussianChain:
     )
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) over one axis, bit for bit as scipy 1.17's
+    `scipy.special.logsumexp(a, axis=axis)` computes it for real a.
+
+    The maximum is factored out and the m entries equal to it leave the
+    sum, which gives log1p(s / m) + log(m) + max with s the sum of the
+    other exp(a - max). Scipy also evaluates log(sum(exp(a))) over the
+    whole array, for the slices whose result is not finite. Here those
+    come out as that pass gives them without it: with the max entries
+    zeroed, a +inf max gives +inf, an all -inf slice -inf, and a nan
+    stays nan.
+    """
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite max
+        e = np.exp(a - top)
+    np.copyto(e, 0.0, where=at_top)
+    s = np.sum(e, axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 when a has a nan
+        out = np.log1p(s / m) + np.log(m) + top
+    return np.squeeze(out, axis=axis)
+
+
 def mix_seed(seed: int, r: int) -> int:
     """Derive the seed for replicate r (splitmix64 finalizer over seed + r)."""
     z = (int(seed) + (r + 1) * 0x9E3779B97F4A7C15) & _MASK64
@@ -470,6 +494,22 @@ def infinite_renyi_rate(theta1: Model, theta: Model, alpha: float) -> bool:
     """
     if not alpha > 1.0:
         return False
-    s1 = float(as_chain(theta1).s.max())
-    s = float(as_chain(theta).s.max())
+    s1, s = _widest_sds(theta1, theta)
     return alpha * s * s <= (alpha - 1.0) * s1 * s1
+
+
+def _widest_sds(theta1: Model, theta: Model) -> tuple[float, float]:
+    return float(as_chain(theta1).s.max()), float(as_chain(theta).s.max())
+
+
+def tail_sd(theta1: Model, theta: Model, alpha: float) -> float:
+    """Standard deviation of the Gaussian tail of the one-step integrand
+    p1^alpha * p^(1 - alpha) (p1 for KL, alpha = 1), with s1 and s as in
+    `infinite_renyi_rate`: s_eff = (alpha / s1^2 - (alpha - 1) / s^2)^(-1/2),
+    and inf where that rate is infinite. A lattice truncated at +-a keeps
+    a / s_eff standard deviations of it.
+    """
+    if infinite_renyi_rate(theta1, theta, alpha):
+        return math.inf
+    s1, s = _widest_sds(theta1, theta)
+    return (alpha / (s1 * s1) - (alpha - 1.0) / (s * s)) ** -0.5

@@ -1,7 +1,8 @@
 """Simulation estimates of Renyi and KL divergence rates.
 
 Each replication samples a fresh path under p, runs the normalized forward
-filter of both models over it, and turns the per-step log likelihood ratios
+filters of both models over it (in one loop when their chain forms have the
+same number of states), and turns the per-step log likelihood ratios
 rho_t = log s_t(p) - log s_t(q) into one statistic:
 
     KL:    mean_t rho_t                      (the normalized log ratio)
@@ -24,11 +25,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .forward import DegenerateInputError, batch_log_normalizers
 from .models import (
     Model,
+    _logsumexp,
     as_chain,
     infinite_renyi_rate,
     mix_seed,
@@ -95,8 +96,12 @@ def replication_log_ratios(p: Model, q: Model, cfg: McConfig,
     y, y_prev, _ = sample_paths(chain_p, seeds, cfg.n, cfg.burn_in)
     t1 = time.perf_counter()
     try:
-        rho = (batch_log_normalizers(chain_p, y, y_prev)
-               - batch_log_normalizers(chain_q, y, y_prev))
+        if chain_p.d == chain_q.d:  # both filters in one loop
+            log_s = batch_log_normalizers((chain_p, chain_q), y, y_prev)
+            rho = log_s[0] - log_s[1]
+        else:  # a family-A model against a family-B one
+            rho = (batch_log_normalizers((chain_p,), y, y_prev)[0]
+                   - batch_log_normalizers((chain_q,), y, y_prev)[0])
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"{exc} (replication = path index)") from exc
     if timings is not None:
@@ -110,7 +115,7 @@ def estimate_from_log_ratios(rho: np.ndarray, alpha: float) -> DivergenceEstimat
     if abs(alpha - 1.0) < 1e-8:
         stats = rho.mean(axis=1)
     else:
-        stats = (logsumexp((alpha - 1.0) * rho, axis=1) - math.log(n)) / (alpha - 1.0)
+        stats = (_logsumexp((alpha - 1.0) * rho, axis=1) - math.log(n)) / (alpha - 1.0)
     sd = float(stats.std(ddof=1)) if stats.shape[0] > 1 else 0.0
     return DivergenceEstimate(
         alpha=float(alpha), mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0]

@@ -4,7 +4,9 @@ configuration (lattice N = 16, a = 15; simulation n = 2000, reps = 100)
 unless the criterion itself is about changing that configuration."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from hmmdiv import (
 from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE, gaussian_renyi
 from hmmdiv.cli import check_rows
 
+RECORDED = Path(__file__).resolve().parents[1] / "benchmarks" / "recorded.json"
 EFFECTIVE_ALPHA = {a: (1.0 if a == "kl" else float(a)) for a in ALPHA_GRID}
 ORDERED_ALPHAS = sorted(ALPHA_GRID, key=EFFECTIVE_ALPHA.get)
 
@@ -64,6 +67,21 @@ def test_simulation_engine_matches_reference_table(mc_estimates):
                 f"case {cid} alpha={alpha}: {got:.4f} vs {sim_ref:.4f} "
                 f"+- {3 * sd_ref:.4f}"
             )
+
+
+def test_tables_match_the_recorded_benchmark_values(fredholm_results, mc_estimates):
+    # The fixtures are the benchmark's paper-table cells at seed 0, which
+    # benchmarks/run.py gates at 1e-12 relative against recorded.json.
+    recorded = json.loads(RECORDED.read_text())["paper-table"]
+    got = {}
+    for (cid, alpha), value in fredholm_results.items():
+        got[f"case{cid}|{alpha}|fredholm"] = [value]
+    for (cid, alpha), est in mc_estimates.items():
+        got[f"case{cid}|{alpha}|mc"] = [est.mean, est.std_dev]
+    assert got.keys() == recorded.keys()
+    moved = [f"{cell}: {got[cell]} vs recorded {ref}" for cell, ref in recorded.items()
+             if not all(abs(v - r) <= 1e-12 * abs(r) for v, r in zip(got[cell], ref))]
+    assert not moved, "\n".join(moved)
 
 
 # --- 3. static Gaussian case matches its closed forms --------------------------------

@@ -30,6 +30,7 @@ from hmmdiv import (
 from hmmdiv import cases as bench
 from hmmdiv import cli, fredholm
 from hmmdiv.cli import check_rows, format_csv, format_table, main, selftest
+from hmmdiv.models import tail_sd
 from hmmdiv.montecarlo import replication_log_ratios
 
 T1 = {"p01": 0.4, "p10": 0.59, "mu": [2.0, 2.0], "phi": 0.0, "psi1": 1.0,
@@ -229,6 +230,22 @@ def test_fredholm_stage_timings_in_diagnostics():
     assert [same.diagnostics[k] for k in STAGE_KEYS] == [0.0, 0.0, 0.0]
 
 
+def test_fredholm_tail_margin_in_diagnostics(fredholm_cases):
+    # sigma1 = 1.5 against sigma = 1 at order 1.75: s_eff = 6, so the
+    # a = 15 lattice keeps only 2.5 tail sds; order 2 is infinite
+    wide = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
+    res = divergence_fredholm(wide, bench.CASES[8][1], 1.75)
+    assert res.diagnostics["tail_margin_sd"] == pytest.approx(2.5, rel=1e-12)
+    _, diag = cli._fredholm_values(wide, bench.CASES[8][1], (2.0,), GridSpec())
+    assert diag["tail_margin_sd"] is None
+    for cid, (t1, t) in bench.CASES.items():
+        _, diag = cli._fredholm_values(t1, t, (2.0,), GridSpec())
+        assert diag["tail_margin_sd"] >= 10.0
+        # a case's margin is its smallest over the orders, KL at order 1
+        margins = [15.0 / tail_sd(t1, t, 1.0 if a == "kl" else a) for a in bench.ALPHA_GRID]
+        assert fredholm_cases[cid][1]["tail_margin_sd"] == min(margins)
+
+
 MC_STAGE_KEYS = ("sample_seconds", "filter_seconds")
 
 
@@ -359,6 +376,8 @@ def test_reproduce_table_artifacts(tmp_path):
                          "check_failures"}
     assert diag["cases"]["c8"]["eigen_residual"] <= 1e-10
     assert all(diag["cases"]["c8"][k] >= 0.0 for k in STAGE_KEYS + MC_STAGE_KEYS)
+    spec = parse_config(tiny_doc(alphas=(0.5,)))[0]
+    assert diag["cases"]["c8"]["tail_margin_sd"] == 10.0 / tail_sd(spec.theta1, spec.theta, 0.5)
     assert parse_config(diag["config"])  # embedded config is itself loadable
 
 

@@ -299,7 +299,7 @@ def test_batch_normalizers_match_scalar_filter():
     chain = as_chain(CASE1_GEN)
     y = rng.normal(1.5, 1.2, size=(5, 60))
     y_prev = rng.normal(size=5)
-    batch = batch_log_normalizers(chain, y, y_prev)
+    batch = batch_log_normalizers([chain], y, y_prev)[0]
     assert batch.shape == (5, 60)
     for r in range(5):
         state = forward_init(chain, y[r, 0], float(y_prev[r]))
@@ -342,10 +342,22 @@ def test_blocked_filter_matches_step_loop_bitwise(family, reps):
     n = 2 * _TIME_BLOCK + 3
     y, y_prev, _ = sample_paths(as_chain(gen), [mix_seed(5, r) for r in range(reps)],
                                 n, 20)
-    for chain in (as_chain(gen), as_chain(alt)):
-        got = batch_log_normalizers(chain, y, y_prev)
-        assert got.shape == (reps, n) and got.flags.c_contiguous
-        assert np.array_equal(got, step_loop_log_normalizers(chain, y, y_prev))
+    # both filters in one call (as the simulation engine runs them) and each
+    # alone must give the step loop's rows
+    chains = [as_chain(gen), as_chain(alt)]
+    stacked = batch_log_normalizers(chains, y, y_prev)
+    assert stacked.shape == (2, reps, n) and stacked.flags.c_contiguous
+    for i, chain in enumerate(chains):
+        want = step_loop_log_normalizers(chain, y, y_prev)
+        assert np.array_equal(batch_log_normalizers([chain], y, y_prev)[0], want)
+        assert np.array_equal(stacked[i], want)
+
+
+def test_stacked_filters_need_equal_state_counts():
+    rng = np.random.default_rng(34)
+    pair = (as_chain(random_model(rng, "A")), as_chain(random_model(rng, "B")))
+    with pytest.raises(ValueError, match="equal d"):
+        batch_log_normalizers(pair, np.zeros((2, 5)), np.zeros(2))
 
 
 def test_blocked_filter_underflow_names_the_reference_step():
@@ -354,9 +366,31 @@ def test_blocked_filter_underflow_names_the_reference_step():
     y = np.random.default_rng(32).normal(scale=0.5, size=(3, n))
     step = _TIME_BLOCK + 6  # inside the second block
     y[1, step - 1] = 1e3  # every state's density underflows to 0 here
-    for filt in (step_loop_log_normalizers, batch_log_normalizers):
+    with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
+        step_loop_log_normalizers(chain, y, np.zeros(3))
+    with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
+        batch_log_normalizers([chain], y, np.zeros(3))
+
+
+def test_stacked_filters_report_the_first_chain_that_underflows():
+    # the narrow chain dies at a 1e3 spike in the first block, the wide one
+    # only at a 1e5 spike in the third; one-chain calls in sequence order
+    # would report the first chain's first dead step, and so must the stack
+    narrow, wide = as_chain(iid_model(0.0, 0.5)), as_chain(iid_model(0.0, 100.0))
+    n = 2 * _TIME_BLOCK + 3
+    y = np.random.default_rng(35).normal(scale=0.5, size=(3, n))
+    early, late = 7, 2 * _TIME_BLOCK + 2
+    y[1, early - 1] = 1e3
+    only_narrow = y.copy()
+    y[2, late - 1] = 1e5
+    cases = [((wide, narrow), y, late), ((narrow, wide), y, early),
+             ((wide, narrow), only_narrow, early), ((narrow, narrow), y, early)]
+    for chains, data, step in cases:
         with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
-            filt(chain, y, np.zeros(3))
+            batch_log_normalizers(chains, data, np.zeros(3))
+        with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
+            for chain in chains:
+                batch_log_normalizers([chain], data, np.zeros(3))
 
 
 def test_four_state_reduces_to_two_state_when_memoryless():

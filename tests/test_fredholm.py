@@ -292,6 +292,34 @@ def test_exp_sum_roots_match_fixed_bisection_random(terms):
     assert_same_bits(roots, _exp_sum_roots_reference(e, c, lo, hi))
 
 
+def test_exp_sum_roots_without_any_sign_change():
+    # every coefficient positive: no row has a bracket, the gather is empty
+    rng = np.random.default_rng(7)
+    for terms in (3, 4):
+        e = np.cumsum(rng.uniform(0.1, 2.0, size=(50, terms)), axis=1)
+        c = rng.uniform(0.5, 2.0, size=(50, terms))
+        lo, hi = np.full(50, -10.0), np.full(50, 10.0)
+        roots = _exp_sum_roots(e, c, lo, hi)
+        assert np.array_equal(roots, np.repeat(hi[:, None], terms - 1, axis=1))
+        assert_same_bits(roots, _exp_sum_roots_reference(e, c, lo, hi))
+
+
+def test_exp_sum_roots_with_several_brackets_per_row():
+    # (x - 1)(x - 2)(x - 3) and 1 - 3x + x^2 in x = exp(y): three and two
+    # real roots per row, mixed with rows of none and one
+    cubic = np.array([-6.0, 11.0, -6.0, 1.0])
+    e = np.tile(np.arange(4.0), (4, 1))
+    c = np.array([cubic, [1.0, -3.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+                  [-1.0, 0.0, 0.0, 2.0]])
+    lo, hi = np.full(4, -5.0), np.full(4, 5.0)
+    roots = _exp_sum_roots(e, c, lo, hi)
+    assert (roots < hi[:, None]).sum(axis=1).tolist() == [3, 2, 0, 1]
+    np.testing.assert_allclose(roots[0], np.log([1.0, 2.0, 3.0]), atol=1e-12)
+    np.testing.assert_allclose(roots[1, :2], np.log((3.0 + np.array([-1, 1]) * math.sqrt(5.0)) / 2),
+                               atol=1e-12)
+    assert_same_bits(roots, _exp_sum_roots_reference(e, c, lo, hi))
+
+
 def test_exp_sum_roots_match_fixed_bisection_case7(monkeypatch):
     # every cascade call of case 7's half-node Q batch, under both filters
     calls = []

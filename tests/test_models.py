@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.special import logsumexp
 
 from hmmdiv import (
     ModelAParams,
@@ -18,7 +19,13 @@ from hmmdiv import (
     transition_matrix,
     validate_model,
 )
-from hmmdiv.models import _TIME_BLOCK, _standard_normals, mix_seed, sample_paths
+from hmmdiv.models import (
+    _TIME_BLOCK,
+    _logsumexp,
+    _standard_normals,
+    mix_seed,
+    sample_paths,
+)
 from hmmdiv.cases import CASES
 
 CASE1_GEN, CASE1_ALT = CASES[1]
@@ -335,3 +342,49 @@ def test_as_chain_family_a_dimension():
 def test_as_chain_rejects_invalid():
     with pytest.raises(ValueError):
         as_chain(model_b(sigma=-2.0))
+
+
+# --- log-sum-exp ------------------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_logsumexp_matches_scipy_bitwise_on_edge_cases():
+    a = np.random.default_rng(41).normal(scale=30.0, size=(8, 9))
+    a[1, 2] = a[1, 5] = a[1].max() + 1.0  # tied maxima along axis 1
+    a[0, 1] = a[2, 1] = a[:, 1].max() + 1.0  # and along axis 0
+    a[3] = 0.25  # an all-equal row, as a p = q row of log ratios gives
+    a[4, ::2] = -np.inf
+    a[5] = -np.inf  # an all -inf slice
+    a[6, 3] = np.inf
+    a[7, [0, 4]] = np.inf  # two +inf entries
+    a[2, 7] = np.nan
+    for axis in (0, 1):
+        assert_same_bits(_logsumexp(a, axis=axis), logsumexp(a, axis=axis))
+    for axis in (0, 1):  # without the nan: a slice of -inf alone, one with +inf
+        assert_same_bits(_logsumexp(a[4:7], axis=axis), logsumexp(a[4:7], axis=axis))
+    rows = _logsumexp(a, axis=1)
+    assert np.isnan(rows[2]) and np.isneginf(rows[5]) and np.isposinf(rows[6])
+
+
+def test_logsumexp_matches_scipy_bitwise_on_engine_inputs():
+    # the lifted chain's log mixture terms: with psi2 = 0 the pair states
+    # (0, j) and (1, j) emit alike, so maxima tie along the state axis
+    chain = as_chain(CASE1_GEN)
+    nodes = np.linspace(-15.0, 15.0, 41)
+    logf = chain.emission_log_pdf(nodes[None, :], nodes[:, None]).transpose(2, 0, 1)
+    assert np.array_equal(logf[0], logf[2]) and np.array_equal(logf[1], logf[3])
+    assert_same_bits(_logsumexp(logf, axis=0), logsumexp(logf, axis=0))
+    for w in (0.1, 0.5, 0.9):
+        lp = np.log(w * chain.transition[0] + (1.0 - w) * chain.transition[1])
+        terms = lp[:, None, None] + logf
+        assert_same_bits(_logsumexp(terms, axis=0), logsumexp(terms, axis=0))
+    rng = np.random.default_rng(42)
+    rho = rng.normal(scale=0.4, size=(6, 500))
+    rho[2] = 0.0  # p = q: every ratio is zero
+    for alpha in (0.5, 0.999, 1.001, 2.0):
+        x = (alpha - 1.0) * rho
+        assert_same_bits(_logsumexp(x, axis=1), logsumexp(x, axis=1))

@@ -9,11 +9,15 @@ from hmmdiv import (
     DegenerateInputError,
     DivergenceEstimate,
     McConfig,
+    ModelAParams,
     ModelBParams,
+    as_chain,
     estimate_kl_mc,
     estimate_renyi_mc,
 )
 from hmmdiv.cases import CASES, REFERENCE, gaussian_kl, gaussian_renyi
+from hmmdiv.forward import batch_log_normalizers
+from hmmdiv.models import mix_seed, sample_paths
 from hmmdiv.montecarlo import estimate_from_log_ratios, replication_log_ratios
 
 CASE1_GEN, CASE1_ALT = CASES[1]
@@ -109,6 +113,23 @@ def test_degenerate_filter_reports_replication():
     with np.errstate(over="ignore"), pytest.raises(DegenerateInputError) as err:
         estimate_kl_mc(CASE1_GEN, bad, FAST)
     assert "replication" in str(err.value)
+
+
+FAMILY_A_GEN = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
+
+
+@pytest.mark.parametrize("p, q", [(CASE1_GEN, CASE1_ALT), (FAMILY_A_GEN, CASE1_ALT),
+                                  (CASE1_GEN, FAMILY_A_GEN)])
+def test_log_ratios_are_one_chain_filter_differences(p, q):
+    # equal d runs both filters in one loop, unequal d (a family-A model
+    # against a family-B one) one call per chain; either way the rows are
+    # the difference of the one-chain filters, bit for bit
+    rho = replication_log_ratios(p, q, FAST)
+    seeds = [mix_seed(FAST.seed, r) for r in range(FAST.reps)]
+    y, y_prev, _ = sample_paths(as_chain(p), seeds, FAST.n, FAST.burn_in)
+    want = (batch_log_normalizers([as_chain(p)], y, y_prev)[0]
+            - batch_log_normalizers([as_chain(q)], y, y_prev)[0])
+    assert rho.flags.c_contiguous and np.array_equal(rho, want)
 
 
 def test_iid_closed_form_oracle():
