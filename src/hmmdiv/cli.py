@@ -62,6 +62,7 @@ from .models import (
     ModelAParams,
     ModelBParams,
     infinite_renyi_rate,
+    renyi_order,
     tail_sd,
     validate_model,
 )
@@ -106,17 +107,16 @@ class CaseSpec:
                 raise ConfigError(
                     f"case {self.name!r}: {label} invalid: " + "; ".join(problems)
                 )
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        if not self.alphas:
+        alphas = tuple(self.alphas)
+        if not alphas:
             raise ConfigError(f"case {self.name!r}: alphas must be non-empty")
-        for a in self.alphas:
-            if isinstance(a, str):
-                if a.lower() != "kl":
-                    raise ConfigError(
-                        f"case {self.name!r}: alpha {a!r} is not a number or 'kl'"
-                    )
-            elif not float(a) > 0:
-                raise ConfigError(f"case {self.name!r}: alpha must be > 0, got {a}")
+        for a in alphas:
+            try:
+                renyi_order(a)
+            except ValueError as exc:
+                raise ConfigError(f"case {self.name!r}: {exc}") from exc
+        object.__setattr__(self, "alphas", tuple(
+            a.lower() if isinstance(a, str) else float(a) for a in alphas))
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,6 @@ class ResultRow:
     rel_err_pct: float | None = None
     fredholm_seconds: float | None = None
     mc_seconds: float | None = None
-
-
-def _is_kl(alpha) -> bool:
-    if isinstance(alpha, str):
-        return alpha.lower() == "kl"
-    return abs(float(alpha) - 1.0) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -173,28 +167,26 @@ def _theta_dict(theta) -> dict:
 def _parse_settings(cls, doc: dict, where: str):
     """Build McConfig or GridSpec from the keys the config gives; every
     other field keeps its dataclass default, cast like that default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected an object")
     casts = {f.name: type(f.default) for f in fields(cls) if f.init}
     extra = set(doc) - set(casts)
     if extra:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(extra))}")
+    for k, v in doc.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{where}.{k}: expected a number, got {v!r}")
     try:
         return cls(**{k: casts[k](v) for k, v in doc.items()})
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_alphas(raw, where: str) -> tuple:
+    """The list as given; `CaseSpec` checks and normalizes each order."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError(f"{where}.alphas: expected a non-empty list")
-    out = []
-    for a in raw:
-        if isinstance(a, str):
-            if a.lower() != "kl":
-                raise ConfigError(f"{where}.alphas: {a!r} is not a number or 'kl'")
-            out.append("kl")
-        else:
-            out.append(float(a))
-    return tuple(out)
+    return tuple(raw)
 
 
 def parse_config(doc: dict) -> list[CaseSpec]:
@@ -311,7 +303,8 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     1e-8 of 1, or "kl"), which differences the two log functionals.
     Identical models give exactly zero: the ratio integrand is identically
     1, so no discretization may blur the answer. Orders whose rate is
-    infinite (`models.infinite_renyi_rate`) give inf.
+    infinite (`models.infinite_renyi_rate`) give inf, and when every order
+    is, no kernel is built.
 
     The diagnostics time the three stages: kernel assembly, invariant
     solves and the J quadratures (`j_log` and `j_alpha` together).
@@ -320,9 +313,12 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     integrand's Gaussian tail the lattice keeps. None when every order is
     infinite.
     """
+    orders = {a: renyi_order(a) for a in alphas}
+    infinite = {a for a, order in orders.items()
+                if infinite_renyi_rate(theta1, theta, order)}
     values = dict.fromkeys(alphas, 0.0)
     diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
-    sds = [tail_sd(theta1, theta, 1.0 if _is_kl(a) else float(a)) for a in alphas]
+    sds = [tail_sd(theta1, theta, order) for order in orders.values()]
     diag["tail_margin_sd"] = min((grid.a / sd for sd in sds if math.isfinite(sd)),
                                  default=None)
 
@@ -334,24 +330,26 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
 
     if theta1 == theta:
         diag["identity"] = True
+    elif len(infinite) == len(orders):
+        values = dict.fromkeys(alphas, math.inf)
     else:
         kernels = [timed("kernel_seconds", build_kernel, theta1, theta, grid)]
         solves = [timed("solve_seconds", solve_invariant, kernels[0])]
         with case_mixtures():  # every J of the case reads the same two mixtures
-            if any(_is_kl(a) for a in alphas):
+            if 1.0 in orders.values():
                 kernels.append(timed("kernel_seconds", build_kernel, theta1, theta1, grid))
                 solves.append(timed("solve_seconds", solve_invariant, kernels[1]))
                 kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
                       - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
-            for a in alphas:
-                if _is_kl(a):
+            for a, order in orders.items():
+                if order == 1.0:
                     values[a] = kl
-                elif infinite_renyi_rate(theta1, theta, float(a)):
+                elif a in infinite:
                     values[a] = math.inf
                 else:
-                    j = timed("quadrature_seconds", j_alpha, theta1, theta, float(a),
+                    j = timed("quadrature_seconds", j_alpha, theta1, theta, order,
                               solves[0], grid)
-                    values[a] = math.log(j) / (float(a) - 1.0)
+                    values[a] = math.log(j) / (order - 1.0)
         diag["eigen_residual"] = max(m.eigen_residual for m in solves)
         diag["max_col_sum_deviation"] = max(
             float(np.abs(k.pre_norm_col_sums - 1.0).max()) for k in kernels)
@@ -365,11 +363,12 @@ def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> D
     the one-order call of the per-case Fredholm pipeline.
 
     alpha may be a number or "kl"; values within 1e-8 of 1 route to the KL
-    path. Identical models give exactly 0, infinite Renyi orders inf.
+    path, and other orders that are not finite and > 0 raise ValueError.
+    Identical models give exactly 0, infinite Renyi orders inf.
     """
     values, diag = _fredholm_values(theta1, theta, (alpha,), grid or GridSpec())
-    return DivergenceResult(alpha=1.0 if _is_kl(alpha) else float(alpha),
-                            value=values[alpha], diagnostics=diag)
+    return DivergenceResult(alpha=renyi_order(alpha), value=values[alpha],
+                            diagnostics=diag)
 
 
 def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
@@ -397,7 +396,7 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
     mc_time = None
     if "mc" in methods:
         t0 = time.perf_counter()
-        orders = {a: 1.0 if _is_kl(a) else float(a) for a in spec.alphas}
+        orders = {a: renyi_order(a) for a in spec.alphas}
         infinite = {a for a, order in orders.items()
                     if infinite_renyi_rate(spec.theta1, spec.theta, order)}
         diag.update(sample_seconds=0.0, filter_seconds=0.0)
@@ -507,7 +506,7 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
                     f"{3.0 * (row.mc_sd or 0.0):.4f}"
                 )
         bench_id = by_params.get((spec.theta1, spec.theta))
-        key = "kl" if _is_kl(row.alpha) else float(row.alpha)
+        key = "kl" if renyi_order(row.alpha) == 1.0 else float(row.alpha)
         ref = bench.REFERENCE.get(key, {}).get(bench_id) if bench_id else None
         if ref is None:
             continue
@@ -607,7 +606,8 @@ def selftest(out=print) -> bool:
     passes."""
     from .cases import CASES, gaussian_kl
     from .forward import brute_force_log_likelihood, log_likelihood
-    from .fredholm import noncentral_chisq1_cdf, q_four_state, q_two_state
+    from .fredholm import (noncentral_chisq1_cdf, q_four_state, q_two_state,
+                           simulate_q_four_state, simulate_q_two_state)
     from .models import sample_path
     from .montecarlo import estimate_renyi_mc
     from scipy.stats import ncx2
@@ -641,6 +641,7 @@ def selftest(out=print) -> bool:
     report("noncentral chi-square CDF vs reference", worst <= 1e-10,
            f"max delta={worst:.2e}")
 
+    size = 100000
     ta_gen = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
     ta_filt = ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9))
     worst = 0.0
@@ -649,11 +650,8 @@ def selftest(out=print) -> bool:
         z = float(rng.uniform(0.2, 4.0))
         j = int(rng.integers(0, 2))
         qv = q_two_state(u, z, j, ta_gen, ta_filt)
-        y = ta_gen.mu[j] + ta_gen.psi[j] * u + ta_gen.sigma[j] * rng.standard_normal(100000)
-        num = np.exp(-0.5 * ((y - ta_filt.mu[0] - ta_filt.psi[0] * u) / ta_filt.sigma[0]) ** 2) / ta_filt.sigma[0]
-        den = np.exp(-0.5 * ((y - ta_filt.mu[1] - ta_filt.psi[1] * u) / ta_filt.sigma[1]) ** 2) / ta_filt.sigma[1]
-        mc = float(np.mean(num / den <= z))
-        se = max(math.sqrt(mc * (1 - mc) / y.size), 1e-4)
+        mc = simulate_q_two_state(u, z, j, ta_gen, ta_filt, rng, size)
+        se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
         worst = max(worst, abs(qv - mc) / se)
     report("two-state Q vs indicator simulation", worst <= 4.0,
            f"worst={worst:.2f} s.e.")
@@ -667,17 +665,8 @@ def selftest(out=print) -> bool:
         j = int(rng.integers(0, 2))
         k = int(rng.integers(0, 2))
         qv = q_four_state(x, u, w, j, k, tb1, tb)
-        mu = tb1.mu
-        y = (tb1.psi2 * mu[j] + tb1.psi1 * mu[k] + tb1.phi * u
-             + tb1.sigma * rng.standard_normal(100000))
-        pf = np.array([[1 - tb.p01, tb.p01], [tb.p10, 1 - tb.p10]])
-        muf = tb.mu
-        f = [np.exp(-0.5 * ((y - tb.psi2 * muf[i] - tb.psi1 * muf[jj] - tb.phi * u) / tb.sigma) ** 2)
-             for i in (0, 1) for jj in (0, 1)]
-        g = ((1 - x) * pf[0, 0] * w * f[0] - x * pf[0, 1] * w * f[1]
-             + (1 - x) * pf[1, 0] * (1 - w) * f[2] - x * pf[1, 1] * (1 - w) * f[3])
-        mc = float(np.mean(g <= 0))
-        se = max(math.sqrt(mc * (1 - mc) / y.size), 1e-4)
+        mc = simulate_q_four_state(x, u, w, j, k, tb1, tb, rng, size)
+        se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
         worst = max(worst, abs(qv - mc) / se)
     report("four-state Q vs indicator simulation", worst <= 4.0,
            f"worst={worst:.2f} s.e.")

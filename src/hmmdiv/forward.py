@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +52,6 @@ class DegenerateInputError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class ForwardState:
-    """Filter state after t observations: normalized weights over hidden
-    states and the accumulated log likelihood of y_1..y_t."""
-
-    weights: np.ndarray
-    log_likelihood: float
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """One step's transition-weighted emission matrix, entries[j, i] =
-    P[i, j] * f_j(y_t | y_{t-1}). Applying it to the previous weight vector
-    advances the unnormalized recursion by one step."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-
-
 _UNDERFLOW = 1e-300
 
 
@@ -87,40 +61,6 @@ def _check_underflow(unnorm: np.ndarray, t: int) -> None:
             f"all forward weights underflowed at step {t}; "
             "observations are incompatible with the model's emission scales"
         )
-
-
-def forward_init(m: Model, y1: float, y_prev: float = 0.0) -> ForwardState:
-    """Start the filter on the first observation (conditioning on y_prev)."""
-    chain = as_chain(m)
-    unnorm = chain.pi * chain.emission_pdf(y1, y_prev)
-    _check_underflow(unnorm, 1)
-    s = unnorm.sum()
-    return ForwardState(weights=unnorm / s, log_likelihood=math.log(s), t=1)
-
-
-def forward_step(m: Model, state: ForwardState, y_t: float, y_prev: float) -> ForwardState:
-    """Advance the filter by one observation."""
-    chain = as_chain(m)
-    unnorm = (state.weights @ chain.transition) * chain.emission_pdf(y_t, y_prev)
-    _check_underflow(unnorm, state.t + 1)
-    s = unnorm.sum()
-    return ForwardState(
-        weights=unnorm / s,
-        log_likelihood=state.log_likelihood + math.log(s),
-        t=state.t + 1,
-    )
-
-
-def density_matrix(m: Model, y_t: float, y_prev: float, first: bool = False) -> DensityMatrix:
-    """The step-t matrix M_t[j, i] = P[i, j] f_j(y_t | y_prev); for the first
-    step the transition factor is dropped (weights start at pi)."""
-    chain = as_chain(m)
-    f = chain.emission_pdf(y_t, y_prev)
-    if first:
-        entries = np.diag(f)
-    else:
-        entries = chain.transition.T * f[:, None]
-    return DensityMatrix(entries)
 
 
 def _path_log_normalizers(m: Model, y: np.ndarray, y_prev: float) -> np.ndarray:
@@ -183,7 +123,9 @@ def matrix_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float
     log_scale = 0.0
     prev = y_prev
     for t in range(n):
-        mt = density_matrix(chain, float(y[t]), prev, first=(t == 0)).entries
+        f = chain.emission_pdf(float(y[t]), prev)
+        # step 1 has no transition factor: the weights start at pi
+        mt = np.diag(f) if t == 0 else chain.transition.T * f[:, None]
         v = mt @ v
         _check_underflow(v, t + 1)
         mx = v.max()

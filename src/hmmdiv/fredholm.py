@@ -306,7 +306,7 @@ def _q_four_state_batch(x, u, w, j: int, k: int, tg: ModelBParams,
 
     mu_f = np.asarray(tf.mu, dtype=float)
     sf = tf.sigma
-    pf = transition_matrix(tf).entries
+    pf = transition_matrix(tf)
     # signed coefficients of the four pair components (00, 01, 10, 11)
     s_coef = np.stack(
         [
@@ -374,6 +374,31 @@ def q_four_state(x: float, u: float, w: float, j: int, k: int,
     return float(out[0])
 
 
+# Indicator simulations of Q for the selftest and the tests: the share of
+# `size` draws of Y (from rng's standard normals) whose filter event holds.
+
+
+def simulate_q_two_state(u, z, j, tg: ModelAParams, tf: ModelAParams,
+                         rng: np.random.Generator, size: int) -> float:
+    y = tg.mu[j] + tg.psi[j] * u + tg.sigma[j] * rng.standard_normal(size)
+    num = np.exp(-0.5 * ((y - tf.mu[0] - tf.psi[0] * u) / tf.sigma[0]) ** 2) / tf.sigma[0]
+    den = np.exp(-0.5 * ((y - tf.mu[1] - tf.psi[1] * u) / tf.sigma[1]) ** 2) / tf.sigma[1]
+    return float(np.mean(num / den <= z))
+
+
+def simulate_q_four_state(x, u, w, j, k, tg: ModelBParams, tf: ModelBParams,
+                          rng: np.random.Generator, size: int) -> float:
+    y = (tg.psi2 * tg.mu[j] + tg.psi1 * tg.mu[k] + tg.phi * u
+         + tg.sigma * rng.standard_normal(size))
+    pf = transition_matrix(tf)
+    f = [np.exp(-0.5 * ((y - tf.psi2 * tf.mu[i] - tf.psi1 * tf.mu[jj] - tf.phi * u)
+                        / tf.sigma) ** 2)
+         for i in (0, 1) for jj in (0, 1)]
+    g = ((1 - x) * pf[0, 0] * w * f[0] - x * pf[0, 1] * w * f[1]
+         + (1 - x) * pf[1, 0] * (1 - w) * f[2] - x * pf[1, 1] * (1 - w) * f[3])
+    return float(np.mean(g <= 0))
+
+
 # ---------------------------------------------------------------------------
 # kernel assembly
 
@@ -393,7 +418,7 @@ def _predictive(transition: np.ndarray, w_nodes) -> np.ndarray:
 def _q_half_two_state(tg: ModelAParams, tf: ModelAParams, grid: GridSpec) -> np.ndarray:
     """Closed-form Q at the half nodes, shape (state, u, half, w)."""
     half = grid.x_half_nodes
-    pred = _predictive(transition_matrix(tf).entries, grid.x_nodes)
+    pred = _predictive(transition_matrix(tf), grid.x_nodes)
     # z(w, x): odds x/(1-x) scaled by the filter's predictive probabilities
     zhalf = (half[:, None] / (1.0 - half[:, None])) * (pred[:, 1] / pred[:, 0])[None, :]
     u = grid.v_nodes[:, None, None]

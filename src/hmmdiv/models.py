@@ -25,7 +25,8 @@ only ever see it, so they work for general d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -82,59 +83,6 @@ def _freeze_pairs(m, names) -> None:
             value = value.tolist()
         if isinstance(value, list):
             object.__setattr__(m, name, tuple(value))
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic transition matrix over d hidden states."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"transition matrix must be square, got {entries.shape}")
-        if np.any(entries < 0.0) or np.any(entries > 1.0):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        rowsum = entries.sum(axis=1)
-        if np.any(np.abs(rowsum - 1.0) > 1e-12):
-            raise ValueError(f"rows must sum to 1 within 1e-12, got sums {rowsum}")
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class FourStateChain:
-    """Family B lifted to the pair states (X_{t-1}, X_t), ordered
-    (0,0), (0,1), (1,0), (1,1).
-
-    A pair state (i, j) can only move to (j, k), so rows 1 and 3 (from-states
-    ending in 0) are zero in the last two columns and rows 2 and 4 are zero in
-    the first two.
-    """
-
-    transition: TransitionMatrix
-    pi: np.ndarray
-    parent: ModelBParams
-
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        object.__setattr__(self, "pi", pi)
-        t = self.transition.entries
-        if t.shape != (4, 4):
-            raise ValueError("four-state chain needs a 4x4 transition matrix")
-        zero_pattern = np.array(
-            [[0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]], dtype=bool
-        )
-        if np.any(t[zero_pattern] != 0.0):
-            raise ValueError("pair-state transition matrix violates its zero pattern")
-        if np.any(pi < 0.0) or abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("pi must be a probability vector (sum 1 within 1e-12)")
-        if np.max(np.abs(pi @ t - pi)) > 1e-10:
-            raise ValueError("pi is not stationary for the transition matrix")
 
 
 @dataclass(frozen=True)
@@ -250,6 +198,11 @@ def validate_model(m: Model) -> list[str]:
         if not 0.0 < m.sigma < math.inf:
             problems.append(f"sigma must be positive and finite, got {m.sigma}")
     elif isinstance(m, LinearGaussianChain):
+        for name in ("pi", "transition", "c", "b", "s"):
+            if not np.all(np.isfinite(getattr(m, name))):
+                problems.append(f"{name} must be finite, got {getattr(m, name)}")
+        if np.any(m.transition < 0.0) or np.any(m.transition > 1.0):
+            problems.append("transition probabilities must lie in [0, 1]")
         if np.any(np.abs(m.pi.sum() - 1.0) > 1e-12) or np.any(m.pi < 0):
             problems.append("pi must be a probability vector")
         rowsum = m.transition.sum(axis=1)
@@ -266,97 +219,49 @@ def require_valid(m: Model) -> None:
         raise ValueError("invalid model: " + "; ".join(problems))
 
 
-def transition_matrix(m: ModelAParams | ModelBParams) -> TransitionMatrix:
+def transition_matrix(m: ModelAParams | ModelBParams) -> np.ndarray:
     """The 2-state transition matrix of either family."""
     if isinstance(m, ModelAParams):
         rows = [[m.p00, 1.0 - m.p00], [1.0 - m.p11, m.p11]]
     else:
         rows = [[1.0 - m.p01, m.p01], [m.p10, 1.0 - m.p10]]
-    return TransitionMatrix(np.array(rows))
-
-
-def stationary_distribution(t: TransitionMatrix, tol: float = 1e-13,
-                            max_iters: int = 100000) -> np.ndarray:
-    """Stationary probability vector of a row-stochastic matrix.
-
-    Power iteration on the left eigenproblem pi = pi P from the uniform
-    vector; all benchmark chains are irreducible and aperiodic so this
-    converges geometrically.
-    """
-    p = t.entries
-    pi = np.full(t.d, 1.0 / t.d)
-    for _ in range(max_iters):
-        nxt = pi @ p
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= tol:
-            return nxt
-        pi = nxt
-    raise RuntimeError(
-        f"stationary distribution did not converge in {max_iters} iterations "
-        f"(residual {np.max(np.abs(pi @ p - pi)):.3e}); chain may be reducible or periodic"
-    )
-
-
-def lift_four_state(m: ModelBParams) -> FourStateChain:
-    """Lift family B onto the pair states (X_{t-1}, X_t).
-
-    The stationary vector is (p00*p10, p01*p10, p10*p01, p11*p01)/(p01+p10):
-    the 2-state stationary mass of the from-state times the transition
-    probability into the to-state.
-    """
-    require_valid(m)
-    p01, p10 = m.p01, m.p10
-    p00, p11 = 1.0 - p01, 1.0 - p10
-    t = np.array(
-        [
-            [p00, p01, 0.0, 0.0],
-            [0.0, 0.0, p10, p11],
-            [p00, p01, 0.0, 0.0],
-            [0.0, 0.0, p10, p11],
-        ]
-    )
-    pi = np.array([p00 * p10, p01 * p10, p10 * p01, p11 * p01]) / (p01 + p10)
-    return FourStateChain(TransitionMatrix(t), pi, m)
-
-
-def emission_density(m: ModelAParams | ModelBParams, i: int, j: int,
-                     y: float, y_prev: float) -> float:
-    """Emission density f(y | X_{t-1}=i, X_t=j, y_prev).
-
-    Family A ignores the previous state: mean mu[j] + psi[j]*y_prev, sd
-    sigma[j]. Family B: mean psi2*mu[i] + psi1*mu[j] + phi*y_prev, shared sd.
-    """
-    if isinstance(m, ModelAParams):
-        mean = m.mu[j] + m.psi[j] * y_prev
-        sd = m.sigma[j]
-    else:
-        mean = m.psi2 * m.mu[i] + m.psi1 * m.mu[j] + m.phi * y_prev
-        sd = m.sigma
-    z = (y - mean) / sd
-    return math.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
+    return np.array(rows, dtype=float)
 
 
 def as_chain(m: Model) -> LinearGaussianChain:
-    """Reduce any supported model to the common filter form."""
+    """Reduce any supported model to the common filter form; a chain is
+    validated and returned as it is.
+
+    Both families start from the 2-state matrix P, whose stationary law is
+    (p10, p01) / (p01 + p10). Family B is lifted onto the pair states
+    (i, j), ordered (0,0), (0,1), (1,0), (1,1): (i, j) moves only to
+    (j, k), with probability P[j, k], and has stationary mass
+    pi[i] * P[i, j].
+    """
+    require_valid(m)
     if isinstance(m, LinearGaussianChain):
         return m
-    require_valid(m)
+    p = transition_matrix(m)
+    # (p10, p01): the stationary law before its normalizer, which divides last
+    balance = np.array([p[1, 0], p[0, 1]])
+    total = p[0, 1] + p[1, 0]
     if isinstance(m, ModelAParams):
-        t = transition_matrix(m)
         return LinearGaussianChain(
-            pi=stationary_distribution(t),
-            transition=t.entries,
+            pi=balance / total,
+            transition=p,
             c=np.array(m.mu, dtype=float),
             b=np.array(m.psi, dtype=float),
             s=np.array(m.sigma, dtype=float),
         )
-    lift = lift_four_state(m)
+    t = np.zeros((4, 4))
+    for i, j in np.ndindex(2, 2):
+        t[2 * i + j, 2 * j:2 * j + 2] = p[j]
     mu = np.asarray(m.mu, dtype=float)
     # pair state order (0,0),(0,1),(1,0),(1,1): intercept psi2*mu_i + psi1*mu_j
     c = np.array([m.psi2 * mu[i] + m.psi1 * mu[j] for i in (0, 1) for j in (0, 1)])
     return LinearGaussianChain(
-        pi=lift.pi,
-        transition=lift.transition.entries,
+        pi=(balance[:, None] * p).ravel() / total,
+        transition=t,
         c=c,
         b=np.full(4, m.phi),
         s=np.full(4, m.sigma),
@@ -481,6 +386,22 @@ def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSamp
     if isinstance(m, ModelBParams):
         x = x % 2  # pair state (i, j) -> current state j
     return PathSample(y=y[0], x=x, seed=seed, burn_in=burn_in, y_prev=float(y_prev[0]))
+
+
+def renyi_order(alpha) -> float:
+    """A Renyi order as a float: 1.0 for "kl" (any case) and for numbers
+    within 1e-8 of 1, the KL limit. Raises ValueError on any other string,
+    on a non-number, and on an order that is not finite and > 0."""
+    if isinstance(alpha, str):
+        if alpha.lower() != "kl":
+            raise ValueError(f"alpha {alpha!r} is not a number or 'kl'")
+        return 1.0
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a number or 'kl', got {alpha!r}")
+    order = float(alpha)
+    if not 0.0 < order < math.inf:
+        raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
+    return 1.0 if abs(order - 1.0) < 1e-8 else order
 
 
 def infinite_renyi_rate(theta1: Model, theta: Model, alpha: float) -> bool:

@@ -33,7 +33,7 @@ from .models import (
     as_chain,
     infinite_renyi_rate,
     mix_seed,
-    require_valid,
+    renyi_order,
     sample_paths,
 )
 
@@ -87,8 +87,6 @@ def replication_log_ratios(p: Model, q: Model, cfg: McConfig,
     running the two filters are stored in it as "sample_seconds" and
     "filter_seconds".
     """
-    require_valid(p)
-    require_valid(q)
     chain_p = as_chain(p)
     chain_q = as_chain(q)
     seeds = [mix_seed(cfg.seed, r) for r in range(cfg.reps)]
@@ -142,11 +140,11 @@ def estimate_renyi_mc(p: Model, q: Model, alpha: float,
     limit of the power average. For p = q the per-step ratios are exact
     zeros (the two filters run identical arithmetic), so the estimate is
     exactly 0 for every alpha and seed. An order whose rate is infinite
-    (`models.infinite_renyi_rate`) returns mean inf without sampling.
+    (`models.infinite_renyi_rate`) returns mean inf without sampling. An
+    order that `models.renyi_order` rejects raises ValueError.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    alpha = renyi_order(alpha)
     cfg = cfg or McConfig()
-    if infinite_renyi_rate(p, q, float(alpha)):
-        return infinite_estimate(float(alpha), cfg.reps)
-    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg), float(alpha))
+    if infinite_renyi_rate(p, q, alpha):
+        return infinite_estimate(alpha, cfg.reps)
+    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg), alpha)

@@ -34,6 +34,7 @@ from hmmdiv import (
 )
 from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE, gaussian_renyi
 from hmmdiv.cli import check_rows
+from hmmdiv.fredholm import simulate_q_four_state, simulate_q_two_state
 
 RECORDED = Path(__file__).resolve().parents[1] / "benchmarks" / "recorded.json"
 EFFECTIVE_ALPHA = {a: (1.0 if a == "kl" else float(a)) for a in ALPHA_GRID}
@@ -245,30 +246,6 @@ def test_solver_health_and_grid_refinement(fredholm_cases, fredholm_results):
 # --- 8. Q functions match brute-force indicator simulation ------------------------------
 
 
-def _mc_q_two_state(u, z, j, tg, tf, size, seed):
-    rng = np.random.default_rng(seed)
-    y = tg.mu[j] + tg.psi[j] * u + tg.sigma[j] * rng.standard_normal(size)
-    num = np.exp(-0.5 * ((y - tf.mu[0] - tf.psi[0] * u) / tf.sigma[0]) ** 2) / tf.sigma[0]
-    den = np.exp(-0.5 * ((y - tf.mu[1] - tf.psi[1] * u) / tf.sigma[1]) ** 2) / tf.sigma[1]
-    return float(np.mean(num / den <= z))
-
-
-def _mc_q_four_state(x, u, w, j, k, tg, tf, size, seed):
-    rng = np.random.default_rng(seed)
-    y = (tg.psi2 * tg.mu[j] + tg.psi1 * tg.mu[k] + tg.phi * u
-         + tg.sigma * rng.standard_normal(size))
-    pf = np.array([[1 - tf.p01, tf.p01], [tf.p10, 1 - tf.p10]])
-    f = [
-        np.exp(-0.5 * ((y - tf.psi2 * tf.mu[i] - tf.psi1 * tf.mu[jj]
-                        - tf.phi * u) / tf.sigma) ** 2)
-        for i in (0, 1)
-        for jj in (0, 1)
-    ]
-    g = ((1 - x) * pf[0, 0] * w * f[0] - x * pf[0, 1] * w * f[1]
-         + (1 - x) * pf[1, 0] * (1 - w) * f[2] - x * pf[1, 1] * (1 - w) * f[3])
-    return float(np.mean(g <= 0))
-
-
 def test_chisq_cdf_identity_and_reference():
     rng = np.random.default_rng(9)
     for _ in range(500):
@@ -300,7 +277,8 @@ def test_q_functions_match_indicator_simulation():
         z = float(math.exp(rng.uniform(-2.0, 2.0)))
         j = trial % 2
         exact = q_two_state(u, z, j, tg_a, tf)
-        mc = _mc_q_two_state(u, z, j, tg_a, tf, size, seed=1000 + trial)
+        mc = simulate_q_two_state(u, z, j, tg_a, tf,
+                                  np.random.default_rng(1000 + trial), size)
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / size)
         assert abs(exact - mc) <= 3 * se + 1e-6, (
             f"two-state trial {trial}: {exact:.6f} vs {mc:.6f}"
@@ -315,7 +293,8 @@ def test_q_functions_match_indicator_simulation():
         w = float(rng.uniform(0.05, 0.95))
         j, k = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         exact = q_four_state(x, u, w, j, k, tg, tf)
-        mc = _mc_q_four_state(x, u, w, j, k, tg, tf, size, seed=2000 + trial)
+        mc = simulate_q_four_state(x, u, w, j, k, tg, tf,
+                                   np.random.default_rng(2000 + trial), size)
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / size)
         assert abs(exact - mc) <= 3 * se + 1e-6, (
             f"four-state trial {trial}: {exact:.6f} vs {mc:.6f}"

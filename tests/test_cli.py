@@ -105,6 +105,16 @@ def test_per_case_overrides():
         (lambda d: d.update(cases="nope"), "cases"),
         (lambda d: d.update(cases=[]), "cases"),
         (lambda d: d["cases"][0].update(grid={"N": 2}), "cases[0].grid: N must be at least 4"),
+        (lambda d: d["cases"][0].update(alphas=[0]), "alpha must be > 0 and finite, got 0"),
+        (lambda d: d["cases"][0].update(alphas=[math.nan]), "finite, got nan"),
+        (lambda d: (d["cases"][0].pop("alphas"), d.update(alphas=[math.inf])),
+         "finite, got inf"),
+        (lambda d: d["cases"][0].update(alphas=[None]), "a number or 'kl', got None"),
+        (lambda d: d.update(mc={"n": None}), "top level.mc.n: expected a number, got None"),
+        (lambda d: d.update(grid={"N": [1]}), "top level.grid.N: expected a number"),
+        (lambda d: d["cases"][0].update(mc=[1]), "cases[0].mc: expected an object"),
+        (lambda d: d.update(mc={"reps": True}), "top level.mc.reps: expected a number"),
+        (lambda d: d.update(mc={"n": math.inf}), "cannot convert float infinity"),
     ],
 )
 def test_config_errors_name_the_key(mangle, needle):
@@ -278,6 +288,27 @@ def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fredholm_skips_the_kernel_when_every_order_is_infinite(monkeypatch):
+    theta1 = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
+    spec = CaseSpec("wide", "B", theta1, bench.CASES[8][1], (2.0,),
+                    grid=GridSpec(N=8, quad_points=51))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fredholm.build_kernel(*args)
+
+    monkeypatch.setattr(cli, "build_kernel", counted)
+    rows, diag = cli._run_case(spec, ("fredholm",))
+    assert calls == []
+    assert [r.fredholm for r in rows] == [math.inf]
+    assert "eigen_residual" not in diag and "iterations" not in diag
+    assert diag["tail_margin_sd"] is None
+    # one finite order brings the theta-filter kernel back
+    cli._run_case(dataclasses.replace(spec, alphas=(1.5, 2.0)), ("fredholm",))
+    assert len(calls) == 1
+
+
 def test_run_cases_thread_count_independent(monkeypatch):
     doc = tiny_doc(alphas=(0.5,))
     doc["cases"].append({**doc["cases"][0], "name": "c8b"})
@@ -423,6 +454,9 @@ def test_main_config_errors_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps(tiny_doc()))
     assert main(["run", str(cfg), "--methods", "bogus"]) == 2
     assert "error" in capsys.readouterr().err.lower()
+    cfg.write_text(json.dumps(tiny_doc(alphas=(None,))))  # "alphas": [null]
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: case 'c8'" in capsys.readouterr().err
 
 
 def test_main_invalid_thread_env_exits_two(tmp_path, monkeypatch):

@@ -13,9 +13,6 @@ from hmmdiv import (
     ModelBParams,
     as_chain,
     brute_force_log_likelihood,
-    density_matrix,
-    forward_init,
-    forward_step,
     log_likelihood,
     matrix_log_likelihood,
     per_step_log_ratios,
@@ -67,27 +64,41 @@ def random_model(rng, family):
     )
 
 
+def matrix_prefix_log_normalizers(m, y, y_prev=0.0):
+    """Per-step log normalizers of one path from the matrix-product route:
+    differences of its log likelihoods of the prefixes y[:1], y[:2], ..."""
+    prefixes = [matrix_log_likelihood(m, y[:t + 1], y_prev) for t in range(len(y))]
+    return np.diff(prefixes, prepend=0.0)
+
+
+def filter_log_normalizers(m, y, y_prev=0.0):
+    return batch_log_normalizers([as_chain(m)], np.asarray(y, dtype=float)[None, :],
+                                 np.array([y_prev]))[0, 0]
+
+
 # --- initialization -----------------------------------------------------------
 
 
 def test_forward_init_equal_emissions_returns_pi():
-    m = iid_model(1.0, 1.0)  # every pair state emits identically
-    chain = as_chain(m)
-    state = forward_init(m, 0.3)
-    np.testing.assert_allclose(state.weights, chain.pi, atol=1e-14)
+    # every pair state emits alike, so the first step keeps the weights at
+    # pi and the second normalizer is that common density too
+    m = iid_model(1.0, 1.0)
+    y = np.array([0.3, -0.2])
+    common = as_chain(m).emission_log_pdf(y, [0.0, 0.3])[:, 0]
+    np.testing.assert_allclose(filter_log_normalizers(m, y), common, atol=1e-14)
 
 
 def test_forward_init_hand_case():
     chain = chain_with_pdf_values([0.3, 0.1])
-    state = forward_init(chain, 0.0)
-    np.testing.assert_allclose(state.weights, [0.75, 0.25], atol=1e-12)
-    assert math.isclose(state.log_likelihood, math.log(0.2), abs_tol=1e-12)
-    assert state.t == 1
+    assert math.isclose(log_likelihood(chain, np.array([0.0])), math.log(0.2),
+                        abs_tol=1e-12)
+    assert math.isclose(matrix_log_likelihood(chain, np.array([0.0])), math.log(0.2),
+                        abs_tol=1e-12)
 
 
 def test_forward_init_matches_oracle_on_length_one():
     y1 = 0.7
-    got = forward_init(CASE1_GEN, y1).log_likelihood
+    got = log_likelihood(CASE1_GEN, np.array([y1]))
     want = brute_force_log_likelihood(CASE1_GEN, np.array([y1]))
     assert abs(got - want) <= 1e-12
 
@@ -96,48 +107,44 @@ def test_forward_init_matches_oracle_on_length_one():
 
 
 def test_forward_step_hand_case():
-    # equal emissions c across both states: weights evolve by the transition
-    # alone and the likelihood gains log c
-    c = 0.154
+    # states centred at -1 and 1 emit alike at y1 = 0, so the weights after
+    # step 1 stay at pi = (0.75, 0.25) and step 2 predicts
+    # (0.75, 0.25) @ P = (0.65, 0.35) before weighing y2 = 1
     chain = LinearGaussianChain(
-        pi=np.array([0.5, 0.5]),
+        pi=np.array([0.75, 0.25]),
         transition=np.array([[0.8, 0.2], [0.2, 0.8]]),
-        c=np.zeros(2),
+        c=np.array([-1.0, 1.0]),
         b=np.zeros(2),
-        s=np.full(2, 1.0 / (c * math.sqrt(2.0 * math.pi))),
+        s=np.ones(2),
     )
-    from hmmdiv.forward import ForwardState
 
-    state = ForwardState(weights=np.array([0.75, 0.25]), log_likelihood=0.0, t=1)
-    nxt = forward_step(chain, state, 0.0, 0.0)
-    np.testing.assert_allclose(nxt.weights, [0.65, 0.35], atol=1e-12)
-    assert math.isclose(nxt.log_likelihood, math.log(c), abs_tol=1e-12)
-    assert nxt.t == 2
+    def pdf(z):
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    want = [math.log(pdf(1.0)), math.log(0.65 * pdf(2.0) + 0.35 * pdf(0.0))]
+    y = np.array([0.0, 1.0])
+    np.testing.assert_allclose(filter_log_normalizers(chain, y), want, atol=1e-12)
+    np.testing.assert_allclose(matrix_prefix_log_normalizers(chain, y), want, atol=1e-12)
 
 
 def test_forward_step_deterministic():
     path = sample_path(CASE1_GEN, 20, seed=1)
-    s1 = forward_init(CASE1_GEN, path.y[0], path.y_prev)
-    s2 = forward_init(CASE1_GEN, path.y[0], path.y_prev)
-    for t in range(1, 20):
-        s1 = forward_step(CASE1_GEN, s1, path.y[t], path.y[t - 1])
-        s2 = forward_step(CASE1_GEN, s2, path.y[t], path.y[t - 1])
-    assert np.array_equal(s1.weights, s2.weights)
-    assert s1.log_likelihood == s2.log_likelihood
+    first = filter_log_normalizers(CASE1_GEN, path.y, path.y_prev)
+    again = filter_log_normalizers(CASE1_GEN, path.y, path.y_prev)
+    assert np.array_equal(first, again)
 
 
 @given(st.integers(0, 2 ** 31), st.integers(2, 25))
 @settings(max_examples=40)
 def test_forward_weights_stay_normalized(seed, n):
+    # a filter whose weights drifted off the simplex would price every later
+    # step by that drift; the matrix route rescales by the max instead
     rng = np.random.default_rng(seed)
     m = random_model(rng, "B")
     path = sample_path(m, n, burn_in=5, seed=seed)
-    state = forward_init(m, path.y[0], path.y_prev)
-    assert abs(state.weights.sum() - 1.0) <= 1e-12
-    for t in range(1, n):
-        state = forward_step(m, state, path.y[t], path.y[t - 1])
-        assert abs(state.weights.sum() - 1.0) <= 1e-12
-        assert np.all(state.weights >= 0) and np.all(state.weights <= 1)
+    got = filter_log_normalizers(m, path.y, path.y_prev)
+    want = matrix_prefix_log_normalizers(m, path.y, path.y_prev)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # --- full-sequence likelihoods --------------------------------------------------
@@ -260,7 +267,7 @@ def test_brute_force_rejects_huge_path_counts():
 def test_matrix_route_base_case():
     y1 = 1.2
     got = matrix_log_likelihood(CASE1_GEN, np.array([y1]))
-    want = forward_init(CASE1_GEN, y1).log_likelihood
+    want = log_likelihood(CASE1_GEN, np.array([y1]))
     assert abs(got - want) <= 1e-12
 
 
@@ -278,23 +285,12 @@ def test_matrix_route_matches_oracle():
     assert abs(matrix_log_likelihood(m, y) - brute_force_log_likelihood(m, y)) <= 1e-9
 
 
-def test_density_matrix_layout():
-    m = ModelAParams(p00=0.7, p11=0.6, mu=(0.0, 1.0), psi=(0.0, 0.0),
-                     sigma=(1.0, 2.0))
-    chain = as_chain(m)
-    dm = density_matrix(m, 0.5, 0.0).entries
-    f = chain.emission_pdf(0.5, 0.0)
-    np.testing.assert_allclose(dm, chain.transition.T * f[:, None], atol=1e-15)
-    first = density_matrix(m, 0.5, 0.0, first=True).entries
-    np.testing.assert_allclose(first, np.diag(f), atol=1e-15)
-
-
 # --- batch filter ----------------------------------------------------------------
 
 
 def test_batch_normalizers_match_scalar_filter():
-    # reference: the step-by-step filter, one observation at a time; its
-    # log-likelihood increments are the per-step log normalizers
+    # reference: the matrix-product route over every prefix of each path;
+    # its log-likelihood increments are the per-step log normalizers
     rng = np.random.default_rng(6)
     chain = as_chain(CASE1_GEN)
     y = rng.normal(1.5, 1.2, size=(5, 60))
@@ -302,12 +298,7 @@ def test_batch_normalizers_match_scalar_filter():
     batch = batch_log_normalizers([chain], y, y_prev)[0]
     assert batch.shape == (5, 60)
     for r in range(5):
-        state = forward_init(chain, y[r, 0], float(y_prev[r]))
-        cumulative = [state.log_likelihood]
-        for t in range(1, 60):
-            state = forward_step(chain, state, y[r, t], y[r, t - 1])
-            cumulative.append(state.log_likelihood)
-        steps = np.diff(cumulative, prepend=0.0)
+        steps = matrix_prefix_log_normalizers(chain, y[r], float(y_prev[r]))
         np.testing.assert_allclose(batch[r], steps, rtol=1e-12, atol=1e-12)
 
 

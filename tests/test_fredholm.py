@@ -36,6 +36,8 @@ from hmmdiv.fredholm import (
     _q_half_four_state,
     _simpson,
     case_mixtures,
+    simulate_q_four_state,
+    simulate_q_two_state,
 )
 from hmmdiv.models import as_chain
 
@@ -136,14 +138,6 @@ def test_q_two_state_cdf_limits():
     assert q_two_state(0.3, 1e300, 1, WIDE_GEN, tf) >= 1.0 - 1e-12
 
 
-def _mc_q_two_state(u, z, j, tg, tf, size=10 ** 6, seed=0):
-    rng = np.random.default_rng(seed)
-    y = tg.mu[j] + tg.psi[j] * u + tg.sigma[j] * rng.standard_normal(size)
-    num = np.exp(-0.5 * ((y - tf.mu[0] - tf.psi[0] * u) / tf.sigma[0]) ** 2) / tf.sigma[0]
-    den = np.exp(-0.5 * ((y - tf.mu[1] - tf.psi[1] * u) / tf.sigma[1]) ** 2) / tf.sigma[1]
-    return float(np.mean(num / den <= z))
-
-
 def test_q_two_state_simulation_oracle():
     rng = np.random.default_rng(7)
     for trial in range(4):
@@ -151,7 +145,8 @@ def test_q_two_state_simulation_oracle():
         z = float(math.exp(rng.uniform(-1.5, 1.5)))
         j = trial % 2
         got = q_two_state(u, z, j, WIDE_GEN, WIDE_FILT)
-        mc = _mc_q_two_state(u, z, j, WIDE_GEN, WIDE_FILT, seed=trial)
+        mc = simulate_q_two_state(u, z, j, WIDE_GEN, WIDE_FILT,
+                                  np.random.default_rng(trial), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -163,7 +158,8 @@ def test_q_two_state_equal_variance_branch():
                       sigma=(1.5, 1.5))
     for seed, (u, z) in enumerate([(0.3, 1.0), (-0.8, 2.5), (1.2, 0.4)]):
         got = q_two_state(u, z, seed % 2, WIDE_GEN, tf)
-        mc = _mc_q_two_state(u, z, seed % 2, WIDE_GEN, tf, seed=100 + seed)
+        mc = simulate_q_two_state(u, z, seed % 2, WIDE_GEN, tf,
+                                  np.random.default_rng(100 + seed), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -189,26 +185,10 @@ def test_q_four_state_monotone_in_x():
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
-def _mc_q_four_state(x, u, w, j, k, tg, tf, size=10 ** 6, seed=0):
-    rng = np.random.default_rng(seed)
-    mu = np.asarray(tg.mu)
-    y = (tg.psi2 * mu[j] + tg.psi1 * mu[k] + tg.phi * u
-         + tg.sigma * rng.standard_normal(size))
-    pf = np.array([[1 - tf.p01, tf.p01], [tf.p10, 1 - tf.p10]])
-    muf = np.asarray(tf.mu)
-    f = [
-        np.exp(-0.5 * ((y - tf.psi2 * muf[i] - tf.psi1 * muf[jj] - tf.phi * u) / tf.sigma) ** 2)
-        for i in (0, 1)
-        for jj in (0, 1)
-    ]
-    g = ((1 - x) * pf[0, 0] * w * f[0] - x * pf[0, 1] * w * f[1]
-         + (1 - x) * pf[1, 0] * (1 - w) * f[2] - x * pf[1, 1] * (1 - w) * f[3])
-    return float(np.mean(g <= 0))
-
-
 def test_q_four_state_simulation_oracle_benchmark_pair():
     got = q_four_state(0.5, 0.5, 0.5, 0, 0, CASE1_GEN, CASE1_ALT)
-    mc = _mc_q_four_state(0.5, 0.5, 0.5, 0, 0, CASE1_GEN, CASE1_ALT, seed=1)
+    mc = simulate_q_four_state(0.5, 0.5, 0.5, 0, 0, CASE1_GEN, CASE1_ALT,
+                               np.random.default_rng(1), 10 ** 6)
     se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
     assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -222,7 +202,8 @@ def test_q_four_state_simulation_oracle_two_lag_pair():
         w = float(rng.uniform(0.05, 0.95))
         j, k = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         got = q_four_state(x, u, w, j, k, CASE7_GEN, CASE7_ALT)
-        mc = _mc_q_four_state(x, u, w, j, k, CASE7_GEN, CASE7_ALT, seed=200 + trial)
+        mc = simulate_q_four_state(x, u, w, j, k, CASE7_GEN, CASE7_ALT,
+                                   np.random.default_rng(200 + trial), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -470,6 +451,14 @@ def test_divergence_kl_routing():
     assert a.value == b.value == c.value
     assert a.alpha == 1.0
     assert a.method == "fredholm"
+
+
+def test_divergence_rejects_orders_outside_the_domain(monkeypatch):
+    # rejected before any kernel is built
+    monkeypatch.setattr("hmmdiv.cli.build_kernel", None)
+    for alpha in (-0.5, 0.0, math.inf, math.nan, "q", None):
+        with pytest.raises(ValueError):
+            divergence_fredholm(CASE1_GEN, CASE1_ALT, alpha)
 
 
 def test_divergence_diagnostics_present():

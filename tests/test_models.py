@@ -1,5 +1,6 @@
-"""Parameter containers, validation, stationary laws, and path sampling."""
+"""Parameter containers, validation, the chain form, and path sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,12 @@ from hypothesis import assume, given, strategies as st
 from scipy.special import logsumexp
 
 from hmmdiv import (
+    McConfig,
     ModelAParams,
     ModelBParams,
-    TransitionMatrix,
     as_chain,
-    emission_density,
-    lift_four_state,
+    estimate_kl_mc,
     sample_path,
-    stationary_distribution,
     transition_matrix,
     validate_model,
 )
@@ -80,6 +79,10 @@ def model_a(**overrides):
     return ModelAParams(**base)
 
 
+def chain_a(**overrides):
+    return dataclasses.replace(as_chain(model_a()), **overrides)
+
+
 @pytest.mark.parametrize(
     "model, needle",
     [
@@ -92,6 +95,12 @@ def model_a(**overrides):
         (model_b(psi1=math.nan), "psi1 must be finite"),
         (model_b(psi2=math.inf), "psi2 must be finite"),
         (model_b(sigma=math.inf), "sigma must be positive and finite"),
+        (chain_a(pi=[math.nan, 0.5]), "pi must be finite"),
+        (chain_a(transition=[[0.6, 0.4], [math.inf, 0.7]]), "transition must be finite"),
+        (chain_a(c=[math.nan, -0.5]), "c must be finite"),
+        (chain_a(b=[0.2, -math.inf]), "b must be finite"),
+        (chain_a(s=[1.0, math.inf]), "s must be finite"),
+        (chain_a(transition=[[1.5, -0.5], [0.3, 0.7]]), "must lie in [0, 1]"),
     ],
 )
 def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
@@ -99,76 +108,85 @@ def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
     assert any(needle in p for p in problems), problems
     with pytest.raises(ValueError):
         as_chain(model)
+    # the simulation engine refuses it as the alternative before sampling
+    with pytest.raises(ValueError):
+        estimate_kl_mc(model_a(), model, McConfig(n=10, reps=2))
 
 
-# --- stationary distributions -----------------------------------------------
+# --- stationary laws of the chain form ----------------------------------------
 
 
 def test_stationary_symmetric_chain():
-    t = transition_matrix(model_b(p01=0.5, p10=0.5))
-    np.testing.assert_allclose(stationary_distribution(t), [0.5, 0.5], atol=1e-12)
+    pi = as_chain(model_a(p00=0.5, p11=0.5)).pi
+    np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
 
 
 def test_stationary_two_state_case1():
-    # balance: pi0 * p01 = pi1 * p10 => pi = (p10, p01) / (p01 + p10)
-    t = transition_matrix(CASE1_GEN)
-    pi = stationary_distribution(t)
-    np.testing.assert_allclose(pi, [0.6 / 1.01, 0.41 / 1.01], atol=1e-10)
+    # balance: pi0 * p01 = pi1 * p10 => pi = (p10, p01) / (p01 + p10); the
+    # lifted pi4[(i, j)] = pi[i] * P[i, j] sums over j to pi[i]
+    pi = as_chain(CASE1_GEN).pi.reshape(2, 2).sum(axis=1)
+    np.testing.assert_allclose(pi, [0.6 / 1.01, 0.41 / 1.01], atol=1e-12)
     np.testing.assert_allclose(pi, [0.594059, 0.405941], atol=1e-6)
+    mirror = as_chain(model_a(p00=1.0 - 0.41, p11=1.0 - 0.6)).pi
+    np.testing.assert_allclose(mirror, [0.6 / 1.01, 0.41 / 1.01], atol=1e-15)
 
 
 def test_stationary_four_state_lift_case1():
-    lift = lift_four_state(CASE1_GEN)
-    pi = stationary_distribution(lift.transition)
+    chain = as_chain(CASE1_GEN)
     np.testing.assert_allclose(
-        pi, [0.350495, 0.243564, 0.243564, 0.162376], atol=1e-6
+        chain.pi, [0.350495, 0.243564, 0.243564, 0.162376], atol=1e-6
     )
     # cross-check against the eigenvector of the transposed matrix
-    vals, vecs = np.linalg.eig(lift.transition.entries.T)
+    vals, vecs = np.linalg.eig(chain.transition.T)
     v = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
-    np.testing.assert_allclose(pi, v / v.sum(), atol=1e-10)
+    np.testing.assert_allclose(chain.pi, v / v.sum(), atol=1e-10)
 
 
 def test_stationary_fixed_point_for_all_benchmark_chains():
-    for t1, t in CASES.values():
-        for m in (t1, t):
-            for tr in (transition_matrix(m), lift_four_state(m).transition):
-                pi = stationary_distribution(tr)
-                assert np.max(np.abs(pi @ tr.entries - pi)) <= 1e-10
+    models = [m for pair in CASES.values() for m in pair]
+    models += [model_a(), model_a(p00=0.05, p11=0.97)]
+    for m in models:
+        chain = as_chain(m)
+        assert np.max(np.abs(chain.pi @ chain.transition - chain.pi)) <= 1e-15
+        if isinstance(m, ModelBParams):  # and its 2-state marginal
+            pi = chain.pi.reshape(2, 2).sum(axis=1)
+            assert np.max(np.abs(pi @ transition_matrix(m) - pi)) <= 1e-15
 
 
 def test_transition_matrix_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        TransitionMatrix(np.array([[0.7, 0.7], [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        TransitionMatrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
+    for rows in ([[0.7, 0.7], [0.5, 0.5]], [[1.2, -0.2], [0.5, 0.5]]):
+        chain = chain_a(transition=rows)
+        assert validate_model(chain) != []
+        with pytest.raises(ValueError):
+            as_chain(chain)
 
 
 # --- four-state lift ----------------------------------------------------------
 
 
 def test_lift_case1_first_row():
-    lift = lift_four_state(CASE1_GEN)
-    np.testing.assert_allclose(
-        lift.transition.entries[0], [0.59, 0.41, 0.0, 0.0], atol=1e-12
-    )
+    chain = as_chain(CASE1_GEN)
+    np.testing.assert_allclose(chain.transition[0], [0.59, 0.41, 0.0, 0.0], atol=1e-12)
+    # a pair (i, j) moves only to (j, k), with the 2-state probability P[j, k]
+    p = transition_matrix(CASE1_GEN)
+    for i, j, jj, k in np.ndindex(2, 2, 2, 2):
+        want = p[j, k] if jj == j else 0.0
+        assert chain.transition[2 * i + j, 2 * jj + k] == want
 
 
 @given(valid_model_b)
 def test_lift_rows_and_pi_normalized(m):
-    lift = lift_four_state(m)
-    np.testing.assert_allclose(lift.transition.entries.sum(axis=1), 1.0, atol=1e-12)
-    assert abs(lift.pi.sum() - 1.0) <= 1e-12
-    assert np.all(lift.pi >= 0)
+    chain = as_chain(m)
+    np.testing.assert_allclose(chain.transition.sum(axis=1), 1.0, atol=1e-12)
+    assert abs(chain.pi.sum() - 1.0) <= 1e-12
+    assert np.all(chain.pi >= 0)
 
 
 def test_lift_pi_is_stationary():
     for t1, t in CASES.values():
         for m in (t1, t):
-            lift = lift_four_state(m)
-            np.testing.assert_allclose(
-                lift.pi @ lift.transition.entries, lift.pi, atol=1e-12
-            )
+            chain = as_chain(m)
+            np.testing.assert_allclose(chain.pi @ chain.transition, chain.pi, atol=1e-12)
 
 
 def test_lift_marginal_matches_two_state_stationary():
@@ -176,33 +194,38 @@ def test_lift_marginal_matches_two_state_stationary():
     # the 2-state stationary law
     m = CASE1_GEN
     path = sample_path(m, 100000, seed=11)
-    pi = stationary_distribution(transition_matrix(m))
+    pi0 = m.p10 / (m.p01 + m.p10)
     freq = np.mean(path.x == 0)
-    se = math.sqrt(pi[0] * (1 - pi[0]) / path.x.size)
-    assert abs(freq - pi[0]) <= 3 * se
+    se = math.sqrt(pi0 * (1 - pi0) / path.x.size)
+    assert abs(freq - pi0) <= 3 * se
 
 
-# --- emission density ---------------------------------------------------------
+# --- emission densities of the chain form ---------------------------------------
+
+
+def pair_pdf(m, i, j, y, y_prev):
+    """Family B's density f(y | X_{t-1}=i, X_t=j, y_prev) from its chain."""
+    return float(as_chain(m).emission_pdf(y, y_prev)[2 * i + j])
 
 
 def test_emission_peak_value():
     m = model_b(sigma=0.7)
     mean = m.psi2 * m.mu[0] + m.psi1 * m.mu[1] + m.phi * 0.3
-    val = emission_density(m, 0, 1, mean, 0.3)
+    val = pair_pdf(m, 0, 1, mean, 0.3)
     assert math.isclose(val, 1.0 / (0.7 * math.sqrt(2 * math.pi)), rel_tol=1e-12)
 
 
 @given(valid_model_b, st.floats(-5, 5), st.floats(0, 4))
 def test_emission_symmetric_about_mean(m, y_prev, c):
     mean = m.psi2 * m.mu[1] + m.psi1 * m.mu[0] + m.phi * y_prev
-    left = emission_density(m, 1, 0, mean - c, y_prev)
-    right = emission_density(m, 1, 0, mean + c, y_prev)
+    left = pair_pdf(m, 1, 0, mean - c, y_prev)
+    right = pair_pdf(m, 1, 0, mean + c, y_prev)
     assert math.isclose(left, right, rel_tol=1e-12)
 
 
 def test_emission_case1_value():
     # alternative model of pair 1: mean psi1*mu[0] = 1, sd 2, y = 3
-    val = emission_density(CASE1_ALT, 0, 0, 3.0, 0.0)
+    val = pair_pdf(CASE1_ALT, 0, 0, 3.0, 0.0)
     expect = math.exp(-0.5) / (2.0 * math.sqrt(2 * math.pi))
     assert math.isclose(val, expect, rel_tol=1e-12)
     assert math.isclose(val, 0.120985, abs_tol=1e-6)
@@ -213,14 +236,21 @@ def test_emission_case1_value():
 def test_emission_positive_and_finite(m, i, j, y, y_prev):
     # ranges chosen so the density stays above the double-precision floor
     assume(m.sigma >= 0.5)
-    val = emission_density(m, i, j, y, y_prev)
+    val = pair_pdf(m, i, j, y, y_prev)
     assert val > 0 and math.isfinite(val)
 
 
 def test_family_a_emission_ignores_previous_state():
+    # family A is not lifted: one chain state per regime, emitting
+    # N(mu[j] + psi[j] * y_prev, sigma[j]^2)
     m = ModelAParams(p00=0.7, p11=0.6, mu=(1.0, -1.0), psi=(0.2, 0.1),
                      sigma=(1.0, 1.5))
-    assert emission_density(m, 0, 1, 0.4, 0.9) == emission_density(m, 1, 1, 0.4, 0.9)
+    chain = as_chain(m)
+    assert chain.d == 2
+    for j in (0, 1):
+        z = (0.4 - m.mu[j] - m.psi[j] * 0.9) / m.sigma[j]
+        want = math.exp(-0.5 * z * z) / (m.sigma[j] * math.sqrt(2 * math.pi))
+        assert math.isclose(chain.emission_pdf(0.4, 0.9)[j], want, rel_tol=1e-12)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -101,10 +101,14 @@ def test_aggregation_from_shared_ratios_matches_direct_calls():
 
 
 def test_alpha_must_be_positive():
-    with pytest.raises(ValueError):
-        estimate_renyi_mc(CASE1_GEN, CASE1_ALT, -0.5, FAST)
-    with pytest.raises(ValueError):
-        estimate_renyi_mc(CASE1_GEN, CASE1_ALT, 0.0, FAST)
+    for alpha in (-0.5, 0.0, math.inf, math.nan, "q", None, True):
+        with pytest.raises(ValueError):
+            estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
+    # "kl" and orders within 1e-8 of 1 are the KL limit
+    kl = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
+    for alpha in ("KL", 1.0 + 1e-9):
+        est = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
+        assert est.alpha == 1.0 and est.mean == kl.mean
 
 
 def test_degenerate_filter_reports_replication():
