@@ -44,7 +44,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from . import cases as bench
 from .fredholm import (
     DivergenceResult,
     GridSpec,
+    GridTooCoarseError,
     build_kernel,
     case_mixtures,
     j_alpha,
@@ -67,20 +69,27 @@ from .models import (
     validate_model,
 )
 from .montecarlo import (
+    DivergenceEstimate,
     McConfig,
     estimate_from_log_ratios,
-    infinite_estimate,
     replication_log_ratios,
 )
 
 METHODS = ("mc", "fredholm")
-
-
-_FAMILIES = {"A": ModelAParams, "B": ModelBParams}
+# Fewest sds of an order's integrand tail (`tail_margin_sd`) the Fredholm
+# lattice must keep inside +-a: at 5 the error is 2.4e-3 relative, at 2.5 0.4.
+MIN_TAIL_MARGIN_SD = 6.0
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
+
+
+def _model_class(family, where: str) -> type:
+    """The model dataclass of a family string, "A" or "B"."""
+    if family not in ("A", "B"):
+        raise ConfigError(f"{where}: family must be 'A' or 'B', got {family!r}")
+    return ModelAParams if family == "A" else ModelBParams
 
 
 @dataclass(frozen=True)
@@ -94,29 +103,23 @@ class CaseSpec:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ConfigError(f"case {self.name!r}: family must be 'A' or 'B'")
-        want = _FAMILIES[self.family]
+        where = f"case {self.name!r}"
+        want = _model_class(self.family, where)
         for label, theta in (("theta1", self.theta1), ("theta", self.theta)):
             if not isinstance(theta, want):
-                raise ConfigError(
-                    f"case {self.name!r}: {label} does not match family {self.family}"
-                )
+                raise ConfigError(f"{where}: {label} does not match family {self.family}")
             problems = validate_model(theta)
             if problems:
-                raise ConfigError(
-                    f"case {self.name!r}: {label} invalid: " + "; ".join(problems)
-                )
-        alphas = tuple(self.alphas)
-        if not alphas:
-            raise ConfigError(f"case {self.name!r}: alphas must be non-empty")
-        for a in alphas:
+                raise ConfigError(f"{where}: {label} invalid: " + "; ".join(problems))
+        if not isinstance(self.alphas, (list, tuple)) or not self.alphas:
+            raise ConfigError(f"{where}: alphas must be a non-empty list, got {self.alphas!r}")
+        for a in self.alphas:
             try:
                 renyi_order(a)
             except ValueError as exc:
-                raise ConfigError(f"case {self.name!r}: {exc}") from exc
+                raise ConfigError(f"{where}: {exc}") from exc
         object.__setattr__(self, "alphas", tuple(
-            a.lower() if isinstance(a, str) else float(a) for a in alphas))
+            a.lower() if isinstance(a, str) else float(a) for a in self.alphas))
 
 
 @dataclass(frozen=True)
@@ -136,104 +139,86 @@ class ResultRow:
 
 
 def _settings(obj) -> dict:
-    """The init fields of a parameter dataclass by name, in field order."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+    """The init fields of a model, McConfig or GridSpec by name, in field
+    order, per-state pairs as lists: the JSON block `_read` reads back."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
-def _parse_theta(doc: dict, family: str, where: str):
+def _check_keys(doc, where: str, known, required=()) -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object")
-    cls = _FAMILIES[family]
-    keys = [f.name for f in fields(cls)]
-    missing = [k for k in keys if k not in doc]
+    missing = [k for k in required if k not in doc]
     if missing:
         raise ConfigError(f"{where}: missing key(s) {', '.join(missing)}")
-    extra = [k for k in doc if k not in keys]
+    extra = [k for k in doc if k not in known]
     if extra:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(extra)}")
+
+
+def _number(value, kind, where: str):
+    """A JSON number as kind (float or int); an int takes only an integral
+    number, so 2000.0 reads as 2000 and 2000.7 is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if kind is float:
+        return float(value)
     try:
-        # per-state fields (annotated tuple[...]) are pairs, the rest scalars
-        return cls(**{f.name: tuple(float(v) for v in doc[f.name])
-                      if str(f.type).startswith("tuple") else float(doc[f.name])
-                      for f in fields(cls)})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _theta_dict(theta) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in _settings(theta).items()}
-
-
-def _parse_settings(cls, doc: dict, where: str):
-    """Build McConfig or GridSpec from the keys the config gives; every
-    other field keeps its dataclass default, cast like that default."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected an object")
-    casts = {f.name: type(f.default) for f in fields(cls) if f.init}
-    extra = set(doc) - set(casts)
-    if extra:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(extra))}")
-    for k, v in doc.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{where}.{k}: expected a number, got {v!r}")
-    try:
-        return cls(**{k: casts[k](v) for k, v in doc.items()})
+        count = int(value)
     except (OverflowError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if count != value:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return count
 
 
-def _parse_alphas(raw, where: str) -> tuple:
-    """The list as given; `CaseSpec` checks and normalizes each order."""
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ConfigError(f"{where}.alphas: expected a non-empty list")
-    return tuple(raw)
+def _read(cls, doc, where: str):
+    """Build a model, McConfig or GridSpec from its JSON block. Each field
+    takes its type from the dataclass annotations (per-state pairs are
+    lists of numbers); fields without a default are required, the others
+    keep their default when the block leaves them out."""
+    init = [f for f in fields(cls) if f.init]
+    _check_keys(doc, where, [f.name for f in init],
+                [f.name for f in init if f.default is MISSING])
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for k, v in doc.items():
+        if typing.get_origin(hints[k]) is not tuple:
+            values[k] = _number(v, hints[k], f"{where}.{k}")
+        elif isinstance(v, list):
+            values[k] = tuple(_number(x, float, f"{where}.{k}") for x in v)
+        else:
+            raise ConfigError(f"{where}.{k}: expected a list, got {v!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> list[CaseSpec]:
     """Turn a parsed JSON document into CaseSpecs, applying top-level
     alphas/mc/grid as defaults that individual cases may override."""
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected an object")
-    if "cases" not in doc or not isinstance(doc["cases"], list) or not doc["cases"]:
+    _check_keys(doc, "top level", ("cases", "alphas", "mc", "grid"), ("cases",))
+    if not isinstance(doc["cases"], list) or not doc["cases"]:
         raise ConfigError("top level: 'cases' must be a non-empty list")
-    known = {"cases", "alphas", "mc", "grid"}
-    extra = set(doc) - known
-    if extra:
-        raise ConfigError(f"top level: unknown key(s) {', '.join(sorted(extra))}")
-
-    default_alphas = _parse_alphas(doc["alphas"], "top level") if "alphas" in doc else None
-    default_mc = _parse_settings(McConfig, doc.get("mc", {}), "top level.mc")
-    default_grid = _parse_settings(GridSpec, doc.get("grid", {}), "top level.grid")
+    default_mc = _read(McConfig, doc.get("mc", {}), "top level.mc")
+    default_grid = _read(GridSpec, doc.get("grid", {}), "top level.grid")
 
     specs = []
     for idx, c in enumerate(doc["cases"]):
         where = f"cases[{idx}]"
-        if not isinstance(c, dict):
-            raise ConfigError(f"{where}: expected an object")
-        for key in ("name", "family", "theta1", "theta"):
-            if key not in c:
-                raise ConfigError(f"{where}: missing key {key!r}")
-        unknown = set(c) - {"name", "family", "theta1", "theta", "alphas", "mc", "grid"}
-        if unknown:
-            raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
-        family = str(c["family"])
-        if family not in _FAMILIES:
-            raise ConfigError(f"{where}.family: must be 'A' or 'B', got {family!r}")
-        alphas = (_parse_alphas(c["alphas"], where) if "alphas" in c
-                  else default_alphas)
-        if alphas is None:
-            raise ConfigError(f"{where}: no alphas given (top-level or per-case)")
+        _check_keys(c, where, ("name", "family", "theta1", "theta", "alphas", "mc", "grid"),
+                    ("name", "family", "theta1", "theta"))
+        cls = _model_class(c["family"], f"{where}.family")
         specs.append(
             CaseSpec(
                 name=str(c["name"]),
-                family=family,
-                theta1=_parse_theta(c["theta1"], family, f"{where}.theta1"),
-                theta=_parse_theta(c["theta"], family, f"{where}.theta"),
-                alphas=alphas,
-                mc=(_parse_settings(McConfig, c["mc"], f"{where}.mc") if "mc" in c
-                    else default_mc),
-                grid=(_parse_settings(GridSpec, c["grid"], f"{where}.grid") if "grid" in c
-                      else default_grid),
+                family=c["family"],
+                theta1=_read(cls, c["theta1"], f"{where}.theta1"),
+                theta=_read(cls, c["theta"], f"{where}.theta"),
+                alphas=c.get("alphas", doc.get("alphas")),
+                mc=_read(McConfig, c["mc"], f"{where}.mc") if "mc" in c else default_mc,
+                grid=_read(GridSpec, c["grid"], f"{where}.grid") if "grid" in c else default_grid,
             )
         )
     names = [s.name for s in specs]
@@ -249,8 +234,8 @@ def serialize_config(specs: list[CaseSpec]) -> dict:
             {
                 "name": s.name,
                 "family": s.family,
-                "theta1": _theta_dict(s.theta1),
-                "theta": _theta_dict(s.theta),
+                "theta1": _settings(s.theta1),
+                "theta": _settings(s.theta),
                 "alphas": list(s.alphas),
                 "mc": _settings(s.mc),
                 "grid": _settings(s.grid),
@@ -294,6 +279,14 @@ def load_config(path: str) -> list[CaseSpec]:
 # execution
 
 
+def _orders(theta1, theta, alphas) -> tuple[dict, set]:
+    """{alpha: order} for every alpha (`models.renyi_order`), and the set
+    of alphas whose rate is infinite (`models.infinite_renyi_rate`)."""
+    orders = {a: renyi_order(a) for a in alphas}
+    return orders, {a for a, order in orders.items()
+                    if infinite_renyi_rate(theta1, theta, order)}
+
+
 def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]:
     """Fredholm values {alpha: rate} for every order in alphas, and the
     solver diagnostics.
@@ -311,16 +304,15 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     `tail_margin_sd` is the smallest grid.a / s_eff over the finite
     orders (`models.tail_sd`): how many standard deviations of the
     integrand's Gaussian tail the lattice keeps. None when every order is
-    infinite.
+    infinite. A finite order whose margin is below MIN_TAIL_MARGIN_SD
+    raises GridTooCoarseError before any kernel is built.
     """
-    orders = {a: renyi_order(a) for a in alphas}
-    infinite = {a for a, order in orders.items()
-                if infinite_renyi_rate(theta1, theta, order)}
+    orders, infinite = _orders(theta1, theta, alphas)
     values = dict.fromkeys(alphas, 0.0)
     diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
-    sds = [tail_sd(theta1, theta, order) for order in orders.values()]
-    diag["tail_margin_sd"] = min((grid.a / sd for sd in sds if math.isfinite(sd)),
-                                 default=None)
+    sds = {a: tail_sd(theta1, theta, order) for a, order in orders.items()}
+    margins = {a: grid.a / sd for a, sd in sds.items() if math.isfinite(sd)}
+    diag["tail_margin_sd"] = min(margins.values(), default=None)
 
     def timed(stage, layer, *args):
         t0 = time.perf_counter()
@@ -333,6 +325,11 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     elif len(infinite) == len(orders):
         values = dict.fromkeys(alphas, math.inf)
     else:
+        for a, margin in margins.items():
+            if margin < MIN_TAIL_MARGIN_SD:
+                raise GridTooCoarseError(
+                    f"alpha = {orders[a]:g}: the lattice keeps {margin:.2f} sds of the "
+                    f"integrand's tail, fewer than {MIN_TAIL_MARGIN_SD:g}; increase a")
         kernels = [timed("kernel_seconds", build_kernel, theta1, theta, grid)]
         solves = [timed("solve_seconds", solve_invariant, kernels[0])]
         with case_mixtures():  # every J of the case reads the same two mixtures
@@ -358,6 +355,20 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     return values, diag
 
 
+def _mc_values(theta1, theta, alphas, cfg: McConfig) -> tuple[dict, dict]:
+    """Simulation estimates {alpha: DivergenceEstimate} for every order in
+    alphas, and the stage timings. One `replication_log_ratios` call serves
+    every order; identical models give exactly 0 (the two filters run the
+    same arithmetic), and an infinite order mean inf without sampling."""
+    orders, infinite = _orders(theta1, theta, alphas)
+    diag = {"sample_seconds": 0.0, "filter_seconds": 0.0}
+    if len(infinite) < len(orders):
+        rho = replication_log_ratios(theta1, theta, cfg, timings=diag)
+    return {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
+            if a in infinite else estimate_from_log_ratios(rho, order)
+            for a, order in orders.items()}, diag
+
+
 def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> DivergenceResult:
     """Divergence rate of theta1 from theta by the deterministic engine:
     the one-order call of the per-case Fredholm pipeline.
@@ -371,6 +382,20 @@ def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> D
                             diagnostics=diag)
 
 
+def estimate_renyi_mc(p, q, alpha, cfg: McConfig | None = None) -> DivergenceEstimate:
+    """Renyi divergence rate of p from q by simulation: the one-order call
+    of the per-case simulation pipeline, with paths sampled under p. alpha
+    is a number or "kl", routed and checked as in `divergence_fredholm`."""
+    values, _ = _mc_values(p, q, (alpha,), cfg or McConfig())
+    return values[alpha]
+
+
+def estimate_kl_mc(p, q, cfg: McConfig | None = None) -> DivergenceEstimate:
+    """KL divergence rate estimate: each replication contributes the
+    normalized log likelihood ratio of its path."""
+    return estimate_renyi_mc(p, q, "kl", cfg)
+
+
 def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
     methods = tuple(methods)
     for m in methods:
@@ -379,46 +404,27 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
     if not methods:
         raise ValueError("at least one method is required")
 
-    n_rows = len(spec.alphas)
     diag: dict = {}
-    fred_values: dict = {}
-    fred_time = None
-    if "fredholm" in methods:
+    values = {"fredholm": {}, "mc": {}}
+    row_seconds = {}
+    for method, driver, settings in (("fredholm", _fredholm_values, spec.grid),
+                                     ("mc", _mc_values, spec.mc)):
+        if method not in methods:
+            continue
         t0 = time.perf_counter()
-        fred_values, fred_diag = _fredholm_values(spec.theta1, spec.theta,
-                                                  spec.alphas, spec.grid)
+        try:
+            values[method], stages = driver(spec.theta1, spec.theta, spec.alphas, settings)
+        except GridTooCoarseError as exc:
+            raise GridTooCoarseError(f"case {spec.name!r}: {exc}") from exc
         seconds = time.perf_counter() - t0
-        diag.update(fred_diag)
-        diag["fredholm_seconds"] = seconds
-        fred_time = seconds / n_rows
-
-    mc_rows: dict = {}
-    mc_time = None
-    if "mc" in methods:
-        t0 = time.perf_counter()
-        orders = {a: renyi_order(a) for a in spec.alphas}
-        infinite = {a for a, order in orders.items()
-                    if infinite_renyi_rate(spec.theta1, spec.theta, order)}
-        diag.update(sample_seconds=0.0, filter_seconds=0.0)
-        if len(infinite) < len(orders):  # no paths are needed when every order is inf
-            rho = replication_log_ratios(spec.theta1, spec.theta, spec.mc, timings=diag)
-        shared = time.perf_counter() - t0
-        per_alpha = []
-        for a in spec.alphas:
-            t1 = time.perf_counter()
-            if a in infinite:
-                est = infinite_estimate(orders[a], spec.mc.reps)
-            else:
-                est = estimate_from_log_ratios(rho, orders[a])
-            per_alpha.append(time.perf_counter() - t1)
-            mc_rows[a] = est
-        mc_time = {a: shared / n_rows + dt for a, dt in zip(spec.alphas, per_alpha)}
-        diag["mc_seconds"] = shared + sum(per_alpha)
+        diag.update(stages)
+        diag[f"{method}_seconds"] = seconds
+        row_seconds[method] = seconds / len(spec.alphas)
 
     rows = []
     for a in spec.alphas:
-        fred = fred_values.get(a)
-        est = mc_rows.get(a)
+        fred = values["fredholm"].get(a)
+        est = values["mc"].get(a)
         rel = None
         if (fred is not None and est is not None and est.mean != 0.0
                 and math.isfinite(est.mean)):
@@ -431,8 +437,8 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
                 mc_mean=None if est is None else est.mean,
                 mc_sd=None if est is None else est.std_dev,
                 rel_err_pct=rel,
-                fredholm_seconds=fred_time,
-                mc_seconds=None if mc_time is None else mc_time[a],
+                fredholm_seconds=row_seconds.get("fredholm"),
+                mc_seconds=row_seconds.get("mc"),
             )
         )
     return rows, diag
@@ -441,9 +447,9 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
 def run_case(spec: CaseSpec, methods=METHODS) -> list[ResultRow]:
     """One ResultRow per alpha, populated for the requested methods.
 
-    Work shared across the alpha grid (path simulation and filtering for MC,
-    kernel solves for Fredholm) is timed once and amortized evenly over the
-    rows, so the per-row times add up to the case's wall time.
+    Each engine runs once for the whole alpha grid (kernel solves for
+    Fredholm, path simulation and filtering for MC); its time is spread
+    evenly over the rows, so the per-row times add up to the case's.
     """
     rows, _ = _run_case(spec, methods)
     return rows
@@ -609,7 +615,6 @@ def selftest(out=print) -> bool:
     from .fredholm import (noncentral_chisq1_cdf, q_four_state, q_two_state,
                            simulate_q_four_state, simulate_q_two_state)
     from .models import sample_path
-    from .montecarlo import estimate_renyi_mc
     from scipy.stats import ncx2
 
     ok = True
@@ -719,7 +724,7 @@ def main(argv=None) -> int:
             return 2
     try:
         rows, failures = reproduce_table(args.config, methods, args.out, args.check)
-    except ConfigError as exc:
+    except (ConfigError, GridTooCoarseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(format_table(rows), end="")

@@ -49,6 +49,7 @@ from .models import (
     ModelBParams,
     _logsumexp,
     as_chain,
+    renyi_order,
     require_valid,
     transition_matrix,
 )
@@ -57,8 +58,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class GridTooCoarseError(ValueError):
-    """Discretization failed its sanity gate: a pre-normalization kernel
-    column sum fell outside [0.5, 1.5]. Increase N or a."""
+    """Discretization failed a sanity gate: a pre-normalization kernel
+    column sum fell outside [0.5, 1.5] (increase N or a), or the lattice
+    keeps too few sds of an order's integrand tail (increase a)."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -652,7 +654,8 @@ def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
     """J^alpha: expected (alpha-1) power of the one-step predictive-density
     ratio, against the invariant density m (solved with filter theta).
     The divergence is log(J^alpha)/(alpha-1)."""
-    if abs(alpha - 1.0) < 1e-12:
+    alpha = renyi_order(alpha)
+    if alpha == 1.0:
         raise ValueError("alpha = 1 has no power functional; use j_log")
     r = _mix_log(theta1, grid) - _mix_log(theta, grid)
     return _j_quadrature(theta1, m, grid, r, alpha)

@@ -16,6 +16,9 @@ is the standard error of the mean, sd / sqrt(reps).
 
 Replication r uses an independent generator seeded by a splitmix64 mix of
 (seed, r), so results are reproducible and independent of execution order.
+
+The per-case driver over a list of orders, and its one-order calls
+`estimate_renyi_mc` and `estimate_kl_mc`, live in `hmmdiv.cli`.
 """
 
 from __future__ import annotations
@@ -27,15 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import DegenerateInputError, batch_log_normalizers
-from .models import (
-    Model,
-    _logsumexp,
-    as_chain,
-    infinite_renyi_rate,
-    mix_seed,
-    renyi_order,
-    sample_paths,
-)
+from .models import Model, _logsumexp, as_chain, mix_seed, renyi_order, sample_paths
 
 
 @dataclass(frozen=True)
@@ -107,44 +102,16 @@ def replication_log_ratios(p: Model, q: Model, cfg: McConfig,
     return rho
 
 
-def estimate_from_log_ratios(rho: np.ndarray, alpha: float) -> DivergenceEstimate:
-    """Build the estimate for one alpha from precomputed log ratios."""
+def estimate_from_log_ratios(rho: np.ndarray, alpha) -> DivergenceEstimate:
+    """Build the estimate for one order from precomputed log ratios; alpha
+    is checked and resolved by `models.renyi_order`."""
+    alpha = renyi_order(alpha)
     n = rho.shape[1]
-    if abs(alpha - 1.0) < 1e-8:
+    if alpha == 1.0:
         stats = rho.mean(axis=1)
     else:
         stats = (_logsumexp((alpha - 1.0) * rho, axis=1) - math.log(n)) / (alpha - 1.0)
     sd = float(stats.std(ddof=1)) if stats.shape[0] > 1 else 0.0
     return DivergenceEstimate(
-        alpha=float(alpha), mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0]
+        alpha=alpha, mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0]
     )
-
-
-def infinite_estimate(alpha: float, reps: int) -> DivergenceEstimate:
-    """The estimate of an order whose rate is infinite: every replication's
-    power average diverges, so the mean is inf and there is no spread."""
-    return DivergenceEstimate(alpha=alpha, mean=math.inf, std_dev=0.0, reps=reps)
-
-
-def estimate_kl_mc(p: Model, q: Model, cfg: McConfig | None = None) -> DivergenceEstimate:
-    """KL divergence rate estimate: each replication contributes the
-    normalized log likelihood ratio of its path."""
-    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg or McConfig()), 1.0)
-
-
-def estimate_renyi_mc(p: Model, q: Model, alpha: float,
-                      cfg: McConfig | None = None) -> DivergenceEstimate:
-    """Renyi divergence rate estimate of order alpha.
-
-    Orders within 1e-8 of 1 fall back to the KL statistic, the alpha -> 1
-    limit of the power average. For p = q the per-step ratios are exact
-    zeros (the two filters run identical arithmetic), so the estimate is
-    exactly 0 for every alpha and seed. An order whose rate is infinite
-    (`models.infinite_renyi_rate`) returns mean inf without sampling. An
-    order that `models.renyi_order` rejects raises ValueError.
-    """
-    alpha = renyi_order(alpha)
-    cfg = cfg or McConfig()
-    if infinite_renyi_rate(p, q, alpha):
-        return infinite_estimate(alpha, cfg.reps)
-    return estimate_from_log_ratios(replication_log_ratios(p, q, cfg), alpha)

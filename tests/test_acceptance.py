@@ -16,6 +16,7 @@ from scipy.stats import ncx2
 from hmmdiv import (
     CaseSpec,
     GridSpec,
+    GridTooCoarseError,
     McConfig,
     ModelAParams,
     ModelBParams,
@@ -197,6 +198,19 @@ def test_infinite_renyi_orders_are_explicit():
     assert check_rows([spec], [dataclasses.replace(infinite, mc_mean=3.0, mc_sd=1.0)])
     exact = gaussian_renyi(2.0, 1.5, 1.0, 1.0, 1.5)
     assert abs(finite.fredholm - exact) <= 1e-3, (finite.fredholm, exact)
+
+
+def test_lattice_truncation_is_refused_near_the_infinite_order():
+    # case 8 with sigma1 = 1.5 (infinite from alpha = 1.8): at a = 15 the
+    # lattice keeps 6.12 sds of the integrand's tail at 1.5, 5.0 at 1.6 and
+    # 2.5 at 1.75, where the truncated value would be 0.4 relative off
+    theta1, theta = dataclasses.replace(CASES[8][0], sigma=1.5), CASES[8][1]
+    exact = gaussian_renyi(2.0, 1.5, 1.0, 1.0, 1.5)
+    value = divergence_fredholm(theta1, theta, 1.5).value
+    assert abs(value - exact) <= 1e-4 * exact, (value, exact)
+    for alpha in (1.6, 1.75):
+        with pytest.raises(GridTooCoarseError, match="increase a"):
+            divergence_fredholm(theta1, theta, alpha)
 
 
 def test_divergence_continuous_at_alpha_one(fredholm_results):

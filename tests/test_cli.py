@@ -16,10 +16,12 @@ from hmmdiv import (
     CaseSpec,
     ConfigError,
     GridSpec,
+    GridTooCoarseError,
     McConfig,
     ResultRow,
     default_config,
     divergence_fredholm,
+    estimate_renyi_mc,
     load_config,
     parse_config,
     reproduce_table,
@@ -115,6 +117,14 @@ def test_per_case_overrides():
         (lambda d: d["cases"][0].update(mc=[1]), "cases[0].mc: expected an object"),
         (lambda d: d.update(mc={"reps": True}), "top level.mc.reps: expected a number"),
         (lambda d: d.update(mc={"n": math.inf}), "cannot convert float infinity"),
+        (lambda d: d["cases"][0].update(mc={"n": 2000.7}),
+         "cases[0].mc.n: expected an integer, got 2000.7"),
+        (lambda d: d["cases"][0].update(mc={"seed": 1.5}),
+         "cases[0].mc.seed: expected an integer, got 1.5"),
+        (lambda d: d["cases"][0].update(grid={"N": 16.9}),
+         "cases[0].grid.N: expected an integer, got 16.9"),
+        (lambda d: d["cases"][0]["theta1"].update(mu=2.0),
+         "cases[0].theta1.mu: expected a list, got 2.0"),
     ],
 )
 def test_config_errors_name_the_key(mangle, needle):
@@ -123,6 +133,13 @@ def test_config_errors_name_the_key(mangle, needle):
     with pytest.raises(ConfigError, match=None) as exc:
         parse_config(doc)
     assert needle in str(exc.value)
+
+
+def test_integral_floats_read_as_counts():
+    doc = tiny_doc(mc={"n": 300.0, "seed": 7.0}, grid={"N": 8.0})
+    spec = parse_config(doc)[0]
+    assert spec.mc == McConfig(n=300, seed=7) and spec.grid == GridSpec(N=8)
+    assert type(spec.mc.n) is int and type(spec.grid.N) is int
 
 
 def test_duplicate_names_rejected():
@@ -205,6 +222,15 @@ def test_run_case_fredholm_column_is_divergence_fredholm():
         assert repr(row.fredholm) == repr(want), row.alpha
 
 
+def test_run_case_mc_column_is_estimate_renyi_mc():
+    t1, t = bench.CASES[1]
+    mc = McConfig(n=200, reps=5, burn_in=20, seed=3)
+    spec = CaseSpec("case1", "B", t1, t, ("kl", 0.5, 2.0), mc=mc)
+    for row in run_case(spec, ("mc",)):
+        want = estimate_renyi_mc(t1, t, row.alpha, mc)
+        assert (repr(row.mc_mean), repr(row.mc_sd)) == (repr(want.mean), repr(want.std_dev))
+
+
 def test_fredholm_layers_are_looked_up_on_cli(monkeypatch):
     # the benchmark's tracer and fault injection patch these names on cli
     calls = {}
@@ -242,10 +268,10 @@ def test_fredholm_stage_timings_in_diagnostics():
 
 def test_fredholm_tail_margin_in_diagnostics(fredholm_cases):
     # sigma1 = 1.5 against sigma = 1 at order 1.75: s_eff = 6, so the
-    # a = 15 lattice keeps only 2.5 tail sds; order 2 is infinite
+    # a = 15 lattice keeps only 2.5 tail sds and is refused; order 2 is infinite
     wide = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
-    res = divergence_fredholm(wide, bench.CASES[8][1], 1.75)
-    assert res.diagnostics["tail_margin_sd"] == pytest.approx(2.5, rel=1e-12)
+    with pytest.raises(GridTooCoarseError, match=r"alpha = 1\.75: the lattice keeps 2\.50 sds"):
+        divergence_fredholm(wide, bench.CASES[8][1], 1.75)
     _, diag = cli._fredholm_values(wide, bench.CASES[8][1], (2.0,), GridSpec())
     assert diag["tail_margin_sd"] is None
     for cid, (t1, t) in bench.CASES.items():
@@ -457,6 +483,19 @@ def test_main_config_errors_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps(tiny_doc(alphas=(None,))))  # "alphas": [null]
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error: case 'c8'" in capsys.readouterr().err
+
+
+def test_main_rejected_lattice_exits_two(tmp_path, capsys):
+    # case 7 at N = 8 fails the kernel's column-sum gate
+    t1, t = bench.CASES[7]
+    spec = CaseSpec("case7", "B", t1, t, ("kl",), mc=McConfig(n=100, reps=4, burn_in=10),
+                    grid=GridSpec(N=8))
+    with pytest.raises(GridTooCoarseError, match="case 'case7'"):
+        run_case(spec)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(serialize_config([spec])))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: case 'case7': " in capsys.readouterr().err
 
 
 def test_main_invalid_thread_env_exits_two(tmp_path, monkeypatch):

@@ -459,6 +459,11 @@ def test_divergence_rejects_orders_outside_the_domain(monkeypatch):
     for alpha in (-0.5, 0.0, math.inf, math.nan, "q", None):
         with pytest.raises(ValueError):
             divergence_fredholm(CASE1_GEN, CASE1_ALT, alpha)
+        with pytest.raises(ValueError):
+            j_alpha(CASE1_GEN, CASE1_ALT, alpha, None, GridSpec())
+    # an order within 1e-8 of 1 is the KL limit, which has no power functional
+    with pytest.raises(ValueError, match="use j_log"):
+        j_alpha(CASE1_GEN, CASE1_ALT, 1.0 + 1e-9, None, GridSpec())
 
 
 def test_divergence_diagnostics_present():

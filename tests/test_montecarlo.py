@@ -101,14 +101,23 @@ def test_aggregation_from_shared_ratios_matches_direct_calls():
 
 
 def test_alpha_must_be_positive():
+    rho = replication_log_ratios(CASE1_GEN, CASE1_ALT, FAST)
     for alpha in (-0.5, 0.0, math.inf, math.nan, "q", None, True):
         with pytest.raises(ValueError):
             estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
+        with pytest.raises(ValueError):
+            estimate_from_log_ratios(rho, alpha)
     # "kl" and orders within 1e-8 of 1 are the KL limit
     kl = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
     for alpha in ("KL", 1.0 + 1e-9):
         est = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
         assert est.alpha == 1.0 and est.mean == kl.mean
+        assert estimate_from_log_ratios(rho, alpha) == kl
+
+
+def test_kl_call_is_the_kl_order():
+    for p, q in ((CASE1_GEN, CASE1_ALT), CASES[7]):
+        assert estimate_kl_mc(p, q, FAST) == estimate_renyi_mc(p, q, "kl", FAST)
 
 
 def test_degenerate_filter_reports_replication():
