@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -287,6 +288,23 @@ def _orders(theta1, theta, alphas) -> tuple[dict, set]:
                     if infinite_renyi_rate(theta1, theta, order)}
 
 
+def _tail_margin(theta1, theta, alphas, grid: GridSpec) -> float | None:
+    """The smallest grid.a / s_eff over the finite orders (`models.tail_sd`):
+    how many standard deviations of the integrand's Gaussian tail the
+    lattice keeps; None when every order is infinite. Unless the models are
+    identical, a margin below MIN_TAIL_MARGIN_SD raises GridTooCoarseError."""
+    margins = []
+    for order in _orders(theta1, theta, alphas)[0].values():
+        sd = tail_sd(theta1, theta, order)
+        if math.isfinite(sd):
+            margins.append(grid.a / sd)
+            if margins[-1] < MIN_TAIL_MARGIN_SD and theta1 != theta:
+                raise GridTooCoarseError(
+                    f"alpha = {order:g}: the lattice keeps {margins[-1]:.2f} sds of the "
+                    f"integrand's tail, fewer than {MIN_TAIL_MARGIN_SD:g}; increase a")
+    return min(margins, default=None)
+
+
 def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]:
     """Fredholm values {alpha: rate} for every order in alphas, and the
     solver diagnostics.
@@ -300,19 +318,14 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     is, no kernel is built.
 
     The diagnostics time the three stages: kernel assembly, invariant
-    solves and the J quadratures (`j_log` and `j_alpha` together).
-    `tail_margin_sd` is the smallest grid.a / s_eff over the finite
-    orders (`models.tail_sd`): how many standard deviations of the
-    integrand's Gaussian tail the lattice keeps. None when every order is
-    infinite. A finite order whose margin is below MIN_TAIL_MARGIN_SD
-    raises GridTooCoarseError before any kernel is built.
+    solves and the J quadratures (`j_log` and `j_alpha` together), and
+    hold `tail_margin_sd` (`_tail_margin`), which is checked before any
+    kernel is built.
     """
     orders, infinite = _orders(theta1, theta, alphas)
     values = dict.fromkeys(alphas, 0.0)
     diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
-    sds = {a: tail_sd(theta1, theta, order) for a, order in orders.items()}
-    margins = {a: grid.a / sd for a, sd in sds.items() if math.isfinite(sd)}
-    diag["tail_margin_sd"] = min(margins.values(), default=None)
+    diag["tail_margin_sd"] = _tail_margin(theta1, theta, alphas, grid)
 
     def timed(stage, layer, *args):
         t0 = time.perf_counter()
@@ -325,11 +338,6 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     elif len(infinite) == len(orders):
         values = dict.fromkeys(alphas, math.inf)
     else:
-        for a, margin in margins.items():
-            if margin < MIN_TAIL_MARGIN_SD:
-                raise GridTooCoarseError(
-                    f"alpha = {orders[a]:g}: the lattice keeps {margin:.2f} sds of the "
-                    f"integrand's tail, fewer than {MIN_TAIL_MARGIN_SD:g}; increase a")
         kernels = [timed("kernel_seconds", build_kernel, theta1, theta, grid)]
         solves = [timed("solve_seconds", solve_invariant, kernels[0])]
         with case_mixtures():  # every J of the case reads the same two mixtures
@@ -396,6 +404,15 @@ def estimate_kl_mc(p, q, cfg: McConfig | None = None) -> DivergenceEstimate:
     return estimate_renyi_mc(p, q, "kl", cfg)
 
 
+@contextlib.contextmanager
+def _named(spec: CaseSpec):
+    """Re-raise a GridTooCoarseError with the case's name."""
+    try:
+        yield
+    except GridTooCoarseError as exc:
+        raise GridTooCoarseError(f"case {spec.name!r}: {exc}") from exc
+
+
 def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
     methods = tuple(methods)
     for m in methods:
@@ -412,10 +429,8 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
         if method not in methods:
             continue
         t0 = time.perf_counter()
-        try:
+        with _named(spec):
             values[method], stages = driver(spec.theta1, spec.theta, spec.alphas, settings)
-        except GridTooCoarseError as exc:
-            raise GridTooCoarseError(f"case {spec.name!r}: {exc}") from exc
         seconds = time.perf_counter() - t0
         diag.update(stages)
         diag[f"{method}_seconds"] = seconds
@@ -470,7 +485,12 @@ def _thread_count(n_cases: int) -> int:
 
 def run_cases(specs: list[CaseSpec], methods=METHODS, with_diagnostics=False):
     """Run every case, possibly concurrently; row order is by case then
-    alpha regardless of scheduling."""
+    alpha regardless of scheduling. With the Fredholm engine, every case's
+    tail margin is checked before any case runs."""
+    if "fredholm" in methods:
+        for s in specs:
+            with _named(s):
+                _tail_margin(s.theta1, s.theta, s.alphas, s.grid)
     workers = _thread_count(len(specs))
     if workers == 1:
         results = [_run_case(s, methods) for s in specs]
@@ -612,8 +632,8 @@ def selftest(out=print) -> bool:
     passes."""
     from .cases import CASES, gaussian_kl
     from .forward import brute_force_log_likelihood, log_likelihood
-    from .fredholm import (noncentral_chisq1_cdf, q_four_state, q_two_state,
-                           simulate_q_four_state, simulate_q_two_state)
+    from .fredholm import (noncentral_chisq1_cdf, q, simulate_q_four_state,
+                           simulate_q_two_state)
     from .models import sample_path
     from scipy.stats import ncx2
 
@@ -651,11 +671,12 @@ def selftest(out=print) -> bool:
     ta_filt = ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9))
     worst = 0.0
     for _ in range(3):
+        x = float(rng.uniform(0.1, 0.9))
         u = float(rng.normal())
-        z = float(rng.uniform(0.2, 4.0))
+        w = float(rng.uniform(0.05, 0.95))
         j = int(rng.integers(0, 2))
-        qv = q_two_state(u, z, j, ta_gen, ta_filt)
-        mc = simulate_q_two_state(u, z, j, ta_gen, ta_filt, rng, size)
+        qv = q(x, u, w, j, ta_gen, ta_filt)
+        mc = simulate_q_two_state(x, u, w, j, ta_gen, ta_filt, rng, size)
         se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
         worst = max(worst, abs(qv - mc) / se)
     report("two-state Q vs indicator simulation", worst <= 4.0,
@@ -669,7 +690,7 @@ def selftest(out=print) -> bool:
         w = float(rng.uniform(0.05, 0.95))
         j = int(rng.integers(0, 2))
         k = int(rng.integers(0, 2))
-        qv = q_four_state(x, u, w, j, k, tb1, tb)
+        qv = q(x, u, w, 2 * j + k, tb1, tb)
         mc = simulate_q_four_state(x, u, w, j, k, tb1, tb, rng, size)
         se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
         worst = max(worst, abs(qv - mc) / se)

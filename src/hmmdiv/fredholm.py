@@ -20,13 +20,14 @@ Both model families run through one code path on their common chain form
 N(c_s + b_s * y_prev, s_s^2), with family B lifted to the four pair states
 (X_{t-1}, X_t). One assembler builds the kernel, one predictive mixture and
 one quadrature evaluate the functionals; the lifted chain's zero transitions
-encode that a pair (i, j) can only move to (j, k). Only Q is family-specific.
-The two-state family (per-state AR emissions) admits a closed form for Q
-through a noncentral chi-square CDF. For the two-lag family Q is the
-probability that a signed four-term Gaussian mixture is nonpositive, which
-this module evaluates exactly by locating the mixture's sign changes (an
-exponential-sum root cascade) and summing Gaussian CDF masses over the
-nonpositive intervals.
+encode that a pair (i, j) can only move to (j, k). Q, too, is one function
+of the two chains (`q`), which picks its evaluator by the filter's state
+count. A two-state filter (family A, per-state AR emissions) admits a
+closed form through a noncentral chi-square CDF. For the four pair states
+Q is the probability that a signed Gaussian mixture with one variance is
+nonpositive, which this module evaluates exactly by locating the
+mixture's sign changes (an exponential-sum root cascade) and summing
+Gaussian CDF masses over the nonpositive intervals.
 
 Throughout, theta1 denotes the data-generating model and theta the
 alternative; filter weights track P(X_t = 0 | data). `hmmdiv.cli` combines
@@ -50,7 +51,7 @@ from .models import (
     _logsumexp,
     as_chain,
     renyi_order,
-    require_valid,
+    require_counts,
     transition_matrix,
 )
 
@@ -85,10 +86,11 @@ class GridSpec:
     delta: float = field(init=False)
 
     def __post_init__(self):
+        require_counts(self, ("N", "quad_points"))
         if self.N < 4:
             raise ValueError(f"N must be at least 4, got {self.N}")
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
         if self.quad_points < 51 or self.quad_points % 2 == 0:
             raise ValueError(
                 f"quad_points must be odd and at least 51, got {self.quad_points}"
@@ -165,74 +167,26 @@ def noncentral_chisq1_cdf(x, lam):
 
 
 # ---------------------------------------------------------------------------
-# two-state Q (per-state AR family): closed form
-
-
-def _q_two_state_array(u, z, j: int, tg: ModelAParams, tf: ModelAParams):
-    """P( f0(Y|u; tf)/f1(Y|u; tf) <= z ) with Y drawn from state j of tg
-    given Y_prev = u. Vectorized over broadcastable u, z with z > 0.
-
-    The log ratio is the quadratic zeta*y^2 + 2*eta*y + nu + log(s1/s0), so
-    for zeta != 0 the event is a noncentral chi-square tail and for equal
-    filter variances it is a single Gaussian CDF.
-    """
-    u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
-    s0, s1 = tf.sigma
-    m0 = tf.mu[0] + tf.psi[0] * u
-    m1 = tf.mu[1] + tf.psi[1] * u
-    mg = tg.mu[j] + tg.psi[j] * u
-    sg = tg.sigma[j]
-
-    zeta = 1.0 / (2.0 * s1 * s1) - 1.0 / (2.0 * s0 * s0)
-    eta = m0 / (2.0 * s0 * s0) - m1 / (2.0 * s1 * s1)
-    nu = -(m0 * m0) / (2.0 * s0 * s0) + (m1 * m1) / (2.0 * s1 * s1)
-
-    if abs(zeta) > 1e-12:
-        t = np.log(z * s0 / s1) / zeta + (eta / zeta) ** 2 - nu / zeta
-        lam = ((mg + eta / zeta) / sg) ** 2
-        cdf = noncentral_chisq1_cdf(t / (sg * sg), lam)
-        return cdf if zeta > 0 else 1.0 - cdf
-
-    # equal filter variances: log ratio is linear in y with slope 2*eta
-    a0 = math.log(s1 / s0) + nu
-    gap = np.log(z) - a0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        yc = gap / (2.0 * eta)
-        up = ndtr((yc - mg) / sg)
-    flat = np.where(gap >= 0.0, 1.0, 0.0)  # ratio constant in y
-    return np.where(eta > 0, up, np.where(eta < 0, 1.0 - up, flat))
-
-
-def q_two_state(u: float, z: float, j: int, theta_gen: ModelAParams,
-                theta_filt: ModelAParams) -> float:
-    """Conditional CDF of the filter's emission-density ratio at level z.
-
-    z <= 0 returns 0: the ratio of two Gaussian densities is strictly
-    positive, so its distribution puts no mass at or below 0.
-    """
-    if z <= 0.0:
-        return 0.0
-    return float(_q_two_state_array(u, z, j, theta_gen, theta_filt))
-
-
-# ---------------------------------------------------------------------------
-# four-state Q (two-lag family): exact sign-interval evaluation
+# Q on the chain form
 #
-# The event {W_t <= x} is {h(Y) <= 0} for the signed mixture
+# With predictive state probabilities pred_s = w T[0, s] + (1 - w) T[1, s]
+# under the filter chain, the next weight is the posterior mass of the
+# states ending in primitive state 0, and the event {W_t <= x} is {h(Y) <= 0}
+# for the signed mixture
 #
-#   h(y) = (1-x) p00 w f00(y|u) - x p01 w f01(y|u)
-#        + (1-x) p10 (1-w) f10(y|u) - x p11 (1-w) f11(y|u)
+#   h(y) = sum_s sign_s pred_s f_s(y | u),   sign_s = 1 - x (s even), -x (s odd).
 #
-# (probabilities and densities under the filter model). All four components
-# share one variance, so sign(h(y)) = sign(sum_r c_r exp(e_r y)): an
-# exponential sum with at most 4 terms and hence at most 3 real roots.
-# Roots of an exponential sum are separated by roots of its derivative,
-# which is again an exponential sum with one term fewer, so a short cascade
-# (closed form at 2 terms, bisection between critical points above) finds
-# every root. Q is then the generating-density mass of the intervals where
-# the sign is <= 0. This is exact up to CDF rounding, which the simulation
-# oracles require; an indicator quadrature at realistic node counts is not.
+# Two states (family A) admit a closed form: h <= 0 says the density ratio
+# f_0/f_1 is at most z = (x / (1 - x)) pred_1 / pred_0, a noncentral
+# chi-square event. The pair lift (family B) shares one variance, so
+# sign(h(y)) = sign(sum_r c_r exp(e_r y)): an exponential sum with at most
+# 4 terms and hence at most 3 real roots. Roots of an exponential sum are
+# separated by roots of its derivative, which is again an exponential sum
+# with one term fewer, so a short cascade (closed form at 2 terms, bisection
+# between critical points above) finds every root. Q is then the
+# generating-density mass of the intervals where the sign is <= 0. This is
+# exact up to CDF rounding, which the simulation oracles require; an
+# indicator quadrature at realistic node counts is not.
 
 
 def _sign_exp_sum(e, logmag, sgn, y):
@@ -299,43 +253,57 @@ def _exp_sum_roots(e, c, lo, hi):
     return np.sort(roots, axis=1)
 
 
-def _q_four_state_batch(x, u, w, j: int, k: int, tg: ModelBParams,
-                        tf: ModelBParams):
-    """Q_{jk}(x; u, w) for flat arrays x, u, w of equal length."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
+def _chains(theta_gen, theta_filt) -> tuple[LinearGaussianChain, LinearGaussianChain]:
+    """The chain forms of a model pair of one family; a mixed pair raises
+    TypeError."""
+    if not (type(theta_gen) is type(theta_filt)
+            and isinstance(theta_gen, (ModelAParams, ModelBParams))):
+        raise TypeError("theta_gen and theta_filt must both be family A "
+                        "(per-state AR) or both family B (two-lag) parameters")
+    return as_chain(theta_gen), as_chain(theta_filt)
 
-    mu_f = np.asarray(tf.mu, dtype=float)
-    sf = tf.sigma
-    pf = transition_matrix(tf)
-    # signed coefficients of the four pair components (00, 01, 10, 11)
-    s_coef = np.stack(
-        [
-            (1.0 - x) * pf[0, 0] * w,
-            -x * pf[0, 1] * w,
-            (1.0 - x) * pf[1, 0] * (1.0 - w),
-            -x * pf[1, 1] * (1.0 - w),
-        ],
-        axis=-1,
-    )
-    base = np.array(
-        [tf.psi2 * mu_f[i] + tf.psi1 * mu_f[jj] for i in (0, 1) for jj in (0, 1)]
-    )
-    # components with equal means merge; the grouping is structural (it
-    # depends on psi1, psi2, mu only), so it is shared by the whole batch
-    uniq, inverse = np.unique(base, return_inverse=True)
-    T = uniq.shape[0]
-    means = uniq[None, :] + tf.phi * u[:, None]
-    coef = np.zeros((x.shape[0], T))
-    for r in range(4):
-        coef[:, inverse[r]] += s_coef[:, r]
+
+def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChain):
+    """Q(x; t, u, w) for flat arrays x, u, w of one length, x in (0, 1) and
+    w in [0, 1]: Y drawn from state t of gen given Y_prev = u, the filter
+    run under filt from weight w. Closed form for a two-state filter, the
+    root cascade otherwise."""
+    mg = gen.c[t] + gen.b[t] * u
+    sg = gen.s[t]
+    if filt.d == 2:
+        pred = _predictive(filt.transition, w)
+        z = (x / (1.0 - x)) * (pred[:, 1] / pred[:, 0])
+        # log(f0/f1) is the quadratic zeta*y^2 + 2*eta*y + nu + log(s1/s0)
+        s0, s1 = filt.s
+        m0 = filt.c[0] + filt.b[0] * u
+        m1 = filt.c[1] + filt.b[1] * u
+        zeta = 1.0 / (2.0 * s1 * s1) - 1.0 / (2.0 * s0 * s0)
+        eta = m0 / (2.0 * s0 * s0) - m1 / (2.0 * s1 * s1)
+        nu = -(m0 * m0) / (2.0 * s0 * s0) + (m1 * m1) / (2.0 * s1 * s1)
+        if abs(zeta) > 1e-12:
+            thr = np.log(z * s0 / s1) / zeta + (eta / zeta) ** 2 - nu / zeta
+            lam = ((mg + eta / zeta) / sg) ** 2
+            cdf = noncentral_chisq1_cdf(thr / (sg * sg), lam)
+            return cdf if zeta > 0 else 1.0 - cdf
+        # equal filter variances: the log ratio is linear in y with slope 2*eta
+        gap = np.log(z) - (math.log(s1 / s0) + nu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = ndtr((gap / (2.0 * eta) - mg) / sg)
+        flat = np.where(gap >= 0.0, 1.0, 0.0)  # ratio constant in y
+        return np.where(eta > 0, up, np.where(eta < 0, 1.0 - up, flat))
+
+    # components with equal (c, b) merge; the grouping is structural, so it
+    # is shared by the whole batch
+    uniq, inverse = np.unique(np.stack([filt.c, filt.b], axis=1), axis=0, return_inverse=True)
+    means = uniq[:, 0] + uniq[:, 1] * u[:, None]
+    sf = filt.s[0]  # the pair lift has one variance
+    coef = np.zeros(means.shape)
+    sign = (1.0 - x, -x)  # chain state s ends in primitive state s % 2
+    for s in range(filt.d):
+        coef[:, inverse[s]] += (sign[s % 2] * filt.transition[0, s] * w
+                                + sign[s % 2] * filt.transition[1, s] * (1.0 - w))
     coef = coef * np.exp(-(means ** 2) / (2.0 * sf * sf))
     expo = means / (sf * sf)
-
-    mu_g = np.asarray(tg.mu, dtype=float)
-    mg = tg.psi2 * mu_g[j] + tg.psi1 * mu_g[k] + tg.phi * u
-    sg = tg.sigma
 
     span = 12.0 * max(sf, sg)
     lo = np.minimum(means.min(axis=1), mg) - span
@@ -358,34 +326,36 @@ def _q_four_state_batch(x, u, w, j: int, k: int, tg: ModelBParams,
     return np.clip(mass, 0.0, 1.0)
 
 
-def q_four_state(x: float, u: float, w: float, j: int, k: int,
-                 theta_gen: ModelBParams, theta_filt: ModelBParams) -> float:
-    """P(W_t <= x | pair state (j, k), Y_{t-1} = u, previous weight w), with
-    Y_t drawn from the generating pair density and the filter run under
-    theta_filt. x outside (0, 1) is decided by sign analysis: every
-    surviving term of h has one sign."""
+def q(x: float, u: float, w: float, t: int, theta_gen, theta_filt) -> float:
+    """P(W_t <= x | state t, Y_{t-1} = u, previous weight w): Y_t drawn
+    from state t of theta_gen's chain form, the filter run under
+    theta_filt. For family B, t = 2j + k is the pair state (j, k). x <= 0
+    gives 0 and x >= 1 gives 1, since the weight lies in [0, 1]."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
+    gen, filt = _chains(theta_gen, theta_filt)
+    if t not in range(gen.d):
+        raise ValueError(f"t must be a state in 0..{gen.d - 1}, got {t}")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    out = _q_four_state_batch(
-        np.array([x]), np.array([u]), np.array([w]), j, k, theta_gen, theta_filt
-    )
-    return float(out[0])
+    return float(_q_batch(np.array([x]), np.array([u]), np.array([w]), t, gen, filt)[0])
 
 
 # Indicator simulations of Q for the selftest and the tests: the share of
 # `size` draws of Y (from rng's standard normals) whose filter event holds.
 
 
-def simulate_q_two_state(u, z, j, tg: ModelAParams, tf: ModelAParams,
+def simulate_q_two_state(x, u, w, j, tg: ModelAParams, tf: ModelAParams,
                          rng: np.random.Generator, size: int) -> float:
     y = tg.mu[j] + tg.psi[j] * u + tg.sigma[j] * rng.standard_normal(size)
-    num = np.exp(-0.5 * ((y - tf.mu[0] - tf.psi[0] * u) / tf.sigma[0]) ** 2) / tf.sigma[0]
-    den = np.exp(-0.5 * ((y - tf.mu[1] - tf.psi[1] * u) / tf.sigma[1]) ** 2) / tf.sigma[1]
-    return float(np.mean(num / den <= z))
+    pf = transition_matrix(tf)
+    f = [np.exp(-0.5 * ((y - tf.mu[i] - tf.psi[i] * u) / tf.sigma[i]) ** 2) / tf.sigma[i]
+         for i in (0, 1)]
+    g = ((1 - x) * (w * pf[0, 0] + (1 - w) * pf[1, 0]) * f[0]
+         - x * (w * pf[0, 1] + (1 - w) * pf[1, 1]) * f[1])
+    return float(np.mean(g <= 0))
 
 
 def simulate_q_four_state(x, u, w, j, k, tg: ModelBParams, tf: ModelBParams,
@@ -417,23 +387,11 @@ def _predictive(transition: np.ndarray, w_nodes) -> np.ndarray:
     return w_nodes[:, None] * transition[0] + (1.0 - w_nodes)[:, None] * transition[1]
 
 
-def _q_half_two_state(tg: ModelAParams, tf: ModelAParams, grid: GridSpec) -> np.ndarray:
-    """Closed-form Q at the half nodes, shape (state, u, half, w)."""
-    half = grid.x_half_nodes
-    pred = _predictive(transition_matrix(tf), grid.x_nodes)
-    # z(w, x): odds x/(1-x) scaled by the filter's predictive probabilities
-    zhalf = (half[:, None] / (1.0 - half[:, None])) * (pred[:, 1] / pred[:, 0])[None, :]
-    u = grid.v_nodes[:, None, None]
-    return np.stack([_q_two_state_array(u, zhalf[None, :, :], j, tg, tf) for j in (0, 1)])
-
-
-def _q_half_four_state(tg: ModelBParams, tf: ModelBParams, grid: GridSpec) -> np.ndarray:
-    """Root-cascade Q at the half nodes, shape (pair state, u, half, w)."""
+def _q_half(gen: LinearGaussianChain, filt: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
+    """Q at the half nodes, shape (state, u, half, w)."""
     ug, xg, wg = np.meshgrid(grid.v_nodes, grid.x_half_nodes, grid.x_nodes, indexing="ij")
-    return np.stack(
-        [_q_four_state_batch(xg.ravel(), ug.ravel(), wg.ravel(), j, k, tg, tf).reshape(ug.shape)
-         for j in (0, 1) for k in (0, 1)]
-    )
+    return np.stack([_q_batch(xg.ravel(), ug.ravel(), wg.ravel(), t, gen, filt).reshape(ug.shape)
+                     for t in range(gen.d)])
 
 
 def _assemble(gen: LinearGaussianChain, q_half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -471,23 +429,15 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec) -> KernelMatrix:
     x central-difference dQ/dx x cell area. Exact column sums would be 1 for
     the untruncated operator; the truncation to [-a, a] and the finite
     difference leave sums near 1, which normalization makes exact. Sums far
-    from 1 mean the lattice cannot resolve the densities. The parameter
-    types pick the family, and with it the Q evaluator; a mixed pair raises
-    TypeError.
+    from 1, or not finite, mean the lattice cannot resolve the densities.
+    Both models must be of one family; a mixed pair raises TypeError.
     """
-    require_valid(theta_gen)
-    require_valid(theta_filt)
-    if isinstance(theta_gen, ModelAParams) and isinstance(theta_filt, ModelAParams):
-        q_half = _q_half_two_state(theta_gen, theta_filt, grid)
-    elif isinstance(theta_gen, ModelBParams) and isinstance(theta_filt, ModelBParams):
-        q_half = _q_half_four_state(theta_gen, theta_filt, grid)
-    else:
-        raise TypeError("theta_gen and theta_filt must both be family A "
-                        "(per-state AR) or both family B (two-lag) parameters")
-    entries = _assemble(as_chain(theta_gen), q_half, grid)
+    gen, filt = _chains(theta_gen, theta_filt)
+    q_half = _q_half(gen, filt, grid)
+    entries = _assemble(gen, q_half, grid)
 
     col_sums = entries.sum(axis=0)
-    if np.any(col_sums < 0.5) or np.any(col_sums > 1.5):
+    if not np.all((col_sums >= 0.5) & (col_sums <= 1.5)):
         worst = float(col_sums[np.argmax(np.abs(col_sums - 1.0))])
         raise GridTooCoarseError(
             f"pre-normalization column sum {worst:.4f} outside [0.5, 1.5]; "
@@ -498,7 +448,7 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec) -> KernelMatrix:
         dim=entries.shape[0],
         entries=entries,
         pre_norm_col_sums=col_sums,
-        n_components=q_half.shape[0],
+        n_components=gen.d,
         grid=grid,
     )
 
@@ -559,6 +509,15 @@ def _log_gauss(y, mean, sd):
     return -0.5 * z * z - math.log(sd) - _LOG_SQRT_2PI
 
 
+def _emission_grid(chain: LinearGaussianChain, grid: GridSpec):
+    """The Simpson nodes and weights on [-a, a], and log f_s(y | u) with u
+    and y on those nodes, shape (s, u, y)."""
+    nodes, wts = _simpson(-grid.a, grid.a, grid.quad_points)
+    logf = np.stack([_log_gauss(nodes[None, :], chain.c[s] + chain.b[s] * nodes[:, None], chain.s[s])
+                     for s in range(chain.d)])
+    return nodes, wts, logf
+
+
 _case = threading.local()
 
 
@@ -599,11 +558,7 @@ def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     """`_mix_log` built one filter weight at a time: the same bits as one
     logsumexp over the state axis of the full (w, s, u, y) array, without
     holding that array."""
-    nodes, _ = _simpson(-grid.a, grid.a, grid.quad_points)
-    logf = np.stack(
-        [_log_gauss(nodes[None, :], chain.c[s] + chain.b[s] * nodes[:, None], chain.s[s])
-         for s in range(chain.d)]
-    )  # (s, u, y)
+    _, _, logf = _emission_grid(chain, grid)
     logpred = np.log(_predictive(chain.transition, grid.x_nodes))  # (w, s)
     out = np.stack([_logsumexp(lp[:, None, None] + logf, axis=0) for lp in logpred])
     out.flags.writeable = False
@@ -622,27 +577,23 @@ def _j_quadrature(theta1, m: InvariantDensityGrid, grid: GridSpec, r: np.ndarray
     integrand integrates to exactly itself regardless of grid truncation.
     """
     gen = as_chain(theta1)
-    u_nodes, wu = _simpson(-grid.a, grid.a, grid.quad_points)
-    y_nodes, wy = _simpson(-grid.a, grid.a, grid.quad_points)
+    nodes, wts, log_gen = _emission_grid(gen, grid)  # u and y share the nodes
     v = grid.v_nodes
-    f_emis = [np.exp(_log_gauss(u_nodes[None, :], gen.c[s] + gen.b[s] * v[:, None], gen.s[s]))
+    f_emis = [np.exp(_log_gauss(nodes[None, :], gen.c[s] + gen.b[s] * v[:, None], gen.s[s]))
               for s in range(gen.d)]  # (v, u) per source state
 
     total = 0.0
     for t in range(gen.d):
-        log_gen = _log_gauss(
-            y_nodes[None, :], gen.c[t] + gen.b[t] * u_nodes[:, None], gen.s[t]
-        )  # (u, y)
-        dens = np.exp(log_gen)
-        inner0 = dens @ wy  # (u,)
+        dens = np.exp(log_gen[t])
+        inner0 = dens @ wts  # (u,)
         if alpha is not None:
-            inner = np.exp((alpha - 1.0) * r + log_gen[None, :, :]) @ wy
+            inner = np.exp((alpha - 1.0) * r + log_gen[t][None, :, :]) @ wts
         else:
-            inner = (r * dens[None, :, :]) @ wy  # (w, u)
+            inner = (r * dens[None, :, :]) @ wts  # (w, u)
         for s in range(gen.d):
             if gen.transition[s, t] > 0.0:
-                g = np.einsum("u,vu,wu->vw", wu, f_emis[s], inner)
-                g0 = f_emis[s] @ (wu * inner0)  # (v,)
+                g = np.einsum("u,vu,wu->vw", wts, f_emis[s], inner)
+                g0 = f_emis[s] @ (wts * inner0)  # (v,)
                 total += gen.transition[s, t] * float(
                     np.sum(m.components[s] * (g / g0[:, None]))
                 ) * m.cell_area

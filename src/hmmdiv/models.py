@@ -236,7 +236,8 @@ def as_chain(m: Model) -> LinearGaussianChain:
     (p10, p01) / (p01 + p10). Family B is lifted onto the pair states
     (i, j), ordered (0,0), (0,1), (1,0), (1,1): (i, j) moves only to
     (j, k), with probability P[j, k], and has stationary mass
-    pi[i] * P[i, j].
+    pi[i] * P[i, j]. In both forms chain state s ends in primitive state
+    s % 2: pair state s = 2i + j ends in j.
     """
     require_valid(m)
     if isinstance(m, LinearGaussianChain):
@@ -402,6 +403,15 @@ def renyi_order(alpha) -> float:
     if not 0.0 < order < math.inf:
         raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
     return 1.0 if abs(order - 1.0) < 1e-8 else order
+
+
+def require_counts(obj, names) -> None:
+    """Raise ValueError unless each named field of obj is an integer; a
+    float, even an integral one, and a bool are not."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def infinite_renyi_rate(theta1: Model, theta: Model, alpha: float) -> bool:

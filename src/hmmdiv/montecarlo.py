@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import DegenerateInputError, batch_log_normalizers
-from .models import Model, _logsumexp, as_chain, mix_seed, renyi_order, sample_paths
+from .models import (Model, _logsumexp, as_chain, mix_seed, renyi_order, require_counts,
+                     sample_paths)
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,7 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_counts(self, ("n", "reps", "burn_in", "seed"))
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.reps < 1:

@@ -27,8 +27,7 @@ from hmmdiv import (
     log_likelihood,
     matrix_log_likelihood,
     noncentral_chisq1_cdf,
-    q_four_state,
-    q_two_state,
+    q,
     replication_log_ratios,
     run_case,
     sample_path,
@@ -287,11 +286,12 @@ def test_q_functions_match_indicator_simulation():
     ]
     for trial in range(25):
         tf = filters[trial % 2]
+        x = float(rng.uniform(0.05, 0.95))
         u = float(rng.normal())
-        z = float(math.exp(rng.uniform(-2.0, 2.0)))
+        w = float(rng.uniform(0.05, 0.95))
         j = trial % 2
-        exact = q_two_state(u, z, j, tg_a, tf)
-        mc = simulate_q_two_state(u, z, j, tg_a, tf,
+        exact = q(x, u, w, j, tg_a, tf)
+        mc = simulate_q_two_state(x, u, w, j, tg_a, tf,
                                   np.random.default_rng(1000 + trial), size)
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / size)
         assert abs(exact - mc) <= 3 * se + 1e-6, (
@@ -306,7 +306,7 @@ def test_q_functions_match_indicator_simulation():
         u = float(rng.normal())
         w = float(rng.uniform(0.05, 0.95))
         j, k = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        exact = q_four_state(x, u, w, j, k, tg, tf)
+        exact = q(x, u, w, 2 * j + k, tg, tf)
         mc = simulate_q_four_state(x, u, w, j, k, tg, tf,
                                    np.random.default_rng(2000 + trial), size)
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / size)

@@ -282,6 +282,20 @@ def test_fredholm_tail_margin_in_diagnostics(fredholm_cases):
         assert fredholm_cases[cid][1]["tail_margin_sd"] == min(margins)
 
 
+def test_tail_margin_is_checked_before_any_case_runs(monkeypatch):
+    # case 1 first, then the sigma1 = 1.5 pair at order 1.75 (2.5 tail sds
+    # at a = 15): the second case is refused before the first one runs
+    wide = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
+    specs = [CaseSpec("case1", "B", *bench.CASES[1], ("kl",)),
+             CaseSpec("wide", "B", wide, bench.CASES[8][1], (1.75,))]
+    calls, real = [], cli._fredholm_values
+    monkeypatch.setattr(cli, "_fredholm_values", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setenv("HMMDIV_THREADS", "1")
+    with pytest.raises(GridTooCoarseError, match=r"case 'wide': alpha = 1\.75"):
+        run_cases(specs, ("fredholm",))
+    assert calls == []
+
+
 MC_STAGE_KEYS = ("sample_seconds", "filter_seconds")
 
 
@@ -483,6 +497,9 @@ def test_main_config_errors_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps(tiny_doc(alphas=(None,))))  # "alphas": [null]
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error: case 'c8'" in capsys.readouterr().err
+    cfg.write_text(json.dumps(tiny_doc(grid={"a": math.inf})))  # "a": Infinity
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "cases[0].grid: a must be positive and finite" in capsys.readouterr().err
 
 
 def test_main_rejected_lattice_exits_two(tmp_path, capsys):

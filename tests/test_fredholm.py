@@ -20,8 +20,7 @@ from hmmdiv import (
     j_alpha,
     j_log,
     noncentral_chisq1_cdf,
-    q_four_state,
-    q_two_state,
+    q,
     solve_invariant,
 )
 from hmmdiv import fredholm
@@ -33,7 +32,7 @@ from hmmdiv.fredholm import (
     _mix_log,
     _power_iteration,
     _predictive,
-    _q_half_four_state,
+    _q_half,
     _simpson,
     case_mixtures,
     simulate_q_four_state,
@@ -67,6 +66,10 @@ def test_grid_validation():
         GridSpec(quad_points=100)  # must be odd
     with pytest.raises(ValueError):
         GridSpec(quad_points=31)
+    for bad in (dict(a=math.inf), dict(a=math.nan), dict(quad_points=201.0), dict(N=16.0),
+                dict(N=True)):
+        with pytest.raises(ValueError):
+            GridSpec(**bad)
 
 
 def test_grid_nodes():
@@ -120,32 +123,37 @@ def test_chisq_identity_and_reference():
 
 
 def test_q_two_state_zero_below_support():
-    assert q_two_state(0.4, 0.0, 0, WIDE_GEN, WIDE_FILT) == 0.0
-    assert q_two_state(0.4, -2.0, 1, WIDE_GEN, WIDE_FILT) == 0.0
+    for t in (0, 1):
+        assert q(0.0, 0.4, 0.6, t, WIDE_GEN, WIDE_FILT) == 0.0
+        assert q(-2.0, 0.4, 0.6, t, WIDE_GEN, WIDE_FILT) == 0.0
+        assert q(1.0, 0.4, 0.6, t, WIDE_GEN, WIDE_FILT) == 1.0
 
 
 def test_q_two_state_negative_threshold():
-    # filter sigma0 > sigma1 puts the quadratic's branch upward; tiny z
-    # drives the chi-square threshold negative
+    # filter sigma0 > sigma1 puts the quadratic's branch upward; a tiny
+    # weight threshold x drives the chi-square threshold negative
     tf = ModelAParams(p00=0.5, p11=0.5, mu=(0.0, 0.0), psi=(0.0, 0.0),
                       sigma=(2.0, 1.0))
-    assert q_two_state(0.0, 1e-10, 0, WIDE_GEN, tf) == 0.0
+    assert q(1e-10, 0.0, 0.5, 0, WIDE_GEN, tf) == 0.0
 
 
 def test_q_two_state_cdf_limits():
+    # x -> 1 sends the density-ratio level to its largest value, 2^53
     tf = ModelAParams(p00=0.5, p11=0.5, mu=(0.0, 0.0), psi=(0.0, 0.0),
                       sigma=(2.0, 1.0))
-    assert q_two_state(0.3, 1e300, 1, WIDE_GEN, tf) >= 1.0 - 1e-12
+    narrow = dataclasses.replace(WIDE_GEN, sigma=(1.0, 1.0))
+    assert q(np.nextafter(1.0, 0.0), 0.3, 0.5, 1, narrow, tf) >= 1.0 - 1e-12
 
 
 def test_q_two_state_simulation_oracle():
     rng = np.random.default_rng(7)
     for trial in range(4):
+        x = float(rng.uniform(0.1, 0.9))
         u = float(rng.normal())
-        z = float(math.exp(rng.uniform(-1.5, 1.5)))
+        w = float(rng.uniform(0.05, 0.95))
         j = trial % 2
-        got = q_two_state(u, z, j, WIDE_GEN, WIDE_FILT)
-        mc = simulate_q_two_state(u, z, j, WIDE_GEN, WIDE_FILT,
+        got = q(x, u, w, j, WIDE_GEN, WIDE_FILT)
+        mc = simulate_q_two_state(x, u, w, j, WIDE_GEN, WIDE_FILT,
                                   np.random.default_rng(trial), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
@@ -156,9 +164,9 @@ def test_q_two_state_equal_variance_branch():
     # Gaussian CDF, exercised against simulation
     tf = ModelAParams(p00=0.5, p11=0.5, mu=(1.0, -1.0), psi=(0.2, -0.1),
                       sigma=(1.5, 1.5))
-    for seed, (u, z) in enumerate([(0.3, 1.0), (-0.8, 2.5), (1.2, 0.4)]):
-        got = q_two_state(u, z, seed % 2, WIDE_GEN, tf)
-        mc = simulate_q_two_state(u, z, seed % 2, WIDE_GEN, tf,
+    for seed, (x, u, w) in enumerate([(0.5, 0.3, 0.5), (0.7, -0.8, 0.2), (0.3, 1.2, 0.9)]):
+        got = q(x, u, w, seed % 2, WIDE_GEN, tf)
+        mc = simulate_q_two_state(x, u, w, seed % 2, WIDE_GEN, tf,
                                   np.random.default_rng(100 + seed), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
@@ -168,25 +176,29 @@ def test_q_two_state_equal_variance_branch():
 
 
 def test_q_four_state_endpoints():
-    for (j, k) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert q_four_state(0.0, 0.4, 0.6, j, k, CASE1_GEN, CASE1_ALT) == 0.0
-        assert q_four_state(1.0, 0.4, 0.6, j, k, CASE1_GEN, CASE1_ALT) == 1.0
+    for t in range(4):
+        assert q(0.0, 0.4, 0.6, t, CASE1_GEN, CASE1_ALT) == 0.0
+        assert q(1.0, 0.4, 0.6, t, CASE1_GEN, CASE1_ALT) == 1.0
 
 
 def test_q_four_state_rejects_bad_weight():
     with pytest.raises(ValueError):
-        q_four_state(0.5, 0.0, 1.2, 0, 0, CASE1_GEN, CASE1_ALT)
+        q(0.5, 0.0, 1.2, 0, CASE1_GEN, CASE1_ALT)
+    with pytest.raises(ValueError):
+        q(0.5, 0.0, -0.1, 0, WIDE_GEN, WIDE_FILT)
+    with pytest.raises(ValueError):
+        q(0.5, 0.0, 0.5, 4, CASE1_GEN, CASE1_ALT)  # four pair states
 
 
 def test_q_four_state_monotone_in_x():
     xs = np.linspace(0.05, 0.95, 10)
-    vals = [q_four_state(x, 0.5, 0.5, 0, 0, CASE1_GEN, CASE1_ALT) for x in xs]
+    vals = [q(x, 0.5, 0.5, 0, CASE1_GEN, CASE1_ALT) for x in xs]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
 def test_q_four_state_simulation_oracle_benchmark_pair():
-    got = q_four_state(0.5, 0.5, 0.5, 0, 0, CASE1_GEN, CASE1_ALT)
+    got = q(0.5, 0.5, 0.5, 0, CASE1_GEN, CASE1_ALT)
     mc = simulate_q_four_state(0.5, 0.5, 0.5, 0, 0, CASE1_GEN, CASE1_ALT,
                                np.random.default_rng(1), 10 ** 6)
     se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
@@ -201,7 +213,7 @@ def test_q_four_state_simulation_oracle_two_lag_pair():
         u = float(rng.normal())
         w = float(rng.uniform(0.05, 0.95))
         j, k = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        got = q_four_state(x, u, w, j, k, CASE7_GEN, CASE7_ALT)
+        got = q(x, u, w, 2 * j + k, CASE7_GEN, CASE7_ALT)
         mc = simulate_q_four_state(x, u, w, j, k, CASE7_GEN, CASE7_ALT,
                                    np.random.default_rng(200 + trial), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
@@ -313,7 +325,7 @@ def test_exp_sum_roots_match_fixed_bisection_case7(monkeypatch):
 
     monkeypatch.setattr(fredholm, "_exp_sum_roots", recording)
     for filt in (CASE7_ALT, CASE7_GEN):
-        _q_half_four_state(CASE7_GEN, filt, GridSpec())
+        _q_half(as_chain(CASE7_GEN), as_chain(filt), GridSpec())
     assert any(c.shape[1] == 4 for _, c, _, _, _ in calls)
     for e, c, lo, hi, roots in calls:
         assert_same_bits(roots, _exp_sum_roots_reference(e, c, lo, hi))
@@ -352,14 +364,8 @@ def test_kernel_single_entry_hand_assembled():
     g = math.exp(-0.5 * ((v[u_i] - mean) / WIDE_GEN.sigma[i]) ** 2) / (
         WIDE_GEN.sigma[i] * math.sqrt(2 * math.pi)
     )
-    pred0 = WIDE_FILT.p00 * wn[w_i] + (1 - WIDE_FILT.p11) * (1 - wn[w_i])
-    pred1 = (1 - WIDE_FILT.p00) * wn[w_i] + WIDE_FILT.p11 * (1 - wn[w_i])
-
-    def z_at(xx):
-        return (xx / (1 - xx)) * pred1 / pred0
-
-    q_hi = q_two_state(v[u_i], z_at(half[x_i + 1]), j, WIDE_GEN, WIDE_FILT)
-    q_lo = q_two_state(v[u_i], z_at(half[x_i]), j, WIDE_GEN, WIDE_FILT)
+    q_hi = q(half[x_i + 1], v[u_i], wn[w_i], j, WIDE_GEN, WIDE_FILT)
+    q_lo = q(half[x_i], v[u_i], wn[w_i], j, WIDE_GEN, WIDE_FILT)
     rate = max(q_hi - q_lo, 0.0) / (2 * grid.delta)
     want = p * g * rate * grid.cell_area
 
@@ -373,11 +379,20 @@ def test_kernel_family_type_checks():
         build_kernel(CASE1_GEN, WIDE_FILT, GridSpec(N=8))
     with pytest.raises(TypeError):
         build_kernel(WIDE_GEN, CASE1_ALT, GridSpec(N=8))
+    with pytest.raises(TypeError):
+        build_kernel(as_chain(WIDE_GEN), as_chain(WIDE_FILT), GridSpec(N=8))
+    with pytest.raises(TypeError):
+        q(0.5, 0.0, 0.5, 0, CASE1_GEN, WIDE_FILT)
+    with pytest.raises(TypeError):
+        q(0.0, 0.0, 0.5, 0, WIDE_GEN, CASE1_ALT)  # even where Q needs no model
 
 
 def test_kernel_too_coarse_raises():
     with pytest.raises(GridTooCoarseError):
         build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=16, a=1.0))
+    # 2a overflows: every column sum is nan, which no bound comparison catches
+    with pytest.raises(GridTooCoarseError, match="column sum nan"), np.errstate(all="ignore"):
+        build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(a=1e308))
 
 
 # --- eigensolve -----------------------------------------------------------------

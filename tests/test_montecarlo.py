@@ -36,6 +36,10 @@ def test_config_validation():
         McConfig(reps=0)
     with pytest.raises(ValueError):
         McConfig(burn_in=-1)
+    # counts must be integers: seed 1.5 would silently run seed 1
+    for bad in (dict(seed=1.5), dict(n=200.0), dict(reps=5.5), dict(burn_in=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            McConfig(**bad)
 
 
 def test_identity_is_exact_zero():
