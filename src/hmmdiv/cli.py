@@ -80,6 +80,9 @@ METHODS = ("mc", "fredholm")
 # Fewest sds of an order's integrand tail (`tail_margin_sd`) the Fredholm
 # lattice must keep inside +-a: at 5 the error is 2.4e-3 relative, at 2.5 0.4.
 MIN_TAIL_MARGIN_SD = 6.0
+# Lowest order whose simulation diagnostics carry `mc_top_term_share`: the
+# (alpha - 1) power of the ratio grows heavy-tailed as alpha rises past 1.
+HEAVY_TAIL_MIN_ORDER = 1.5
 
 
 class ConfigError(ValueError):
@@ -365,16 +368,24 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
 
 def _mc_values(theta1, theta, alphas, cfg: McConfig) -> tuple[dict, dict]:
     """Simulation estimates {alpha: DivergenceEstimate} for every order in
-    alphas, and the stage timings. One `replication_log_ratios` call serves
-    every order; identical models give exactly 0 (the two filters run the
-    same arithmetic), and an infinite order mean inf without sampling."""
+    alphas, and the stage diagnostics. One `replication_log_ratios` call
+    serves every order; identical models give exactly 0 (the two filters
+    run the same arithmetic), and an infinite order mean inf without
+    sampling.
+
+    The diagnostics hold the stage timings and `mc_top_term_share`:
+    {alpha: the estimate's `top_term_share`} for the finite orders of at
+    least HEAVY_TAIL_MIN_ORDER."""
     orders, infinite = _orders(theta1, theta, alphas)
     diag = {"sample_seconds": 0.0, "filter_seconds": 0.0}
     if len(infinite) < len(orders):
         rho = replication_log_ratios(theta1, theta, cfg, timings=diag)
-    return {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
-            if a in infinite else estimate_from_log_ratios(rho, order)
-            for a, order in orders.items()}, diag
+    values = {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
+              if a in infinite else estimate_from_log_ratios(rho, order)
+              for a, order in orders.items()}
+    diag["mc_top_term_share"] = {a: est.top_term_share for a, est in values.items()
+                                 if a not in infinite and est.alpha >= HEAVY_TAIL_MIN_ORDER}
+    return values, diag
 
 
 def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> DivergenceResult:
@@ -483,23 +494,48 @@ def _thread_count(n_cases: int) -> int:
     return max(1, min(val, n_cases))
 
 
-def run_cases(specs: list[CaseSpec], methods=METHODS, with_diagnostics=False):
-    """Run every case, possibly concurrently; row order is by case then
-    alpha regardless of scheduling. With the Fredholm engine, every case's
-    tail margin is checked before any case runs."""
+def _run_all(specs: list[CaseSpec], methods) -> tuple[list, dict, dict]:
+    """Run every case, possibly concurrently: the rows of the cases that
+    finished, by case then alpha regardless of scheduling, their
+    diagnostics by name, and {name: exception} for the cases that raised.
+    A failed case does not stop the others. With the Fredholm engine,
+    every case's tail margin is checked before any case runs."""
     if "fredholm" in methods:
         for s in specs:
             with _named(s):
                 _tail_margin(s.theta1, s.theta, s.alphas, s.grid)
+
+    def attempt(spec):
+        try:
+            return _run_case(spec, methods)
+        except Exception as exc:  # kept for the caller, which re-raises it
+            return exc
+
     workers = _thread_count(len(specs))
     if workers == 1:
-        results = [_run_case(s, methods) for s in specs]
+        results = [attempt(s) for s in specs]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _run_case(s, methods), specs))
-    rows = [row for case_rows, _ in results for row in case_rows]
+            results = list(pool.map(attempt, specs))
+    rows, per_case, failed = [], {}, {}
+    for spec, result in zip(specs, results):
+        if isinstance(result, Exception):
+            failed[spec.name] = result
+        else:
+            rows += result[0]
+            per_case[spec.name] = result[1]
+    return rows, per_case, failed
+
+
+def run_cases(specs: list[CaseSpec], methods=METHODS, with_diagnostics=False):
+    """Run every case (`_run_all`) and return its rows, with the per-case
+    diagnostics by name when asked; when cases fail, raise the first
+    failed case's exception once all have run."""
+    rows, per_case, failed = _run_all(specs, methods)
+    if failed:
+        raise next(iter(failed.values()))
     if with_diagnostics:
-        return rows, {s.name: d for s, (_, d) in zip(specs, results)}
+        return rows, per_case
     return rows
 
 
@@ -594,10 +630,15 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
                     check: bool = False):
     """Run a config end to end and write table.txt, table.csv, and
     diagnostics.json into out_dir. Returns (rows, failures); failures is
-    empty unless check is set and bands were violated."""
+    empty unless check is set and bands were violated.
+
+    When cases fail, the artifacts hold the rows of the cases that
+    finished, diagnostics.json names each failed case and its error under
+    `failed_cases`, and the first failed case's exception is raised after
+    they are written."""
     specs = load_config(config_path)
     t0 = time.perf_counter()
-    rows, per_case = run_cases(specs, methods, with_diagnostics=True)
+    rows, per_case, failed = _run_all(specs, methods)
     elapsed = time.perf_counter() - t0
 
     diagnostics = {
@@ -606,6 +647,7 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
         "methods": list(methods),
         "wall_seconds": elapsed,
         "cases": per_case,
+        "failed_cases": {name: f"{type(exc).__name__}: {exc}" for name, exc in failed.items()},
     }
 
     os.makedirs(out_dir, exist_ok=True)
@@ -619,6 +661,8 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
     with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
         json.dump(diagnostics, fh, indent=2, default=float)
         fh.write("\n")
+    if failed:
+        raise next(iter(failed.values()))
     return rows, failures
 
 

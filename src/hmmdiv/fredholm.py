@@ -29,6 +29,14 @@ nonpositive, which this module evaluates exactly by locating the
 mixture's sign changes (an exponential-sum root cascade) and summing
 Gaussian CDF masses over the nonpositive intervals.
 
+Q, the emission densities and the quadrature's inner integrals depend on
+a state only through its emission (c_s, b_s, s_s), so states whose
+emissions have equal numbers (the pair lift with psi2 = 0 has two distinct
+emissions among four states) share one evaluation, bit for bit. Within a
+case (`case_mixtures`) the order-free grids are built once: both
+predictive mixtures, the log ratio grid of J^alpha, and the quadrature
+terms of the generating chain.
+
 Throughout, theta1 denotes the data-generating model and theta the
 alternative; filter weights track P(X_t = 0 | data). `hmmdiv.cli` combines
 these pieces into divergence rates (`divergence_fredholm`).
@@ -387,11 +395,23 @@ def _predictive(transition: np.ndarray, w_nodes) -> np.ndarray:
     return w_nodes[:, None] * transition[0] + (1.0 - w_nodes)[:, None] * transition[1]
 
 
+def _emission_reps(chain: LinearGaussianChain) -> list[int]:
+    """For each state, the first state whose emission (c, b, s) has the same
+    numbers. Q, the emission densities and the quadrature terms of a state
+    depend on its emission only, so states that share one share them."""
+    keys = [np.array([chain.c[t], chain.b[t], chain.s[t]]).tobytes() for t in range(chain.d)]
+    return [keys.index(k) for k in keys]
+
+
 def _q_half(gen: LinearGaussianChain, filt: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
-    """Q at the half nodes, shape (state, u, half, w)."""
+    """Q at the half nodes, shape (state, u, half, w), tabulated once per
+    distinct generating emission."""
     ug, xg, wg = np.meshgrid(grid.v_nodes, grid.x_half_nodes, grid.x_nodes, indexing="ij")
-    return np.stack([_q_batch(xg.ravel(), ug.ravel(), wg.ravel(), t, gen, filt).reshape(ug.shape)
-                     for t in range(gen.d)])
+    tables = []
+    for t, first in enumerate(_emission_reps(gen)):
+        tables.append(tables[first] if first < t else
+                      _q_batch(xg.ravel(), ug.ravel(), wg.ravel(), t, gen, filt).reshape(ug.shape))
+    return np.stack(tables)
 
 
 def _assemble(gen: LinearGaussianChain, q_half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -523,19 +543,39 @@ _case = threading.local()
 
 @contextlib.contextmanager
 def case_mixtures():
-    """Share the predictive-mixture grids of one case on this thread.
+    """Share the order-free grids of one case on this thread.
 
-    Every order of a case reads the same two grids (theta1's and theta's).
-    Inside the block `_mix_log` builds each (model, grid) mixture once and
-    later `j_log` / `j_alpha` calls read it; the grids are dropped when the
-    block exits. Each thread has its own store, so cases running at once
-    keep their own grids, and outside a block every call builds anew.
+    Every order of a case reads the same grids: the predictive mixtures of
+    theta1 and theta (`_mix_log`), their difference, the log ratio grid of
+    `j_alpha`, and the order-free quadrature terms of theta1's chain
+    (`_quadrature_terms`). Inside the block each is built once per (chain
+    numbers, grid) and later `j_log` / `j_alpha` calls read it; all are
+    dropped when the block exits. Each thread has its own store, so cases
+    running at once keep their own grids, and outside a block every call
+    builds anew.
     """
-    _case.mixtures = {}
+    _case.store = {}
     try:
         yield
     finally:
-        _case.mixtures = None
+        _case.store = None
+
+
+def _shared(key, build):
+    """build() once per key inside a `case_mixtures` block on this thread;
+    outside one, build() on every call."""
+    store = getattr(_case, "store", None)
+    if store is None:
+        return build()
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def _chain_key(chain: LinearGaussianChain) -> tuple:
+    # the grids depend on the chain's numbers only, whatever the model type
+    return (chain.transition.tobytes(), chain.c.tobytes(), chain.b.tobytes(),
+            chain.s.tobytes())
 
 
 def _mix_log(theta, grid: GridSpec) -> np.ndarray:
@@ -543,15 +583,7 @@ def _mix_log(theta, grid: GridSpec) -> np.ndarray:
     on the (w, u, y) grid, with w the filter weight of state 0 and u, y
     the quadrature nodes. Read-only, since `case_mixtures` shares it."""
     chain = as_chain(theta)
-    store = getattr(_case, "mixtures", None)
-    if store is None:
-        return _build_mix_log(chain, grid)
-    # the grid depends on the chain's numbers only, whatever the model type
-    key = (chain.transition.tobytes(), chain.c.tobytes(), chain.b.tobytes(),
-           chain.s.tobytes(), grid)
-    if key not in store:
-        store[key] = _build_mix_log(chain, grid)
-    return store[key]
+    return _shared(("mixture", _chain_key(chain), grid), lambda: _build_mix_log(chain, grid))
 
 
 def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
@@ -565,6 +597,45 @@ def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _log_ratio(theta1, theta, grid: GridSpec) -> np.ndarray:
+    """_mix_log(theta1) - _mix_log(theta), read-only: the log predictive
+    density ratio that `j_alpha` raises to each order."""
+    key = ("ratio", _chain_key(as_chain(theta1)), _chain_key(as_chain(theta)), grid)
+    return _shared(key, lambda: _build_log_ratio(theta1, theta, grid))
+
+
+def _build_log_ratio(theta1, theta, grid: GridSpec) -> np.ndarray:
+    r = _mix_log(theta1, grid) - _mix_log(theta, grid)
+    r.flags.writeable = False
+    return r
+
+
+def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
+    return _shared(("quadrature", _chain_key(gen), grid),
+                   lambda: _build_quadrature_terms(gen, grid))
+
+
+def _build_quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
+    """The order-free terms of `_j_quadrature` under the generating chain:
+    the Simpson weights (u and y share the nodes), `_emission_reps`,
+    log f_t(y | u) as (t, u, y), and by distinct emission e the density
+    f_e(y | u) on (u, y) and f_e(u | v) on (v, u); last, by (source,
+    target) emission pair that a transition joins, the normalizer g0 of
+    the contraction g, which folds in inner0, the y-integral of the
+    target's density."""
+    nodes, wts, log_gen = _emission_grid(gen, grid)
+    v = grid.v_nodes
+    reps = _emission_reps(gen)
+    firsts = sorted(set(reps))
+    dens = {e: np.exp(log_gen[e]) for e in firsts}
+    f_emis = {e: np.exp(_log_gauss(nodes[None, :], gen.c[e] + gen.b[e] * v[:, None], gen.s[e]))
+              for e in firsts}
+    inner0 = {e: dens[e] @ wts for e in firsts}  # (u,)
+    g0 = {(reps[s], reps[t]): f_emis[reps[s]] @ (wts * inner0[reps[t]])  # (v,)
+          for t in range(gen.d) for s in range(gen.d) if gen.transition[s, t] > 0.0}
+    return wts, reps, log_gen, dens, f_emis, g0
+
+
 def _j_quadrature(theta1, m: InvariantDensityGrid, grid: GridSpec, r: np.ndarray,
                   alpha: float | None) -> float:
     """Shared quadrature core for J^alpha and J_log.
@@ -575,27 +646,34 @@ def _j_quadrature(theta1, m: InvariantDensityGrid, grid: GridSpec, r: np.ndarray
     u, target state t draws y given u. The inner conditional expectations
     are self-normalized by the integrand-free integral so that a constant
     integrand integrates to exactly itself regardless of grid truncation.
+    The inner integral is taken once per distinct target emission and its
+    contraction g once per (source, target) emission pair; the terms add up
+    target-outer, source-inner.
     """
     gen = as_chain(theta1)
-    nodes, wts, log_gen = _emission_grid(gen, grid)  # u and y share the nodes
-    v = grid.v_nodes
-    f_emis = [np.exp(_log_gauss(nodes[None, :], gen.c[s] + gen.b[s] * v[:, None], gen.s[s]))
-              for s in range(gen.d)]  # (v, u) per source state
-
+    wts, reps, log_gen, dens, f_emis, g0 = _quadrature_terms(gen, grid)
+    # one integrand grid, filled in place: a fresh array of this size per
+    # step costs more than the arithmetic does
+    buf = np.empty(r.shape)
+    inner, normed = {}, {}
     total = 0.0
     for t in range(gen.d):
-        dens = np.exp(log_gen[t])
-        inner0 = dens @ wts  # (u,)
-        if alpha is not None:
-            inner = np.exp((alpha - 1.0) * r + log_gen[t][None, :, :]) @ wts
-        else:
-            inner = (r * dens[None, :, :]) @ wts  # (w, u)
+        et = reps[t]
+        if et not in inner:
+            if alpha is not None:
+                np.multiply(alpha - 1.0, r, out=buf)
+                np.exp(np.add(buf, log_gen[et], out=buf), out=buf)
+            else:
+                np.multiply(r, dens[et], out=buf)
+            inner[et] = buf @ wts  # (w, u)
         for s in range(gen.d):
             if gen.transition[s, t] > 0.0:
-                g = np.einsum("u,vu,wu->vw", wts, f_emis[s], inner)
-                g0 = f_emis[s] @ (wts * inner0)  # (v,)
+                pair = (reps[s], et)
+                if pair not in normed:
+                    g = np.einsum("u,vu,wu->vw", wts, f_emis[pair[0]], inner[et])
+                    normed[pair] = g / g0[pair][:, None]
                 total += gen.transition[s, t] * float(
-                    np.sum(m.components[s] * (g / g0[:, None]))
+                    np.sum(m.components[s] * normed[pair])
                 ) * m.cell_area
     return total
 
@@ -608,8 +686,7 @@ def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
     alpha = renyi_order(alpha)
     if alpha == 1.0:
         raise ValueError("alpha = 1 has no power functional; use j_log")
-    r = _mix_log(theta1, grid) - _mix_log(theta, grid)
-    return _j_quadrature(theta1, m, grid, r, alpha)
+    return _j_quadrature(theta1, m, grid, _log_ratio(theta1, theta, grid), alpha)
 
 
 def j_log(theta_filt, theta1, m: InvariantDensityGrid, grid: GridSpec) -> float:

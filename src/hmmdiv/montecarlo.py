@@ -61,6 +61,11 @@ class DivergenceEstimate:
     std_dev: float
     reps: int
     method: str = "monte-carlo"
+    # The largest share, over replications, of a replication's sum of
+    # exp((alpha - 1) rho_t) carried by its largest term, exp(max - lse);
+    # near 1, one step decides that replication's value (a heavy tail).
+    # None for KL and for an order not estimated from log ratios.
+    top_term_share: float | None = None
 
     def __post_init__(self):
         if self.std_dev < 0:
@@ -109,11 +114,16 @@ def estimate_from_log_ratios(rho: np.ndarray, alpha) -> DivergenceEstimate:
     is checked and resolved by `models.renyi_order`."""
     alpha = renyi_order(alpha)
     n = rho.shape[1]
+    share = None
     if alpha == 1.0:
         stats = rho.mean(axis=1)
     else:
-        stats = (_logsumexp((alpha - 1.0) * rho, axis=1) - math.log(n)) / (alpha - 1.0)
+        scaled = (alpha - 1.0) * rho
+        lse = _logsumexp(scaled, axis=1)
+        stats = (lse - math.log(n)) / (alpha - 1.0)
+        share = float(np.max(np.exp(scaled.max(axis=1) - lse)))
     sd = float(stats.std(ddof=1)) if stats.shape[0] > 1 else 0.0
     return DivergenceEstimate(
-        alpha=alpha, mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0]
+        alpha=alpha, mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0],
+        top_term_share=share,
     )

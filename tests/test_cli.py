@@ -9,7 +9,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import hmmdiv
 from hmmdiv import (
@@ -307,6 +309,28 @@ def test_mc_stage_timings_in_diagnostics():
     assert sum(diag[k] for k in MC_STAGE_KEYS) <= diag["mc_seconds"]
 
 
+def test_mc_top_term_share_in_diagnostics(tmp_path):
+    # the largest share of a replication's log-sum-exp carried by its
+    # largest term, for the finite orders >= 1.5 only; no value moves
+    spec = tiny_spec(alphas=(0.5, "kl", 1.5, 2.0))
+    values, diag = cli._mc_values(spec.theta1, spec.theta, spec.alphas, spec.mc)
+    rho = replication_log_ratios(spec.theta1, spec.theta, spec.mc)
+    assert set(diag["mc_top_term_share"]) == {1.5, 2.0}
+    for a in (1.5, 2.0):
+        scaled = (a - 1.0) * rho
+        want = np.max(np.exp(scaled.max(axis=1) - logsumexp(scaled, axis=1)))
+        assert math.isclose(diag["mc_top_term_share"][a], want, rel_tol=1e-12)
+        assert 1.0 / spec.mc.n <= diag["mc_top_term_share"][a] <= 1.0
+        stats = (logsumexp(scaled, axis=1) - math.log(spec.mc.n)) / (a - 1.0)
+        assert repr(values[a].mean) == repr(float(stats.mean()))
+    assert values["kl"].top_term_share is None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_doc(alphas=(0.5, "kl", 1.5, 2.0))))
+    reproduce_table(str(cfg), methods=("mc",), out_dir=str(tmp_path))
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert set(diag["cases"]["c8"]["mc_top_term_share"]) == {"1.5", "2.0"}
+
+
 def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
     # sigma1 = 1.5 against sigma = 1: the order-2 rate is infinite
     theta1 = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
@@ -513,6 +537,33 @@ def test_main_rejected_lattice_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps(serialize_config([spec])))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config error: case 'case7': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_finished_cases_kept_when_a_later_case_fails(tmp_path, monkeypatch, capsys, threads):
+    # case 7 at N = 8 fails the kernel's column-sum gate after case 1 ran
+    monkeypatch.setenv("HMMDIV_THREADS", threads)
+    specs = [CaseSpec("case1", "B", *bench.CASES[1], ("kl", 0.5)),
+             CaseSpec("case7", "B", *bench.CASES[7], ("kl",), grid=GridSpec(N=8))]
+    with pytest.raises(GridTooCoarseError, match="case 'case7'"):
+        run_cases(specs, ("fredholm",))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(serialize_config(specs)))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--methods", "fredholm", "--out", str(out)]) == 2
+    assert "config error: case 'case7': pre-normalization column sum" in capsys.readouterr().err
+    want = run_cases(specs[:1], ("fredholm",))
+    lines = (out / "table.csv").read_text().splitlines()
+    assert lines[0] == "case,alpha,fredholm,mc_mean,mc_sd,re_pct,fredholm_seconds,mc_seconds"
+    recs = list(csv.DictReader(lines))
+    assert [(r["case"], r["alpha"], r["fredholm"]) for r in recs] == [
+        ("case1", str(w.alpha), repr(float(w.fredholm))) for w in want]
+    assert "case1" in (out / "table.txt").read_text()
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert list(diag["cases"]) == ["case1"]
+    assert list(diag["failed_cases"]) == ["case7"]
+    assert diag["failed_cases"]["case7"].startswith(
+        "GridTooCoarseError: case 'case7': pre-normalization column sum")
 
 
 def test_main_invalid_thread_env_exits_two(tmp_path, monkeypatch):

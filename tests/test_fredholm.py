@@ -1,6 +1,7 @@
 """Deterministic engine: Q functions, kernel assembly, eigensolve, functionals."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import math
 
@@ -554,16 +555,23 @@ def test_mix_log_read_only_and_equal_to_one_reduction(theta):
 
 
 def count_builds(monkeypatch):
-    """Record the models of every mixture grid actually built."""
-    built = []
-    real = fredholm._build_mix_log
+    """Record the chains (or model pairs) of every shared grid actually
+    built: {"mixture": [...], "ratio": [...], "quadrature": [...]}."""
+    built = {}
+    for kind, name in (("mixture", "_build_mix_log"), ("ratio", "_build_log_ratio"),
+                       ("quadrature", "_build_quadrature_terms")):
+        real = getattr(fredholm, name)
 
-    def counting(chain, grid):
-        built.append(chain)
-        return real(chain, grid)
+        def counting(*args, _kind=kind, _real=real):
+            built.setdefault(_kind, []).append(args[:-1])
+            return _real(*args)
 
-    monkeypatch.setattr(fredholm, "_build_mix_log", counting)
+        monkeypatch.setattr(fredholm, name, counting)
     return built
+
+
+def counts(built):
+    return {kind: len(args) for kind, args in built.items()}
 
 
 def test_functionals_equal_inside_and_outside_a_case(monkeypatch):
@@ -574,13 +582,19 @@ def test_functionals_equal_inside_and_outside_a_case(monkeypatch):
              lambda: j_log(CASE7_ALT, CASE7_GEN, m, grid)]
     built = count_builds(monkeypatch)
     alone = [call() for call in calls]
-    assert len(built) == 5  # outside a case every call builds its own grids
+    # outside a case every call builds its own grids and terms
+    assert counts(built) == {"mixture": 5, "ratio": 2, "quadrature": 3}
     with case_mixtures():
         shared = [call() for call in calls]
-        assert len(built) == 7  # the two models' grids, once each
+        # the two models' mixtures, their ratio and theta1's terms, once each
+        assert counts(built) == {"mixture": 7, "ratio": 3, "quadrature": 4}
         again = [call() for call in calls]
-        assert len(built) == 7
+        assert counts(built) == {"mixture": 7, "ratio": 3, "quadrature": 4}
     assert repr(shared) == repr(alone) == repr(again)
+    # the store goes with the case
+    assert fredholm._case.store is None
+    calls[0]()
+    assert counts(built) == {"mixture": 9, "ratio": 4, "quadrature": 5}
 
 
 def test_case_builds_each_mixture_grid_once(monkeypatch):
@@ -588,17 +602,27 @@ def test_case_builds_each_mixture_grid_once(monkeypatch):
     assert sum(a != "kl" for a in ALPHA_GRID) == 8
     built = count_builds(monkeypatch)
     _fredholm_values(CASE1_GEN, CASE1_ALT, ALPHA_GRID, grid)
-    assert len(built) == 2
+    # 8 orders and 2 log functionals: one ratio, and terms of theta1 only
+    assert counts(built) == {"mixture": 2, "ratio": 1, "quadrature": 1}
+    (gen,) = built["quadrature"][0]
+    assert fredholm._chain_key(gen) == fredholm._chain_key(as_chain(CASE1_GEN))
     # the lattice count is part of the key: N=16 and N=32 get their own grids
     with case_mixtures():
         a = _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101))
         b = _mix_log(CASE1_ALT, GridSpec(N=32, quad_points=101))
         assert _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101)) is a
-    assert len(built) == 4
+        r = fredholm._log_ratio(CASE1_GEN, CASE1_ALT, GridSpec(N=16, quad_points=101))
+        assert fredholm._log_ratio(CASE1_GEN, CASE1_ALT, GridSpec(N=16, quad_points=101)) is r
+        assert not r.flags.writeable
+        terms = fredholm._quadrature_terms(as_chain(CASE1_GEN), grid)
+        assert fredholm._quadrature_terms(as_chain(CASE1_GEN), grid) is terms
+    assert counts(built) == {"mixture": 5, "ratio": 2, "quadrature": 2}
     assert a.shape == (15, 101, 101) and b.shape == (31, 101, 101)
     # the grids go with the case: a later call builds anew
     assert _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101)) is not a
-    assert len(built) == 5
+    assert fredholm._log_ratio(CASE1_GEN, CASE1_ALT, GridSpec(N=16, quad_points=101)) is not r
+    assert fredholm._quadrature_terms(as_chain(CASE1_GEN), grid) is not terms
+    assert counts(built) == {"mixture": 8, "ratio": 3, "quadrature": 3}
 
 
 def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
@@ -609,9 +633,93 @@ def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
     with concurrent.futures.ThreadPoolExecutor(3) as pool:
         got = list(pool.map(lambda p: _fredholm_values(*p, ("kl", 0.5, 2.0), grid)[0],
                             pairs))
-    assert len(built) == 6
+        # each worker's store went with its case
+        assert list(pool.map(lambda _: getattr(fredholm._case, "store", None), range(3))) \
+            == [None] * 3
+    assert counts(built) == {"mixture": 6, "ratio": 3, "quadrature": 3}
+    assert (sorted(fredholm._chain_key(gen) for gen, in built["quadrature"])
+            == sorted(fredholm._chain_key(as_chain(t1)) for t1, _ in pairs))
     assert repr(got) == repr([_fredholm_values(*p, ("kl", 0.5, 2.0), grid)[0]
                               for p in pairs])
+
+
+# --- work shared between equal emissions -------------------------------------------
+
+
+def count_q_batches(monkeypatch):
+    calls = []
+    real = fredholm._q_batch
+
+    def counting(x, u, w, t, gen, filt):
+        calls.append(t)
+        return real(x, u, w, t, gen, filt)
+
+    monkeypatch.setattr(fredholm, "_q_batch", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pair, tabulated", [
+    (CASES[1], [0, 1]),  # psi2 = 0: the pair (j, k) emits by k alone
+    (CASES[7], [0, 1, 2, 3]),  # psi2 != 0: four distinct emissions
+    (FAMILY_A_MIRRORS[6], [0, 1]),
+], ids=["case1", "case7", "a-case6"])
+def test_q_tabulated_once_per_distinct_emission(monkeypatch, pair, tabulated):
+    calls = count_q_batches(monkeypatch)
+    build_kernel(*pair, GridSpec(N=16, quad_points=51))
+    assert calls == tabulated
+
+
+def _q_half_per_state(gen, filt, grid):
+    """`_q_half` with one `_q_batch` per state."""
+    ug, xg, wg = np.meshgrid(grid.v_nodes, grid.x_half_nodes, grid.x_nodes, indexing="ij")
+    return np.stack([fredholm._q_batch(xg.ravel(), ug.ravel(), wg.ravel(), t, gen, filt)
+                     .reshape(ug.shape) for t in range(gen.d)])
+
+
+def _j_quadrature_per_state(theta1, m, grid, r, alpha):
+    """`_j_quadrature` with every term built per state and per call."""
+    gen = as_chain(theta1)
+    nodes, wts = _simpson(-grid.a, grid.a, grid.quad_points)
+    log_gen = np.stack([_log_gauss(nodes[None, :], gen.c[s] + gen.b[s] * nodes[:, None],
+                                   gen.s[s]) for s in range(gen.d)])
+    v = grid.v_nodes
+    f_emis = [np.exp(_log_gauss(nodes[None, :], gen.c[s] + gen.b[s] * v[:, None], gen.s[s]))
+              for s in range(gen.d)]
+    total = 0.0
+    for t in range(gen.d):
+        dens = np.exp(log_gen[t])
+        inner0 = dens @ wts
+        if alpha is not None:
+            inner = np.exp((alpha - 1.0) * r + log_gen[t][None, :, :]) @ wts
+        else:
+            inner = (r * dens[None, :, :]) @ wts
+        for s in range(gen.d):
+            if gen.transition[s, t] > 0.0:
+                g = np.einsum("u,vu,wu->vw", wts, f_emis[s], inner)
+                g0 = f_emis[s] @ (wts * inner0)
+                total += gen.transition[s, t] * float(
+                    np.sum(m.components[s] * (g / g0[:, None]))
+                ) * m.cell_area
+    return total
+
+
+@pytest.mark.parametrize("pair", [CASES[1], CASES[7], FAMILY_A_MIRRORS[6]],
+                         ids=["case1", "case7", "a-case6"])
+def test_shared_emission_work_matches_per_state_loops(pair):
+    theta1, theta = pair
+    grid = GridSpec(N=16, quad_points=101)
+    gen, filt = as_chain(theta1), as_chain(theta)
+    assert_same_bits(_q_half(gen, filt, grid), _q_half_per_state(gen, filt, grid))
+    m = solve_invariant(build_kernel(theta1, theta, grid))
+    mix1, mix = _mix_log(theta1, grid), _mix_log(theta, grid)
+    want = [repr(_j_quadrature_per_state(theta1, m, grid, mix1 - mix, a))
+            for a in (0.5, 0.999, 2.0)]
+    want.append(repr(_j_quadrature_per_state(theta1, m, grid, mix, None)))
+    for shared in (False, True):
+        with case_mixtures() if shared else contextlib.nullcontext():
+            got = [repr(j_alpha(theta1, theta, a, m, grid)) for a in (0.5, 0.999, 2.0)]
+            got.append(repr(j_log(theta, theta1, m, grid)))
+        assert got == want, shared
 
 
 def test_array_and_chain_models_reach_the_functionals():
