@@ -64,9 +64,8 @@ from .fredholm import (
 from .models import (
     ModelAParams,
     ModelBParams,
-    infinite_renyi_rate,
     renyi_order,
-    tail_sd,
+    tail_sds,
     validate_model,
 )
 from .montecarlo import (
@@ -283,52 +282,53 @@ def load_config(path: str) -> list[CaseSpec]:
 # execution
 
 
-def _orders(theta1, theta, alphas) -> tuple[dict, set]:
-    """{alpha: order} for every alpha (`models.renyi_order`), and the set
-    of alphas whose rate is infinite (`models.infinite_renyi_rate`)."""
-    orders = {a: renyi_order(a) for a in alphas}
-    return orders, {a for a, order in orders.items()
-                    if infinite_renyi_rate(theta1, theta, order)}
+def _orders(theta1, theta, alphas) -> dict:
+    """The order table of a case: {alpha: (order, tail sd)} for every alpha,
+    with the order as `models.renyi_order` gives it and the sd of its
+    integrand's Gaussian tail, inf where the rate is infinite
+    (`models.tail_sds`)."""
+    orders = [renyi_order(a) for a in alphas]
+    return dict(zip(alphas, zip(orders, tail_sds(theta1, theta, orders))))
 
 
-def _tail_margin(theta1, theta, alphas, grid: GridSpec) -> float | None:
-    """The smallest grid.a / s_eff over the finite orders (`models.tail_sd`):
-    how many standard deviations of the integrand's Gaussian tail the
-    lattice keeps; None when every order is infinite. Unless the models are
-    identical, a margin below MIN_TAIL_MARGIN_SD raises GridTooCoarseError."""
+def _tail_margin(orders: dict, grid: GridSpec, gated: bool) -> float | None:
+    """The smallest grid.a / tail sd over the finite orders of an order
+    table: how many standard deviations of the integrand's Gaussian tail
+    the lattice keeps; None when every order is infinite. When gated (the
+    models differ), a margin below MIN_TAIL_MARGIN_SD raises
+    GridTooCoarseError."""
     margins = []
-    for order in _orders(theta1, theta, alphas)[0].values():
-        sd = tail_sd(theta1, theta, order)
+    for order, sd in orders.values():
         if math.isfinite(sd):
             margins.append(grid.a / sd)
-            if margins[-1] < MIN_TAIL_MARGIN_SD and theta1 != theta:
+            if margins[-1] < MIN_TAIL_MARGIN_SD and gated:
                 raise GridTooCoarseError(
                     f"alpha = {order:g}: the lattice keeps {margins[-1]:.2f} sds of the "
                     f"integrand's tail, fewer than {MIN_TAIL_MARGIN_SD:g}; increase a")
     return min(margins, default=None)
 
 
-def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]:
-    """Fredholm values {alpha: rate} for every order in alphas, and the
-    solver diagnostics.
+def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
+                     tail_margin: float | None) -> tuple[dict, dict]:
+    """Fredholm values {alpha: rate} for every alpha of an order table
+    (`_orders`), and the solver diagnostics.
 
     One theta-filter kernel solve serves every Renyi order and the KL cross
     term; a theta1-filter solve is added only when some order is KL (within
     1e-8 of 1, or "kl"), which differences the two log functionals.
     Identical models give exactly zero: the ratio integrand is identically
     1, so no discretization may blur the answer. Orders whose rate is
-    infinite (`models.infinite_renyi_rate`) give inf, and when every order
-    is, no kernel is built.
+    infinite give inf, and when every order is, no kernel is built.
 
     The diagnostics time the three stages: kernel assembly, invariant
     solves and the J quadratures (`j_log` and `j_alpha` together), and
-    hold `tail_margin_sd` (`_tail_margin`), which is checked before any
-    kernel is built.
+    hold the case's `tail_margin_sd` (`_tail_margin`), which the caller
+    checks before any kernel is built.
     """
-    orders, infinite = _orders(theta1, theta, alphas)
-    values = dict.fromkeys(alphas, 0.0)
+    infinite = {a for a, (_, sd) in orders.items() if math.isinf(sd)}
+    values = dict.fromkeys(orders, 0.0)
     diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
-    diag["tail_margin_sd"] = _tail_margin(theta1, theta, alphas, grid)
+    diag["tail_margin_sd"] = tail_margin
 
     def timed(stage, layer, *args):
         t0 = time.perf_counter()
@@ -339,17 +339,17 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     if theta1 == theta:
         diag["identity"] = True
     elif len(infinite) == len(orders):
-        values = dict.fromkeys(alphas, math.inf)
+        values = dict.fromkeys(orders, math.inf)
     else:
         kernels = [timed("kernel_seconds", build_kernel, theta1, theta, grid)]
         solves = [timed("solve_seconds", solve_invariant, kernels[0])]
         with case_mixtures():  # every J of the case reads the same two mixtures
-            if 1.0 in orders.values():
+            if any(order == 1.0 for order, _ in orders.values()):
                 kernels.append(timed("kernel_seconds", build_kernel, theta1, theta1, grid))
                 solves.append(timed("solve_seconds", solve_invariant, kernels[1]))
                 kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
                       - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
-            for a, order in orders.items():
+            for a, (order, _) in orders.items():
                 if order == 1.0:
                     values[a] = kl
                 elif a in infinite:
@@ -366,23 +366,23 @@ def _fredholm_values(theta1, theta, alphas, grid: GridSpec) -> tuple[dict, dict]
     return values, diag
 
 
-def _mc_values(theta1, theta, alphas, cfg: McConfig) -> tuple[dict, dict]:
-    """Simulation estimates {alpha: DivergenceEstimate} for every order in
-    alphas, and the stage diagnostics. One `replication_log_ratios` call
-    serves every order; identical models give exactly 0 (the two filters
-    run the same arithmetic), and an infinite order mean inf without
-    sampling.
+def _mc_values(theta1, theta, orders: dict, cfg: McConfig) -> tuple[dict, dict]:
+    """Simulation estimates {alpha: DivergenceEstimate} for every alpha of
+    an order table (`_orders`), and the stage diagnostics. One
+    `replication_log_ratios` call serves every order; identical models give
+    exactly 0 (the two filters run the same arithmetic), and an infinite
+    order means inf without sampling.
 
     The diagnostics hold the stage timings and `mc_top_term_share`:
     {alpha: the estimate's `top_term_share`} for the finite orders of at
     least HEAVY_TAIL_MIN_ORDER."""
-    orders, infinite = _orders(theta1, theta, alphas)
+    infinite = {a for a, (_, sd) in orders.items() if math.isinf(sd)}
     diag = {"sample_seconds": 0.0, "filter_seconds": 0.0}
     if len(infinite) < len(orders):
         rho = replication_log_ratios(theta1, theta, cfg, timings=diag)
     values = {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
               if a in infinite else estimate_from_log_ratios(rho, order)
-              for a, order in orders.items()}
+              for a, (order, _) in orders.items()}
     diag["mc_top_term_share"] = {a: est.top_term_share for a, est in values.items()
                                  if a not in infinite and est.alpha >= HEAVY_TAIL_MIN_ORDER}
     return values, diag
@@ -396,16 +396,18 @@ def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> D
     path, and other orders that are not finite and > 0 raise ValueError.
     Identical models give exactly 0, infinite Renyi orders inf.
     """
-    values, diag = _fredholm_values(theta1, theta, (alpha,), grid or GridSpec())
-    return DivergenceResult(alpha=renyi_order(alpha), value=values[alpha],
-                            diagnostics=diag)
+    grid = grid or GridSpec()
+    orders = _orders(theta1, theta, (alpha,))
+    margin = _tail_margin(orders, grid, theta1 != theta)
+    values, diag = _fredholm_values(theta1, theta, orders, grid, margin)
+    return DivergenceResult(alpha=orders[alpha][0], value=values[alpha], diagnostics=diag)
 
 
 def estimate_renyi_mc(p, q, alpha, cfg: McConfig | None = None) -> DivergenceEstimate:
     """Renyi divergence rate of p from q by simulation: the one-order call
     of the per-case simulation pipeline, with paths sampled under p. alpha
     is a number or "kl", routed and checked as in `divergence_fredholm`."""
-    values, _ = _mc_values(p, q, (alpha,), cfg or McConfig())
+    values, _ = _mc_values(p, q, _orders(p, q, (alpha,)), cfg or McConfig())
     return values[alpha]
 
 
@@ -424,24 +426,20 @@ def _named(spec: CaseSpec):
         raise GridTooCoarseError(f"case {spec.name!r}: {exc}") from exc
 
 
-def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
-    methods = tuple(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    if not methods:
-        raise ValueError("at least one method is required")
-
+def _run_case(spec: CaseSpec, orders: dict, tail_margin, methods) -> tuple[list[ResultRow], dict]:
+    """The rows and diagnostics of one case, from its order table and tail
+    margin (`_run_all`)."""
     diag: dict = {}
     values = {"fredholm": {}, "mc": {}}
     row_seconds = {}
-    for method, driver, settings in (("fredholm", _fredholm_values, spec.grid),
-                                     ("mc", _mc_values, spec.mc)):
+    for method, driver, settings in (
+            ("fredholm", _fredholm_values, (spec.grid, tail_margin)),
+            ("mc", _mc_values, (spec.mc,))):
         if method not in methods:
             continue
         t0 = time.perf_counter()
         with _named(spec):
-            values[method], stages = driver(spec.theta1, spec.theta, spec.alphas, settings)
+            values[method], stages = driver(spec.theta1, spec.theta, orders, *settings)
         seconds = time.perf_counter() - t0
         diag.update(stages)
         diag[f"{method}_seconds"] = seconds
@@ -471,14 +469,14 @@ def _run_case(spec: CaseSpec, methods) -> tuple[list[ResultRow], dict]:
 
 
 def run_case(spec: CaseSpec, methods=METHODS) -> list[ResultRow]:
-    """One ResultRow per alpha, populated for the requested methods.
+    """One ResultRow per alpha, populated for the requested methods: the
+    one-case call of `run_cases`.
 
     Each engine runs once for the whole alpha grid (kernel solves for
     Fredholm, path simulation and filtering for MC); its time is spread
     evenly over the rows, so the per-row times add up to the case's.
     """
-    rows, _ = _run_case(spec, methods)
-    return rows
+    return run_cases([spec], methods)
 
 
 def _thread_count(n_cases: int) -> int:
@@ -498,25 +496,36 @@ def _run_all(specs: list[CaseSpec], methods) -> tuple[list, dict, dict]:
     """Run every case, possibly concurrently: the rows of the cases that
     finished, by case then alpha regardless of scheduling, their
     diagnostics by name, and {name: exception} for the cases that raised.
-    A failed case does not stop the others. With the Fredholm engine,
-    every case's tail margin is checked before any case runs."""
-    if "fredholm" in methods:
-        for s in specs:
-            with _named(s):
-                _tail_margin(s.theta1, s.theta, s.alphas, s.grid)
+    A failed case does not stop the others.
 
-    def attempt(spec):
+    Before any case runs, the methods are checked (ConfigError) and each
+    case's order table (`_orders`) and tail margin are resolved; with the
+    Fredholm engine, every case's tail margin is checked then."""
+    methods = tuple(methods)
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    if not methods:
+        raise ConfigError("at least one method is required")
+    cases = []
+    for s in specs:
+        orders = _orders(s.theta1, s.theta, s.alphas)
+        with _named(s):
+            margin = _tail_margin(orders, s.grid, "fredholm" in methods and s.theta1 != s.theta)
+        cases.append((s, orders, margin))
+
+    def attempt(case):
         try:
-            return _run_case(spec, methods)
+            return _run_case(*case, methods)
         except Exception as exc:  # kept for the caller, which re-raises it
             return exc
 
     workers = _thread_count(len(specs))
     if workers == 1:
-        results = [attempt(s) for s in specs]
+        results = [attempt(c) for c in cases]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(attempt, specs))
+            results = list(pool.map(attempt, cases))
     rows, per_case, failed = [], {}, {}
     for spec, result in zip(specs, results):
         if isinstance(result, Exception):
@@ -783,10 +792,6 @@ def main(argv=None) -> int:
         return 0 if selftest() else 1
 
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return 2
     try:
         rows, failures = reproduce_table(args.config, methods, args.out, args.check)
     except (ConfigError, GridTooCoarseError) as exc:

@@ -578,11 +578,10 @@ def _chain_key(chain: LinearGaussianChain) -> tuple:
             chain.s.tobytes())
 
 
-def _mix_log(theta, grid: GridSpec) -> np.ndarray:
+def _mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     """log of the one-step predictive density sum_s pred_s(w) * f_s(y | u)
     on the (w, u, y) grid, with w the filter weight of state 0 and u, y
     the quadrature nodes. Read-only, since `case_mixtures` shares it."""
-    chain = as_chain(theta)
     return _shared(("mixture", _chain_key(chain), grid), lambda: _build_mix_log(chain, grid))
 
 
@@ -597,15 +596,17 @@ def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _log_ratio(theta1, theta, grid: GridSpec) -> np.ndarray:
-    """_mix_log(theta1) - _mix_log(theta), read-only: the log predictive
+def _log_ratio(gen: LinearGaussianChain, filt: LinearGaussianChain,
+               grid: GridSpec) -> np.ndarray:
+    """_mix_log(gen) - _mix_log(filt), read-only: the log predictive
     density ratio that `j_alpha` raises to each order."""
-    key = ("ratio", _chain_key(as_chain(theta1)), _chain_key(as_chain(theta)), grid)
-    return _shared(key, lambda: _build_log_ratio(theta1, theta, grid))
+    key = ("ratio", _chain_key(gen), _chain_key(filt), grid)
+    return _shared(key, lambda: _build_log_ratio(gen, filt, grid))
 
 
-def _build_log_ratio(theta1, theta, grid: GridSpec) -> np.ndarray:
-    r = _mix_log(theta1, grid) - _mix_log(theta, grid)
+def _build_log_ratio(gen: LinearGaussianChain, filt: LinearGaussianChain,
+                     grid: GridSpec) -> np.ndarray:
+    r = _mix_log(gen, grid) - _mix_log(filt, grid)
     r.flags.writeable = False
     return r
 
@@ -636,21 +637,21 @@ def _build_quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
     return wts, reps, log_gen, dens, f_emis, g0
 
 
-def _j_quadrature(theta1, m: InvariantDensityGrid, grid: GridSpec, r: np.ndarray,
-                  alpha: float | None) -> float:
+def _j_quadrature(gen: LinearGaussianChain, m: InvariantDensityGrid, grid: GridSpec,
+                  r: np.ndarray, alpha: float | None) -> float:
     """Shared quadrature core for J^alpha and J_log.
 
     r is a log predictive density (or a difference of two) on the (w, u, y)
     grid. alpha set: integrand exp((alpha-1) * r). alpha None: integrand r.
-    Data come from theta1: source state s carries the observation from v to
-    u, target state t draws y given u. The inner conditional expectations
-    are self-normalized by the integrand-free integral so that a constant
-    integrand integrates to exactly itself regardless of grid truncation.
+    Data come from the generating chain gen: source state s carries the
+    observation from v to u, target state t draws y given u. The inner
+    conditional expectations are self-normalized by the integrand-free
+    integral so that a constant integrand integrates to exactly itself
+    regardless of grid truncation.
     The inner integral is taken once per distinct target emission and its
     contraction g once per (source, target) emission pair; the terms add up
     target-outer, source-inner.
     """
-    gen = as_chain(theta1)
     wts, reps, log_gen, dens, f_emis, g0 = _quadrature_terms(gen, grid)
     # one integrand grid, filled in place: a fresh array of this size per
     # step costs more than the arithmetic does
@@ -675,7 +676,7 @@ def _j_quadrature(theta1, m: InvariantDensityGrid, grid: GridSpec, r: np.ndarray
                 total += gen.transition[s, t] * float(
                     np.sum(m.components[s] * normed[pair])
                 ) * m.cell_area
-    return total
+    return float(total)
 
 
 def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
@@ -686,11 +687,13 @@ def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
     alpha = renyi_order(alpha)
     if alpha == 1.0:
         raise ValueError("alpha = 1 has no power functional; use j_log")
-    return _j_quadrature(theta1, m, grid, _log_ratio(theta1, theta, grid), alpha)
+    gen, filt = as_chain(theta1), as_chain(theta)
+    return _j_quadrature(gen, m, grid, _log_ratio(gen, filt, grid), alpha)
 
 
 def j_log(theta_filt, theta1, m: InvariantDensityGrid, grid: GridSpec) -> float:
     """J_log: expected log predictive density under theta_filt, with data
     generated by theta1 and m solved with the matching theta_filt. The KL
     rate is j_log(theta1, theta1, m1) - j_log(theta, theta1, m_theta)."""
-    return _j_quadrature(theta1, m, grid, _mix_log(theta_filt, grid), None)
+    gen, filt = as_chain(theta1), as_chain(theta_filt)
+    return _j_quadrature(gen, m, grid, _mix_log(filt, grid), None)

@@ -414,33 +414,19 @@ def require_counts(obj, names) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def infinite_renyi_rate(theta1: Model, theta: Model, alpha: float) -> bool:
-    """Whether the Renyi rate of order alpha of theta1 from theta is +inf.
+def tail_sds(theta1: Model, theta: Model, orders) -> list[float]:
+    """For each Renyi order alpha (1 for KL), the standard deviation of the
+    Gaussian tail of the one-step integrand p1^alpha * p^(1 - alpha), or inf
+    where the rate of theta1 from theta is infinite.
 
-    For alpha > 1 the one-step integrand p1^alpha * p^(1-alpha) has a
-    Gaussian tail set by the widest emission of each model, largest sd s1
-    under theta1 and s under theta: it decays only when
-    alpha / s1^2 > (alpha - 1) / s^2. Otherwise the integral diverges for
-    every history, and so does the rate.
+    The tail is set by the widest emission of each model, largest sd s1
+    under theta1 and s under theta: s_eff = (alpha / s1^2 - (alpha - 1) /
+    s^2)^(-1/2). For alpha > 1 it decays only when alpha / s1^2 >
+    (alpha - 1) / s^2; otherwise the integral diverges for every history,
+    and so does the rate. A lattice truncated at +-a keeps a / s_eff
+    standard deviations of it.
     """
-    if not alpha > 1.0:
-        return False
-    s1, s = _widest_sds(theta1, theta)
-    return alpha * s * s <= (alpha - 1.0) * s1 * s1
-
-
-def _widest_sds(theta1: Model, theta: Model) -> tuple[float, float]:
-    return float(as_chain(theta1).s.max()), float(as_chain(theta).s.max())
-
-
-def tail_sd(theta1: Model, theta: Model, alpha: float) -> float:
-    """Standard deviation of the Gaussian tail of the one-step integrand
-    p1^alpha * p^(1 - alpha) (p1 for KL, alpha = 1), with s1 and s as in
-    `infinite_renyi_rate`: s_eff = (alpha / s1^2 - (alpha - 1) / s^2)^(-1/2),
-    and inf where that rate is infinite. A lattice truncated at +-a keeps
-    a / s_eff standard deviations of it.
-    """
-    if infinite_renyi_rate(theta1, theta, alpha):
-        return math.inf
-    s1, s = _widest_sds(theta1, theta)
-    return (alpha / (s1 * s1) - (alpha - 1.0) / (s * s)) ** -0.5
+    s1, s = float(as_chain(theta1).s.max()), float(as_chain(theta).s.max())
+    return [math.inf if alpha > 1.0 and alpha * s * s <= (alpha - 1.0) * s1 * s1
+            else (alpha / (s1 * s1) - (alpha - 1.0) / (s * s)) ** -0.5
+            for alpha in orders]

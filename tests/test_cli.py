@@ -34,7 +34,8 @@ from hmmdiv import (
 from hmmdiv import cases as bench
 from hmmdiv import cli, fredholm
 from hmmdiv.cli import check_rows, format_csv, format_table, main, selftest
-from hmmdiv.models import tail_sd
+from hmmdiv import models
+from hmmdiv.models import tail_sds
 from hmmdiv.montecarlo import replication_log_ratios
 
 T1 = {"p01": 0.4, "p10": 0.59, "mu": [2.0, 2.0], "phi": 0.0, "psi1": 1.0,
@@ -274,14 +275,12 @@ def test_fredholm_tail_margin_in_diagnostics(fredholm_cases):
     wide = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
     with pytest.raises(GridTooCoarseError, match=r"alpha = 1\.75: the lattice keeps 2\.50 sds"):
         divergence_fredholm(wide, bench.CASES[8][1], 1.75)
-    _, diag = cli._fredholm_values(wide, bench.CASES[8][1], (2.0,), GridSpec())
-    assert diag["tail_margin_sd"] is None
+    assert divergence_fredholm(wide, bench.CASES[8][1], 2.0).diagnostics["tail_margin_sd"] is None
     for cid, (t1, t) in bench.CASES.items():
-        _, diag = cli._fredholm_values(t1, t, (2.0,), GridSpec())
-        assert diag["tail_margin_sd"] >= 10.0
+        assert divergence_fredholm(t1, t, 2.0).diagnostics["tail_margin_sd"] >= 10.0
         # a case's margin is its smallest over the orders, KL at order 1
-        margins = [15.0 / tail_sd(t1, t, 1.0 if a == "kl" else a) for a in bench.ALPHA_GRID]
-        assert fredholm_cases[cid][1]["tail_margin_sd"] == min(margins)
+        sds = tail_sds(t1, t, [1.0 if a == "kl" else a for a in bench.ALPHA_GRID])
+        assert fredholm_cases[cid][1]["tail_margin_sd"] == min(15.0 / sd for sd in sds)
 
 
 def test_tail_margin_is_checked_before_any_case_runs(monkeypatch):
@@ -296,6 +295,43 @@ def test_tail_margin_is_checked_before_any_case_runs(monkeypatch):
     with pytest.raises(GridTooCoarseError, match=r"case 'wide': alpha = 1\.75"):
         run_cases(specs, ("fredholm",))
     assert calls == []
+
+
+def test_each_case_resolves_its_orders_once(monkeypatch):
+    # one order table per case, read by the margin gate and both drivers
+    calls = {"_orders": 0, "tail_sds": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cli, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    grid, mc = GridSpec(N=8, quad_points=101), McConfig(n=200, reps=5)
+    specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], ("kl", 0.5, 2.0), mc=mc, grid=grid)
+             for k in (1, 2)]
+    run_cases(specs)
+    assert calls == {"_orders": 2, "tail_sds": 2}
+
+
+def test_a_case_builds_few_chain_forms(monkeypatch):
+    # `as_chain` validates on every call: 2 for the order table, 2 per
+    # kernel, 2 per J functional and 2 for the simulation
+    spec = CaseSpec("case1", "B", *bench.CASES[1], ("kl", 0.5, 2.0),
+                    mc=McConfig(n=200, reps=5), grid=GridSpec(N=8, quad_points=101))
+    calls, real = [], models.require_valid
+    monkeypatch.setattr(models, "require_valid", lambda m: calls.append(m) or real(m))
+    run_cases([spec])
+    assert len(calls) <= 16
+
+
+def test_kl_values_are_python_floats():
+    t1, t = bench.CASES[1]
+    grid = GridSpec(N=8, quad_points=101)
+    assert type(divergence_fredholm(t1, t, "kl", grid).value) is float
+    (row,) = run_case(CaseSpec("case1", "B", t1, t, ("kl",), grid=grid), ("fredholm",))
+    assert type(row.fredholm) is float
+    m = fredholm.solve_invariant(fredholm.build_kernel(t1, t1, grid))
+    assert type(fredholm.j_log(t1, t1, m, grid)) is float
 
 
 MC_STAGE_KEYS = ("sample_seconds", "filter_seconds")
@@ -313,7 +349,8 @@ def test_mc_top_term_share_in_diagnostics(tmp_path):
     # the largest share of a replication's log-sum-exp carried by its
     # largest term, for the finite orders >= 1.5 only; no value moves
     spec = tiny_spec(alphas=(0.5, "kl", 1.5, 2.0))
-    values, diag = cli._mc_values(spec.theta1, spec.theta, spec.alphas, spec.mc)
+    orders = cli._orders(spec.theta1, spec.theta, spec.alphas)
+    values, diag = cli._mc_values(spec.theta1, spec.theta, orders, spec.mc)
     rho = replication_log_ratios(spec.theta1, spec.theta, spec.mc)
     assert set(diag["mc_top_term_share"]) == {1.5, 2.0}
     for a in (1.5, 2.0):
@@ -343,12 +380,12 @@ def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
         return replication_log_ratios(*args, **kwargs)
 
     monkeypatch.setattr(cli, "replication_log_ratios", counted)
-    rows, diag = cli._run_case(spec, ("mc",))
+    rows, diags = run_cases([spec], ("mc",), with_diagnostics=True)
     assert calls == []
     assert [r.mc_mean for r in rows] == [math.inf]
-    assert diag["sample_seconds"] == diag["filter_seconds"] == 0.0
+    assert diags["wide"]["sample_seconds"] == diags["wide"]["filter_seconds"] == 0.0
     # one finite order brings the simulation back
-    cli._run_case(dataclasses.replace(spec, alphas=(1.5, 2.0)), ("mc",))
+    run_cases([dataclasses.replace(spec, alphas=(1.5, 2.0))], ("mc",))
     assert len(calls) == 1
 
 
@@ -363,13 +400,14 @@ def test_fredholm_skips_the_kernel_when_every_order_is_infinite(monkeypatch):
         return fredholm.build_kernel(*args)
 
     monkeypatch.setattr(cli, "build_kernel", counted)
-    rows, diag = cli._run_case(spec, ("fredholm",))
+    rows, diags = run_cases([spec], ("fredholm",), with_diagnostics=True)
+    diag = diags["wide"]
     assert calls == []
     assert [r.fredholm for r in rows] == [math.inf]
     assert "eigen_residual" not in diag and "iterations" not in diag
     assert diag["tail_margin_sd"] is None
     # one finite order brings the theta-filter kernel back
-    cli._run_case(dataclasses.replace(spec, alphas=(1.5, 2.0)), ("fredholm",))
+    run_cases([dataclasses.replace(spec, alphas=(1.5, 2.0))], ("fredholm",))
     assert len(calls) == 1
 
 
@@ -472,7 +510,7 @@ def test_reproduce_table_artifacts(tmp_path):
     assert diag["cases"]["c8"]["eigen_residual"] <= 1e-10
     assert all(diag["cases"]["c8"][k] >= 0.0 for k in STAGE_KEYS + MC_STAGE_KEYS)
     spec = parse_config(tiny_doc(alphas=(0.5,)))[0]
-    assert diag["cases"]["c8"]["tail_margin_sd"] == 10.0 / tail_sd(spec.theta1, spec.theta, 0.5)
+    assert diag["cases"]["c8"]["tail_margin_sd"] == 10.0 / tail_sds(spec.theta1, spec.theta, [0.5])[0]
     assert parse_config(diag["config"])  # embedded config is itself loadable
 
 
@@ -524,6 +562,17 @@ def test_main_config_errors_exit_two(tmp_path, capsys):
     cfg.write_text(json.dumps(tiny_doc(grid={"a": math.inf})))  # "a": Infinity
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "cases[0].grid: a must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", [",", "bogus", "mc,bogus"])
+def test_main_bad_methods_exit_two_without_artifacts(tmp_path, capsys, methods):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_doc()))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--methods", methods, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not out.exists()
 
 
 def test_main_rejected_lattice_exits_two(tmp_path, capsys):

@@ -26,7 +26,7 @@ from hmmdiv import (
 )
 from hmmdiv import fredholm
 from hmmdiv.cases import ALPHA_GRID, CASES
-from hmmdiv.cli import _fredholm_values
+from hmmdiv.cli import _fredholm_values, _orders
 from hmmdiv.fredholm import (
     _exp_sum_roots,
     _log_gauss,
@@ -547,7 +547,7 @@ def _mix_log_reference(theta, grid):
                          ids=["a-case6", "case1-gen", "case1-alt", "case7-gen", "case7-alt"])
 def test_mix_log_read_only_and_equal_to_one_reduction(theta):
     grid = GridSpec()
-    got = _mix_log(theta, grid)
+    got = _mix_log(as_chain(theta), grid)
     assert not got.flags.writeable
     with pytest.raises(ValueError):
         got[0, 0, 0] = 0.0
@@ -572,6 +572,11 @@ def count_builds(monkeypatch):
 
 def counts(built):
     return {kind: len(args) for kind, args in built.items()}
+
+
+def fredholm_values(theta1, theta, alphas, grid):
+    """The per-case Fredholm driver's values on the case's order table."""
+    return _fredholm_values(theta1, theta, _orders(theta1, theta, alphas), grid, None)[0]
 
 
 def test_functionals_equal_inside_and_outside_a_case(monkeypatch):
@@ -601,27 +606,28 @@ def test_case_builds_each_mixture_grid_once(monkeypatch):
     grid = GridSpec(N=8, quad_points=101)
     assert sum(a != "kl" for a in ALPHA_GRID) == 8
     built = count_builds(monkeypatch)
-    _fredholm_values(CASE1_GEN, CASE1_ALT, ALPHA_GRID, grid)
+    fredholm_values(CASE1_GEN, CASE1_ALT, ALPHA_GRID, grid)
     # 8 orders and 2 log functionals: one ratio, and terms of theta1 only
     assert counts(built) == {"mixture": 2, "ratio": 1, "quadrature": 1}
     (gen,) = built["quadrature"][0]
     assert fredholm._chain_key(gen) == fredholm._chain_key(as_chain(CASE1_GEN))
     # the lattice count is part of the key: N=16 and N=32 get their own grids
+    gen, alt = as_chain(CASE1_GEN), as_chain(CASE1_ALT)
     with case_mixtures():
-        a = _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101))
-        b = _mix_log(CASE1_ALT, GridSpec(N=32, quad_points=101))
-        assert _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101)) is a
-        r = fredholm._log_ratio(CASE1_GEN, CASE1_ALT, GridSpec(N=16, quad_points=101))
-        assert fredholm._log_ratio(CASE1_GEN, CASE1_ALT, GridSpec(N=16, quad_points=101)) is r
+        a = _mix_log(alt, GridSpec(N=16, quad_points=101))
+        b = _mix_log(alt, GridSpec(N=32, quad_points=101))
+        assert _mix_log(as_chain(CASE1_ALT), GridSpec(N=16, quad_points=101)) is a
+        r = fredholm._log_ratio(gen, alt, GridSpec(N=16, quad_points=101))
+        assert fredholm._log_ratio(gen, alt, GridSpec(N=16, quad_points=101)) is r
         assert not r.flags.writeable
-        terms = fredholm._quadrature_terms(as_chain(CASE1_GEN), grid)
+        terms = fredholm._quadrature_terms(gen, grid)
         assert fredholm._quadrature_terms(as_chain(CASE1_GEN), grid) is terms
     assert counts(built) == {"mixture": 5, "ratio": 2, "quadrature": 2}
     assert a.shape == (15, 101, 101) and b.shape == (31, 101, 101)
     # the grids go with the case: a later call builds anew
-    assert _mix_log(CASE1_ALT, GridSpec(N=16, quad_points=101)) is not a
-    assert fredholm._log_ratio(CASE1_GEN, CASE1_ALT, GridSpec(N=16, quad_points=101)) is not r
-    assert fredholm._quadrature_terms(as_chain(CASE1_GEN), grid) is not terms
+    assert _mix_log(alt, GridSpec(N=16, quad_points=101)) is not a
+    assert fredholm._log_ratio(gen, alt, GridSpec(N=16, quad_points=101)) is not r
+    assert fredholm._quadrature_terms(gen, grid) is not terms
     assert counts(built) == {"mixture": 8, "ratio": 3, "quadrature": 3}
 
 
@@ -631,16 +637,14 @@ def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
     pairs = [CASES[1], CASES[2], CASES[6]]
     built = count_builds(monkeypatch)
     with concurrent.futures.ThreadPoolExecutor(3) as pool:
-        got = list(pool.map(lambda p: _fredholm_values(*p, ("kl", 0.5, 2.0), grid)[0],
-                            pairs))
+        got = list(pool.map(lambda p: fredholm_values(*p, ("kl", 0.5, 2.0), grid), pairs))
         # each worker's store went with its case
         assert list(pool.map(lambda _: getattr(fredholm._case, "store", None), range(3))) \
             == [None] * 3
     assert counts(built) == {"mixture": 6, "ratio": 3, "quadrature": 3}
     assert (sorted(fredholm._chain_key(gen) for gen, in built["quadrature"])
             == sorted(fredholm._chain_key(as_chain(t1)) for t1, _ in pairs))
-    assert repr(got) == repr([_fredholm_values(*p, ("kl", 0.5, 2.0), grid)[0]
-                              for p in pairs])
+    assert repr(got) == repr([fredholm_values(*p, ("kl", 0.5, 2.0), grid) for p in pairs])
 
 
 # --- work shared between equal emissions -------------------------------------------
@@ -676,9 +680,8 @@ def _q_half_per_state(gen, filt, grid):
                      .reshape(ug.shape) for t in range(gen.d)])
 
 
-def _j_quadrature_per_state(theta1, m, grid, r, alpha):
+def _j_quadrature_per_state(gen, m, grid, r, alpha):
     """`_j_quadrature` with every term built per state and per call."""
-    gen = as_chain(theta1)
     nodes, wts = _simpson(-grid.a, grid.a, grid.quad_points)
     log_gen = np.stack([_log_gauss(nodes[None, :], gen.c[s] + gen.b[s] * nodes[:, None],
                                    gen.s[s]) for s in range(gen.d)])
@@ -700,7 +703,7 @@ def _j_quadrature_per_state(theta1, m, grid, r, alpha):
                 total += gen.transition[s, t] * float(
                     np.sum(m.components[s] * (g / g0[:, None]))
                 ) * m.cell_area
-    return total
+    return float(total)
 
 
 @pytest.mark.parametrize("pair", [CASES[1], CASES[7], FAMILY_A_MIRRORS[6]],
@@ -711,10 +714,10 @@ def test_shared_emission_work_matches_per_state_loops(pair):
     gen, filt = as_chain(theta1), as_chain(theta)
     assert_same_bits(_q_half(gen, filt, grid), _q_half_per_state(gen, filt, grid))
     m = solve_invariant(build_kernel(theta1, theta, grid))
-    mix1, mix = _mix_log(theta1, grid), _mix_log(theta, grid)
-    want = [repr(_j_quadrature_per_state(theta1, m, grid, mix1 - mix, a))
+    mix1, mix = _mix_log(gen, grid), _mix_log(filt, grid)
+    want = [repr(_j_quadrature_per_state(gen, m, grid, mix1 - mix, a))
             for a in (0.5, 0.999, 2.0)]
-    want.append(repr(_j_quadrature_per_state(theta1, m, grid, mix, None)))
+    want.append(repr(_j_quadrature_per_state(gen, m, grid, mix, None)))
     for shared in (False, True):
         with case_mixtures() if shared else contextlib.nullcontext():
             got = [repr(j_alpha(theta1, theta, a, m, grid)) for a in (0.5, 0.999, 2.0)]
