@@ -720,35 +720,22 @@ def selftest(out=print) -> bool:
            f"max delta={worst:.2e}")
 
     size = 100000
-    ta_gen = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
-    ta_filt = ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9))
-    worst = 0.0
-    for _ in range(3):
-        x = float(rng.uniform(0.1, 0.9))
-        u = float(rng.normal())
-        w = float(rng.uniform(0.05, 0.95))
-        j = int(rng.integers(0, 2))
-        qv = q(x, u, w, j, ta_gen, ta_filt)
-        mc = simulate_q_two_state(x, u, w, j, ta_gen, ta_filt, rng, size)
-        se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
-        worst = max(worst, abs(qv - mc) / se)
-    report("two-state Q vs indicator simulation", worst <= 4.0,
-           f"worst={worst:.2f} s.e.")
-
-    tb1, tb = CASES[7]
-    worst = 0.0
-    for _ in range(3):
-        x = float(rng.uniform(0.1, 0.9))
-        u = float(rng.normal())
-        w = float(rng.uniform(0.05, 0.95))
-        j = int(rng.integers(0, 2))
-        k = int(rng.integers(0, 2))
-        qv = q(x, u, w, 2 * j + k, tb1, tb)
-        mc = simulate_q_four_state(x, u, w, j, k, tb1, tb, rng, size)
-        se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
-        worst = max(worst, abs(qv - mc) / se)
-    report("four-state Q vs indicator simulation", worst <= 4.0,
-           f"worst={worst:.2f} s.e.")
+    ta = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
+          ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9)))
+    # family A draws the state j, family B the pair state (j, k) = 2j + k
+    for label, pair, n_idx, simulate in (("two-state", ta, 1, simulate_q_two_state),
+                                         ("four-state", CASES[7], 2, simulate_q_four_state)):
+        worst = 0.0
+        for _ in range(3):
+            x = float(rng.uniform(0.1, 0.9))
+            u = float(rng.normal())
+            w = float(rng.uniform(0.05, 0.95))
+            idx = [int(rng.integers(0, 2)) for _ in range(n_idx)]
+            qv = q(x, u, w, idx[0] if n_idx == 1 else 2 * idx[0] + idx[1], *pair)
+            mc = simulate(x, u, w, *idx, *pair, rng, size)
+            se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
+            worst = max(worst, abs(qv - mc) / se)
+        report(f"{label} Q vs indicator simulation", worst <= 4.0, f"worst={worst:.2f} s.e.")
 
     kl8 = gaussian_kl(2.0, 0.9, 1.0, 1.0)
     res = divergence_fredholm(*CASES[8], "kl")

@@ -12,15 +12,18 @@ it stable for n in the 1e5 range where the raw product underflows.
 
 `batch_log_normalizers(chains, y, y_prev)` runs the filters of several
 chains with equal state counts over the same paths in one loop, and works
-through the path in blocks of time steps. The emission densities, the
-underflow check and the logs of a block are each one vectorized call over
-the whole block, and only the weight update runs step by step, one batched
-matmul for all chains. Every value is the one a step-at-a-time loop of a
-single chain computes, bit for bit. The output is allocated C-ordered and
-filled block by block:
-an F-ordered array of equal values would make reductions over a row sum
-in another order, and so change the simulation estimates in the last
-digits.
+through the path in blocks of time steps. The weights are state-major,
+(chain, state, path): a step is a product, a sum over the state axis, a
+division and one batched matmul by the transposed transitions, each into
+a buffer allocated once per call. A block's emission densities are
+filled in place once per distinct emission of each chain (the psi2 = 0
+pair lift has 2 among its 4 states) and copied to the states sharing it;
+they, the underflow check and the logs are each one pass over the block.
+Every value is the one a step-at-a-time loop of a single chain computes,
+bit for bit (for fewer than 8 states, which numpy sums in sequence either
+way). The output is C-ordered: an F-ordered array of equal values would
+sum a row in another order, and so change the simulation estimates in the
+last digits.
 
 Two deliberately independent evaluators back the filter for testing:
 `brute_force_log_likelihood` sums the complete-data density over every hidden
@@ -40,7 +43,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .models import _TIME_BLOCK, LinearGaussianChain, Model, as_chain
+from .models import _TIME_BLOCK, LinearGaussianChain, Model, _gauss_log_pdf, as_chain
 
 
 class DegenerateInputError(ValueError):
@@ -53,14 +56,6 @@ class DegenerateInputError(ValueError):
 
 
 _UNDERFLOW = 1e-300
-
-
-def _check_underflow(unnorm: np.ndarray, t: int) -> None:
-    if np.all(unnorm < _UNDERFLOW):
-        raise DegenerateInputError(
-            f"all forward weights underflowed at step {t}; "
-            "observations are incompatible with the model's emission scales"
-        )
 
 
 def _path_log_normalizers(m: Model, y: np.ndarray, y_prev: float) -> np.ndarray:
@@ -127,12 +122,26 @@ def matrix_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float
         # step 1 has no transition factor: the weights start at pi
         mt = np.diag(f) if t == 0 else chain.transition.T * f[:, None]
         v = mt @ v
-        _check_underflow(v, t + 1)
+        if np.all(v < _UNDERFLOW):
+            raise DegenerateInputError(
+                f"all forward weights underflowed at step {t + 1}; observations "
+                "are incompatible with the model's emission scales")
         mx = v.max()
         v /= mx
         log_scale += math.log(mx)
         prev = float(y[t])
     return log_scale + math.log(v.sum())
+
+
+def _fill_emission_pdfs(chain: LinearGaussianChain, y, y_prev, out, tmp) -> None:
+    """out[:, j] = f_j(y | y_prev) for (steps, reps) arrays y and y_prev, in
+    place once per distinct emission and copied to the states sharing it."""
+    for j, e in enumerate(chain.emission_reps()):
+        if e < j:
+            out[:, j] = out[:, e]
+        else:
+            np.exp(_gauss_log_pdf(y, y_prev, chain.c[j], chain.b[j], chain.s[j],
+                                  out[:, j], tmp), out=out[:, j])
 
 
 def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
@@ -142,10 +151,10 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
     `chains` is a sequence of k chains with equal d; y has shape (reps, n)
     and y_prev shape (reps,). Returns a C-ordered (k, reps, n) array of
     log s_t, row i for chains[i]. The k filters run in one loop: each step
-    is one batched matmul of the (k, reps, d) weights by the (k, d, d)
-    transitions. Every value is the one a one-chain call computes, bit for
-    bit, so log-ratio statistics between a model and itself cancel to exact
-    zeros.
+    is one batched matmul of the (k, d, d) transposed transitions by the
+    state-major (k, d, reps) weights. Every value is the one a one-chain
+    call computes, bit for bit, so log-ratio statistics between a model
+    and itself cancel to exact zeros.
 
     Works in blocks of time steps (see the module docstring). A block's
     emission densities are overwritten by its unnormalized weights, which
@@ -161,28 +170,36 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
     y = np.asarray(y, dtype=float)
     reps, n = y.shape
     k = len(chains)
-    p = np.stack([chain.transition for chain in chains])  # (k, d, d)
-    w = np.broadcast_to(np.stack([chain.pi for chain in chains])[:, None, :],
-                        (k, reps, d)).copy()
+    p = np.stack([chain.transition for chain in chains])
+    # the predictive weights P^T w of the next step, first pi; formed as w^T P
+    # on transposed views, BLAS sums them in the order of the row-vector
+    # product w @ P for any number of paths (P^T @ w differs for one path)
+    pred = np.repeat(np.stack([chain.pi for chain in chains])[:, :, None], reps, axis=2)
+    w = np.empty_like(pred)
+    w_t, pred_t = w.transpose(0, 2, 1), pred.transpose(0, 2, 1)
+    unnorm = np.empty((min(n, _TIME_BLOCK), k, d, reps))  # a block's densities, then weights
+    s = np.empty((len(unnorm), k, 1, reps))
+    tmp = np.empty((len(unnorm), reps))
+    rows = list(zip(unnorm, s))  # per-step views, taken once
     prev = np.asarray(y_prev, dtype=float)
     out = np.empty((k, reps, n))
     dead_at = {}  # chain index -> first step at which all its weights underflowed
     for t0 in range(0, n, _TIME_BLOCK):
         y_blk = y[:, t0:t0 + _TIME_BLOCK].T.copy()  # time-major copy of one block
+        m = y_blk.shape[0]
         prev_blk = np.concatenate((prev[None, :], y_blk[:-1]))
-        # (block, k, reps, d), updated in place
-        unnorm = np.stack([chain.emission_pdf(y_blk, prev_blk) for chain in chains], axis=1)
-        s = np.empty(unnorm.shape[:-1])
+        for i, chain in enumerate(chains):
+            _fill_emission_pdfs(chain, y_blk, prev_blk, unnorm[:m, i], tmp[:m])
         # a row that underflows turns into nan from here on; the check
         # below reports it before any of its values are used
         with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(y_blk.shape[0]):
-                u = unnorm[j]
-                u *= w if t0 + j == 0 else np.matmul(w, p)
-                np.add.reduce(u, axis=-1, out=s[j])
-                w = u / s[j][..., None]
-            out[:, :, t0:t0 + y_blk.shape[0]] = np.log(s).transpose(1, 2, 0)
-        dead = np.any(np.all(unnorm < _UNDERFLOW, axis=-1), axis=-1)  # (block, k)
+            for u, s_j in rows[:m]:
+                np.multiply(u, pred, out=u)
+                np.add.reduce(u, axis=-2, keepdims=True, out=s_j)
+                np.divide(u, s_j, out=w)
+                np.matmul(w_t, p, out=pred_t)
+            out[:, :, t0:t0 + m] = np.log(s[:m, :, 0]).transpose(1, 2, 0)
+        dead = np.any(np.all(unnorm[:m] < _UNDERFLOW, axis=-2), axis=-1)  # (block, k)
         for i in np.flatnonzero(dead.any(axis=0)):
             dead_at.setdefault(int(i), t0 + int(dead[:, i].argmax()) + 1)
         if 0 in dead_at:  # no chain before the first can still die

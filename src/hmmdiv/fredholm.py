@@ -395,20 +395,12 @@ def _predictive(transition: np.ndarray, w_nodes) -> np.ndarray:
     return w_nodes[:, None] * transition[0] + (1.0 - w_nodes)[:, None] * transition[1]
 
 
-def _emission_reps(chain: LinearGaussianChain) -> list[int]:
-    """For each state, the first state whose emission (c, b, s) has the same
-    numbers. Q, the emission densities and the quadrature terms of a state
-    depend on its emission only, so states that share one share them."""
-    keys = [np.array([chain.c[t], chain.b[t], chain.s[t]]).tobytes() for t in range(chain.d)]
-    return [keys.index(k) for k in keys]
-
-
 def _q_half(gen: LinearGaussianChain, filt: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     """Q at the half nodes, shape (state, u, half, w), tabulated once per
     distinct generating emission."""
     ug, xg, wg = np.meshgrid(grid.v_nodes, grid.x_half_nodes, grid.x_nodes, indexing="ij")
     tables = []
-    for t, first in enumerate(_emission_reps(gen)):
+    for t, first in enumerate(gen.emission_reps()):
         tables.append(tables[first] if first < t else
                       _q_batch(xg.ravel(), ug.ravel(), wg.ravel(), t, gen, filt).reshape(ug.shape))
     return np.stack(tables)
@@ -591,7 +583,10 @@ def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     holding that array."""
     _, _, logf = _emission_grid(chain, grid)
     logpred = np.log(_predictive(chain.transition, grid.x_nodes))  # (w, s)
-    out = np.stack([_logsumexp(lp[:, None, None] + logf, axis=0) for lp in logpred])
+    out = np.empty(logpred.shape[:1] + logf.shape[1:])
+    terms = np.empty(logf.shape)  # every weight's terms, then their exponentials
+    for row, lp in zip(out, logpred):
+        row[...] = _logsumexp(np.add(lp[:, None, None], logf, out=terms), axis=0, scratch=terms)
     out.flags.writeable = False
     return out
 
@@ -618,7 +613,7 @@ def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
 
 def _build_quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
     """The order-free terms of `_j_quadrature` under the generating chain:
-    the Simpson weights (u and y share the nodes), `_emission_reps`,
+    the Simpson weights (u and y share the nodes), `emission_reps()`,
     log f_t(y | u) as (t, u, y), and by distinct emission e the density
     f_e(y | u) on (u, y) and f_e(u | v) on (v, u); last, by (source,
     target) emission pair that a transition joins, the normalizer g0 of
@@ -626,7 +621,7 @@ def _build_quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
     target's density."""
     nodes, wts, log_gen = _emission_grid(gen, grid)
     v = grid.v_nodes
-    reps = _emission_reps(gen)
+    reps = gen.emission_reps()
     firsts = sorted(set(reps))
     dens = {e: np.exp(log_gen[e]) for e in firsts}
     f_emis = {e: np.exp(_log_gauss(nodes[None, :], gen.c[e] + gen.b[e] * v[:, None], gen.s[e]))

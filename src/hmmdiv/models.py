@@ -114,15 +114,32 @@ class LinearGaussianChain:
     def d(self) -> int:
         return self.pi.shape[0]
 
+    def emission_reps(self) -> list[int]:
+        """For each state, the first state with the same emission numbers
+        (c, b, s): what depends on the emission alone is computed once."""
+        keys = [np.array([self.c[t], self.b[t], self.s[t]]).tobytes() for t in range(self.d)]
+        return [keys.index(k) for k in keys]
+
     def emission_log_pdf(self, y, y_prev):
         """Log emission densities, one per state; broadcasts over y/y_prev."""
         y = np.asarray(y, dtype=float)[..., None]
         y_prev = np.asarray(y_prev, dtype=float)[..., None]
-        z = (y - self.c - self.b * y_prev) / self.s
-        return -0.5 * z * z - np.log(self.s * _SQRT_2PI)
+        return _gauss_log_pdf(y, y_prev, self.c, self.b, self.s)
 
     def emission_pdf(self, y, y_prev):
         return np.exp(self.emission_log_pdf(y, y_prev))
+
+
+def _gauss_log_pdf(y, y_prev, c, b, s, out=None, tmp=None):
+    """log N(y; c + b * y_prev, s^2) with broadcasting, as z = ((y - c) -
+    b * y_prev) / s, then (-0.5 * z) * z - log(s * sqrt(2 pi)); given `out`
+    and `tmp` of the result's shape, z is formed in out and the result in tmp."""
+    z = np.subtract(np.subtract(y, c, out=out), np.multiply(b, y_prev, out=tmp), out=out)
+    z /= s
+    r = np.multiply(-0.5, z, out=tmp)
+    r *= z
+    r -= np.log(s * _SQRT_2PI)
+    return r
 
 
 @dataclass(frozen=True)
@@ -269,9 +286,11 @@ def as_chain(m: Model) -> LinearGaussianChain:
     )
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(a))) over one axis, bit for bit as scipy 1.17's
     `scipy.special.logsumexp(a, axis=axis)` computes it for real a.
+    The exponentials are formed in place, in `scratch` when given: a float
+    array of a's shape, which may be a itself and is then overwritten.
 
     The maximum is factored out and the m entries equal to it leave the
     sum, which gives log1p(s / m) + log(m) + max with s the sum of the
@@ -285,12 +304,15 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     at_top = a == top
     m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite max
-        e = np.exp(a - top)
+        e = np.subtract(a, top, out=scratch)
+        np.exp(e, out=e)
     np.copyto(e, 0.0, where=at_top)
     s = np.sum(e, axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 when a has a nan
-        out = np.log1p(s / m) + np.log(m) + top
-    return np.squeeze(out, axis=axis)
+        s = np.log1p(np.divide(s, m, out=s), out=s)  # then log1p(s / m) + log(m) + top
+        s += np.log(m, out=m)
+        s += top
+    return np.squeeze(s, axis=axis)
 
 
 def mix_seed(seed: int, r: int) -> int:
@@ -348,25 +370,24 @@ def sample_paths(chain: LinearGaussianChain, seeds, n: int, burn_in: int):
     del u_state
     states = np.empty((total, rows), dtype=np.int8)
     row_offsets = np.arange(rows) * d
-    for t in range(total):
+    idx = np.empty(rows, dtype=np.intp)
+    for t, z_t in enumerate(states):
         # the indices are in range by construction; "clip" skips the
         # buffered bounds check of the default mode
-        z = np.take(nxt[t], row_offsets + z, out=states[t], mode="clip")
+        z = nxt[t].take(np.add(row_offsets, z, out=idx), out=z_t, mode="clip")
     del nxt
 
     # y_t = (c[z] + b[z] * y_{t-1}) + s[z] * eps_t, written over eps in place
     c, b, s = chain.c, chain.b, chain.s
-    y = np.zeros(rows)
+    y, mean = np.zeros(rows), np.empty(rows)
     for t0 in range(0, total, _TIME_BLOCK):
         z_blk = states[t0:t0 + _TIME_BLOCK]
-        c_blk, b_blk = c[z_blk], b[z_blk]
         noise = eps[t0:t0 + _TIME_BLOCK]
         noise *= s[z_blk]
-        for k in range(z_blk.shape[0]):
-            mean = b_blk[k] * y
-            mean += c_blk[k]
-            y = noise[k]
-            y += mean
+        for c_t, b_t, y_t in zip(c[z_blk], b[z_blk], noise):
+            np.multiply(b_t, y, out=mean)
+            mean += c_t
+            y = np.add(y_t, mean, out=y_t)
     y_prev = eps[burn_in - 1].copy() if burn_in > 0 else np.zeros(rows)
     return (np.ascontiguousarray(eps[burn_in:].T), y_prev,
             np.ascontiguousarray(states[burn_in:].T))

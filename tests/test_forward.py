@@ -1,5 +1,6 @@
 """Likelihood engines: normalized filter, matrix product, path-sum oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from hmmdiv import (
     sample_path,
 )
 from hmmdiv.cases import CASES
-from hmmdiv.forward import _UNDERFLOW, batch_log_normalizers
+from hmmdiv.forward import _UNDERFLOW, _fill_emission_pdfs, batch_log_normalizers
 from hmmdiv.models import _TIME_BLOCK, mix_seed, sample_paths
 
 CASE1_GEN, CASE1_ALT = CASES[1]
@@ -176,11 +177,13 @@ def test_log_likelihood_iid_reduction():
 
 
 def test_log_likelihood_long_sequence_finite():
+    # both models of a case in one filter call, as the simulation engine
+    # runs them; each row's sum is that model's log likelihood
     for t1, t in CASES.values():
         path = sample_path(t1, 100000, seed=13)
-        for m in (t1, t):
-            val = log_likelihood(m, path.y, path.y_prev)
-            assert math.isfinite(val)
+        log_s = batch_log_normalizers([as_chain(t1), as_chain(t)], path.y[None, :],
+                                      np.array([path.y_prev]))
+        assert np.all(np.isfinite(log_s[:, 0].sum(axis=1)))
 
 
 def test_underflow_raises_degenerate_error():
@@ -324,12 +327,28 @@ def step_loop_log_normalizers(chain, y, y_prev):
     return out
 
 
-@pytest.mark.parametrize("family", ["A", "B"])
+def shared_emission_pair(kind):
+    """A model pair in which states of one or both chain forms share an
+    emission, so the filter computes their densities once and copies them."""
+    rng = np.random.default_rng(33)
+    if kind == "A-equal":  # family A with one emission for both states
+        return (ModelAParams(0.7, 0.6, (0.4, 0.4), (0.3, 0.3), (1.2, 1.2)),
+                ModelAParams(0.55, 0.8, (-0.2, -0.2), (0.1, 0.1), (0.9, 0.9)))
+    gen = dataclasses.replace(random_model(rng, "B"), psi2=0.0)
+    alt = random_model(rng, "B")
+    # psi2 = 0: the pair states (0, j) and (1, j) emit alike, 2 emissions over 4 states
+    return gen, (dataclasses.replace(alt, psi2=0.0) if kind == "B-psi2-0" else alt)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "A-equal", "B-psi2-0", "B-one-shares"])
 @pytest.mark.parametrize("reps", [1, 6])
 def test_blocked_filter_matches_step_loop_bitwise(family, reps):
     # two full time blocks and a partial third; d = 2 (A) and d = 4 (B)
     rng = np.random.default_rng(31)
-    gen, alt = random_model(rng, family), random_model(rng, family)
+    if family in ("A", "B"):
+        gen, alt = random_model(rng, family), random_model(rng, family)
+    else:
+        gen, alt = shared_emission_pair(family)
     n = 2 * _TIME_BLOCK + 3
     y, y_prev, _ = sample_paths(as_chain(gen), [mix_seed(5, r) for r in range(reps)],
                                 n, 20)
@@ -342,6 +361,23 @@ def test_blocked_filter_matches_step_loop_bitwise(family, reps):
         want = step_loop_log_normalizers(chain, y, y_prev)
         assert np.array_equal(batch_log_normalizers([chain], y, y_prev)[0], want)
         assert np.array_equal(stacked[i], want)
+
+
+@pytest.mark.parametrize("m, distinct", [
+    (CASE1_GEN, 2),  # psi2 = 0: (0, j) and (1, j) emit alike
+    (CASES[8][0], 1),  # equal means: every pair state emits alike
+    (CASES[7][0], 4),  # psi2 != 0
+    (shared_emission_pair("A-equal")[0], 1),
+])
+def test_emission_densities_filled_once_per_distinct_emission(m, distinct):
+    # the filter's in-place fill gives emission_pdf's bits, for the states
+    # that share an emission too
+    chain = as_chain(m)
+    assert len(set(chain.emission_reps())) == distinct
+    y, y_prev = np.random.default_rng(36).normal(1.0, 1.5, size=(2, 40, 7))
+    got = np.empty((40, chain.d, 7))
+    _fill_emission_pdfs(chain, y, y_prev, got, np.empty((40, 7)))
+    assert np.array_equal(got, chain.emission_pdf(y, y_prev).transpose(0, 2, 1))
 
 
 def test_stacked_filters_need_equal_state_counts():
