@@ -570,8 +570,9 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
         if (row.fredholm is not None and row.mc_mean is not None
                 and row.fredholm != row.mc_mean):
             gap = abs(row.fredholm - row.mc_mean)
-            # a one-sided infinity fails at any sd; two equal ones never get here
-            if math.isinf(gap) or (row.mc_sd and gap > 3.0 * row.mc_sd):
+            # a one-sided infinity fails at any sd, and any gap at sd 0; two
+            # equal values never get here
+            if math.isinf(gap) or gap > 3.0 * (row.mc_sd or 0.0):
                 failures.append(
                     f"{cell}: |fredholm - mc| = {gap:.4f} exceeds 3*sd = "
                     f"{3.0 * (row.mc_sd or 0.0):.4f}"
@@ -685,8 +686,7 @@ def selftest(out=print) -> bool:
     passes."""
     from .cases import CASES, gaussian_kl
     from .forward import brute_force_log_likelihood, log_likelihood
-    from .fredholm import (noncentral_chisq1_cdf, q, simulate_q_four_state,
-                           simulate_q_two_state)
+    from .fredholm import noncentral_chisq1_cdf, q, simulate_q
     from .models import sample_path
     from scipy.stats import ncx2
 
@@ -722,19 +722,17 @@ def selftest(out=print) -> bool:
     size = 100000
     ta = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
           ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9)))
-    # family A draws the state j, family B the pair state (j, k) = 2j + k
-    for label, pair, n_idx, simulate in (("two-state", ta, 1, simulate_q_two_state),
-                                         ("four-state", CASES[7], 2, simulate_q_four_state)):
+    # family A draws the state t, family B the pair state t = 2j + k
+    for label, pair, d in (("two-state", ta, 2), ("four-state", CASES[7], 4)):
         worst = 0.0
         for _ in range(3):
             x = float(rng.uniform(0.1, 0.9))
             u = float(rng.normal())
             w = float(rng.uniform(0.05, 0.95))
-            idx = [int(rng.integers(0, 2)) for _ in range(n_idx)]
-            qv = q(x, u, w, idx[0] if n_idx == 1 else 2 * idx[0] + idx[1], *pair)
-            mc = simulate(x, u, w, *idx, *pair, rng, size)
+            t = int(rng.integers(0, d))
+            mc = simulate_q(x, u, w, t, *pair, rng, size)
             se = max(math.sqrt(mc * (1 - mc) / size), 1e-4)
-            worst = max(worst, abs(qv - mc) / se)
+            worst = max(worst, abs(q(x, u, w, t, *pair) - mc) / se)
         report(f"{label} Q vs indicator simulation", worst <= 4.0, f"worst={worst:.2f} s.e.")
 
     kl8 = gaussian_kl(2.0, 0.9, 1.0, 1.0)

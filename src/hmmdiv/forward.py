@@ -92,6 +92,8 @@ def brute_force_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> 
         raise ValueError(
             f"brute force with d={chain.d}, n={n} exceeds the 2^20 path cap"
         )
+    if n == 0:
+        return 0.0  # the log of the empty product
     log_pi = np.log(chain.pi + 0.0)
     log_p = np.log(chain.transition + 1e-300)
     # emission log densities, shape (n, d)

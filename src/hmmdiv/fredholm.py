@@ -15,27 +15,23 @@ Discretizing the equation on a tensor lattice turns the kernel into a
 invariant density, and the divergence functionals J^alpha and J_log are
 quadratures of the one-step ratio statistics against it.
 
-Both model families run through one code path on their common chain form
-(`models.as_chain`): a hidden chain whose state s emits
-N(c_s + b_s * y_prev, s_s^2), with family B lifted to the four pair states
-(X_{t-1}, X_t). One assembler builds the kernel, one predictive mixture and
-one quadrature evaluate the functionals; the lifted chain's zero transitions
-encode that a pair (i, j) can only move to (j, k). Q, too, is one function
-of the two chains (`q`), which picks its evaluator by the filter's state
-count. A two-state filter (family A, per-state AR emissions) admits a
-closed form through a noncentral chi-square CDF. For the four pair states
-Q is the probability that a signed Gaussian mixture with one variance is
-nonpositive, which this module evaluates exactly by locating the
-mixture's sign changes (an exponential-sum root cascade) and summing
-Gaussian CDF masses over the nonpositive intervals.
+The engine sees only chain forms (`models.as_chain`): chains whose state s
+emits N(c_s + b_s * y_prev, s_s^2), family B lifted to the four pair states
+(X_{t-1}, X_t), with zero transitions where a pair (i, j) cannot move. Q and
+the kernel take any two that one filter weight can track (`_filter_chain`),
+of one family, of two, or chains as such. One assembler, one predictive
+mixture and one quadrature serve them all, and Q (`q`) picks its evaluator
+by the filter's state count: a noncentral chi-square CDF for two states;
+beyond, the exact mass where a signed Gaussian mixture of one variance is
+nonpositive, from its sign changes (an exponential-sum root cascade).
 
 Q, the emission densities and the quadrature's inner integrals depend on
 a state only through its emission (c_s, b_s, s_s), so states whose
 emissions have equal numbers (the pair lift with psi2 = 0 has two distinct
 emissions among four states) share one evaluation, bit for bit. Within a
-case (`case_mixtures`) the order-free grids are built once: both
-predictive mixtures, the log ratio grid of J^alpha, and the quadrature
-terms of the generating chain.
+case (`case_mixtures`) the order-free grids are built once, keyed by the
+chains themselves: both predictive mixtures, the log ratio grid of
+J^alpha, and the quadrature terms of the generating chain.
 
 Throughout, theta1 denotes the data-generating model and theta the
 alternative; filter weights track P(X_t = 0 | data). `hmmdiv.cli` combines
@@ -54,13 +50,10 @@ from scipy.special import ndtr
 
 from .models import (
     LinearGaussianChain,
-    ModelAParams,
-    ModelBParams,
     _logsumexp,
     as_chain,
     renyi_order,
     require_counts,
-    transition_matrix,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -261,16 +254,6 @@ def _exp_sum_roots(e, c, lo, hi):
     return np.sort(roots, axis=1)
 
 
-def _chains(theta_gen, theta_filt) -> tuple[LinearGaussianChain, LinearGaussianChain]:
-    """The chain forms of a model pair of one family; a mixed pair raises
-    TypeError."""
-    if not (type(theta_gen) is type(theta_filt)
-            and isinstance(theta_gen, (ModelAParams, ModelBParams))):
-        raise TypeError("theta_gen and theta_filt must both be family A "
-                        "(per-state AR) or both family B (two-lag) parameters")
-    return as_chain(theta_gen), as_chain(theta_filt)
-
-
 def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChain):
     """Q(x; t, u, w) for flat arrays x, u, w of one length, x in (0, 1) and
     w in [0, 1]: Y drawn from state t of gen given Y_prev = u, the filter
@@ -304,7 +287,7 @@ def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChai
     # is shared by the whole batch
     uniq, inverse = np.unique(np.stack([filt.c, filt.b], axis=1), axis=0, return_inverse=True)
     means = uniq[:, 0] + uniq[:, 1] * u[:, None]
-    sf = filt.s[0]  # the pair lift has one variance
+    sf = filt.s[0]  # one variance (`_filter_chain`)
     coef = np.zeros(means.shape)
     sign = (1.0 - x, -x)  # chain state s ends in primitive state s % 2
     for s in range(filt.d):
@@ -334,48 +317,49 @@ def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChai
     return np.clip(mass, 0.0, 1.0)
 
 
+def _filter_chain(theta) -> LinearGaussianChain:
+    """theta's chain form, if one filter weight (the mass of the even
+    states) tracks it: each row T[s] depends on s % 2 alone, as in both
+    families' forms, and beyond two states Q's cascade needs one variance."""
+    chain = as_chain(theta)
+    if chain.d < 2 or np.any(chain.transition != chain.transition[np.arange(chain.d) % 2]):
+        raise ValueError("one filter weight tracks a chain only when its rows depend on s % 2")
+    if chain.d > 2 and np.any(chain.s != chain.s[0]):
+        raise ValueError("Q's root cascade needs one variance beyond two states")
+    return chain
+
+
 def q(x: float, u: float, w: float, t: int, theta_gen, theta_filt) -> float:
     """P(W_t <= x | state t, Y_{t-1} = u, previous weight w): Y_t drawn
     from state t of theta_gen's chain form, the filter run under
-    theta_filt. For family B, t = 2j + k is the pair state (j, k). x <= 0
-    gives 0 and x >= 1 gives 1, since the weight lies in [0, 1]."""
+    theta_filt's. For family B, t = 2j + k is the pair state (j, k). x <= 0
+    gives 0 and x >= 1 gives 1, since the weight lies in [0, 1]; x or u
+    not finite raises ValueError."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
-    gen, filt = _chains(theta_gen, theta_filt)
+    if not (math.isfinite(x) and math.isfinite(u)):
+        raise ValueError(f"x and u must be finite, got x={x}, u={u}")
+    gen, filt = _filter_chain(theta_gen), _filter_chain(theta_filt)
     if t not in range(gen.d):
         raise ValueError(f"t must be a state in 0..{gen.d - 1}, got {t}")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
+    if not 0.0 < x < 1.0:
+        return float(x >= 1.0)
     return float(_q_batch(np.array([x]), np.array([u]), np.array([w]), t, gen, filt)[0])
 
 
-# Indicator simulations of Q for the selftest and the tests: the share of
-# `size` draws of Y (from rng's standard normals) whose filter event holds.
-
-
-def simulate_q_two_state(x, u, w, j, tg: ModelAParams, tf: ModelAParams,
-                         rng: np.random.Generator, size: int) -> float:
-    y = tg.mu[j] + tg.psi[j] * u + tg.sigma[j] * rng.standard_normal(size)
-    pf = transition_matrix(tf)
-    f = [np.exp(-0.5 * ((y - tf.mu[i] - tf.psi[i] * u) / tf.sigma[i]) ** 2) / tf.sigma[i]
-         for i in (0, 1)]
-    g = ((1 - x) * (w * pf[0, 0] + (1 - w) * pf[1, 0]) * f[0]
-         - x * (w * pf[0, 1] + (1 - w) * pf[1, 1]) * f[1])
-    return float(np.mean(g <= 0))
-
-
-def simulate_q_four_state(x, u, w, j, k, tg: ModelBParams, tf: ModelBParams,
-                          rng: np.random.Generator, size: int) -> float:
-    y = (tg.psi2 * tg.mu[j] + tg.psi1 * tg.mu[k] + tg.phi * u
-         + tg.sigma * rng.standard_normal(size))
-    pf = transition_matrix(tf)
-    f = [np.exp(-0.5 * ((y - tf.psi2 * tf.mu[i] - tf.psi1 * tf.mu[jj] - tf.phi * u)
-                        / tf.sigma) ** 2)
-         for i in (0, 1) for jj in (0, 1)]
-    g = ((1 - x) * pf[0, 0] * w * f[0] - x * pf[0, 1] * w * f[1]
-         + (1 - x) * pf[1, 0] * (1 - w) * f[2] - x * pf[1, 1] * (1 - w) * f[3])
+def simulate_q(x, u, w, t: int, theta_gen, theta_filt, rng: np.random.Generator,
+               size: int) -> float:
+    """Indicator simulation of `q` for the selftest and the tests: the
+    share of `size` draws of Y from state t of theta_gen's chain form
+    (from rng's standard normals) at which the filter's signed mixture
+    sum_s sign_s pred_s f_s(y | u) is <= 0, evaluated directly."""
+    gen, filt = as_chain(theta_gen), as_chain(theta_filt)
+    y = gen.c[t] + gen.b[t] * u + gen.s[t] * rng.standard_normal(size)
+    g = np.zeros(size)
+    for s in range(filt.d):
+        pred = w * filt.transition[0, s] + (1 - w) * filt.transition[1, s]
+        f = np.exp(-0.5 * ((y - filt.c[s] - filt.b[s] * u) / filt.s[s]) ** 2) / filt.s[s]
+        g += (1 - x if s % 2 == 0 else -x) * pred * f
     return float(np.mean(g <= 0))
 
 
@@ -390,8 +374,7 @@ def _norm_pdf(y, mean, sd):
 
 def _predictive(transition: np.ndarray, w_nodes) -> np.ndarray:
     """Filter's predictive state probabilities w * T[0] + (1 - w) * T[1],
-    shape (w, state); w is the filter weight of state 0. For the pair lift
-    rows 0 and 1 are (0,0) and (0,1), which end in states 0 and 1."""
+    shape (w, state), w the mass of the even states (`_filter_chain`)."""
     return w_nodes[:, None] * transition[0] + (1.0 - w_nodes)[:, None] * transition[1]
 
 
@@ -442,11 +425,9 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec) -> KernelMatrix:
     the untruncated operator; the truncation to [-a, a] and the finite
     difference leave sums near 1, which normalization makes exact. Sums far
     from 1, or not finite, mean the lattice cannot resolve the densities.
-    Both models must be of one family; a mixed pair raises TypeError.
     """
-    gen, filt = _chains(theta_gen, theta_filt)
-    q_half = _q_half(gen, filt, grid)
-    entries = _assemble(gen, q_half, grid)
+    gen, filt = _filter_chain(theta_gen), _filter_chain(theta_filt)
+    entries = _assemble(gen, _q_half(gen, filt, grid), grid)
 
     col_sums = entries.sum(axis=0)
     if not np.all((col_sums >= 0.5) & (col_sums <= 1.5)):
@@ -539,12 +520,12 @@ def case_mixtures():
 
     Every order of a case reads the same grids: the predictive mixtures of
     theta1 and theta (`_mix_log`), their difference, the log ratio grid of
-    `j_alpha`, and the order-free quadrature terms of theta1's chain
-    (`_quadrature_terms`). Inside the block each is built once per (chain
-    numbers, grid) and later `j_log` / `j_alpha` calls read it; all are
-    dropped when the block exits. Each thread has its own store, so cases
-    running at once keep their own grids, and outside a block every call
-    builds anew.
+    `j_alpha` (`_log_ratio`), and the order-free quadrature terms of
+    theta1's chain (`_quadrature_terms`). Inside the block each is built
+    once per (builder, chains, grid) and later `j_log` / `j_alpha` calls
+    read it; all are dropped when the block exits. Each thread has its own
+    store, so cases running at once keep their own grids, and outside a
+    block every call builds anew.
     """
     _case.store = {}
     try:
@@ -553,34 +534,24 @@ def case_mixtures():
         _case.store = None
 
 
-def _shared(key, build):
-    """build() once per key inside a `case_mixtures` block on this thread;
-    outside one, build() on every call."""
+def _shared(build, *args):
+    """build(*args) once per (build, *args) inside a `case_mixtures` block
+    on this thread; outside one, build(*args) on every call."""
     store = getattr(_case, "store", None)
     if store is None:
-        return build()
+        return build(*args)
+    key = (build, *args)
     if key not in store:
-        store[key] = build()
+        store[key] = build(*args)
     return store[key]
-
-
-def _chain_key(chain: LinearGaussianChain) -> tuple:
-    # the grids depend on the chain's numbers only, whatever the model type
-    return (chain.transition.tobytes(), chain.c.tobytes(), chain.b.tobytes(),
-            chain.s.tobytes())
 
 
 def _mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     """log of the one-step predictive density sum_s pred_s(w) * f_s(y | u)
-    on the (w, u, y) grid, with w the filter weight of state 0 and u, y
-    the quadrature nodes. Read-only, since `case_mixtures` shares it."""
-    return _shared(("mixture", _chain_key(chain), grid), lambda: _build_mix_log(chain, grid))
-
-
-def _build_mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
-    """`_mix_log` built one filter weight at a time: the same bits as one
-    logsumexp over the state axis of the full (w, s, u, y) array, without
-    holding that array."""
+    on the (w, u, y) grid (w the filter weight, u and y the quadrature
+    nodes), read-only since `case_mixtures` shares it. Built one weight at
+    a time: the bits of one logsumexp over the state axis of the full
+    (w, s, u, y) array, without holding that array."""
     _, _, logf = _emission_grid(chain, grid)
     logpred = np.log(_predictive(chain.transition, grid.x_nodes))  # (w, s)
     out = np.empty(logpred.shape[:1] + logf.shape[1:])
@@ -595,23 +566,12 @@ def _log_ratio(gen: LinearGaussianChain, filt: LinearGaussianChain,
                grid: GridSpec) -> np.ndarray:
     """_mix_log(gen) - _mix_log(filt), read-only: the log predictive
     density ratio that `j_alpha` raises to each order."""
-    key = ("ratio", _chain_key(gen), _chain_key(filt), grid)
-    return _shared(key, lambda: _build_log_ratio(gen, filt, grid))
-
-
-def _build_log_ratio(gen: LinearGaussianChain, filt: LinearGaussianChain,
-                     grid: GridSpec) -> np.ndarray:
-    r = _mix_log(gen, grid) - _mix_log(filt, grid)
+    r = _shared(_mix_log, gen, grid) - _shared(_mix_log, filt, grid)
     r.flags.writeable = False
     return r
 
 
 def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
-    return _shared(("quadrature", _chain_key(gen), grid),
-                   lambda: _build_quadrature_terms(gen, grid))
-
-
-def _build_quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
     """The order-free terms of `_j_quadrature` under the generating chain:
     the Simpson weights (u and y share the nodes), `emission_reps()`,
     log f_t(y | u) as (t, u, y), and by distinct emission e the density
@@ -647,7 +607,7 @@ def _j_quadrature(gen: LinearGaussianChain, m: InvariantDensityGrid, grid: GridS
     contraction g once per (source, target) emission pair; the terms add up
     target-outer, source-inner.
     """
-    wts, reps, log_gen, dens, f_emis, g0 = _quadrature_terms(gen, grid)
+    wts, reps, log_gen, dens, f_emis, g0 = _shared(_quadrature_terms, gen, grid)
     # one integrand grid, filled in place: a fresh array of this size per
     # step costs more than the arithmetic does
     buf = np.empty(r.shape)
@@ -682,13 +642,13 @@ def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
     alpha = renyi_order(alpha)
     if alpha == 1.0:
         raise ValueError("alpha = 1 has no power functional; use j_log")
-    gen, filt = as_chain(theta1), as_chain(theta)
-    return _j_quadrature(gen, m, grid, _log_ratio(gen, filt, grid), alpha)
+    gen, filt = _filter_chain(theta1), _filter_chain(theta)
+    return _j_quadrature(gen, m, grid, _shared(_log_ratio, gen, filt, grid), alpha)
 
 
 def j_log(theta_filt, theta1, m: InvariantDensityGrid, grid: GridSpec) -> float:
     """J_log: expected log predictive density under theta_filt, with data
     generated by theta1 and m solved with the matching theta_filt. The KL
     rate is j_log(theta1, theta1, m1) - j_log(theta, theta1, m_theta)."""
-    gen, filt = as_chain(theta1), as_chain(theta_filt)
-    return _j_quadrature(gen, m, grid, _mix_log(filt, grid), None)
+    gen, filt = _filter_chain(theta1), _filter_chain(theta_filt)
+    return _j_quadrature(gen, m, grid, _shared(_mix_log, filt, grid), None)

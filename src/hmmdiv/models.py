@@ -85,12 +85,14 @@ def _freeze_pairs(m, names) -> None:
             object.__setattr__(m, name, tuple(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearGaussianChain:
     """Common filter form: hidden chain with linear-Gaussian emissions.
 
     State j emits Y | Y_prev ~ N(c[j] + b[j] * Y_prev, s[j]^2). `pi` is the
     chain's initial (stationary, for the model families) distribution.
+    The fields are read-only copies, and two chains are equal, and hash
+    alike, when their numbers are the same bits.
     """
 
     pi: np.ndarray
@@ -101,7 +103,8 @@ class LinearGaussianChain:
 
     def __post_init__(self):
         for name in ("pi", "transition", "c", "b", "s"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
         d = self.pi.shape[0]
         if self.transition.shape != (d, d):
             raise ValueError("transition shape must match pi length")
@@ -113,6 +116,15 @@ class LinearGaussianChain:
     @property
     def d(self) -> int:
         return self.pi.shape[0]
+
+    def _numbers(self) -> tuple:
+        return tuple(getattr(self, name).tobytes() for name in ("pi", "transition", "c", "b", "s"))
+
+    def __eq__(self, other):
+        return isinstance(other, LinearGaussianChain) and self._numbers() == other._numbers()
+
+    def __hash__(self):
+        return hash(self._numbers())
 
     def emission_reps(self) -> list[int]:
         """For each state, the first state with the same emission numbers
@@ -403,6 +415,8 @@ def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSamp
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     y, y_prev, x = sample_paths(as_chain(m), [seed], n, burn_in)
     x = x[0]
     if isinstance(m, ModelBParams):

@@ -34,7 +34,7 @@ from hmmdiv import (
 )
 from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE, gaussian_renyi
 from hmmdiv.cli import check_rows
-from hmmdiv.fredholm import simulate_q_four_state, simulate_q_two_state
+from hmmdiv.fredholm import simulate_q
 
 RECORDED = Path(__file__).resolve().parents[1] / "benchmarks" / "recorded.json"
 EFFECTIVE_ALPHA = {a: (1.0 if a == "kl" else float(a)) for a in ALPHA_GRID}
@@ -118,6 +118,23 @@ def test_engines_agree_on_family_a():
     # so both the chi-square Q and the per-state emissions are exercised
     theta1 = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
     theta = ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9))
+    rho = replication_log_ratios(theta1, theta, McConfig())
+    for alpha in ("kl", 0.5):
+        det = divergence_fredholm(theta1, theta, alpha).value
+        est = estimate_from_log_ratios(rho, 1.0 if alpha == "kl" else alpha)
+        assert abs(det - est.mean) <= 3 * est.std_dev, (
+            f"alpha={alpha}: |{det:.4f} - {est.mean:.4f}| > 3 * {est.std_dev:.4f}"
+        )
+
+
+@pytest.mark.parametrize("direction", ["b-generates", "a-generates"])
+def test_engines_agree_on_mixed_family_pairs(direction):
+    # case 7 (psi2 != 0, four distinct pair emissions) against a family-A
+    # model: the root cascade filters family-A data and the closed form
+    # family-B data
+    family_a = ModelAParams(0.401, 0.6, (1.0, 0.0), (0.2, 0.2), (1.0, 1.0))
+    pair = (CASES[7][0], family_a)
+    theta1, theta = pair if direction == "b-generates" else pair[::-1]
     rho = replication_log_ratios(theta1, theta, McConfig())
     for alpha in ("kl", 0.5):
         det = divergence_fredholm(theta1, theta, alpha).value
@@ -291,8 +308,7 @@ def test_q_functions_match_indicator_simulation():
         w = float(rng.uniform(0.05, 0.95))
         j = trial % 2
         exact = q(x, u, w, j, tg_a, tf)
-        mc = simulate_q_two_state(x, u, w, j, tg_a, tf,
-                                  np.random.default_rng(1000 + trial), size)
+        mc = simulate_q(x, u, w, j, tg_a, tf, np.random.default_rng(1000 + trial), size)
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / size)
         assert abs(exact - mc) <= 3 * se + 1e-6, (
             f"two-state trial {trial}: {exact:.6f} vs {mc:.6f}"
@@ -307,8 +323,7 @@ def test_q_functions_match_indicator_simulation():
         w = float(rng.uniform(0.05, 0.95))
         j, k = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         exact = q(x, u, w, 2 * j + k, tg, tf)
-        mc = simulate_q_four_state(x, u, w, j, k, tg, tf,
-                                   np.random.default_rng(2000 + trial), size)
+        mc = simulate_q(x, u, w, 2 * j + k, tg, tf, np.random.default_rng(2000 + trial), size)
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / size)
         assert abs(exact - mc) <= 3 * se + 1e-6, (
             f"four-state trial {trial}: {exact:.6f} vs {mc:.6f}"

@@ -467,6 +467,17 @@ def test_check_rows_ignores_non_benchmark_params():
     assert check_rows([spec], [row]) == []  # only cross-method applies; it passes
 
 
+def test_check_rows_fails_any_gap_at_sd_zero():
+    # a single replication has sd 0: only equal values pass the band then
+    doc = tiny_doc(alphas=(0.5,))
+    doc["cases"][0]["theta"]["mu"] = [1.1, 0.9]  # only cross-method applies
+    spec = parse_config(doc)[0]
+    row = ResultRow(case="c8", alpha=0.5, fredholm=0.5, mc_mean=0.1, mc_sd=0.0)
+    (failure,) = check_rows([spec], [row])
+    assert "|fredholm - mc| = 0.4000 exceeds 3*sd = 0.0000" in failure
+    assert check_rows([spec], [dataclasses.replace(row, mc_mean=0.5)]) == []
+
+
 # --- formatting ------------------------------------------------------------------
 
 

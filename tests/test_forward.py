@@ -258,6 +258,14 @@ def test_brute_force_single_state_chain():
     assert abs(brute_force_log_likelihood(chain, y) - want) <= 1e-12
 
 
+def test_all_routes_agree_on_an_empty_path():
+    # the likelihood of no observations is the empty product, 1
+    for m in (CASE1_GEN, as_chain(CASE1_ALT),
+              ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))):
+        for route in (log_likelihood, matrix_log_likelihood, brute_force_log_likelihood):
+            assert route(m, np.array([]), 0.4) == 0.0, route.__name__
+
+
 def test_brute_force_rejects_huge_path_counts():
     y = np.zeros(12)
     with pytest.raises(ValueError):

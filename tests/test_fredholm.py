@@ -36,10 +36,9 @@ from hmmdiv.fredholm import (
     _q_half,
     _simpson,
     case_mixtures,
-    simulate_q_four_state,
-    simulate_q_two_state,
+    simulate_q,
 )
-from hmmdiv.models import as_chain
+from hmmdiv.models import LinearGaussianChain, as_chain
 
 CASE1_GEN, CASE1_ALT = CASES[1]
 CASE7_GEN, CASE7_ALT = CASES[7]
@@ -154,8 +153,8 @@ def test_q_two_state_simulation_oracle():
         w = float(rng.uniform(0.05, 0.95))
         j = trial % 2
         got = q(x, u, w, j, WIDE_GEN, WIDE_FILT)
-        mc = simulate_q_two_state(x, u, w, j, WIDE_GEN, WIDE_FILT,
-                                  np.random.default_rng(trial), 10 ** 6)
+        mc = simulate_q(x, u, w, j, WIDE_GEN, WIDE_FILT,
+                        np.random.default_rng(trial), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -167,8 +166,8 @@ def test_q_two_state_equal_variance_branch():
                       sigma=(1.5, 1.5))
     for seed, (x, u, w) in enumerate([(0.5, 0.3, 0.5), (0.7, -0.8, 0.2), (0.3, 1.2, 0.9)]):
         got = q(x, u, w, seed % 2, WIDE_GEN, tf)
-        mc = simulate_q_two_state(x, u, w, seed % 2, WIDE_GEN, tf,
-                                  np.random.default_rng(100 + seed), 10 ** 6)
+        mc = simulate_q(x, u, w, seed % 2, WIDE_GEN, tf,
+                        np.random.default_rng(100 + seed), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -191,6 +190,15 @@ def test_q_four_state_rejects_bad_weight():
         q(0.5, 0.0, 0.5, 4, CASE1_GEN, CASE1_ALT)  # four pair states
 
 
+def test_q_rejects_values_that_are_not_finite():
+    # both Q paths: the two-state closed form and the four-state cascade
+    for pair in ((WIDE_GEN, WIDE_FILT), (CASE1_GEN, CASE1_ALT), (CASE7_GEN, CASE7_ALT)):
+        for x, u in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                     (0.5, math.nan), (0.5, math.inf), (0.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                q(x, u, 0.5, 0, *pair)
+
+
 def test_q_four_state_monotone_in_x():
     xs = np.linspace(0.05, 0.95, 10)
     vals = [q(x, 0.5, 0.5, 0, CASE1_GEN, CASE1_ALT) for x in xs]
@@ -200,8 +208,8 @@ def test_q_four_state_monotone_in_x():
 
 def test_q_four_state_simulation_oracle_benchmark_pair():
     got = q(0.5, 0.5, 0.5, 0, CASE1_GEN, CASE1_ALT)
-    mc = simulate_q_four_state(0.5, 0.5, 0.5, 0, 0, CASE1_GEN, CASE1_ALT,
-                               np.random.default_rng(1), 10 ** 6)
+    mc = simulate_q(0.5, 0.5, 0.5, 0, CASE1_GEN, CASE1_ALT,
+                    np.random.default_rng(1), 10 ** 6)
     se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
     assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -215,8 +223,8 @@ def test_q_four_state_simulation_oracle_two_lag_pair():
         w = float(rng.uniform(0.05, 0.95))
         j, k = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         got = q(x, u, w, 2 * j + k, CASE7_GEN, CASE7_ALT)
-        mc = simulate_q_four_state(x, u, w, j, k, CASE7_GEN, CASE7_ALT,
-                                   np.random.default_rng(200 + trial), 10 ** 6)
+        mc = simulate_q(x, u, w, 2 * j + k, CASE7_GEN, CASE7_ALT,
+                        np.random.default_rng(200 + trial), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
 
@@ -374,18 +382,38 @@ def test_kernel_single_entry_hand_assembled():
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
 
 
-def test_kernel_family_type_checks():
-    # the family follows from the parameter types; a mixed pair has none
+def test_kernel_and_q_reject_non_models():
     with pytest.raises(TypeError):
-        build_kernel(CASE1_GEN, WIDE_FILT, GridSpec(N=8))
+        build_kernel(CASE1_GEN, (0.4, 0.6), GridSpec(N=8))
     with pytest.raises(TypeError):
-        build_kernel(WIDE_GEN, CASE1_ALT, GridSpec(N=8))
+        build_kernel("case1", CASE1_ALT, GridSpec(N=8))
     with pytest.raises(TypeError):
-        build_kernel(as_chain(WIDE_GEN), as_chain(WIDE_FILT), GridSpec(N=8))
+        q(0.5, 0.0, 0.5, 0, CASE1_GEN, None)
     with pytest.raises(TypeError):
-        q(0.5, 0.0, 0.5, 0, CASE1_GEN, WIDE_FILT)
-    with pytest.raises(TypeError):
-        q(0.0, 0.0, 0.5, 0, WIDE_GEN, CASE1_ALT)  # even where Q needs no model
+        q(0.0, 0.0, 0.5, 0, None, WIDE_FILT)  # even where Q needs no model
+
+
+def test_engine_rejects_chains_one_filter_weight_cannot_track():
+    # the kernel's filter state is one weight, the mass of the even states:
+    # exact only when each transition row depends on s % 2 alone, and the
+    # root cascade beyond two states needs one variance
+    grid = GridSpec(N=8, quad_points=101)
+    lifted = as_chain(CASE1_ALT)
+    t3 = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+    mixed_rows = dataclasses.replace(lifted, transition=lifted.transition[[0, 1, 3, 2]])
+    three = LinearGaussianChain(np.full(3, 1 / 3), t3, [0.0, 1.0, 2.0], np.zeros(3),
+                                np.ones(3))
+    two_sds = dataclasses.replace(lifted, s=[1.0, 1.0, 2.0, 2.0])
+    single = LinearGaussianChain([1.0], [[1.0]], [0.0], [0.0], [1.0])
+    for bad, match in ((mixed_rows, "s % 2"), (three, "s % 2"), (single, "s % 2"),
+                       (two_sds, "one variance")):
+        for pair in ((CASE1_GEN, bad), (bad, CASE1_ALT)):
+            with pytest.raises(ValueError, match=match):
+                build_kernel(*pair, grid)
+            with pytest.raises(ValueError, match=match):
+                q(0.5, 0.0, 0.5, 0, *pair)
+            with pytest.raises(ValueError, match=match):
+                divergence_fredholm(*pair, 0.5, grid)
 
 
 def test_kernel_too_coarse_raises():
@@ -494,7 +522,8 @@ def test_divergence_diagnostics_present():
 # Cases 1 and 6 have psi2 = 0, so their emissions depend on the current
 # state only and each has an exact family-A mirror (p00 = 1 - p01,
 # p11 = 1 - p10, per-state copies of phi and sigma). The chi-square Q path
-# and the root-cascade path must then give the same rates.
+# and the root-cascade path must then give the same rates, and so must the
+# mixed pairs of a mirror and a family-B model, in both directions.
 FAMILY_A_MIRRORS = {
     1: (ModelAParams(0.59, 0.4, (2.0, 1.0), (0.0, 0.0), (1.5, 1.5)),
         ModelAParams(0.59, 0.4, (1.0, 0.0), (0.0, 0.0), (2.0, 2.0))),
@@ -506,10 +535,12 @@ FAMILY_A_MIRRORS = {
 @pytest.mark.parametrize("cid", sorted(FAMILY_A_MIRRORS))
 def test_family_a_mirror_matches_family_b(cid):
     grid = GridSpec(N=8, quad_points=101)
+    (b1, b), (a1, a) = CASES[cid], FAMILY_A_MIRRORS[cid]
     for alpha in ("kl", 0.5, 2.0):
-        want = divergence_fredholm(*CASES[cid], alpha, grid).value
-        got = divergence_fredholm(*FAMILY_A_MIRRORS[cid], alpha, grid).value
-        assert math.isclose(got, want, rel_tol=1e-12), (cid, alpha, got, want)
+        want = divergence_fredholm(b1, b, alpha, grid).value
+        for pair in ((a1, a), (a1, b), (b1, a)):
+            got = divergence_fredholm(*pair, alpha, grid).value
+            assert math.isclose(got, want, rel_tol=1e-12), (cid, alpha, pair, got, want)
 
 
 def test_divergence_reference_values(fredholm_results):
@@ -555,11 +586,11 @@ def test_mix_log_read_only_and_equal_to_one_reduction(theta):
 
 
 def count_builds(monkeypatch):
-    """Record the chains (or model pairs) of every shared grid actually
+    """Record the chains (or chain pairs) of every shared grid actually
     built: {"mixture": [...], "ratio": [...], "quadrature": [...]}."""
     built = {}
-    for kind, name in (("mixture", "_build_mix_log"), ("ratio", "_build_log_ratio"),
-                       ("quadrature", "_build_quadrature_terms")):
+    for kind, name in (("mixture", "_mix_log"), ("ratio", "_log_ratio"),
+                       ("quadrature", "_quadrature_terms")):
         real = getattr(fredholm, name)
 
         def counting(*args, _kind=kind, _real=real):
@@ -572,6 +603,12 @@ def count_builds(monkeypatch):
 
 def counts(built):
     return {kind: len(args) for kind, args in built.items()}
+
+
+def shared(name, *args):
+    """The case store's grid from the builder `name` as the module holds it
+    now, so that a counting builder sees the call."""
+    return fredholm._shared(getattr(fredholm, name), *args)
 
 
 def fredholm_values(theta1, theta, alphas, grid):
@@ -610,24 +647,24 @@ def test_case_builds_each_mixture_grid_once(monkeypatch):
     # 8 orders and 2 log functionals: one ratio, and terms of theta1 only
     assert counts(built) == {"mixture": 2, "ratio": 1, "quadrature": 1}
     (gen,) = built["quadrature"][0]
-    assert fredholm._chain_key(gen) == fredholm._chain_key(as_chain(CASE1_GEN))
+    assert gen == as_chain(CASE1_GEN)
     # the lattice count is part of the key: N=16 and N=32 get their own grids
     gen, alt = as_chain(CASE1_GEN), as_chain(CASE1_ALT)
     with case_mixtures():
-        a = _mix_log(alt, GridSpec(N=16, quad_points=101))
-        b = _mix_log(alt, GridSpec(N=32, quad_points=101))
-        assert _mix_log(as_chain(CASE1_ALT), GridSpec(N=16, quad_points=101)) is a
-        r = fredholm._log_ratio(gen, alt, GridSpec(N=16, quad_points=101))
-        assert fredholm._log_ratio(gen, alt, GridSpec(N=16, quad_points=101)) is r
+        a = shared("_mix_log", alt, GridSpec(N=16, quad_points=101))
+        b = shared("_mix_log", alt, GridSpec(N=32, quad_points=101))
+        assert shared("_mix_log", as_chain(CASE1_ALT), GridSpec(N=16, quad_points=101)) is a
+        r = shared("_log_ratio", gen, alt, GridSpec(N=16, quad_points=101))
+        assert shared("_log_ratio", gen, alt, GridSpec(N=16, quad_points=101)) is r
         assert not r.flags.writeable
-        terms = fredholm._quadrature_terms(gen, grid)
-        assert fredholm._quadrature_terms(as_chain(CASE1_GEN), grid) is terms
+        terms = shared("_quadrature_terms", gen, grid)
+        assert shared("_quadrature_terms", as_chain(CASE1_GEN), grid) is terms
     assert counts(built) == {"mixture": 5, "ratio": 2, "quadrature": 2}
     assert a.shape == (15, 101, 101) and b.shape == (31, 101, 101)
     # the grids go with the case: a later call builds anew
-    assert _mix_log(alt, GridSpec(N=16, quad_points=101)) is not a
-    assert fredholm._log_ratio(gen, alt, GridSpec(N=16, quad_points=101)) is not r
-    assert fredholm._quadrature_terms(gen, grid) is not terms
+    assert shared("_mix_log", alt, GridSpec(N=16, quad_points=101)) is not a
+    assert shared("_log_ratio", gen, alt, GridSpec(N=16, quad_points=101)) is not r
+    assert shared("_quadrature_terms", gen, grid) is not terms
     assert counts(built) == {"mixture": 8, "ratio": 3, "quadrature": 3}
 
 
@@ -642,8 +679,8 @@ def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
         assert list(pool.map(lambda _: getattr(fredholm._case, "store", None), range(3))) \
             == [None] * 3
     assert counts(built) == {"mixture": 6, "ratio": 3, "quadrature": 3}
-    assert (sorted(fredholm._chain_key(gen) for gen, in built["quadrature"])
-            == sorted(fredholm._chain_key(as_chain(t1)) for t1, _ in pairs))
+    assert ({gen for gen, in built["quadrature"]}
+            == {as_chain(t1) for t1, _ in pairs})
     assert repr(got) == repr([fredholm_values(*p, ("kl", 0.5, 2.0), grid) for p in pairs])
 
 
@@ -727,7 +764,7 @@ def test_shared_emission_work_matches_per_state_loops(pair):
 
 def test_array_and_chain_models_reach_the_functionals():
     # models with list or array fields become tuples, so `==` between them is
-    # a plain bool; the chain form, which holds arrays, needs no hashing
+    # a plain bool
     as_array = dataclasses.replace(CASE1_GEN, mu=np.array(CASE1_GEN.mu))
     listed = ModelAParams(0.6, 0.7, [0.5, -0.5], np.array([0.2, -0.1]), [1.0, 1.4])
     assert as_array == CASE1_GEN and isinstance(as_array.mu, tuple)
@@ -743,3 +780,21 @@ def test_array_and_chain_models_reach_the_functionals():
         assert repr(j_alpha(as_array, CASE1_ALT, 0.5, m, grid)) == want
     want = divergence_fredholm(CASE1_GEN, CASE1_ALT, 0.5, grid).value
     assert repr(divergence_fredholm(as_array, CASE1_ALT, 0.5, grid).value) == repr(want)
+
+
+def test_chain_forms_run_the_engine_bit_for_bit():
+    # a chain is a value: equal numbers compare equal and hash alike, and
+    # the engine gives it its model's kernel entries and rates
+    grid = GridSpec(N=16, quad_points=101)
+    for theta1, theta in (CASES[7], FAMILY_A_MIRRORS[6], (FAMILY_A_MIRRORS[6][0], CASE7_ALT)):
+        c1, c = as_chain(theta1), as_chain(theta)
+        assert c1 == as_chain(theta1) and hash(c1) == hash(as_chain(theta1))
+        assert c1 != c and c1 != theta1
+        assert np.array_equal(build_kernel(c1, c, grid).entries,
+                              build_kernel(theta1, theta, grid).entries)
+        alphas = ("kl", 0.5, 2.0)
+        want = fredholm_values(theta1, theta, alphas, grid)
+        assert repr(fredholm_values(c1, c, alphas, grid)) == repr(want)
+        assert all(divergence_fredholm(c1, c1, a, grid).value == 0.0 for a in alphas)
+    with pytest.raises(ValueError):
+        c1.c[0] = 1.0  # read-only, so the hash cannot go stale

@@ -265,6 +265,12 @@ def test_sample_path_deterministic():
     assert not np.array_equal(a.y, c.y)
 
 
+def test_sample_path_rejects_negative_burn_in():
+    for burn_in in (-1, -20):
+        with pytest.raises(ValueError, match="burn_in"):
+            sample_path(CASE1_GEN, 10, burn_in=burn_in)
+
+
 def test_sample_path_is_the_batch_row():
     seeds = [mix_seed(3, r) for r in range(3)]
     y, y_prev, x = sample_paths(as_chain(CASE1_GEN), seeds, 400, 30)
