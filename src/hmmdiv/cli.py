@@ -121,8 +121,11 @@ class CaseSpec:
                 renyi_order(a)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
-        object.__setattr__(self, "alphas", tuple(
-            a.lower() if isinstance(a, str) else float(a) for a in self.alphas))
+        alphas = tuple(a.lower() if isinstance(a, str) else float(a) for a in self.alphas)
+        for i, a in enumerate(alphas):
+            if a in alphas[:i]:
+                raise ConfigError(f"{where}: alpha {a!r} is repeated")
+        object.__setattr__(self, "alphas", alphas)
 
 
 @dataclass(frozen=True)
@@ -428,7 +431,7 @@ def _named(spec: CaseSpec):
 
 def _run_case(spec: CaseSpec, orders: dict, tail_margin, methods) -> tuple[list[ResultRow], dict]:
     """The rows and diagnostics of one case, from its order table and tail
-    margin (`_run_all`)."""
+    margin (`_resolve`)."""
     diag: dict = {}
     values = {"fredholm": {}, "mc": {}}
     row_seconds = {}
@@ -492,16 +495,10 @@ def _thread_count(n_cases: int) -> int:
     return max(1, min(val, n_cases))
 
 
-def _run_all(specs: list[CaseSpec], methods) -> tuple[list, dict, dict]:
-    """Run every case, possibly concurrently: the rows of the cases that
-    finished, by case then alpha regardless of scheduling, their
-    diagnostics by name, and {name: exception} for the cases that raised.
-    A failed case does not stop the others.
-
-    Before any case runs, the methods are checked (ConfigError) and each
-    case's order table (`_orders`) and tail margin are resolved; with the
-    Fredholm engine, every case's tail margin is checked then."""
-    methods = tuple(methods)
+def _resolve(specs: list[CaseSpec], methods) -> list[tuple]:
+    """The checks made before any case runs: the methods (ConfigError), each
+    case's order table (`_orders`) and, with the Fredholm engine, its tail
+    margin. Returns (spec, orders, margin) per case for `_run_all`."""
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
@@ -513,6 +510,14 @@ def _run_all(specs: list[CaseSpec], methods) -> tuple[list, dict, dict]:
         with _named(s):
             margin = _tail_margin(orders, s.grid, "fredholm" in methods and s.theta1 != s.theta)
         cases.append((s, orders, margin))
+    return cases
+
+
+def _run_all(cases: list[tuple], methods) -> tuple[list, dict, dict]:
+    """Run every case that `_resolve` returned, possibly concurrently: the
+    rows of the cases that finished, by case then alpha regardless of
+    scheduling, their diagnostics by name, and {name: exception} for the
+    cases that raised. A failed case does not stop the others."""
 
     def attempt(case):
         try:
@@ -520,14 +525,14 @@ def _run_all(specs: list[CaseSpec], methods) -> tuple[list, dict, dict]:
         except Exception as exc:  # kept for the caller, which re-raises it
             return exc
 
-    workers = _thread_count(len(specs))
+    workers = _thread_count(len(cases))
     if workers == 1:
         results = [attempt(c) for c in cases]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(attempt, cases))
     rows, per_case, failed = [], {}, {}
-    for spec, result in zip(specs, results):
+    for (spec, _, _), result in zip(cases, results):
         if isinstance(result, Exception):
             failed[spec.name] = result
         else:
@@ -540,7 +545,7 @@ def run_cases(specs: list[CaseSpec], methods=METHODS, with_diagnostics=False):
     """Run every case (`_run_all`) and return its rows, with the per-case
     diagnostics by name when asked; when cases fail, raise the first
     failed case's exception once all have run."""
-    rows, per_case, failed = _run_all(specs, methods)
+    rows, per_case, failed = _run_all(_resolve(specs, methods), methods)
     if failed:
         raise next(iter(failed.values()))
     if with_diagnostics:
@@ -645,10 +650,16 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
     When cases fail, the artifacts hold the rows of the cases that
     finished, diagnostics.json names each failed case and its error under
     `failed_cases`, and the first failed case's exception is raised after
-    they are written."""
+    they are written. out_dir is created before any case runs; failing
+    to create it is a ConfigError."""
     specs = load_config(config_path)
+    cases = _resolve(specs, methods)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     t0 = time.perf_counter()
-    rows, per_case, failed = _run_all(specs, methods)
+    rows, per_case, failed = _run_all(cases, methods)
     elapsed = time.perf_counter() - t0
 
     diagnostics = {
@@ -660,7 +671,6 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
         "failed_cases": {name: f"{type(exc).__name__}: {exc}" for name, exc in failed.items()},
     }
 
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_table(rows))
     with open(os.path.join(out_dir, "table.csv"), "w", encoding="utf-8") as fh:

@@ -21,9 +21,9 @@ emits N(c_s + b_s * y_prev, s_s^2), family B lifted to the four pair states
 the kernel take any two that one filter weight can track (`_filter_chain`),
 of one family, of two, or chains as such. One assembler, one predictive
 mixture and one quadrature serve them all, and Q (`q`) picks its evaluator
-by the filter's state count: a noncentral chi-square CDF for two states;
-beyond, the exact mass where a signed Gaussian mixture of one variance is
-nonpositive, from its sign changes (an exponential-sum root cascade).
+by the filter's variances: a noncentral chi-square CDF for two that differ;
+for one, the exact mass where a signed Gaussian mixture is nonpositive,
+from its sign changes (an exponential-sum root cascade).
 
 Q, the emission densities and the quadrature's inner integrals depend on
 a state only through its emission (c_s, b_s, s_s), so states whose
@@ -177,17 +177,17 @@ def noncentral_chisq1_cdf(x, lam):
 #
 #   h(y) = sum_s sign_s pred_s f_s(y | u),   sign_s = 1 - x (s even), -x (s odd).
 #
-# Two states (family A) admit a closed form: h <= 0 says the density ratio
-# f_0/f_1 is at most z = (x / (1 - x)) pred_1 / pred_0, a noncentral
-# chi-square event. The pair lift (family B) shares one variance, so
-# sign(h(y)) = sign(sum_r c_r exp(e_r y)): an exponential sum with at most
-# 4 terms and hence at most 3 real roots. Roots of an exponential sum are
-# separated by roots of its derivative, which is again an exponential sum
-# with one term fewer, so a short cascade (closed form at 2 terms, bisection
-# between critical points above) finds every root. Q is then the
-# generating-density mass of the intervals where the sign is <= 0. This is
-# exact up to CDF rounding, which the simulation oracles require; an
-# indicator quadrature at realistic node counts is not.
+# Two states of two variances admit a closed form: h <= 0 says the density
+# ratio f_0/f_1 is at most z = (x / (1 - x)) pred_1 / pred_0, a noncentral
+# chi-square event. A filter of one variance (the pair lift of family B, or
+# family A with equal variances) has sign(h(y)) = sign(sum_r c_r exp(e_r y)):
+# an exponential sum with at most 4 terms and hence at most 3 real roots.
+# Roots of an exponential sum are separated by roots of its derivative,
+# which is again an exponential sum with one term fewer, so a short cascade
+# (closed form at 2 terms, bisection between critical points above) finds
+# every root. Q is then the generating-density mass of the intervals where
+# the sign is <= 0. This is exact up to CDF rounding, which the simulation
+# oracles require; an indicator quadrature at realistic node counts is not.
 
 
 def _sign_exp_sum(e, logmag, sgn, y):
@@ -257,46 +257,38 @@ def _exp_sum_roots(e, c, lo, hi):
 def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChain):
     """Q(x; t, u, w) for flat arrays x, u, w of one length, x in (0, 1) and
     w in [0, 1]: Y drawn from state t of gen given Y_prev = u, the filter
-    run under filt from weight w. Closed form for a two-state filter, the
-    root cascade otherwise."""
+    run under filt from weight w. The chi-square closed form when the
+    filter's two variances differ, the root cascade for one variance."""
     mg = gen.c[t] + gen.b[t] * u
     sg = gen.s[t]
-    if filt.d == 2:
+    s0, s1 = filt.s[0], filt.s[-1]  # differ only for two states (`_filter_chain`)
+    zeta = 1.0 / (2.0 * s1 * s1) - 1.0 / (2.0 * s0 * s0)
+    if abs(zeta) > 1e-12:
         pred = _predictive(filt.transition, w)
         z = (x / (1.0 - x)) * (pred[:, 1] / pred[:, 0])
         # log(f0/f1) is the quadratic zeta*y^2 + 2*eta*y + nu + log(s1/s0)
-        s0, s1 = filt.s
         m0 = filt.c[0] + filt.b[0] * u
         m1 = filt.c[1] + filt.b[1] * u
-        zeta = 1.0 / (2.0 * s1 * s1) - 1.0 / (2.0 * s0 * s0)
         eta = m0 / (2.0 * s0 * s0) - m1 / (2.0 * s1 * s1)
         nu = -(m0 * m0) / (2.0 * s0 * s0) + (m1 * m1) / (2.0 * s1 * s1)
-        if abs(zeta) > 1e-12:
-            thr = np.log(z * s0 / s1) / zeta + (eta / zeta) ** 2 - nu / zeta
-            lam = ((mg + eta / zeta) / sg) ** 2
-            cdf = noncentral_chisq1_cdf(thr / (sg * sg), lam)
-            return cdf if zeta > 0 else 1.0 - cdf
-        # equal filter variances: the log ratio is linear in y with slope 2*eta
-        gap = np.log(z) - (math.log(s1 / s0) + nu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = ndtr((gap / (2.0 * eta) - mg) / sg)
-        flat = np.where(gap >= 0.0, 1.0, 0.0)  # ratio constant in y
-        return np.where(eta > 0, up, np.where(eta < 0, 1.0 - up, flat))
+        thr = np.log(z * s0 / s1) / zeta + (eta / zeta) ** 2 - nu / zeta
+        lam = ((mg + eta / zeta) / sg) ** 2
+        cdf = noncentral_chisq1_cdf(thr / (sg * sg), lam)
+        return cdf if zeta > 0 else 1.0 - cdf
 
-    # components with equal (c, b) merge; the grouping is structural, so it
-    # is shared by the whole batch
+    # one variance s0 from here on; components with equal (c, b) merge, and
+    # the grouping is structural, so it is shared by the whole batch
     uniq, inverse = np.unique(np.stack([filt.c, filt.b], axis=1), axis=0, return_inverse=True)
     means = uniq[:, 0] + uniq[:, 1] * u[:, None]
-    sf = filt.s[0]  # one variance (`_filter_chain`)
     coef = np.zeros(means.shape)
     sign = (1.0 - x, -x)  # chain state s ends in primitive state s % 2
     for s in range(filt.d):
         coef[:, inverse[s]] += (sign[s % 2] * filt.transition[0, s] * w
                                 + sign[s % 2] * filt.transition[1, s] * (1.0 - w))
-    coef = coef * np.exp(-(means ** 2) / (2.0 * sf * sf))
-    expo = means / (sf * sf)
+    coef = coef * np.exp(-(means ** 2) / (2.0 * s0 * s0))
+    expo = means / (s0 * s0)
 
-    span = 12.0 * max(sf, sg)
+    span = 12.0 * max(s0, sg)
     lo = np.minimum(means.min(axis=1), mg) - span
     hi = np.maximum(means.max(axis=1), mg) + span
 
@@ -391,28 +383,21 @@ def _q_half(gen: LinearGaussianChain, filt: LinearGaussianChain, grid: GridSpec)
 
 def _assemble(gen: LinearGaussianChain, q_half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Kernel entry (target t, u, x; source s, v, w) =
-    T1[s, t] * f_s(u | v) * dQ_t/dx(x; u, w) * cell area, with dQ/dx the
-    central difference of Q between neighbouring half nodes. Blocks with
-    T1[s, t] = 0 stay zero."""
+    T1[s, t] * f_s(u | v) * dQ_t/dx(x; u, w) * cell area, one product of
+    the transition, the carry density of the observation from v to u and
+    the rate dQ/dx, the central difference of Q between neighbouring half
+    nodes. Blocks with T1[s, t] = 0 come out exactly 0."""
     d, n1 = gen.d, grid.N - 1
     v = grid.v_nodes
     dq = np.diff(q_half, axis=2)
     np.clip(dq, 0.0, None, out=dq)
-    rate = dq / (2.0 * grid.delta)  # (t, u_idx, x_idx, w_idx)
-    # f_s(u | v): observation carried from lattice node v to u
-    f_trans = [_norm_pdf(v[:, None], gen.c[s] + gen.b[s] * v[None, :], gen.s[s])
-               for s in range(d)]
-
-    k6 = np.zeros((d, n1, n1, d, n1, n1))
-    for t in range(d):
-        for s in range(d):
-            if gen.transition[s, t] > 0.0:
-                k6[t, :, :, s, :, :] = (
-                    gen.transition[s, t]
-                    * f_trans[s][:, None, :, None]
-                    * rate[t][:, :, None, :]
-                    * grid.cell_area
-                )
+    rate = dq / (2.0 * grid.delta)  # (t, u, x, w)
+    carry = np.stack([_norm_pdf(v[:, None], gen.c[s] + gen.b[s] * v[None, :], gen.s[s])
+                      for s in range(d)])  # (s, u, v)
+    k6 = (gen.transition.T[:, None, None, :, None, None]  # (t, u, x, s, v, w)
+          * carry.transpose(1, 0, 2)[None, :, None, :, :, None]
+          * rate[:, :, :, None, None, :])
+    k6 *= grid.cell_area
     return k6.reshape(d * n1 * n1, d * n1 * n1)
 
 

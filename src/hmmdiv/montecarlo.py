@@ -110,9 +110,12 @@ def replication_log_ratios(p: Model, q: Model, cfg: McConfig,
 
 
 def estimate_from_log_ratios(rho: np.ndarray, alpha) -> DivergenceEstimate:
-    """Build the estimate for one order from precomputed log ratios; alpha
-    is checked and resolved by `models.renyi_order`."""
+    """Build the estimate for one order from log ratios rho, one nonempty
+    row per replication (ValueError otherwise); alpha is checked and
+    resolved by `models.renyi_order`."""
     alpha = renyi_order(alpha)
+    if np.ndim(rho) != 2 or 0 in np.shape(rho):
+        raise ValueError(f"rho must be 2-D and not empty, got shape {np.shape(rho)}")
     n = rho.shape[1]
     share = None
     if alpha == 1.0:

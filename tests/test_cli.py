@@ -128,6 +128,13 @@ def test_per_case_overrides():
          "cases[0].grid.N: expected an integer, got 16.9"),
         (lambda d: d["cases"][0]["theta1"].update(mu=2.0),
          "cases[0].theta1.mu: expected a list, got 2.0"),
+        (lambda d: d["cases"][0]["theta1"].update(sigma=-1.0),
+         "case 'c8': theta1 invalid: sigma must be positive and finite, got -1.0"),
+        (lambda d: d["cases"][0].update(alphas=[0.5, 0.5, "kl", "KL"]),
+         "case 'c8': alpha 0.5 is repeated"),
+        (lambda d: d["cases"][0].update(alphas=["kl", 2.0, "KL"]),
+         "case 'c8': alpha 'kl' is repeated"),
+        (lambda d: d["cases"][0].update(alphas=[1, 1.0]), "case 'c8': alpha 1.0 is repeated"),
     ],
 )
 def test_config_errors_name_the_key(mangle, needle):
@@ -158,6 +165,14 @@ def test_family_theta_mismatch():
     doc["cases"][0]["family"] = "A"
     with pytest.raises(ConfigError):
         parse_config(doc)
+    # a config reads theta by family, so only a direct CaseSpec reaches this
+    with pytest.raises(ConfigError, match="^case 'x': theta1 does not match family A$"):
+        CaseSpec("x", "A", *bench.CASES[1], ("kl",))
+
+
+def test_one_and_kl_are_two_labels():
+    # the same order under two labels, each with its own row
+    assert tiny_spec(alphas=(1.0, "kl")).alphas == (1.0, "kl")
 
 
 def test_load_config_missing_file(tmp_path):
@@ -584,6 +599,18 @@ def test_main_bad_methods_exit_two_without_artifacts(tmp_path, capsys, methods):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
+
+
+def test_main_unusable_out_exits_two_before_any_case_runs(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "_run_case", lambda *args: ran.append(args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_doc()))
+    for out in (cfg, cfg / "o"):  # an existing file, and a path through one
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot create output directory")
+    assert ran == []
 
 
 def test_main_rejected_lattice_exits_two(tmp_path, capsys):

@@ -160,8 +160,9 @@ def test_q_two_state_simulation_oracle():
 
 
 def test_q_two_state_equal_variance_branch():
-    # equal filter variances make the log ratio linear in y: a single
-    # Gaussian CDF, exercised against simulation
+    # equal filter variances take the root cascade, as the pair lift does:
+    # the log ratio is linear in y, so a two-term exponential sum with one
+    # root, exercised against simulation
     tf = ModelAParams(p00=0.5, p11=0.5, mu=(1.0, -1.0), psi=(0.2, -0.1),
                       sigma=(1.5, 1.5))
     for seed, (x, u, w) in enumerate([(0.5, 0.3, 0.5), (0.7, -0.8, 0.2), (0.3, 1.2, 0.9)]):
@@ -170,6 +171,33 @@ def test_q_two_state_equal_variance_branch():
                         np.random.default_rng(100 + seed), 10 ** 6)
         se = math.sqrt(max(got * (1 - got), 1e-12) / 1e6)
         assert abs(got - mc) <= 3 * se + 1e-6
+
+
+def test_q_nearly_equal_variances_match_equal_ones():
+    # variances this close (|zeta| <= 1e-12) take the cascade with one
+    # variance, as equal ones do, not the closed form's 1/zeta terms
+    tf = ModelAParams(p00=0.5, p11=0.5, mu=(1.0, -1.0), psi=(0.2, -0.1),
+                      sigma=(1.5, 1.5))
+    near = dataclasses.replace(tf, sigma=(1.5, 1.5 * (1 + 1e-13)))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x, w = rng.uniform(0.01, 0.99, size=2)
+        u = float(rng.normal(scale=3.0))
+        for t in (0, 1):
+            assert abs(q(x, u, w, t, WIDE_GEN, near) - q(x, u, w, t, WIDE_GEN, tf)) <= 1e-12
+
+
+def test_q_identical_emissions_step_at_the_next_weight():
+    # a filter whose states emit alike learns nothing from Y: the next
+    # weight is the predictive mass pred_0 = w p00 + (1 - w)(1 - p11), so Q
+    # is a step there
+    tf = ModelAParams(p00=0.7, p11=0.6, mu=(0.4, 0.4), psi=(0.3, 0.3), sigma=(1.2, 1.2))
+    for w in (0.0, 0.25, 0.9, 1.0):
+        nxt = w * tf.p00 + (1 - w) * (1 - tf.p11)
+        for u in (-2.0, 0.5):
+            for t in (0, 1):
+                assert q(nxt + 1e-9, u, w, t, WIDE_GEN, tf) == 1.0
+                assert q(nxt - 1e-9, u, w, t, WIDE_GEN, tf) == 0.0
 
 
 # --- four-state Q -----------------------------------------------------------------
@@ -380,6 +408,46 @@ def test_kernel_single_entry_hand_assembled():
 
     got = k.entries[row, col] * k.pre_norm_col_sums[col]
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def _assemble_block_loop(gen, q_half, grid):
+    """`_assemble` as first written: a zeros array filled block by block,
+    skipping the blocks with T1[s, t] = 0."""
+    d, n1 = gen.d, grid.N - 1
+    v = grid.v_nodes
+    dq = np.diff(q_half, axis=2)
+    np.clip(dq, 0.0, None, out=dq)
+    rate = dq / (2.0 * grid.delta)
+    f_trans = [fredholm._norm_pdf(v[:, None], gen.c[s] + gen.b[s] * v[None, :], gen.s[s])
+               for s in range(d)]
+    k6 = np.zeros((d, n1, n1, d, n1, n1))
+    for t in range(d):
+        for s in range(d):
+            if gen.transition[s, t] > 0.0:
+                k6[t, :, :, s, :, :] = (
+                    gen.transition[s, t]
+                    * f_trans[s][:, None, :, None]
+                    * rate[t][:, :, None, :]
+                    * grid.cell_area
+                )
+    return k6.reshape(d * n1 * n1, d * n1 * n1)
+
+
+@pytest.mark.parametrize("pair", [CASES[1], CASES[7], (WIDE_GEN, WIDE_FILT)],
+                         ids=["case1", "case7", "family-a"])
+def test_assemble_matches_block_loop(pair):
+    grid = GridSpec(N=10)
+    gen, filt = as_chain(pair[0]), as_chain(pair[1])
+    q_half = _q_half(gen, filt, grid)
+    got = fredholm._assemble(gen, q_half, grid)
+    assert_same_bits(got, _assemble_block_loop(gen, q_half, grid))
+    # the pair lift has zero transitions, and their blocks are +0.0
+    n1 = grid.N - 1
+    blocks = got.reshape(gen.d, n1 * n1, gen.d, n1 * n1)
+    zero = list(zip(*np.nonzero(gen.transition == 0.0)))
+    assert len(zero) == (8 if gen.d == 4 else 0)
+    for s, t in zero:
+        assert_same_bits(blocks[t, :, s, :], np.zeros((n1 * n1, n1 * n1)))
 
 
 def test_kernel_and_q_reject_non_models():

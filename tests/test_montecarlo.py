@@ -119,6 +119,15 @@ def test_alpha_must_be_positive():
         assert estimate_from_log_ratios(rho, alpha) == kl
 
 
+def test_log_ratios_must_be_a_nonempty_matrix():
+    for shape in ((3, 0), (0, 5), (5,), (0,), (), (2, 3, 4)):
+        for alpha in (0.5, "kl"):
+            with pytest.raises(ValueError, match="rho must be 2-D and not empty"):
+                estimate_from_log_ratios(np.zeros(shape), alpha)
+    est = estimate_from_log_ratios(np.zeros((1, 1)), 0.5)  # the smallest accepted
+    assert est.mean == 0.0 and est.std_dev == 0.0 and est.reps == 1
+
+
 def test_kl_call_is_the_kl_order():
     for p, q in ((CASE1_GEN, CASE1_ALT), CASES[7]):
         assert estimate_kl_mc(p, q, FAST) == estimate_renyi_mc(p, q, "kl", FAST)
