@@ -321,7 +321,9 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
     1e-8 of 1, or "kl"), which differences the two log functionals.
     Identical models give exactly zero: the ratio integrand is identically
     1, so no discretization may blur the answer. Orders whose rate is
-    infinite give inf, and when every order is, no kernel is built.
+    infinite give inf, and when every order is, no kernel is built. Each
+    kernel is dropped once solved, its column-sum deviation kept: one
+    dense kernel is alive at a time.
 
     The diagnostics time the three stages: kernel assembly, invariant
     solves and the J quadratures (`j_log` and `j_alpha` together), and
@@ -344,12 +346,18 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
     elif len(infinite) == len(orders):
         values = dict.fromkeys(orders, math.inf)
     else:
-        kernels = [timed("kernel_seconds", build_kernel, theta1, theta, grid)]
-        solves = [timed("solve_seconds", solve_invariant, kernels[0])]
+        deviations = []
+
+        def solved(theta_filt):
+            # the kernel is a local here, freed on return
+            kernel = timed("kernel_seconds", build_kernel, theta1, theta_filt, grid)
+            deviations.append(float(np.abs(kernel.pre_norm_col_sums - 1.0).max()))
+            return timed("solve_seconds", solve_invariant, kernel)
+
+        solves = [solved(theta)]
         with case_mixtures():  # every J of the case reads the same two mixtures
             if any(order == 1.0 for order, _ in orders.values()):
-                kernels.append(timed("kernel_seconds", build_kernel, theta1, theta1, grid))
-                solves.append(timed("solve_seconds", solve_invariant, kernels[1]))
+                solves.append(solved(theta1))
                 kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
                       - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
             for a, (order, _) in orders.items():
@@ -362,8 +370,7 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
                               solves[0], grid)
                     values[a] = math.log(j) / (order - 1.0)
         diag["eigen_residual"] = max(m.eigen_residual for m in solves)
-        diag["max_col_sum_deviation"] = max(
-            float(np.abs(k.pre_norm_col_sums - 1.0).max()) for k in kernels)
+        diag["max_col_sum_deviation"] = max(deviations)
         diag["iterations"] = sum(m.iterations for m in solves)
     diag["grid"] = _settings(grid)
     return values, diag
@@ -495,10 +502,12 @@ def _thread_count(n_cases: int) -> int:
     return max(1, min(val, n_cases))
 
 
-def _resolve(specs: list[CaseSpec], methods) -> list[tuple]:
-    """The checks made before any case runs: the methods (ConfigError), each
-    case's order table (`_orders`) and, with the Fredholm engine, its tail
-    margin. Returns (spec, orders, margin) per case for `_run_all`."""
+def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
+    """The checks made before any case runs: the methods and HMMDIV_THREADS
+    (ConfigError), each case's order table (`_orders`) and, with the
+    Fredholm engine, its tail margin. Returns (spec, orders, margin) per
+    case and the worker count, for `_run_all`."""
+    workers = _thread_count(len(specs))
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
@@ -510,11 +519,11 @@ def _resolve(specs: list[CaseSpec], methods) -> list[tuple]:
         with _named(s):
             margin = _tail_margin(orders, s.grid, "fredholm" in methods and s.theta1 != s.theta)
         cases.append((s, orders, margin))
-    return cases
+    return cases, workers
 
 
-def _run_all(cases: list[tuple], methods) -> tuple[list, dict, dict]:
-    """Run every case that `_resolve` returned, possibly concurrently: the
+def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dict]:
+    """Run every case that `_resolve` returned on `workers` threads: the
     rows of the cases that finished, by case then alpha regardless of
     scheduling, their diagnostics by name, and {name: exception} for the
     cases that raised. A failed case does not stop the others."""
@@ -525,7 +534,6 @@ def _run_all(cases: list[tuple], methods) -> tuple[list, dict, dict]:
         except Exception as exc:  # kept for the caller, which re-raises it
             return exc
 
-    workers = _thread_count(len(cases))
     if workers == 1:
         results = [attempt(c) for c in cases]
     else:
@@ -545,7 +553,7 @@ def run_cases(specs: list[CaseSpec], methods=METHODS, with_diagnostics=False):
     """Run every case (`_run_all`) and return its rows, with the per-case
     diagnostics by name when asked; when cases fail, raise the first
     failed case's exception once all have run."""
-    rows, per_case, failed = _run_all(_resolve(specs, methods), methods)
+    rows, per_case, failed = _run_all(*_resolve(specs, methods), methods)
     if failed:
         raise next(iter(failed.values()))
     if with_diagnostics:
@@ -653,13 +661,13 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
     they are written. out_dir is created before any case runs; failing
     to create it is a ConfigError."""
     specs = load_config(config_path)
-    cases = _resolve(specs, methods)
+    cases, workers = _resolve(specs, methods)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     t0 = time.perf_counter()
-    rows, per_case, failed = _run_all(cases, methods)
+    rows, per_case, failed = _run_all(cases, workers, methods)
     elapsed = time.perf_counter() - t0
 
     diagnostics = {

@@ -28,10 +28,12 @@ from its sign changes (an exponential-sum root cascade).
 Q, the emission densities and the quadrature's inner integrals depend on
 a state only through its emission (c_s, b_s, s_s), so states whose
 emissions have equal numbers (the pair lift with psi2 = 0 has two distinct
-emissions among four states) share one evaluation, bit for bit. Within a
-case (`case_mixtures`) the order-free grids are built once, keyed by the
-chains themselves: both predictive mixtures, the log ratio grid of
-J^alpha, and the quadrature terms of the generating chain.
+emissions among four states) share one evaluation, bit for bit; a
+kernel's Q table is one batch over its distinct emissions, with one root
+cascade (`_bracketed_roots`). Within a case (`case_mixtures`) the
+order-free grids are built once, keyed by the chains themselves: both
+predictive mixtures, the log ratio grid of J^alpha, and the quadrature
+terms of the generating chain.
 
 Throughout, theta1 denotes the data-generating model and theta the
 alternative; filter weights track P(X_t = 0 | data). `hmmdiv.cli` combines
@@ -194,17 +196,29 @@ def _sign_exp_sum(e, logmag, sgn, y):
     """Sign of sum_r sgn_r exp(logmag_r + e_r y) at y[..., None]-compatible
     shapes; stable via max-exponent factoring. The last axis has at most
     four terms, so its max and its left-to-right sum are unrolled: numpy's
-    reductions over so short an axis cost more than the arithmetic."""
-    expo = logmag + e * y[..., None]
-    top = expo[..., 0]
-    for r in range(1, expo.shape[-1]):
-        top = np.maximum(top, expo[..., r])
+    reductions over so short an axis cost more than the arithmetic. The
+    terms are formed in one array, in place."""
+    terms = e * y[..., None]
+    terms += logmag
+    top = terms[..., 0]
+    for r in range(1, terms.shape[-1]):
+        top = np.maximum(top, terms[..., r])
     top = np.where(np.isfinite(top), top, 0.0)
-    terms = sgn * np.exp(expo - top[..., None])
+    terms -= top[..., None]
+    np.exp(terms, out=terms)
+    terms *= sgn
     val = terms[..., 0]
     for r in range(1, terms.shape[-1]):
         val = val + terms[..., r]
     return np.sign(val)
+
+
+def _signs_at(e, logmag, sgn, nodes):
+    """`_sign_exp_sum` at every node along the last axis of nodes, one
+    node column at a time, so that no array holds every term at every
+    node."""
+    return np.stack([_sign_exp_sum(e, logmag, sgn, nodes[..., k])
+                     for k in range(nodes.shape[-1])], axis=-1)
 
 
 def _exp_sum_roots(e, c, lo, hi):
@@ -213,7 +227,8 @@ def _exp_sum_roots(e, c, lo, hi):
     e: (B, T) strictly increasing along the last axis; c: (B, T); lo, hi:
     (B,). Returns (B, T-1) roots sorted ascending, padded with hi. Roots
     outside [lo, hi] are dropped (their generating-density mass is
-    negligible by the callers' choice of bounds).
+    negligible by the callers' choice of bounds). Each row's roots depend
+    on that row alone, bit for bit, so batches may be stacked.
     """
     B, T = c.shape
     if T == 1:
@@ -232,7 +247,7 @@ def _exp_sum_roots(e, c, lo, hi):
     # critical points: roots of d/dy [exp(-e_1 y) * sum], one term fewer
     crit = _exp_sum_roots(e[:, 1:] - e[:, :1], c[:, 1:] * (e[:, 1:] - e[:, :1]), lo, hi)
     nodes = np.sort(np.concatenate([lo[:, None], crit, hi[:, None]], axis=1), axis=1)
-    signs = _sign_exp_sum(e[:, None, :], logmag[:, None, :], sgn[:, None, :], nodes)
+    signs = _signs_at(e, logmag, sgn, nodes)
 
     # bisect only the sign changes, gathered flat: (row, interval) pairs
     rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0)
@@ -254,13 +269,14 @@ def _exp_sum_roots(e, c, lo, hi):
     return np.sort(roots, axis=1)
 
 
-def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChain):
-    """Q(x; t, u, w) for flat arrays x, u, w of one length, x in (0, 1) and
-    w in [0, 1]: Y drawn from state t of gen given Y_prev = u, the filter
-    run under filt from weight w. The chi-square closed form when the
-    filter's two variances differ, the root cascade for one variance."""
-    mg = gen.c[t] + gen.b[t] * u
-    sg = gen.s[t]
+def _q_batch(x, u, w, states, gen: LinearGaussianChain, filt: LinearGaussianChain):
+    """Q(x; t, u, w) for each state t in the list `states` and flat arrays
+    x, u, w of one length B, x in (0, 1) and w in [0, 1], shape
+    (len(states), B): Y drawn from state t of gen given Y_prev = u, the
+    filter run under filt from weight w. The chi-square closed form when the filter's two
+    variances differ, the root cascade for one variance."""
+    mg = gen.c[states][:, None] + gen.b[states][:, None] * u  # (state, B)
+    sg = gen.s[states][:, None]
     s0, s1 = filt.s[0], filt.s[-1]  # differ only for two states (`_filter_chain`)
     zeta = 1.0 / (2.0 * s1 * s1) - 1.0 / (2.0 * s0 * s0)
     if abs(zeta) > 1e-12:
@@ -277,7 +293,9 @@ def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChai
         return cdf if zeta > 0 else 1.0 - cdf
 
     # one variance s0 from here on; components with equal (c, b) merge, and
-    # the grouping is structural, so it is shared by the whole batch
+    # the grouping is structural, so it is shared by the whole batch. The
+    # exponential sum depends on the filter alone, so it is formed once per
+    # point for every state; only the bracket [lo, hi] is the state's.
     uniq, inverse = np.unique(np.stack([filt.c, filt.b], axis=1), axis=0, return_inverse=True)
     means = uniq[:, 0] + uniq[:, 1] * u[:, None]
     coef = np.zeros(means.shape)
@@ -288,25 +306,46 @@ def _q_batch(x, u, w, t: int, gen: LinearGaussianChain, filt: LinearGaussianChai
     coef = coef * np.exp(-(means ** 2) / (2.0 * s0 * s0))
     expo = means / (s0 * s0)
 
-    span = 12.0 * max(s0, sg)
-    lo = np.minimum(means.min(axis=1), mg) - span
+    span = 12.0 * np.maximum(s0, sg)
+    lo = np.minimum(means.min(axis=1), mg) - span  # (state, B)
     hi = np.maximum(means.max(axis=1), mg) + span
-
-    roots = _exp_sum_roots(expo, coef, lo, hi)
-    nodes = np.concatenate([lo[:, None], roots, hi[:, None]], axis=1)
+    roots = _bracketed_roots(expo, coef, lo, hi)
+    nodes = np.concatenate([lo[..., None], roots, hi[..., None]], axis=-1)
     with np.errstate(divide="ignore"):
         logmag = np.where(coef != 0.0, np.log(np.abs(coef)), -np.inf)
     sgn = np.sign(coef)
-    mids = 0.5 * (nodes[:, :-1] + nodes[:, 1:])
-    sign_mid = _sign_exp_sum(expo[:, None, :], logmag[:, None, :], sgn[:, None, :], mids)
+    mids = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
+    sign_mid = _signs_at(expo, logmag, sgn, mids)
     sign_lo = _sign_exp_sum(expo, logmag, sgn, lo)
     sign_hi = _sign_exp_sum(expo, logmag, sgn, hi)
 
-    cdf = ndtr((nodes - mg[:, None]) / sg)
-    mass = np.sum((cdf[:, 1:] - cdf[:, :-1]) * (sign_mid <= 0), axis=1)
-    mass += cdf[:, 0] * (sign_lo <= 0)
-    mass += (1.0 - cdf[:, -1]) * (sign_hi <= 0)
+    cdf = ndtr((nodes - mg[..., None]) / sg[..., None])
+    mass = np.sum((cdf[..., 1:] - cdf[..., :-1]) * (sign_mid <= 0), axis=-1)
+    mass += cdf[..., 0] * (sign_lo <= 0)
+    mass += (1.0 - cdf[..., -1]) * (sign_hi <= 0)
     return np.clip(mass, 0.0, 1.0)
+
+
+def _bracketed_roots(e, c, lo, hi):
+    """`_exp_sum_roots` of the B rows of (e, c) in each of S brackets, lo
+    and hi of shape (S, B), in one cascade: shape (S, B, T-1).
+
+    Two terms or fewer: the closed-form root is taken once per row on the
+    union bracket and clipped to each bracket, which is exact, since a clip
+    of a clip is the inner clip. More: the bisection depends on the bracket,
+    so each (bracket, row) is solved as such, rows stacked, and a bracket
+    equal to an earlier one at the same row reuses its roots.
+    """
+    if e.shape[1] <= 2:
+        roots = _exp_sum_roots(e, c, lo.min(axis=0), hi.max(axis=0))
+        return np.clip(roots, lo[..., None], hi[..., None])
+    same = (lo[:, None] == lo[None]) & (hi[:, None] == hi[None])  # (S, S', B)
+    first = np.argmax(same, axis=1)  # the first bracket equal to each
+    own = first == np.arange(len(lo))[:, None]
+    s, b = np.nonzero(own)
+    roots = np.empty(lo.shape + (e.shape[1] - 1,))
+    roots[s, b] = _exp_sum_roots(e[b], c[b], lo[s, b], hi[s, b])
+    return roots[first, np.arange(lo.shape[1])]
 
 
 def _filter_chain(theta) -> LinearGaussianChain:
@@ -336,7 +375,7 @@ def q(x: float, u: float, w: float, t: int, theta_gen, theta_filt) -> float:
         raise ValueError(f"t must be a state in 0..{gen.d - 1}, got {t}")
     if not 0.0 < x < 1.0:
         return float(x >= 1.0)
-    return float(_q_batch(np.array([x]), np.array([u]), np.array([w]), t, gen, filt)[0])
+    return float(_q_batch(np.array([x]), np.array([u]), np.array([w]), [t], gen, filt)[0, 0])
 
 
 def simulate_q(x, u, w, t: int, theta_gen, theta_filt, rng: np.random.Generator,
@@ -372,13 +411,12 @@ def _predictive(transition: np.ndarray, w_nodes) -> np.ndarray:
 
 def _q_half(gen: LinearGaussianChain, filt: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
     """Q at the half nodes, shape (state, u, half, w), tabulated once per
-    distinct generating emission."""
+    distinct generating emission, all of them in one `_q_batch`."""
     ug, xg, wg = np.meshgrid(grid.v_nodes, grid.x_half_nodes, grid.x_nodes, indexing="ij")
-    tables = []
-    for t, first in enumerate(gen.emission_reps()):
-        tables.append(tables[first] if first < t else
-                      _q_batch(xg.ravel(), ug.ravel(), wg.ravel(), t, gen, filt).reshape(ug.shape))
-    return np.stack(tables)
+    reps = gen.emission_reps()
+    firsts = sorted(set(reps))
+    tables = _q_batch(xg.ravel(), ug.ravel(), wg.ravel(), firsts, gen, filt)
+    return tables[[firsts.index(e) for e in reps]].reshape((gen.d,) + ug.shape)
 
 
 def _assemble(gen: LinearGaussianChain, q_half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -421,7 +459,7 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec) -> KernelMatrix:
             f"pre-normalization column sum {worst:.4f} outside [0.5, 1.5]; "
             f"the lattice (N={grid.N}, a={grid.a}) is too coarse for these models"
         )
-    entries = entries / col_sums[None, :]
+    entries /= col_sums  # in place: one dense array per kernel
     return KernelMatrix(
         dim=entries.shape[0],
         entries=entries,

@@ -653,11 +653,14 @@ def test_finished_cases_kept_when_a_later_case_fails(tmp_path, monkeypatch, caps
         "GridTooCoarseError: case 'case7': pre-normalization column sum")
 
 
-def test_main_invalid_thread_env_exits_two(tmp_path, monkeypatch):
+def test_main_invalid_thread_env_exits_two(tmp_path, monkeypatch, capsys):
+    # HMMDIV_THREADS is checked with the other inputs, before --out is made
     monkeypatch.setenv("HMMDIV_THREADS", "nope")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(tiny_doc(alphas=(0.5,))))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "HMMDIV_THREADS must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_selftest_reports_all_pass():

@@ -4,9 +4,11 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp, ndtr
 from scipy.stats import ncx2
 
@@ -348,6 +350,46 @@ def test_exp_sum_roots_with_several_brackets_per_row():
     np.testing.assert_allclose(roots[1, :2], np.log((3.0 + np.array([-1, 1]) * math.sqrt(5.0)) / 2),
                                atol=1e-12)
     assert_same_bits(roots, _exp_sum_roots_reference(e, c, lo, hi))
+
+
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 2**32 - 1)),
+                min_size=2, max_size=4),
+       st.integers(2, 4))
+@settings(max_examples=25)
+def test_exp_sum_roots_of_stacked_batches_are_each_batchs_roots(batches, terms):
+    # the cascade stacks the rows of several brackets into one call
+    parts = []
+    for rows, seed in batches:
+        rng = np.random.default_rng(seed)
+        e = np.cumsum(rng.uniform(0.05, 3.0, size=(rows, terms)), axis=1) - 2.0
+        c = rng.normal(size=(rows, terms)) * np.exp(rng.uniform(-10.0, 10.0, size=(rows, terms)))
+        c[rng.random((rows, terms)) < 0.05] = 0.0
+        lo, hi = -rng.uniform(5.0, 40.0, size=rows), rng.uniform(5.0, 40.0, size=rows)
+        parts.append((e, c, lo, hi))
+    stacked = _exp_sum_roots(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    start = 0
+    for part in parts:
+        rows = len(part[2])
+        assert_same_bits(stacked[start:start + rows], _exp_sum_roots(*part))
+        start += rows
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4])
+def test_bracketed_roots_are_each_brackets_roots(terms):
+    # four brackets per row, some equal to an earlier one and some not; the
+    # narrow ones cut roots off, so the clips of the closed form show
+    rng = np.random.default_rng(terms)
+    B = 2000
+    e = np.cumsum(rng.uniform(0.05, 3.0, size=(B, terms)), axis=1) - 2.0
+    c = rng.normal(size=(B, terms)) * np.exp(rng.uniform(-10.0, 10.0, size=(B, terms)))
+    lo = -rng.choice([1.0, 5.0, 40.0], size=(4, B))
+    hi = rng.choice([1.0, 5.0, 40.0], size=(4, B))
+    roots = fredholm._bracketed_roots(e, c, lo, hi)
+    assert roots.shape == (4, B, terms - 1)
+    for k in range(4):
+        assert_same_bits(roots[k], _exp_sum_roots(e, c, lo[k], hi[k]))
+    if terms > 1:
+        assert np.any(roots < hi[..., None]) and np.any(roots[0] != roots[1])
 
 
 def test_exp_sum_roots_match_fixed_bisection_case7(monkeypatch):
@@ -759,11 +801,30 @@ def count_q_batches(monkeypatch):
     calls = []
     real = fredholm._q_batch
 
-    def counting(x, u, w, t, gen, filt):
-        calls.append(t)
-        return real(x, u, w, t, gen, filt)
+    def counting(x, u, w, states, gen, filt):
+        calls.append(list(states))
+        return real(x, u, w, states, gen, filt)
 
     monkeypatch.setattr(fredholm, "_q_batch", counting)
+    return calls
+
+
+def count_cascades(monkeypatch):
+    """The (rows, terms) of every top-level `_exp_sum_roots` call; the
+    cascade's own recursive calls are not counted."""
+    calls, depth = [], [0]
+    real = fredholm._exp_sum_roots
+
+    def counting(e, c, lo, hi):
+        if depth[0] == 0:
+            calls.append(c.shape)
+        depth[0] += 1
+        try:
+            return real(e, c, lo, hi)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fredholm, "_exp_sum_roots", counting)
     return calls
 
 
@@ -773,16 +834,68 @@ def count_q_batches(monkeypatch):
     (FAMILY_A_MIRRORS[6], [0, 1]),
 ], ids=["case1", "case7", "a-case6"])
 def test_q_tabulated_once_per_distinct_emission(monkeypatch, pair, tabulated):
+    # one batch of every distinct emission per kernel
     calls = count_q_batches(monkeypatch)
     build_kernel(*pair, GridSpec(N=16, quad_points=51))
-    assert calls == tabulated
+    assert calls == [tabulated]
+
+
+def test_one_cascade_per_kernel(monkeypatch):
+    # N = 16: 15 u x 16 half nodes x 15 w = 3,600 lattice points. Case 7's
+    # KL kernel filters with the generating chain, so all four states share
+    # each point's bracket and its roots; under theta, brackets that differ
+    # are solved as such, in the same call
+    calls = count_cascades(monkeypatch)
+    build_kernel(CASE7_GEN, CASE7_GEN, GridSpec(N=16, quad_points=51))
+    assert calls == [(3600, 4)]
+    calls.clear()
+    build_kernel(CASE7_GEN, CASE7_ALT, GridSpec(N=16, quad_points=51))
+    assert len(calls) == 1 and 3600 < calls[0][0] < 4 * 3600
+
+
+def test_one_dense_kernel_alive_at_a_time():
+    # case 7's KL rate builds two kernels of dim 4 * 23^2 (36 MB each); each
+    # is dropped once solved, and normalized in place
+    grid = GridSpec(N=24)
+    dense = (4 * (grid.N - 1) ** 2) ** 2 * 8
+    tracemalloc.start()
+    try:
+        divergence_fredholm(*CASES[7], "kl", grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * dense
 
 
 def _q_half_per_state(gen, filt, grid):
-    """`_q_half` with one `_q_batch` per state."""
+    """`_q_half` with one `_q_batch` per state: each state's own bracket,
+    nothing shared between states."""
     ug, xg, wg = np.meshgrid(grid.v_nodes, grid.x_half_nodes, grid.x_nodes, indexing="ij")
-    return np.stack([fredholm._q_batch(xg.ravel(), ug.ravel(), wg.ravel(), t, gen, filt)
+    return np.stack([fredholm._q_batch(xg.ravel(), ug.ravel(), wg.ravel(), [t], gen, filt)[0]
                      .reshape(ug.shape) for t in range(gen.d)])
+
+
+# every kind of pair the kernel takes: family B with psi2 = 0 and not, the
+# family-A mirrors (one variance), the selftest pair (chi-square), and
+# mixed pairs in both directions
+MIXED_A = ModelAParams(0.401, 0.6, (1.0, 0.0), (0.2, 0.2), (1.0, 1.0))
+SELFTEST_PAIR = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
+                 ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9)))
+Q_HALF_PAIRS = {
+    **{f"case{k}": CASES[k] for k in (1, 6, 7, 8)},
+    "a-case1": FAMILY_A_MIRRORS[1], "a-selftest": SELFTEST_PAIR,
+    "b7-a": (CASE7_GEN, MIXED_A), "a-b7": (MIXED_A, CASE7_GEN),
+    "b1-a": (CASE1_GEN, SELFTEST_PAIR[1]), "a-b6": (SELFTEST_PAIR[0], CASES[6][1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_HALF_PAIRS))
+def test_q_half_matches_per_state_batches(name):
+    theta1, theta = Q_HALF_PAIRS[name]
+    grid = GridSpec(N=10)
+    gen = as_chain(theta1)
+    for filt in (as_chain(theta), gen):  # the theta-filter and the KL kernel
+        assert_same_bits(_q_half(gen, filt, grid), _q_half_per_state(gen, filt, grid))
 
 
 def _j_quadrature_per_state(gen, m, grid, r, alpha):
