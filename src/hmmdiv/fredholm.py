@@ -328,17 +328,10 @@ def _q_batch(x, u, w, states, gen: LinearGaussianChain, filt: LinearGaussianChai
 
 def _bracketed_roots(e, c, lo, hi):
     """`_exp_sum_roots` of the B rows of (e, c) in each of S brackets, lo
-    and hi of shape (S, B), in one cascade: shape (S, B, T-1).
-
-    Two terms or fewer: the closed-form root is taken once per row on the
-    union bracket and clipped to each bracket, which is exact, since a clip
-    of a clip is the inner clip. More: the bisection depends on the bracket,
-    so each (bracket, row) is solved as such, rows stacked, and a bracket
-    equal to an earlier one at the same row reuses its roots.
-    """
-    if e.shape[1] <= 2:
-        roots = _exp_sum_roots(e, c, lo.min(axis=0), hi.max(axis=0))
-        return np.clip(roots, lo[..., None], hi[..., None])
+    and hi of shape (S, B), in one cascade: shape (S, B, T-1). The roots
+    depend on the bracket, so each (bracket, row) is solved as such, rows
+    stacked, and a bracket equal to an earlier one at the same row reuses
+    its roots."""
     same = (lo[:, None] == lo[None]) & (hi[:, None] == hi[None])  # (S, S', B)
     first = np.argmax(same, axis=1)  # the first bracket equal to each
     own = first == np.arange(len(lo))[:, None]
