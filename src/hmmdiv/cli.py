@@ -56,7 +56,7 @@ from .fredholm import (
     GridSpec,
     GridTooCoarseError,
     build_kernel,
-    case_mixtures,
+    case_functionals,
     j_alpha,
     j_log,
     solve_invariant,
@@ -355,9 +355,12 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
             return timed("solve_seconds", solve_invariant, kernel)
 
         solves = [solved(theta)]
-        with case_mixtures():  # every J of the case reads the same two mixtures
-            if any(order == 1.0 for order, _ in orders.values()):
-                solves.append(solved(theta1))
+        if any(order == 1.0 for order, _ in orders.values()):
+            solves.append(solved(theta1))
+        # one pass over the filter weights serves every J of the case
+        called = [order for a, (order, _) in orders.items() if order == 1.0 or a not in infinite]
+        with case_functionals(theta1, theta, called, grid):
+            if len(solves) == 2:
                 kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
                       - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
             for a, (order, _) in orders.items():

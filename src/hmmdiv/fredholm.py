@@ -30,10 +30,12 @@ a state only through its emission (c_s, b_s, s_s), so states whose
 emissions have equal numbers (the pair lift with psi2 = 0 has two distinct
 emissions among four states) share one evaluation, bit for bit; a
 kernel's Q table is one batch over its distinct emissions, with one root
-cascade (`_bracketed_roots`). Within a case (`case_mixtures`) the
-order-free grids are built once, keyed by the chains themselves: both
-predictive mixtures, the log ratio grid of J^alpha, and the quadrature
-terms of the generating chain.
+cascade (`_bracketed_roots`). The J quadratures make one pass over the
+filter weights (`_quadrature_pass`): each weight's predictive-mixture rows
+and log ratio row are formed once and reduced at once to (weight, u)
+tables, so no (weight, u, y) grid is ever held. Within a case
+(`case_functionals`) one pass serves every functional of the case, and
+each call only contracts its table against its invariant density.
 
 Throughout, theta1 denotes the data-generating model and theta the
 alternative; filter weights track P(X_t = 0 | data). `hmmdiv.cli` combines
@@ -527,64 +529,18 @@ def _emission_grid(chain: LinearGaussianChain, grid: GridSpec):
     return nodes, wts, logf
 
 
-_case = threading.local()
-
-
-@contextlib.contextmanager
-def case_mixtures():
-    """Share the order-free grids of one case on this thread.
-
-    Every order of a case reads the same grids: the predictive mixtures of
-    theta1 and theta (`_mix_log`), their difference, the log ratio grid of
-    `j_alpha` (`_log_ratio`), and the order-free quadrature terms of
-    theta1's chain (`_quadrature_terms`). Inside the block each is built
-    once per (builder, chains, grid) and later `j_log` / `j_alpha` calls
-    read it; all are dropped when the block exits. Each thread has its own
-    store, so cases running at once keep their own grids, and outside a
-    block every call builds anew.
-    """
-    _case.store = {}
-    try:
-        yield
-    finally:
-        _case.store = None
-
-
-def _shared(build, *args):
-    """build(*args) once per (build, *args) inside a `case_mixtures` block
-    on this thread; outside one, build(*args) on every call."""
-    store = getattr(_case, "store", None)
-    if store is None:
-        return build(*args)
-    key = (build, *args)
-    if key not in store:
-        store[key] = build(*args)
-    return store[key]
-
-
-def _mix_log(chain: LinearGaussianChain, grid: GridSpec) -> np.ndarray:
-    """log of the one-step predictive density sum_s pred_s(w) * f_s(y | u)
-    on the (w, u, y) grid (w the filter weight, u and y the quadrature
-    nodes), read-only since `case_mixtures` shares it. Built one weight at
-    a time: the bits of one logsumexp over the state axis of the full
-    (w, s, u, y) array, without holding that array."""
+def _mix_log(chain: LinearGaussianChain, grid: GridSpec):
+    """Yield the log of the one-step predictive density
+    sum_s pred_s(w) * f_s(y | u) on the (u, y) quadrature nodes, one filter
+    weight w at a time: each row the bits of one logsumexp over the state
+    axis of the (s, u, y) terms, read-only since every functional of a
+    pass (`_quadrature_pass`) reads it."""
     _, _, logf = _emission_grid(chain, grid)
-    logpred = np.log(_predictive(chain.transition, grid.x_nodes))  # (w, s)
-    out = np.empty(logpred.shape[:1] + logf.shape[1:])
-    terms = np.empty(logf.shape)  # every weight's terms, then their exponentials
-    for row, lp in zip(out, logpred):
-        row[...] = _logsumexp(np.add(lp[:, None, None], logf, out=terms), axis=0, scratch=terms)
-    out.flags.writeable = False
-    return out
-
-
-def _log_ratio(gen: LinearGaussianChain, filt: LinearGaussianChain,
-               grid: GridSpec) -> np.ndarray:
-    """_mix_log(gen) - _mix_log(filt), read-only: the log predictive
-    density ratio that `j_alpha` raises to each order."""
-    r = _shared(_mix_log, gen, grid) - _shared(_mix_log, filt, grid)
-    r.flags.writeable = False
-    return r
+    terms = np.empty(logf.shape)  # one weight's terms, then their exponentials
+    for lp in np.log(_predictive(chain.transition, grid.x_nodes)):
+        row = _logsumexp(np.add(lp[:, None, None], logf, out=terms), axis=0, scratch=terms)
+        row.flags.writeable = False
+        yield row
 
 
 def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
@@ -608,36 +564,112 @@ def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
     return wts, reps, log_gen, dens, f_emis, g0
 
 
-def _j_quadrature(gen: LinearGaussianChain, m: InvariantDensityGrid, grid: GridSpec,
-                  r: np.ndarray, alpha: float | None) -> float:
-    """Shared quadrature core for J^alpha and J_log.
+def _quadrature_pass(gen: LinearGaussianChain, grid: GridSpec, functionals) -> tuple:
+    """One pass over the filter weights for J functionals of data from
+    gen: (filt, alpha) is J^alpha under the filter chain filt, (filt, None)
+    J_log. Returns gen's `_quadrature_terms` and {functional: {e: inner}},
+    inner the (w, u) table, by distinct target emission e, of the
+    y-integral of the integrand times f_e(y | u): exp((alpha - 1) * r),
+    r the log ratio of gen's and filt's predictive mixtures, or filt's log
+    mixture. Each weight's mixture row of every chain and its log ratio row
+    of every filter are formed once and serve every functional; the
+    integrand row is filled in place, and nothing of shape (w, u, y) is
+    held."""
+    terms = _quadrature_terms(gen, grid)
+    wts, reps, log_gen, dens, _, _ = terms
+    firsts = sorted(set(reps))
+    chains = list(dict.fromkeys(c for filt, alpha in functionals
+                                for c in ((filt,) if alpha is None else (gen, filt))))
+    tables = {f: {e: np.empty((grid.N - 1, grid.quad_points)) for e in firsts}
+              for f in functionals}
+    plan = [(alpha, chains.index(filt), tables[filt, alpha]) for filt, alpha in functionals]
+    buf = np.empty(log_gen.shape[1:])  # one integrand row
+    for w, mix in enumerate(zip(*(_mix_log(c, grid) for c in chains))):
+        ratios = {}
+        for alpha, k, inner in plan:
+            if alpha is None:
+                for e in firsts:
+                    inner[e][w] = np.multiply(mix[k], dens[e], out=buf) @ wts
+                continue
+            if k not in ratios:
+                ratios[k] = mix[chains.index(gen)] - mix[k]
+            for e in firsts:
+                np.multiply(alpha - 1.0, ratios[k], out=buf)
+                np.exp(np.add(buf, log_gen[e], out=buf), out=buf)
+                inner[e][w] = buf @ wts
+    return terms, tables
 
-    r is a log predictive density (or a difference of two) on the (w, u, y)
-    grid. alpha set: integrand exp((alpha-1) * r). alpha None: integrand r.
+
+_case = threading.local()
+
+
+@contextlib.contextmanager
+def case_functionals(theta1, theta, orders, grid: GridSpec):
+    """Declare one case's J functionals on this thread: data from theta1,
+    J^alpha under the filter theta for each order alpha != 1 in orders
+    and, if 1 (KL) is among them, J_log under both filters.
+
+    The first `j_log` or `j_alpha` call of a declared functional inside the
+    block (the same models, or equal ones, and grid) runs one
+    `_quadrature_pass` for all of them and keeps their inner tables,
+    (N - 1) x quad_points floats per distinct target emission; that call
+    and every later one then only contracts its table against its
+    invariant density. The tables go when the block exits. Each thread has
+    its own store, so cases running at once keep their own tables; outside
+    a block, or for a functional the block did not declare, a call runs a
+    pass of its own.
+    """
+    wanted = [(theta1, None), (theta, None)] if 1.0 in orders else []
+    wanted += [(theta, order) for order in orders if order != 1.0]
+    _case.store = {"theta1": theta1, "theta": theta, "grid": grid,
+                   "wanted": list(dict.fromkeys(wanted)), "pass": None}
+    try:
+        yield
+    finally:
+        _case.store = None
+
+
+def _functional(theta1, theta_filt, alpha: float | None, m: InvariantDensityGrid,
+                grid: GridSpec) -> float:
+    """J^alpha (alpha set) or J_log (alpha None) under the filter
+    theta_filt of data from theta1, against m: the contraction of its
+    inner tables, from this thread's case store when its block declared
+    the functional, else from a pass of its own. Inside the block the
+    models are put in chain form once, by the pass."""
+    key = (theta_filt, alpha)
+    store = getattr(_case, "store", None)
+    if (store is None or store["theta1"] != theta1 or store["grid"] != grid
+            or key not in store["wanted"]):
+        gen, filt = _filter_chain(theta1), _filter_chain(theta_filt)
+        terms, tables = _quadrature_pass(gen, grid, [(filt, alpha)])
+        return _j_quadrature(gen, m, terms, tables[filt, alpha])
+    if store["pass"] is None:
+        chains = {model: _filter_chain(model) for model in (store["theta1"], store["theta"])}
+        gen = chains[theta1]
+        terms, tables = _quadrature_pass(gen, grid, [(chains[f], a) for f, a in store["wanted"]])
+        store["pass"] = gen, terms, {(f, a): tables[chains[f], a] for f, a in store["wanted"]}
+    gen, terms, tables = store["pass"]
+    return _j_quadrature(gen, m, terms, tables[key])
+
+
+def _j_quadrature(gen: LinearGaussianChain, m: InvariantDensityGrid, terms: tuple,
+                  inner: dict) -> float:
+    """Shared quadrature core for J^alpha and J_log: the contraction of a
+    functional's inner tables (`_quadrature_pass`) against m.
+
     Data come from the generating chain gen: source state s carries the
     observation from v to u, target state t draws y given u. The inner
     conditional expectations are self-normalized by the integrand-free
     integral so that a constant integrand integrates to exactly itself
     regardless of grid truncation.
-    The inner integral is taken once per distinct target emission and its
-    contraction g once per (source, target) emission pair; the terms add up
-    target-outer, source-inner.
+    The contraction g is taken once per (source, target) emission pair;
+    the terms add up target-outer, source-inner.
     """
-    wts, reps, log_gen, dens, f_emis, g0 = _shared(_quadrature_terms, gen, grid)
-    # one integrand grid, filled in place: a fresh array of this size per
-    # step costs more than the arithmetic does
-    buf = np.empty(r.shape)
-    inner, normed = {}, {}
+    wts, reps, _, _, f_emis, g0 = terms
+    normed = {}
     total = 0.0
     for t in range(gen.d):
         et = reps[t]
-        if et not in inner:
-            if alpha is not None:
-                np.multiply(alpha - 1.0, r, out=buf)
-                np.exp(np.add(buf, log_gen[et], out=buf), out=buf)
-            else:
-                np.multiply(r, dens[et], out=buf)
-            inner[et] = buf @ wts  # (w, u)
         for s in range(gen.d):
             if gen.transition[s, t] > 0.0:
                 pair = (reps[s], et)
@@ -658,13 +690,11 @@ def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
     alpha = renyi_order(alpha)
     if alpha == 1.0:
         raise ValueError("alpha = 1 has no power functional; use j_log")
-    gen, filt = _filter_chain(theta1), _filter_chain(theta)
-    return _j_quadrature(gen, m, grid, _shared(_log_ratio, gen, filt, grid), alpha)
+    return _functional(theta1, theta, alpha, m, grid)
 
 
 def j_log(theta_filt, theta1, m: InvariantDensityGrid, grid: GridSpec) -> float:
     """J_log: expected log predictive density under theta_filt, with data
     generated by theta1 and m solved with the matching theta_filt. The KL
     rate is j_log(theta1, theta1, m1) - j_log(theta, theta1, m_theta)."""
-    gen, filt = _filter_chain(theta1), _filter_chain(theta_filt)
-    return _j_quadrature(gen, m, grid, _shared(_mix_log, filt, grid), None)
+    return _functional(theta1, theta_filt, None, m, grid)

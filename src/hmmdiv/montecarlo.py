@@ -122,9 +122,10 @@ def estimate_from_log_ratios(rho: np.ndarray, alpha) -> DivergenceEstimate:
         stats = rho.mean(axis=1)
     else:
         scaled = (alpha - 1.0) * rho
-        lse = _logsumexp(scaled, axis=1)
+        top = scaled.max(axis=1)
+        lse = _logsumexp(scaled, axis=1, scratch=scaled)  # one (reps, n) array per order
         stats = (lse - math.log(n)) / (alpha - 1.0)
-        share = float(np.max(np.exp(scaled.max(axis=1) - lse)))
+        share = float(np.max(np.exp(top - lse)))
     sd = float(stats.std(ddof=1)) if stats.shape[0] > 1 else 0.0
     return DivergenceEstimate(
         alpha=alpha, mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0],

@@ -330,13 +330,13 @@ def test_each_case_resolves_its_orders_once(monkeypatch):
 
 def test_a_case_builds_few_chain_forms(monkeypatch):
     # `as_chain` validates on every call: 2 for the order table, 2 per
-    # kernel, 2 per J functional and 2 for the simulation
+    # kernel, 2 for the case's one J pass and 2 for the simulation
     spec = CaseSpec("case1", "B", *bench.CASES[1], ("kl", 0.5, 2.0),
                     mc=McConfig(n=200, reps=5), grid=GridSpec(N=8, quad_points=101))
     calls, real = [], models.require_valid
     monkeypatch.setattr(models, "require_valid", lambda m: calls.append(m) or real(m))
     run_cases([spec])
-    assert len(calls) <= 16
+    assert len(calls) <= 10
 
 
 def test_kl_values_are_python_floats():

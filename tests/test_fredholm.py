@@ -1,9 +1,11 @@
 """Deterministic engine: Q functions, kernel assembly, eigensolve, functionals."""
 
+import collections
 import concurrent.futures
 import contextlib
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -37,7 +39,7 @@ from hmmdiv.fredholm import (
     _predictive,
     _q_half,
     _simpson,
-    case_mixtures,
+    case_functionals,
     simulate_q,
 )
 from hmmdiv.models import LinearGaussianChain, as_chain
@@ -687,38 +689,42 @@ def _mix_log_reference(theta, grid):
                                    CASE7_GEN, CASE7_ALT],
                          ids=["a-case6", "case1-gen", "case1-alt", "case7-gen", "case7-alt"])
 def test_mix_log_read_only_and_equal_to_one_reduction(theta):
+    # one row per filter weight, read-only since every functional of a pass
+    # reads it
     grid = GridSpec()
-    got = _mix_log(as_chain(theta), grid)
-    assert not got.flags.writeable
-    with pytest.raises(ValueError):
-        got[0, 0, 0] = 0.0
-    assert_same_bits(got, _mix_log_reference(theta, grid))
+    rows = list(_mix_log(as_chain(theta), grid))
+    assert len(rows) == grid.N - 1
+    for row in rows:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0, 0] = 0.0
+    assert_same_bits(np.stack(rows), _mix_log_reference(theta, grid))
 
 
-def count_builds(monkeypatch):
-    """Record the chains (or chain pairs) of every shared grid actually
-    built: {"mixture": [...], "ratio": [...], "quadrature": [...]}."""
-    built = {}
-    for kind, name in (("mixture", "_mix_log"), ("ratio", "_log_ratio"),
-                       ("quadrature", "_quadrature_terms")):
-        real = getattr(fredholm, name)
+def mixture(chain, grid):
+    """A chain's whole log predictive mixture grid, (w, u, y)."""
+    return np.stack(list(_mix_log(chain, grid)))
 
-        def counting(*args, _kind=kind, _real=real):
-            built.setdefault(_kind, []).append(args[:-1])
-            return _real(*args)
 
-        monkeypatch.setattr(fredholm, name, counting)
+def count_passes(monkeypatch, before_pass=lambda: None):
+    """Record every quadrature pass as (thread, gen, functionals), and the
+    chain of every mixture row formed; before_pass runs ahead of each pass."""
+    built = {"pass": [], "rows": []}
+    real_pass, real_mix = fredholm._quadrature_pass, fredholm._mix_log
+
+    def passing(gen, grid, functionals):
+        before_pass()
+        built["pass"].append((threading.get_ident(), gen, list(functionals)))
+        return real_pass(gen, grid, functionals)
+
+    def mixing(chain, grid):
+        for row in real_mix(chain, grid):
+            built["rows"].append(chain)
+            yield row
+
+    monkeypatch.setattr(fredholm, "_quadrature_pass", passing)
+    monkeypatch.setattr(fredholm, "_mix_log", mixing)
     return built
-
-
-def counts(built):
-    return {kind: len(args) for kind, args in built.items()}
-
-
-def shared(name, *args):
-    """The case store's grid from the builder `name` as the module holds it
-    now, so that a counting builder sees the call."""
-    return fredholm._shared(getattr(fredholm, name), *args)
 
 
 def fredholm_values(theta1, theta, alphas, grid):
@@ -728,70 +734,112 @@ def fredholm_values(theta1, theta, alphas, grid):
 
 def test_functionals_equal_inside_and_outside_a_case(monkeypatch):
     grid = GridSpec(quad_points=101)
+    gen, alt = as_chain(CASE7_GEN), as_chain(CASE7_ALT)
     m = solve_invariant(build_kernel(CASE7_GEN, CASE7_ALT, grid))
+    mix1, mix = mixture(gen, grid), mixture(alt, grid)
+    want = [repr(_j_quadrature_per_state(gen, m, grid, mix1 - mix, 0.5)),
+            repr(_j_quadrature_per_state(gen, m, grid, mix1 - mix, 2.0)),
+            repr(_j_quadrature_per_state(gen, m, grid, mix, None))]
     calls = [lambda: j_alpha(CASE7_GEN, CASE7_ALT, 0.5, m, grid),
              lambda: j_alpha(CASE7_GEN, CASE7_ALT, 2.0, m, grid),
              lambda: j_log(CASE7_ALT, CASE7_GEN, m, grid)]
-    built = count_builds(monkeypatch)
-    alone = [call() for call in calls]
-    # outside a case every call builds its own grids and terms
-    assert counts(built) == {"mixture": 5, "ratio": 2, "quadrature": 3}
-    with case_mixtures():
-        shared = [call() for call in calls]
-        # the two models' mixtures, their ratio and theta1's terms, once each
-        assert counts(built) == {"mixture": 7, "ratio": 3, "quadrature": 4}
-        again = [call() for call in calls]
-        assert counts(built) == {"mixture": 7, "ratio": 3, "quadrature": 4}
-    assert repr(shared) == repr(alone) == repr(again)
+    built = count_passes(monkeypatch)
+    alone = [repr(call()) for call in calls]
+    # outside a case every call runs a pass for its own functional
+    assert [fs for _, _, fs in built["pass"]] == [[(alt, 0.5)], [(alt, 2.0)], [(alt, None)]]
+    assert len(built["rows"]) == 5 * (grid.N - 1)
+    with case_functionals(CASE7_GEN, CASE7_ALT, [1.0, 0.5, 2.0], grid):
+        inside = [repr(call()) for call in calls]
+        # the first call ran one pass for every declared functional
+        assert len(built["pass"]) == 4
+        assert built["pass"][3][1:] == (gen, [(gen, None), (alt, None), (alt, 0.5), (alt, 2.0)])
+        assert len(built["rows"]) == 7 * (grid.N - 1)
+        again = [repr(call()) for call in calls]
+        assert len(built["pass"]) == 4
+        # a functional the block did not declare runs a pass of its own
+        j_alpha(CASE7_GEN, CASE7_ALT, 3.0, m, grid)
+        assert built["pass"][4][1:] == (gen, [(alt, 3.0)])
+    assert inside == alone == again == want
     # the store goes with the case
     assert fredholm._case.store is None
     calls[0]()
-    assert counts(built) == {"mixture": 9, "ratio": 4, "quadrature": 5}
+    assert len(built["pass"]) == 6
 
 
 def test_case_builds_each_mixture_grid_once(monkeypatch):
+    # one pass per case and 2 (N - 1) mixture rows, whatever the orders
     grid = GridSpec(N=8, quad_points=101)
     assert sum(a != "kl" for a in ALPHA_GRID) == 8
-    built = count_builds(monkeypatch)
-    fredholm_values(CASE1_GEN, CASE1_ALT, ALPHA_GRID, grid)
-    # 8 orders and 2 log functionals: one ratio, and terms of theta1 only
-    assert counts(built) == {"mixture": 2, "ratio": 1, "quadrature": 1}
-    (gen,) = built["quadrature"][0]
-    assert gen == as_chain(CASE1_GEN)
-    # the lattice count is part of the key: N=16 and N=32 get their own grids
     gen, alt = as_chain(CASE1_GEN), as_chain(CASE1_ALT)
-    with case_mixtures():
-        a = shared("_mix_log", alt, GridSpec(N=16, quad_points=101))
-        b = shared("_mix_log", alt, GridSpec(N=32, quad_points=101))
-        assert shared("_mix_log", as_chain(CASE1_ALT), GridSpec(N=16, quad_points=101)) is a
-        r = shared("_log_ratio", gen, alt, GridSpec(N=16, quad_points=101))
-        assert shared("_log_ratio", gen, alt, GridSpec(N=16, quad_points=101)) is r
-        assert not r.flags.writeable
-        terms = shared("_quadrature_terms", gen, grid)
-        assert shared("_quadrature_terms", as_chain(CASE1_GEN), grid) is terms
-    assert counts(built) == {"mixture": 5, "ratio": 2, "quadrature": 2}
-    assert a.shape == (15, 101, 101) and b.shape == (31, 101, 101)
-    # the grids go with the case: a later call builds anew
-    assert shared("_mix_log", alt, GridSpec(N=16, quad_points=101)) is not a
-    assert shared("_log_ratio", gen, alt, GridSpec(N=16, quad_points=101)) is not r
-    assert shared("_quadrature_terms", gen, grid) is not terms
-    assert counts(built) == {"mixture": 8, "ratio": 3, "quadrature": 3}
+    built = count_passes(monkeypatch)
+    for alphas in (ALPHA_GRID, ("kl",), (0.5,), (0.5, 2.0, 3.0)):
+        built["pass"].clear()
+        built["rows"].clear()
+        fredholm_values(CASE1_GEN, CASE1_ALT, alphas, grid)
+        assert [p[1] for p in built["pass"]] == [gen]
+        assert collections.Counter(built["rows"]) == {gen: 7, alt: 7}
+    # the models and the lattice are the key: a call on another grid, or
+    # with a model in chain form, runs its own pass, which the block does
+    # not keep
+    coarse, fine = GridSpec(N=8, quad_points=101), GridSpec(N=16, quad_points=101)
+    m_coarse, m_fine = (solve_invariant(build_kernel(CASE1_GEN, CASE1_ALT, g))
+                        for g in (coarse, fine))
+    built["pass"].clear()
+    with case_functionals(CASE1_GEN, CASE1_ALT, [0.5], coarse):
+        j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_fine, fine)
+        j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_fine, fine)
+        assert len(built["pass"]) == 2
+        want = j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_coarse, coarse)
+        assert j_alpha(dataclasses.replace(CASE1_GEN), CASE1_ALT, 0.5, m_coarse, coarse) == want
+        assert len(built["pass"]) == 3
+        assert j_alpha(as_chain(CASE1_GEN), CASE1_ALT, 0.5, m_coarse, coarse) == want
+        assert len(built["pass"]) == 4
+        (tables,) = fredholm._case.store["pass"][2].values()
+        assert {e: t.shape for e, t in tables.items()} == {0: (7, 101), 1: (7, 101)}
+    # the tables go with the case: a later call runs a pass anew
+    j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_coarse, coarse)
+    assert len(built["pass"]) == 5
 
 
 def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
-    # one store per thread: cases running at once never evict each other's
+    # one store per thread: three cases held inside their blocks at once,
+    # on three threads, run three passes and never evict each other's tables
     grid = GridSpec(N=8, quad_points=101)
     pairs = [CASES[1], CASES[2], CASES[6]]
-    built = count_builds(monkeypatch)
+    all_in = threading.Barrier(3, timeout=60)
+    built = count_passes(monkeypatch, before_pass=all_in.wait)
     with concurrent.futures.ThreadPoolExecutor(3) as pool:
         got = list(pool.map(lambda p: fredholm_values(*p, ("kl", 0.5, 2.0), grid), pairs))
         # each worker's store went with its case
         assert list(pool.map(lambda _: getattr(fredholm._case, "store", None), range(3))) \
             == [None] * 3
-    assert counts(built) == {"mixture": 6, "ratio": 3, "quadrature": 3}
-    assert ({gen for gen, in built["quadrature"]}
-            == {as_chain(t1) for t1, _ in pairs})
+    assert len({thread for thread, _, _ in built["pass"]}) == len(built["pass"]) == 3
+    assert {gen for _, gen, _ in built["pass"]} == {as_chain(t1) for t1, _ in pairs}
+    assert len(built["rows"]) == 3 * 2 * (grid.N - 1)
+    monkeypatch.undo()
     assert repr(got) == repr([fredholm_values(*p, ("kl", 0.5, 2.0), grid) for p in pairs])
+
+
+def test_j_stage_holds_no_full_grid():
+    # case 7's J stage at the defaults, every order of the table: one pass
+    # keeps (w, u) tables and one weight's rows, never a (w, u, y) grid
+    grid = GridSpec()
+    grid_bytes = (grid.N - 1) * grid.quad_points ** 2 * 8
+    m = solve_invariant(build_kernel(CASE7_GEN, CASE7_ALT, grid))
+    m1 = solve_invariant(build_kernel(CASE7_GEN, CASE7_GEN, grid))
+    orders = [1.0 if a == "kl" else a for a in ALPHA_GRID]
+    tracemalloc.start()
+    try:
+        with case_functionals(CASE7_GEN, CASE7_ALT, orders, grid):
+            j_log(CASE7_GEN, CASE7_GEN, m1, grid)
+            j_log(CASE7_ALT, CASE7_GEN, m, grid)
+            for order in orders:
+                if order != 1.0:
+                    j_alpha(CASE7_GEN, CASE7_ALT, order, m, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * grid_bytes
 
 
 # --- work shared between equal emissions -------------------------------------------
@@ -932,12 +980,13 @@ def test_shared_emission_work_matches_per_state_loops(pair):
     gen, filt = as_chain(theta1), as_chain(theta)
     assert_same_bits(_q_half(gen, filt, grid), _q_half_per_state(gen, filt, grid))
     m = solve_invariant(build_kernel(theta1, theta, grid))
-    mix1, mix = _mix_log(gen, grid), _mix_log(filt, grid)
+    mix1, mix = mixture(gen, grid), mixture(filt, grid)
     want = [repr(_j_quadrature_per_state(gen, m, grid, mix1 - mix, a))
             for a in (0.5, 0.999, 2.0)]
     want.append(repr(_j_quadrature_per_state(gen, m, grid, mix, None)))
     for shared in (False, True):
-        with case_mixtures() if shared else contextlib.nullcontext():
+        with (case_functionals(theta1, theta, [0.5, 0.999, 2.0, 1.0], grid) if shared
+              else contextlib.nullcontext()):
             got = [repr(j_alpha(theta1, theta, a, m, grid)) for a in (0.5, 0.999, 2.0)]
             got.append(repr(j_log(theta, theta1, m, grid)))
         assert got == want, shared
@@ -956,7 +1005,7 @@ def test_array_and_chain_models_reach_the_functionals():
     chains = (as_chain(CASE1_GEN), as_chain(CASE1_ALT))
     assert repr(j_alpha(as_array, CASE1_ALT, 0.5, m, grid)) == want
     assert repr(j_alpha(*chains, 0.5, m, grid)) == want
-    with case_mixtures():
+    with case_functionals(CASE1_GEN, CASE1_ALT, [0.5], grid):
         assert repr(j_alpha(*chains, 0.5, m, grid)) == want
         assert repr(j_alpha(as_array, CASE1_ALT, 0.5, m, grid)) == want
     want = divergence_fredholm(CASE1_GEN, CASE1_ALT, 0.5, grid).value
