@@ -31,8 +31,9 @@ Config schema (JSON):
 theta1 generates the data; theta is the alternative. Family "A" models use
 keys {p00, p11, mu, psi, sigma} with per-state pairs. Top-level alphas, mc,
 and grid apply to every case; a case may override any of them. The
-environment variable HMMDIV_THREADS caps how many cases run concurrently
-(0 or unset = auto).
+simulation engine runs the cases of one mc block and family as one batch,
+on the calling thread. The environment variable HMMDIV_THREADS caps how
+many cases the Fredholm engine runs concurrently (0 or unset = auto).
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _tail_margin(orders: dict, grid: GridSpec, gated: bool) -> float | None:
     margins = []
     for order, sd in orders.values():
         if math.isfinite(sd):
-            margins.append(grid.a / sd)
+            margins.append(grid.a / sd if sd > 0.0 else math.inf)  # sd 0: no tail
             if margins[-1] < MIN_TAIL_MARGIN_SD and gated:
                 raise GridTooCoarseError(
                     f"alpha = {order:g}: the lattice keeps {margins[-1]:.2f} sds of the "
@@ -379,26 +380,57 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
     return values, diag
 
 
-def _mc_values(theta1, theta, orders: dict, cfg: McConfig) -> tuple[dict, dict]:
-    """Simulation estimates {alpha: DivergenceEstimate} for every alpha of
-    an order table (`_orders`), and the stage diagnostics. One
-    `replication_log_ratios` call serves every order; identical models give
-    exactly 0 (the two filters run the same arithmetic), and an infinite
-    order means inf without sampling.
+def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
+    """Simulation estimates of cases that share one McConfig, as one batch.
 
-    The diagnostics hold the stage timings and `mc_top_term_share`:
-    {alpha: the estimate's `top_term_share`} for the finite orders of at
-    least HEAVY_TAIL_MIN_ORDER."""
-    infinite = {a for a, (_, sd) in orders.items() if math.isinf(sd)}
-    diag = {"sample_seconds": 0.0, "filter_seconds": 0.0}
-    if len(infinite) < len(orders):
-        rho = replication_log_ratios(theta1, theta, cfg, timings=diag)
-    values = {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
-              if a in infinite else estimate_from_log_ratios(rho, order)
-              for a, (order, _) in orders.items()}
-    diag["mc_top_term_share"] = {a: est.top_term_share for a, est in values.items()
-                                 if a not in infinite and est.alpha >= HEAVY_TAIL_MIN_ORDER}
-    return values, diag
+    `cases` holds (theta1, theta, order table) per case (`_orders`). One
+    `replication_log_ratios` call simulates every case that has a finite
+    order, and its rows serve all of that case's orders; identical models
+    give exactly 0 (the two filters run the same arithmetic), and an
+    infinite order means inf without sampling.
+
+    Returns, per case, ({alpha: DivergenceEstimate}, diagnostics), or the
+    exception that stopped the case. The diagnostics hold the stage
+    timings and `mc_top_term_share`: {alpha: the estimate's
+    `top_term_share`} for the finite orders of at least
+    HEAVY_TAIL_MIN_ORDER. The batch's sampling and filtering seconds, and
+    the wall time of its one call, are split evenly over the simulated
+    cases as their "sample_seconds", "filter_seconds" and the simulation
+    part of "mc_seconds", to which each case adds the time of its own
+    estimates; a case that is not simulated has 0 for the first two.
+    """
+    infinite = [{a for a, (_, sd) in orders.items() if math.isinf(sd)} for *_, orders in cases]
+    simulated = [i for i, (*_, orders) in enumerate(cases) if len(infinite[i]) < len(orders)]
+    timings, errors, rhos = {}, {}, []
+    t0 = time.perf_counter()
+    try:
+        if simulated:
+            rhos = replication_log_ratios([cases[i][:2] for i in simulated], cfg, timings,
+                                          errors)
+    except Exception as exc:  # the batch stopped: each of its cases failed with it
+        errors = dict.fromkeys(range(len(simulated)), exc)
+    share = (time.perf_counter() - t0) / max(len(simulated), 1)
+    rho_of = dict(zip(simulated, rhos))
+    failed = {simulated[j]: exc for j, exc in errors.items()}
+    results = []
+    for i, (_, _, orders) in enumerate(cases):
+        if i in failed:
+            results.append(failed[i])
+            continue
+        t1 = time.perf_counter()
+        ran = i in rho_of
+        rho = rho_of.pop(i, None)  # freed once the case's estimates are made
+        values = {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
+                  if a in infinite[i] else estimate_from_log_ratios(rho, order)
+                  for a, (order, _) in orders.items()}
+        diag = {stage: timings[stage] / len(simulated) if ran else 0.0
+                for stage in ("sample_seconds", "filter_seconds")}
+        diag["mc_top_term_share"] = {a: est.top_term_share for a, est in values.items()
+                                     if a not in infinite[i]
+                                     and est.alpha >= HEAVY_TAIL_MIN_ORDER}
+        diag["mc_seconds"] = (share if ran else 0.0) + time.perf_counter() - t1
+        results.append((values, diag))
+    return results
 
 
 def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> DivergenceResult:
@@ -417,11 +449,14 @@ def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> D
 
 
 def estimate_renyi_mc(p, q, alpha, cfg: McConfig | None = None) -> DivergenceEstimate:
-    """Renyi divergence rate of p from q by simulation: the one-order call
-    of the per-case simulation pipeline, with paths sampled under p. alpha
-    is a number or "kl", routed and checked as in `divergence_fredholm`."""
-    values, _ = _mc_values(p, q, _orders(p, q, (alpha,)), cfg or McConfig())
-    return values[alpha]
+    """Renyi divergence rate of p from q by simulation: the one-order,
+    one-case call of the simulation pipeline, with paths sampled under p.
+    alpha is a number or "kl", routed and checked as in
+    `divergence_fredholm`."""
+    result = _mc_values([(p, q, _orders(p, q, (alpha,)))], cfg or McConfig())[0]
+    if isinstance(result, Exception):
+        raise result
+    return result[0][alpha]
 
 
 def estimate_kl_mc(p, q, cfg: McConfig | None = None) -> DivergenceEstimate:
@@ -439,46 +474,46 @@ def _named(spec: CaseSpec):
         raise GridTooCoarseError(f"case {spec.name!r}: {exc}") from exc
 
 
-def _run_case(spec: CaseSpec, orders: dict, tail_margin, methods) -> tuple[list[ResultRow], dict]:
-    """The rows and diagnostics of one case, from its order table and tail
-    margin (`_resolve`)."""
-    diag: dict = {}
-    values = {"fredholm": {}, "mc": {}}
-    row_seconds = {}
-    for method, driver, settings in (
-            ("fredholm", _fredholm_values, (spec.grid, tail_margin)),
-            ("mc", _mc_values, (spec.mc,))):
-        if method not in methods:
-            continue
-        t0 = time.perf_counter()
+def _fredholm_case(case: tuple):
+    """The Fredholm values and diagnostics, with its `fredholm_seconds`, of
+    one case from `_resolve`, or the exception that stopped it."""
+    spec, orders, margin = case
+    t0 = time.perf_counter()
+    try:
         with _named(spec):
-            values[method], stages = driver(spec.theta1, spec.theta, orders, *settings)
-        seconds = time.perf_counter() - t0
-        diag.update(stages)
-        diag[f"{method}_seconds"] = seconds
-        row_seconds[method] = seconds / len(spec.alphas)
+            values, diag = _fredholm_values(spec.theta1, spec.theta, orders, spec.grid, margin)
+    except Exception as exc:  # kept for the caller, which re-raises it
+        return exc
+    diag["fredholm_seconds"] = time.perf_counter() - t0
+    return values, diag
 
+
+def _case_rows(spec: CaseSpec, fred, mc) -> list[ResultRow]:
+    """The rows of one case from its engines' values and diagnostics, each
+    None when the engine did not run; an engine's seconds are spread
+    evenly over the rows."""
     rows = []
     for a in spec.alphas:
-        fred = values["fredholm"].get(a)
-        est = values["mc"].get(a)
+        det = None if fred is None else fred[0][a]
+        est = None if mc is None else mc[0][a]
         rel = None
-        if (fred is not None and est is not None and est.mean != 0.0
+        if (det is not None and est is not None and est.mean != 0.0
                 and math.isfinite(est.mean)):
-            rel = (fred - est.mean) / est.mean * 100.0
+            rel = (det - est.mean) / est.mean * 100.0
         rows.append(
             ResultRow(
                 case=spec.name,
                 alpha=a,
-                fredholm=fred,
+                fredholm=det,
                 mc_mean=None if est is None else est.mean,
                 mc_sd=None if est is None else est.std_dev,
                 rel_err_pct=rel,
-                fredholm_seconds=row_seconds.get("fredholm"),
-                mc_seconds=row_seconds.get("mc"),
+                fredholm_seconds=None if fred is None else
+                fred[1]["fredholm_seconds"] / len(spec.alphas),
+                mc_seconds=None if mc is None else mc[1]["mc_seconds"] / len(spec.alphas),
             )
         )
-    return rows, diag
+    return rows
 
 
 def run_case(spec: CaseSpec, methods=METHODS) -> list[ResultRow]:
@@ -526,29 +561,50 @@ def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
 
 
 def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dict]:
-    """Run every case that `_resolve` returned on `workers` threads: the
-    rows of the cases that finished, by case then alpha regardless of
-    scheduling, their diagnostics by name, and {name: exception} for the
-    cases that raised. A failed case does not stop the others."""
+    """Run every case that `_resolve` returned: the rows of the cases that
+    finished, by case then alpha regardless of scheduling, their
+    diagnostics by name, and {name: exception} for the cases that raised.
+    A failed case does not stop the others.
 
-    def attempt(case):
-        try:
-            return _run_case(*case, methods)
-        except Exception as exc:  # kept for the caller, which re-raises it
-            return exc
+    The Fredholm engine runs one case at a time on `workers` threads. The
+    simulation engine runs the cases of each McConfig and model family as
+    one batch (`_mc_values`) on the calling thread, while the threads work:
+    a family's chains share a state count, so each time block of a batch
+    is one filter call, and splitting by family bounds how many cases'
+    log ratios are held at once. A case that both engines fail reports the
+    Fredholm error.
+    """
+    fred = [None] * len(cases)
+    mc = [None] * len(cases)
 
-    if workers == 1:
-        results = [attempt(c) for c in cases]
-    else:
+    def simulate():
+        batches: dict[tuple, list[int]] = {}
+        for i, (spec, _, _) in enumerate(cases):
+            batches.setdefault((spec.mc, spec.family), []).append(i)
+        for (cfg, _), members in batches.items():
+            batch = [(cases[i][0].theta1, cases[i][0].theta, cases[i][1]) for i in members]
+            for i, result in zip(members, _mc_values(batch, cfg)):
+                mc[i] = result
+
+    if "fredholm" in methods and workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(attempt, cases))
+            pending = pool.map(_fredholm_case, cases)
+            if "mc" in methods:
+                simulate()
+            fred = list(pending)
+    else:
+        if "fredholm" in methods:
+            fred = [_fredholm_case(c) for c in cases]
+        if "mc" in methods:
+            simulate()
     rows, per_case, failed = [], {}, {}
-    for (spec, _, _), result in zip(cases, results):
-        if isinstance(result, Exception):
-            failed[spec.name] = result
-        else:
-            rows += result[0]
-            per_case[spec.name] = result[1]
+    for (spec, _, _), f, m in zip(cases, fred, mc):
+        error = next((r for r in (f, m) if isinstance(r, Exception)), None)
+        if error is not None:
+            failed[spec.name] = error
+            continue
+        rows += _case_rows(spec, f, m)
+        per_case[spec.name] = {**(f[1] if f else {}), **(m[1] if m else {})}
     return rows, per_case, failed
 
 

@@ -11,19 +11,24 @@ after every step and accumulates log of the normalizers, which is what keeps
 it stable for n in the 1e5 range where the raw product underflows.
 
 `batch_log_normalizers(chains, y, y_prev)` runs the filters of several
-chains with equal state counts over the same paths in one loop, and works
-through the path in blocks of time steps. The weights are state-major,
-(chain, state, path): a step is a product, a sum over the state axis, a
-division and one batched matmul by the transposed transitions, each into
-a buffer allocated once per call. A block's emission densities are
-filled in place once per distinct emission of each chain (the psi2 = 0
+chains with equal state counts in one loop, each chain over its own set
+of paths (the simulation engine's p and q chains of one case read the
+same set), and works through the paths in blocks of time steps. Paths
+that arrive in pieces are filtered piece by piece with a `carry`, which
+holds the filters' weights from one piece to the next. The weights are
+state-major, (chain, state, path): a step is a product, a sum over the
+state axis, a division and one batched matmul by the transposed
+transitions, each into a buffer allocated once per call. A block's
+emission densities are filled in place, in one (block, path) slab per
+chain and state, once per distinct emission of each chain (the psi2 = 0
 pair lift has 2 among its 4 states) and copied to the states sharing it;
-they, the underflow check and the logs are each one pass over the block.
-Every value is the one a step-at-a-time loop of a single chain computes,
-bit for bit (for fewer than 8 states, which numpy sums in sequence either
-way). The output is C-ordered: an F-ordered array of equal values would
-sum a row in another order, and so change the simulation estimates in the
-last digits.
+they and the logs are each one pass over the block, and so is the
+underflow check of a block whose normalizers come near it. Every value is
+the one a step-at-a-time loop of a single chain computes, bit for bit
+(for fewer than 8 states, which numpy sums in sequence either way). The
+output is C-ordered: an F-ordered array of equal values would sum a row
+in another order, and so change the simulation estimates in the last
+digits.
 
 Two deliberately independent evaluators back the filter for testing:
 `brute_force_log_likelihood` sums the complete-data density over every hidden
@@ -146,12 +151,20 @@ def _fill_emission_pdfs(chain: LinearGaussianChain, y, y_prev, out, tmp) -> None
                                   out[:, j], tmp), out=out[:, j])
 
 
-def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
-                          y_prev: np.ndarray) -> np.ndarray:
-    """Filter normalizers of several chains over the same paths at once.
+def _underflow_message(step: int, path: int) -> str:
+    return f"all forward weights underflowed at step {step} in batch path {path}"
 
-    `chains` is a sequence of k chains with equal d; y has shape (reps, n)
-    and y_prev shape (reps,). Returns a C-ordered (k, reps, n) array of
+
+def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
+                          y_prev: np.ndarray, paths: Sequence[int] | None = None,
+                          carry: dict | None = None) -> np.ndarray:
+    """Filter normalizers of several chains at once, each over its own paths.
+
+    `chains` is a sequence of k chains with equal d. y holds path sets of
+    shape (reps, n): either one, as a (reps, n) array that every chain
+    filters, or several, as a (sets, reps, n) array in which chain i
+    filters set `paths[i]` (by default set i); y_prev is (reps,) or
+    (sets, reps) to match. Returns a C-ordered (k, reps, n) array of
     log s_t, row i for chains[i]. The k filters run in one loop: each step
     is one batched matmul of the (k, d, d) transposed transitions by the
     state-major (k, d, reps) weights. Every value is the one a one-chain
@@ -162,36 +175,61 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
     emission densities are overwritten by its unnormalized weights, which
     the underflow check reads once per block. When several filters
     underflow, the error names the first chain in `chains` that did, at
-    its first dead step.
+    its first dead step, and the first path dead there.
+
+    `carry` filters paths that arrive in pieces: pass an empty dict with
+    the first piece and the same dict with each next one, y_prev being
+    the observations before the piece. Each call then starts the filters
+    where the last one left them, and a chain whose weights underflow is
+    recorded in carry["dead_at"] as {chain index: (step, path)}, its first
+    dead step counted from the start of the first piece, instead of
+    raised; its later values are not meaningful. A piece of one time block
+    comes back as a view in time-major memory, not C-ordered.
     """
     chains = list(chains)
     d = chains[0].d
     if any(chain.d != d for chain in chains):
         raise ValueError("batch_log_normalizers needs chains of equal d, got "
                          f"{[chain.d for chain in chains]}")
-    y = np.asarray(y, dtype=float)
-    reps, n = y.shape
     k = len(chains)
+    sets = np.asarray(y, dtype=float)
+    prev = np.asarray(y_prev, dtype=float)
+    if sets.ndim == 2:
+        sets, prev = sets[None], prev[None]
+    if paths is None:
+        paths = [0] * k if len(sets) == 1 else range(k)
+    paths = list(paths)
+    _, reps, n = sets.shape
+    streamed = carry is not None
+    carry = {} if carry is None else carry
+    if not carry:
+        # the predictive weights P^T w of the next step, first pi
+        carry.update(pred=np.repeat(np.stack([chain.pi for chain in chains])[:, :, None],
+                                    reps, axis=2), steps=0, dead_at={})
+    pred, dead_at = carry["pred"], carry["dead_at"]
     p = np.stack([chain.transition for chain in chains])
-    # the predictive weights P^T w of the next step, first pi; formed as w^T P
-    # on transposed views, BLAS sums them in the order of the row-vector
-    # product w @ P for any number of paths (P^T @ w differs for one path)
-    pred = np.repeat(np.stack([chain.pi for chain in chains])[:, :, None], reps, axis=2)
+    # formed as w^T P on transposed views, BLAS sums them in the order of
+    # the row-vector product w @ P for any number of paths (P^T @ w differs
+    # for one path)
     w = np.empty_like(pred)
     w_t, pred_t = w.transpose(0, 2, 1), pred.transpose(0, 2, 1)
-    unnorm = np.empty((min(n, _TIME_BLOCK), k, d, reps))  # a block's densities, then weights
-    s = np.empty((len(unnorm), k, 1, reps))
-    tmp = np.empty((len(unnorm), reps))
-    rows = list(zip(unnorm, s))  # per-step views, taken once
-    prev = np.asarray(y_prev, dtype=float)
-    out = np.empty((k, reps, n))
-    dead_at = {}  # chain index -> first step at which all its weights underflowed
+    # a block's densities, then weights, in one (block, reps) slab per chain
+    # and state, and its normalizers; a step reads the views at its time
+    block = min(n, _TIME_BLOCK)
+    unnorm = np.empty((k, d, block, reps))
+    s = np.empty((block, k, 1, reps))
+    tmp = np.empty((block, reps))
+    rows = list(zip(unnorm.transpose(2, 0, 1, 3), s))
+    # a piece of one block returns its logs in place, as a view
+    out = None if streamed and n == block else np.empty((k, reps, n))
     for t0 in range(0, n, _TIME_BLOCK):
-        y_blk = y[:, t0:t0 + _TIME_BLOCK].T.copy()  # time-major copy of one block
+        # time-major block of every set; a view when y is one already
+        y_blk = np.ascontiguousarray(np.moveaxis(sets[:, :, t0:t0 + _TIME_BLOCK], 2, 0))
         m = y_blk.shape[0]
-        prev_blk = np.concatenate((prev[None, :], y_blk[:-1]))
+        prev_blk = np.concatenate((prev[None], y_blk[:-1]))
         for i, chain in enumerate(chains):
-            _fill_emission_pdfs(chain, y_blk, prev_blk, unnorm[:m, i], tmp[:m])
+            _fill_emission_pdfs(chain, y_blk[:, paths[i]], prev_blk[:, paths[i]],
+                                unnorm[i, :, :m].transpose(1, 0, 2), tmp[:m])
         # a row that underflows turns into nan from here on; the check
         # below reports it before any of its values are used
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -200,16 +238,22 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
                 np.add.reduce(u, axis=-2, keepdims=True, out=s_j)
                 np.divide(u, s_j, out=w)
                 np.matmul(w_t, p, out=pred_t)
-            out[:, :, t0:t0 + m] = np.log(s[:m, :, 0]).transpose(1, 2, 0)
-        dead = np.any(np.all(unnorm[:m] < _UNDERFLOW, axis=-2), axis=-1)  # (block, k)
-        for i in np.flatnonzero(dead.any(axis=0)):
-            dead_at.setdefault(int(i), t0 + int(dead[:, i].argmax()) + 1)
-        if 0 in dead_at:  # no chain before the first can still die
-            break
+            log_s = np.log(s[:m, :, 0], out=s[:m, :, 0]).transpose(1, 2, 0)
+        if out is None:
+            out = log_s
+        else:
+            out[:, :, t0:t0 + m] = log_s
+        # all d weights of a path are below _UNDERFLOW only if their sum is
+        # below d * _UNDERFLOW, 2 d * _UNDERFLOW with its rounding: only a
+        # block with such a sum needs the check of every weight
+        if np.any(s[:m] < 2 * d * _UNDERFLOW):
+            dead = np.all(unnorm[:, :, :m] < _UNDERFLOW, axis=1)  # (k, block, reps)
+            for i in np.flatnonzero(dead.any(axis=(1, 2))):
+                if i not in dead_at:
+                    t = int(dead[i].any(axis=-1).argmax())
+                    dead_at[int(i)] = (carry["steps"] + t0 + t + 1, int(dead[i, t].argmax()))
         prev = y_blk[-1]
-    if dead_at:
-        raise DegenerateInputError(
-            f"all forward weights underflowed at step {dead_at[min(dead_at)]} "
-            "in a batch path"
-        )
+    carry["steps"] += n
+    if not streamed and dead_at:
+        raise DegenerateInputError(_underflow_message(*dead_at[min(dead_at)]))
     return out

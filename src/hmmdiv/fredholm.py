@@ -529,13 +529,15 @@ def _emission_grid(chain: LinearGaussianChain, grid: GridSpec):
     return nodes, wts, logf
 
 
-def _mix_log(chain: LinearGaussianChain, grid: GridSpec):
+def _mix_log(chain: LinearGaussianChain, grid: GridSpec, logf: np.ndarray | None = None):
     """Yield the log of the one-step predictive density
     sum_s pred_s(w) * f_s(y | u) on the (u, y) quadrature nodes, one filter
     weight w at a time: each row the bits of one logsumexp over the state
     axis of the (s, u, y) terms, read-only since every functional of a
-    pass (`_quadrature_pass`) reads it."""
-    _, _, logf = _emission_grid(chain, grid)
+    pass (`_quadrature_pass`) reads it. `logf` is the chain's log emission
+    grid when the caller has it (`_emission_grid`)."""
+    if logf is None:
+        _, _, logf = _emission_grid(chain, grid)
     terms = np.empty(logf.shape)  # one weight's terms, then their exponentials
     for lp in np.log(_predictive(chain.transition, grid.x_nodes)):
         row = _logsumexp(np.add(lp[:, None, None], logf, out=terms), axis=0, scratch=terms)
@@ -584,7 +586,8 @@ def _quadrature_pass(gen: LinearGaussianChain, grid: GridSpec, functionals) -> t
               for f in functionals}
     plan = [(alpha, chains.index(filt), tables[filt, alpha]) for filt, alpha in functionals]
     buf = np.empty(log_gen.shape[1:])  # one integrand row
-    for w, mix in enumerate(zip(*(_mix_log(c, grid) for c in chains))):
+    rows = (_mix_log(c, grid, log_gen if c == gen else None) for c in chains)
+    for w, mix in enumerate(zip(*rows)):
         ratios = {}
         for alpha, k, inner in plan:
             if alpha is None:

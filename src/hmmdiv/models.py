@@ -20,6 +20,12 @@ Both families (and the four-state lift) reduce to one shape: a finite hidden
 chain whose state j emits Y | Y_prev ~ N(c_j + b_j * Y_prev, s_j^2). That
 shape is `LinearGaussianChain`; the filter, samplers, and likelihood engines
 only ever see it, so they work for general d.
+
+The one path sampler, `path_blocks`, steps the paths of several chains and
+seeds together and yields them a block of time steps at a time, so a
+consumer that reduces each block holds no full-length path;
+`sample_paths` collects its blocks into whole paths, and `sample_path`
+is its one-chain, one-seed call.
 """
 
 from __future__ import annotations
@@ -34,8 +40,11 @@ from scipy.special import ndtri
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MASK64 = (1 << 64) - 1
 # Time steps per block in the simulation loops: the sampler and the filter
-# compute what does not depend on the recursion one block at a time.
-_TIME_BLOCK = 256
+# compute what does not depend on the recursion one block at a time. The
+# filter's block buffer holds (chains, states, block, paths) floats: for the
+# 16 chains of 8 family-B cases at 100 replications, 24 steps make it
+# 1.2 MB, while a longer block saves little per-block overhead.
+_TIME_BLOCK = 24
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,8 @@ class LinearGaussianChain:
             raise ValueError("emission parameter vectors must have length d")
         if np.any(self.s <= 0.0):
             raise ValueError("emission standard deviations must be positive")
+        keys = [np.array([self.c[t], self.b[t], self.s[t]]).tobytes() for t in range(d)]
+        object.__setattr__(self, "_emission_reps", tuple(keys.index(key) for key in keys))
 
     @property
     def d(self) -> int:
@@ -129,8 +140,7 @@ class LinearGaussianChain:
     def emission_reps(self) -> list[int]:
         """For each state, the first state with the same emission numbers
         (c, b, s): what depends on the emission alone is computed once."""
-        keys = [np.array([self.c[t], self.b[t], self.s[t]]).tobytes() for t in range(self.d)]
-        return [keys.index(k) for k in keys]
+        return list(self._emission_reps)
 
     def emission_log_pdf(self, y, y_prev):
         """Log emission densities, one per state; broadcasts over y/y_prev."""
@@ -335,93 +345,141 @@ def mix_seed(seed: int, r: int) -> int:
     return z ^ (z >> 31)
 
 
-def _standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    # inverse-CDF transform of the uniform stream: documented and stable
-    # across numpy versions, unlike the ziggurat sampler
-    u = rng.random(size)
+def _standard_normals(u: np.ndarray) -> np.ndarray:
+    # inverse-CDF transform of uniforms: documented and stable across numpy
+    # versions, unlike the ziggurat sampler
     eps = 2.0 ** -53
     return ndtri(np.clip(u, eps, 1.0 - eps))
 
 
-def sample_paths(chain: LinearGaussianChain, seeds, n: int, burn_in: int):
-    """Sample one path per seed, all rows stepped together.
+def path_blocks(chains, seeds, n: int, burn_in: int):
+    """Sample one path per (chain, seed), all rows stepped together, and
+    yield the n observed steps block by block.
 
-    Row r draws its uniforms and normals from PCG64(seeds[r]); the chain
-    starts from `chain.pi`, Y is initialized at 0, and burn_in steps are
-    discarded. Returns (y, y_prev, x): C-ordered observations of shape
-    (rows, n), the observation preceding y[:, 0] (0.0 when burn_in = 0),
-    and the C-ordered chain states behind y as int8.
+    Row (i, r) follows chains[i] from a state drawn from its `pi`, with Y
+    initialized at 0, and discards burn_in steps. Its draws come from
+    PCG64(seeds[r]): the first uniform picks the starting state and the
+    next burn_in + n step the chain; the noise is the inverse normal CDF
+    of the uniforms after those, read from a second PCG64(seeds[r])
+    advanced past them, so a seed's one stream is read in two places at
+    once. The rows of every chain read the same draws.
 
-    The state and observation recursions run one step at a time; what they
-    read that does not depend on them (every state's successor at each
-    step, the per-state intercepts, slopes and noise terms) is computed
-    vectorized beforehand. Every value equals that of a loop doing all of
-    it per step, bit for bit.
+    Yields (y, x) for each block of m <= _TIME_BLOCK observed steps:
+    time-major y of shape (m + 1, k, rows), whose row 0 is the observation
+    before the block (0.0 before the first when burn_in = 0), and the chain
+    states behind y[1:] as int8 of shape (m, k, rows). The buffers are
+    reused by the next block; a block is valid until the next is asked for.
+
+    The state and observation recursions run one step at a time over all
+    rows; what they read that does not depend on them (every state's
+    successor at each step, the per-state intercepts, slopes and noise
+    terms) is computed vectorized per block. Every value equals that of a
+    loop doing all of it per step for one chain, bit for bit.
     """
-    rows = len(seeds)
+    k, rows = len(chains), len(seeds)
     total = burn_in + n
-    d = chain.d
-    # time-major draws, so that one step's values across rows are contiguous
-    u_state = np.empty((total + 1, rows))
-    eps = np.empty((total, rows))
-    for r, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        u_state[:, r] = rng.random(total + 1)
-        eps[:, r] = _standard_normals(rng, total)
+    d = max(chain.d for chain in chains)
+    state_rngs, noise_rngs = [], []
+    for seed in seeds:
+        state_rngs.append(np.random.Generator(np.random.PCG64(seed)))
+        noise = np.random.PCG64(seed)
+        noise.advance(total + 1)
+        noise_rngs.append(np.random.Generator(noise))
 
-    # The state drawn at step t from state j depends on the step's uniform
-    # alone: nxt[t, r, j] is it for every j, so the loop is one lookup.
-    cum = np.cumsum(chain.transition, axis=1)
-    nxt = np.empty((total, rows, d), dtype=np.int8)
-    for j in range(d):
-        count = np.zeros((total, rows), dtype=np.int8)
-        for k in range(d):
-            count += cum[j, k] <= u_state[1:]
-        nxt[:, :, j] = np.minimum(count, d - 1)
-    z = np.minimum((np.cumsum(chain.pi) <= u_state[0, :, None]).sum(axis=1), d - 1)
-    del u_state
-    states = np.empty((total, rows), dtype=np.int8)
-    row_offsets = np.arange(rows) * d
-    idx = np.empty(rows, dtype=np.intp)
-    for t, z_t in enumerate(states):
-        # the indices are in range by construction; "clip" skips the
-        # buffered bounds check of the default mode
-        z = nxt[t].take(np.add(row_offsets, z, out=idx), out=z_t, mode="clip")
-    del nxt
+    # Per-state tables of the k chains, padded to d states; a padded
+    # threshold is inf and never reached.
+    cum = np.full((k, d, d), np.inf)
+    start = np.full((k, d), np.inf)
+    c, b, s = (np.zeros(k * d) for _ in range(3))
+    for i, chain in enumerate(chains):
+        cum[i, :chain.d, :chain.d] = np.cumsum(chain.transition, axis=1)
+        start[i, :chain.d] = np.cumsum(chain.pi)
+        for table, values in ((c, chain.c), (b, chain.b), (s, chain.s)):
+            table[i * d:i * d + chain.d] = values
+    last = np.array([chain.d - 1 for chain in chains])[:, None]
+    # The state drawn at a step from state j is the count of j's thresholds
+    # at or below the step's uniform u, at most d - 1. That count is the same
+    # for every u between two consecutive thresholds of the union T, so
+    # successor[searchsorted(T, u)] holds it for every chain and state.
+    thresholds = np.unique(cum[np.isfinite(cum)])
+    counts = (cum[None] <= thresholds[:, None, None, None]).sum(axis=-1)
+    successor = np.minimum(np.concatenate((np.zeros((1, k, d), dtype=np.intp), counts)),
+                           last).astype(np.int8)
+    u0 = np.array([rng.random() for rng in state_rngs])
+    z = np.minimum((start[:, None, :] <= u0[:, None]).sum(axis=-1), last).astype(np.int8).ravel()
 
-    # y_t = (c[z] + b[z] * y_{t-1}) + s[z] * eps_t, written over eps in place
-    c, b, s = chain.c, chain.b, chain.s
-    y, mean = np.zeros(rows), np.empty(rows)
-    for t0 in range(0, total, _TIME_BLOCK):
-        z_blk = states[t0:t0 + _TIME_BLOCK]
-        noise = eps[t0:t0 + _TIME_BLOCK]
-        noise *= s[z_blk]
-        for c_t, b_t, y_t in zip(c[z_blk], b[z_blk], noise):
-            np.multiply(b_t, y, out=mean)
-            mean += c_t
-            y = np.add(y_t, mean, out=y_t)
-    y_prev = eps[burn_in - 1].copy() if burn_in > 0 else np.zeros(rows)
-    return (np.ascontiguousarray(eps[burn_in:].T), y_prev,
-            np.ascontiguousarray(states[burn_in:].T))
+    block = min(total, _TIME_BLOCK)
+    u = np.empty((rows, block))  # seed-major draws, read transposed
+    x = np.empty((block, k * rows), dtype=np.int8)
+    y = np.zeros((block + 1, k * rows))  # row 0: the observation before the block
+    mean = np.empty(k * rows)
+    # row (i, r) of a step's successor table (rows, k, d) starts at (r k + i) d
+    offsets = ((np.arange(rows) * k + np.arange(k)[:, None]) * d).ravel()
+    chain_base = (np.arange(k) * d)[:, None]
+    idx = np.empty(k * rows, dtype=np.intp)
+    bounds = [*range(0, burn_in, block), *range(burn_in, total, block), total]
+    for t0, t1 in zip(bounds, bounds[1:]):
+        m = t1 - t0
+        for r, rng in enumerate(state_rngs):
+            rng.random(out=u[r, :m])
+        successors = successor[np.searchsorted(thresholds, u[:, :m].T, side="right")]
+        for t in range(m):
+            # the indices are in range by construction; "clip" skips the
+            # buffered bounds check of the default mode
+            z = successors[t].take(np.add(offsets, z, out=idx), out=x[t], mode="clip")
+        for r, rng in enumerate(noise_rngs):
+            rng.random(out=u[r, :m])
+        # y_t = (c[z] + b[z] * y_{t-1}) + s[z] * eps_t, written over the noise
+        states = x[:m].reshape(m, k, rows) + chain_base
+        c_blk, b_blk = c[states].reshape(m, -1), b[states].reshape(m, -1)
+        np.multiply(_standard_normals(u[:, :m].T)[:, None, :], s[states],
+                    out=y[1:m + 1].reshape(m, k, rows))
+        for t in range(m):
+            np.multiply(b_blk[t], y[t], out=mean)
+            mean += c_blk[t]
+            np.add(y[t + 1], mean, out=y[t + 1])
+        del successors, states, c_blk, b_blk  # not held while the consumer runs
+        if t0 >= burn_in:
+            yield y[:m + 1].reshape(m + 1, k, rows), x[:m].reshape(m, k, rows)
+        y[0] = y[m]
 
 
-def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSample:
-    """Sample n observations after burn_in discarded steps: the one-row
-    call of `sample_paths`.
-
-    The recorded hidden states are the model's primitive states (for
-    family B the current X_t, not the pair state). Deterministic in
-    (m, n, burn_in, seed).
+def sample_paths(chains, seeds, n: int, burn_in: int):
+    """The paths of `path_blocks` whole: C-ordered observations of shape
+    (k, rows, n), the observation preceding y[..., 0] (0.0 when burn_in =
+    0) of shape (k, rows), and the C-ordered chain states behind y as int8.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    y, y_prev, x = sample_paths(as_chain(m), [seed], n, burn_in)
-    x = x[0]
+    k, rows = len(chains), len(seeds)
+    y = np.empty((k, rows, n))
+    x = np.empty((k, rows, n), dtype=np.int8)
+    t0 = 0
+    for y_blk, x_blk in path_blocks(chains, seeds, n, burn_in):
+        if t0 == 0:
+            y_prev = y_blk[0].copy()
+        m = len(x_blk)
+        y[..., t0:t0 + m] = y_blk[1:].transpose(1, 2, 0)
+        x[..., t0:t0 + m] = x_blk.transpose(1, 2, 0)
+        t0 += m
+    return y, y_prev, x
+
+
+def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSample:
+    """Sample n observations after burn_in discarded steps: the one-row,
+    one-chain call of `sample_paths`.
+
+    The recorded hidden states are the model's primitive states (for
+    family B the current X_t, not the pair state). Deterministic in
+    (m, n, burn_in, seed).
+    """
+    y, y_prev, x = sample_paths([as_chain(m)], [seed], n, burn_in)
+    x = x[0, 0]
     if isinstance(m, ModelBParams):
         x = x % 2  # pair state (i, j) -> current state j
-    return PathSample(y=y[0], x=x, seed=seed, burn_in=burn_in, y_prev=float(y_prev[0]))
+    return PathSample(y=y[0, 0], x=x, seed=seed, burn_in=burn_in, y_prev=float(y_prev[0, 0]))
 
 
 def renyi_order(alpha) -> float:

@@ -1,9 +1,8 @@
 """Simulation estimates of Renyi and KL divergence rates.
 
 Each replication samples a fresh path under p, runs the normalized forward
-filters of both models over it (in one loop when their chain forms have the
-same number of states), and turns the per-step log likelihood ratios
-rho_t = log s_t(p) - log s_t(q) into one statistic:
+filters of both models over it, and turns the per-step log likelihood
+ratios rho_t = log s_t(p) - log s_t(q) into one statistic:
 
     KL:    mean_t rho_t                      (the normalized log ratio)
     Renyi: log( mean_t exp((alpha-1) rho_t) ) / (alpha - 1)
@@ -16,6 +15,10 @@ is the standard error of the mean, sd / sqrt(reps).
 
 Replication r uses an independent generator seeded by a splitmix64 mix of
 (seed, r), so results are reproducible and independent of execution order.
+Several pairs of models run as one batch (`replication_log_ratios`): their
+paths are sampled and filtered together, one block of time steps at a
+time, replication r of every pair reading the draws of the same seed, and
+each pair's values are those of its run alone, bit for bit.
 
 The per-case driver over a list of orders, and its one-order calls
 `estimate_renyi_mc` and `estimate_kl_mc`, live in `hmmdiv.cli`.
@@ -29,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import DegenerateInputError, batch_log_normalizers
-from .models import (Model, _logsumexp, as_chain, mix_seed, renyi_order, require_counts,
-                     sample_paths)
+from .forward import DegenerateInputError, _underflow_message, batch_log_normalizers
+from .models import _logsumexp, as_chain, mix_seed, path_blocks, renyi_order, require_counts
 
 
 @dataclass(frozen=True)
@@ -78,34 +80,69 @@ class DivergenceEstimate:
         return self.std_dev / math.sqrt(self.reps) if self.reps > 1 else 0.0
 
 
-def replication_log_ratios(p: Model, q: Model, cfg: McConfig,
-                           timings: dict | None = None) -> np.ndarray:
-    """Per-step log likelihood ratios rho for every replication, shape
-    (reps, n). Paths are sampled under p. The rows are the sole input of
-    every estimator here, so callers evaluating several alpha values can
-    compute them once and share them.
+def replication_log_ratios(pairs, cfg: McConfig, timings: dict | None = None,
+                           errors: dict | None = None) -> list[np.ndarray | None]:
+    """Per-step log likelihood ratios rho for every replication of each
+    pair (p, q) of models, shape (reps, n) each, paths sampled under p.
+    The rows are the sole input of every estimator here, so callers
+    evaluating several alpha values can compute them once and share them.
+    One pair is the batch of one: `replication_log_ratios([(p, q)], cfg)[0]`.
+
+    The pairs run as one batch: `path_blocks` samples every pair's paths
+    from one draw stream per replication seed, and each block is filtered
+    by one `batch_log_normalizers` call per state count, over the chains of
+    every pair that have it, before the next block is sampled. Only the
+    rho arrays are full length. Every row equals the pair's run alone, bit
+    for bit.
 
     When `timings` is given, the seconds spent sampling the paths and
-    running the two filters are stored in it as "sample_seconds" and
-    "filter_seconds".
+    running the filters, summed over the blocks of the whole batch, are
+    stored in it as "sample_seconds" and "filter_seconds". When a pair's
+    filter underflows, its DegenerateInputError is raised once the batch
+    has run; or, when `errors` is given, stored there under the pair's
+    index, with None in its place in the result.
     """
-    chain_p = as_chain(p)
-    chain_q = as_chain(q)
+    pairs = [(as_chain(p), as_chain(q)) for p, q in pairs]
     seeds = [mix_seed(cfg.seed, r) for r in range(cfg.reps)]
-    t0 = time.perf_counter()
-    y, y_prev, _ = sample_paths(chain_p, seeds, cfg.n, cfg.burn_in)
-    t1 = time.perf_counter()
-    try:
-        if chain_p.d == chain_q.d:  # both filters in one loop
-            log_s = batch_log_normalizers((chain_p, chain_q), y, y_prev)
-            rho = log_s[0] - log_s[1]
-        else:  # a family-A model against a family-B one
-            rho = (batch_log_normalizers((chain_p,), y, y_prev)[0]
-                   - batch_log_normalizers((chain_q,), y, y_prev)[0])
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"{exc} (replication = path index)") from exc
+    # filter groups by state count: {d: (chains, the pair of each chain)}
+    groups: dict[int, tuple[list, list]] = {}
+    slots = []  # per pair, the (d, position in its group) of p's and q's chain
+    for c, pair in enumerate(pairs):
+        slot = []
+        for chain in pair:
+            chains, owners = groups.setdefault(chain.d, ([], []))
+            slot.append((chain.d, len(chains)))
+            chains.append(chain)
+            owners.append(c)
+        slots.append(slot)
+    carries = {d: {} for d in groups}
+    rho = [np.empty((cfg.reps, cfg.n)) for _ in pairs]
+    sampled = filtered = 0.0
+    t0 = 0
+    clock = time.perf_counter()
+    for y, _ in path_blocks([p for p, _ in pairs], seeds, cfg.n, cfg.burn_in):
+        tick = time.perf_counter()
+        sampled += tick - clock
+        m = len(y) - 1
+        sets = y[1:].transpose(1, 2, 0)  # (pairs, reps, block) views
+        log_s = {d: batch_log_normalizers(chains, sets, y[0], paths, carries[d])
+                 for d, (chains, paths) in groups.items()}
+        for c, ((dp, ip), (dq, iq)) in enumerate(slots):
+            np.subtract(log_s[dp][ip], log_s[dq][iq], out=rho[c][:, t0:t0 + m])
+        del log_s  # not held while the next block is sampled and filtered
+        t0 += m
+        clock = time.perf_counter()
+        filtered += clock - tick
     if timings is not None:
-        timings.update(sample_seconds=t1 - t0, filter_seconds=time.perf_counter() - t1)
+        timings.update(sample_seconds=sampled, filter_seconds=filtered)
+    for c, slot in enumerate(slots):
+        dead = [carries[d]["dead_at"][i] for d, i in slot if i in carries[d]["dead_at"]]
+        if dead:
+            exc = DegenerateInputError(
+                f"{_underflow_message(*dead[0])} (replication = path index)")
+            if errors is None:
+                raise exc
+            errors[c], rho[c] = exc, None
     return rho
 
 

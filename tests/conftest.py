@@ -42,8 +42,7 @@ def fredholm_results(fredholm_cases):
 def mc_log_ratios():
     """{case_id: (reps, n) per-step log ratio matrix} at the default
     simulation settings (n=2000, reps=100, seed=0)."""
-    cfg = McConfig()
-    return {cid: replication_log_ratios(t1, t, cfg) for cid, (t1, t) in CASES.items()}
+    return dict(zip(CASES, replication_log_ratios(list(CASES.values()), McConfig())))
 
 
 @pytest.fixture(scope="session")

@@ -118,7 +118,7 @@ def test_engines_agree_on_family_a():
     # so both the chi-square Q and the per-state emissions are exercised
     theta1 = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
     theta = ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9))
-    rho = replication_log_ratios(theta1, theta, McConfig())
+    [rho] = replication_log_ratios([(theta1, theta)], McConfig())
     for alpha in ("kl", 0.5):
         det = divergence_fredholm(theta1, theta, alpha).value
         est = estimate_from_log_ratios(rho, 1.0 if alpha == "kl" else alpha)
@@ -135,7 +135,7 @@ def test_engines_agree_on_mixed_family_pairs(direction):
     family_a = ModelAParams(0.401, 0.6, (1.0, 0.0), (0.2, 0.2), (1.0, 1.0))
     pair = (CASES[7][0], family_a)
     theta1, theta = pair if direction == "b-generates" else pair[::-1]
-    rho = replication_log_ratios(theta1, theta, McConfig())
+    [rho] = replication_log_ratios([(theta1, theta)], McConfig())
     for alpha in ("kl", 0.5):
         det = divergence_fredholm(theta1, theta, alpha).value
         est = estimate_from_log_ratios(rho, 1.0 if alpha == "kl" else alpha)

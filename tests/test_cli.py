@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ import hmmdiv
 from hmmdiv import (
     CaseSpec,
     ConfigError,
+    DegenerateInputError,
     GridSpec,
     GridTooCoarseError,
     McConfig,
+    ModelAParams,
+    ModelBParams,
     ResultRow,
     default_config,
     divergence_fredholm,
@@ -365,8 +369,8 @@ def test_mc_top_term_share_in_diagnostics(tmp_path):
     # largest term, for the finite orders >= 1.5 only; no value moves
     spec = tiny_spec(alphas=(0.5, "kl", 1.5, 2.0))
     orders = cli._orders(spec.theta1, spec.theta, spec.alphas)
-    values, diag = cli._mc_values(spec.theta1, spec.theta, orders, spec.mc)
-    rho = replication_log_ratios(spec.theta1, spec.theta, spec.mc)
+    [(values, diag)] = cli._mc_values([(spec.theta1, spec.theta, orders)], spec.mc)
+    [rho] = replication_log_ratios([(spec.theta1, spec.theta)], spec.mc)
     assert set(diag["mc_top_term_share"]) == {1.5, 2.0}
     for a in (1.5, 2.0):
         scaled = (a - 1.0) * rho
@@ -390,9 +394,9 @@ def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
                     mc=McConfig(n=100, reps=4, burn_in=10))
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return replication_log_ratios(*args, **kwargs)
+    def counted(pairs, *args, **kwargs):
+        calls.append(list(pairs))
+        return replication_log_ratios(pairs, *args, **kwargs)
 
     monkeypatch.setattr(cli, "replication_log_ratios", counted)
     rows, diags = run_cases([spec], ("mc",), with_diagnostics=True)
@@ -402,6 +406,88 @@ def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
     # one finite order brings the simulation back
     run_cases([dataclasses.replace(spec, alphas=(1.5, 2.0))], ("mc",))
     assert len(calls) == 1
+    # in a batch, the case left out of the simulation keeps zero stage times
+    finite = dataclasses.replace(spec, name="finite", alphas=(1.5, 2.0))
+    rows, diags = run_cases([spec, finite], ("mc",), with_diagnostics=True)
+    assert calls[1:] == [[(theta1, bench.CASES[8][1])]]
+    assert rows[0].mc_mean == math.inf and math.isfinite(rows[1].mc_mean)
+    assert diags["wide"]["sample_seconds"] == diags["wide"]["filter_seconds"] == 0.0
+    assert diags["finite"]["sample_seconds"] > 0.0
+
+
+FAMILY_A_PAIR = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
+                 ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9)))
+
+
+def mc_cells(rows):
+    return [(r.case, r.alpha, repr(r.mc_mean), repr(r.mc_sd)) for r in rows]
+
+
+def test_batched_cases_equal_their_solo_runs(monkeypatch):
+    # one batch per McConfig and family: family-B (4-state) pairs under
+    # two McConfigs, an identical pair among them, and a family-A (2-state)
+    # pair under the first
+    one, two = McConfig(n=150, reps=6, burn_in=10, seed=4), McConfig(n=90, reps=5, burn_in=0)
+    alphas = ("kl", 0.5, 2.0)
+    specs = [CaseSpec("b1", "B", *bench.CASES[1], alphas, mc=one),
+             CaseSpec("b7", "B", *bench.CASES[7], alphas, mc=two),
+             CaseSpec("a", "A", *FAMILY_A_PAIR, alphas, mc=one),
+             CaseSpec("same", "B", bench.CASES[2][0], bench.CASES[2][0], alphas, mc=one),
+             CaseSpec("b3", "B", *bench.CASES[3], alphas, mc=two)]
+    calls = []
+    monkeypatch.setattr(cli, "replication_log_ratios",
+                        lambda pairs, *args: calls.append(len(pairs))
+                        or replication_log_ratios(pairs, *args))
+    rows = run_cases(specs, ("mc",))
+    assert calls == [2, 2, 1]
+    solo = [cell for spec in specs for cell in mc_cells(run_cases([spec], ("mc",)))]
+    assert mc_cells(rows) == solo
+    assert [(r.mc_mean, r.mc_sd) for r in rows if r.case == "same"] == [(0.0, 0.0)] * 3
+    # a pair whose chains have different state counts, batched with others
+    mixed = (bench.CASES[7][0], FAMILY_A_PAIR[1])
+    batch = [mixed, bench.CASES[1], FAMILY_A_PAIR[::-1]]
+    orders = [cli._orders(p, q, alphas) for p, q in batch]
+    results = cli._mc_values([(*pair, o) for pair, o in zip(batch, orders)], one)
+    for (p, q), (values, _) in zip(batch, results):
+        for a in alphas:
+            want = estimate_renyi_mc(p, q, a, one)
+            assert (repr(values[a].mean), repr(values[a].std_dev)) == (
+                repr(want.mean), repr(want.std_dev))
+
+
+def test_degenerate_case_fails_alone_in_its_batch():
+    # an alternative with an absurd emission scale underflows its filter;
+    # the two other cases of the batch still finish with their solo values
+    bad = ModelBParams(p01=0.4, p10=0.6, mu=(0.0, 0.0), phi=0.0, psi1=1.0, psi2=0.0,
+                       sigma=1e-160)
+    mc = McConfig(n=200, reps=5, burn_in=20, seed=3)
+    specs = [CaseSpec("c1", "B", *bench.CASES[1], ("kl", 0.5), mc=mc),
+             CaseSpec("bad", "B", bench.CASES[1][0], bad, ("kl", 0.5), mc=mc),
+             CaseSpec("c2", "B", *bench.CASES[2], ("kl", 0.5), mc=mc)]
+    with np.errstate(over="ignore"):
+        rows, _, failed = cli._run_all(*cli._resolve(specs, ("mc",)), ("mc",))
+        with pytest.raises(DegenerateInputError, match=r"in batch path \d+ \(replication"):
+            run_cases(specs, ("mc",))
+    assert list(failed) == ["bad"]
+    assert "replication" in str(failed["bad"])
+    assert mc_cells(rows) == mc_cells(run_cases([specs[0]], ("mc",))
+                                      + run_cases([specs[2]], ("mc",)))
+
+
+def test_mc_stage_holds_only_the_log_ratios():
+    # the bundled cases at n = 2000: the batch streams its paths in time
+    # blocks, so only the (reps, n) log ratios of each case are full length
+    cfg = McConfig()
+    cases = [(t1, t, cli._orders(t1, t, bench.ALPHA_GRID)) for t1, t in bench.CASES.values()]
+    tracemalloc.start()
+    try:
+        results = cli._mc_values(cases, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(r, Exception) for r in results)
+    rho_bytes = len(cases) * cfg.reps * cfg.n * 8
+    assert peak <= rho_bytes + 4 * 2 ** 20
 
 
 def test_fredholm_skips_the_kernel_when_every_order_is_infinite(monkeypatch):
@@ -603,7 +689,7 @@ def test_main_bad_methods_exit_two_without_artifacts(tmp_path, capsys, methods):
 
 def test_main_unusable_out_exits_two_before_any_case_runs(tmp_path, monkeypatch, capsys):
     ran = []
-    monkeypatch.setattr(cli, "_run_case", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "_run_all", lambda *args: ran.append(args))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(tiny_doc()))
     for out in (cfg, cfg / "o"):  # an existing file, and a path through one

@@ -177,13 +177,18 @@ def test_log_likelihood_iid_reduction():
 
 
 def test_log_likelihood_long_sequence_finite():
-    # both models of a case in one filter call, as the simulation engine
-    # runs them; each row's sum is that model's log likelihood
-    for t1, t in CASES.values():
-        path = sample_path(t1, 100000, seed=13)
-        log_s = batch_log_normalizers([as_chain(t1), as_chain(t)], path.y[None, :],
-                                      np.array([path.y_prev]))
-        assert np.all(np.isfinite(log_s[:, 0].sum(axis=1)))
+    # the eight generating chains' 100,000-step paths in one sampler call,
+    # and both models of every case in one filter call over them, as the
+    # simulation engine runs them; each row's sum is that model's log
+    # likelihood
+    pairs = list(CASES.values())
+    y, y_prev, _ = sample_paths([as_chain(t1) for t1, _ in pairs], [13], 100000, 100)
+    assert np.array_equal(y[0, 0], sample_path(pairs[0][0], 100000, seed=13).y)
+    chains = [as_chain(m) for pair in pairs for m in pair]
+    paths = [i // 2 for i in range(len(chains))]
+    log_s = batch_log_normalizers(chains, y, y_prev, paths)
+    assert log_s.shape == (16, 1, 100000)
+    assert np.all(np.isfinite(log_s[:, 0].sum(axis=1)))
 
 
 def test_underflow_raises_degenerate_error():
@@ -358,8 +363,9 @@ def test_blocked_filter_matches_step_loop_bitwise(family, reps):
     else:
         gen, alt = shared_emission_pair(family)
     n = 2 * _TIME_BLOCK + 3
-    y, y_prev, _ = sample_paths(as_chain(gen), [mix_seed(5, r) for r in range(reps)],
+    y, y_prev, _ = sample_paths([as_chain(gen)], [mix_seed(5, r) for r in range(reps)],
                                 n, 20)
+    y, y_prev = y[0], y_prev[0]
     # both filters in one call (as the simulation engine runs them) and each
     # alone must give the step loop's rows
     chains = [as_chain(gen), as_chain(alt)]
@@ -386,6 +392,41 @@ def test_emission_densities_filled_once_per_distinct_emission(m, distinct):
     got = np.empty((40, chain.d, 7))
     _fill_emission_pdfs(chain, y, y_prev, got, np.empty((40, 7)))
     assert np.array_equal(got, chain.emission_pdf(y, y_prev).transpose(0, 2, 1))
+
+
+def test_filter_in_pieces_over_own_paths_matches_one_call():
+    # each chain filters its own path set, fed in pieces that do not align
+    # with the time blocks: with a carry, the pieces give the whole-path
+    # call's values bit for bit, and an underflow is recorded, not raised
+    rng = np.random.default_rng(37)
+    chains = [as_chain(random_model(rng, "B")) for _ in range(3)]
+    n = 3 * _TIME_BLOCK + 5
+    sets = rng.normal(1.0, 1.5, size=(2, 4, n))
+    prev = rng.normal(size=(2, 4))
+    paths = [1, 0, 1]
+    whole = batch_log_normalizers(chains, sets, prev, paths)
+    for i, chain in enumerate(chains):
+        alone = batch_log_normalizers([chain], sets[paths[i]], prev[paths[i]])
+        assert np.array_equal(whole[i], alone[0])
+
+    def in_pieces(data, ends, carry):
+        pieces, t0 = [], 0
+        for t1 in ends:
+            before = prev if t0 == 0 else data[..., t0 - 1]
+            pieces.append(batch_log_normalizers(chains, data[..., t0:t1], before, paths, carry))
+            t0 = t1
+        return np.concatenate(pieces, axis=-1)
+
+    carry = {}
+    assert np.array_equal(in_pieces(sets, (7, _TIME_BLOCK + 9, n), carry), whole)
+    assert carry["dead_at"] == {} and carry["steps"] == n
+    dead = sets.copy()
+    dead[0, 2, _TIME_BLOCK + 3] = 1e4  # chain 1 reads set 0; dies at this step
+    carry = {}
+    in_pieces(dead, range(20, n + 20, 20), carry)
+    assert carry["dead_at"] == {1: (_TIME_BLOCK + 4, 2)}
+    with pytest.raises(DegenerateInputError, match=f"at step {_TIME_BLOCK + 4} in batch path 2"):
+        batch_log_normalizers(chains, dead, prev, paths)
 
 
 def test_stacked_filters_need_equal_state_counts():

@@ -717,14 +717,30 @@ def count_passes(monkeypatch, before_pass=lambda: None):
         built["pass"].append((threading.get_ident(), gen, list(functionals)))
         return real_pass(gen, grid, functionals)
 
-    def mixing(chain, grid):
-        for row in real_mix(chain, grid):
+    def mixing(chain, grid, logf=None):
+        for row in real_mix(chain, grid, logf):
             built["rows"].append(chain)
             yield row
 
     monkeypatch.setattr(fredholm, "_quadrature_pass", passing)
     monkeypatch.setattr(fredholm, "_mix_log", mixing)
     return built
+
+
+def test_pass_evaluates_each_emission_grid_once(monkeypatch):
+    # the generating chain's log emission grid serves both the quadrature
+    # terms and its own mixture rows; the filter chain's is evaluated once
+    grid = GridSpec(N=8, quad_points=51)
+    gen, alt = as_chain(CASE7_GEN), as_chain(CASE7_ALT)
+    want = fredholm._quadrature_pass(gen, grid, [(gen, None), (alt, None), (alt, 0.5)])
+    grids, real = [], fredholm._emission_grid
+    monkeypatch.setattr(fredholm, "_emission_grid",
+                        lambda chain, g: grids.append(chain) or real(chain, g))
+    got = fredholm._quadrature_pass(gen, grid, [(gen, None), (alt, None), (alt, 0.5)])
+    assert grids == [gen, alt]
+    for f, tables in want[1].items():
+        for e, table in tables.items():
+            assert_same_bits(got[1][f][e], table)
 
 
 def fredholm_values(theta1, theta, alphas, grid):

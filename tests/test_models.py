@@ -273,17 +273,19 @@ def test_sample_path_rejects_negative_burn_in():
 
 def test_sample_path_is_the_batch_row():
     seeds = [mix_seed(3, r) for r in range(3)]
-    y, y_prev, x = sample_paths(as_chain(CASE1_GEN), seeds, 400, 30)
-    assert y.shape == x.shape == (3, 400) and x.dtype == np.int8
+    y, y_prev, x = sample_paths([as_chain(CASE1_GEN)], seeds, 400, 30)
+    assert y.shape == x.shape == (1, 3, 400) and x.dtype == np.int8
     for r, seed in enumerate(seeds):
         path = sample_path(CASE1_GEN, 400, burn_in=30, seed=seed)
-        assert np.array_equal(path.y, y[r]) and path.y_prev == y_prev[r]
-        assert np.array_equal(path.x, x[r] % 2)
+        assert np.array_equal(path.y, y[0, r]) and path.y_prev == y_prev[0, r]
+        assert np.array_equal(path.x, x[0, r] % 2)
 
 
 def step_loop_sample_paths(chain, seeds, n, burn_in):
-    """The path sampler one time step at a time, every operation per step:
-    the reference that the table-driven sampler must match bit for bit."""
+    """The path sampler one time step at a time, every operation per step,
+    each row's draws read from its seed's one stream in order: the
+    reference that the table-driven, block-streamed sampler must match
+    bit for bit."""
     rows = len(seeds)
     total = burn_in + n
     u_state = np.empty((rows, total + 1))
@@ -291,7 +293,7 @@ def step_loop_sample_paths(chain, seeds, n, burn_in):
     for r, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
         u_state[r] = rng.random(total + 1)
-        eps[r] = _standard_normals(rng, total)
+        eps[r] = _standard_normals(rng.random(total))
     cum = np.cumsum(chain.transition, axis=1)
     cum_pi = np.cumsum(chain.pi)
     z = np.minimum((cum_pi[None, :] <= u_state[:, 0:1]).sum(axis=1), chain.d - 1)
@@ -312,20 +314,39 @@ FAMILY_A = ModelAParams(p00=0.6, p11=0.7, mu=(0.5, -0.5), psi=(0.2, -0.1),
                         sigma=(1.0, 1.4))
 
 
+# 263 steps of burn-in: many whole time blocks and a partial one
 @pytest.mark.parametrize("m", [CASES[7][0], FAMILY_A], ids=["B", "A"])
-@pytest.mark.parametrize("burn_in", [0, 1, _TIME_BLOCK + 7])
+@pytest.mark.parametrize("burn_in", [0, 1, 263])
 @pytest.mark.parametrize("rows", [1, 5])
 def test_sample_paths_match_step_loop_bitwise(m, burn_in, rows):
     chain = as_chain(m)
     seeds = [mix_seed(burn_in, r) for r in range(rows)]
     n = _TIME_BLOCK + 50
-    got = sample_paths(chain, seeds, n, burn_in)
+    got = sample_paths([chain], seeds, n, burn_in)
     want = step_loop_sample_paths(chain, seeds, n, burn_in)
     for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert np.array_equal(g, w)
+        assert g.shape == (1, *w.shape) and g.dtype == w.dtype
+        assert np.array_equal(g[0], w)
     y, _, x = got
     assert y.flags.c_contiguous and x.flags.c_contiguous and x.dtype == np.int8
+
+
+@pytest.mark.parametrize("burn_in", [0, 2 * _TIME_BLOCK + 5])
+def test_multi_chain_rows_equal_one_chain_calls(burn_in):
+    # chains of 4 and 2 states sampled together read one draw stream per
+    # seed; each row is the one-chain call's and the step loop's, bit for
+    # bit, the normals streamed from a second generator included
+    chains = [as_chain(m) for m in (CASES[7][0], FAMILY_A, CASE1_GEN, CASES[7][0])]
+    seeds = [mix_seed(11, r) for r in range(4)]
+    n = 3 * _TIME_BLOCK + 11
+    y, y_prev, x = sample_paths(chains, seeds, n, burn_in)
+    assert y.shape == x.shape == (4, 4, n) and y_prev.shape == (4, 4)
+    for i, chain in enumerate(chains):
+        alone = sample_paths([chain], seeds, n, burn_in)
+        want = step_loop_sample_paths(chain, seeds, n, burn_in)
+        for g, a, w in zip((y, y_prev, x), alone, want):
+            assert np.array_equal(g[i], a[0]) and np.array_equal(g[i], w)
+    assert np.array_equal(y[0], y[3])
 
 
 def test_sample_path_regime_frequencies():

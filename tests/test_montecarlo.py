@@ -51,7 +51,7 @@ def test_identity_is_exact_zero():
 
 
 def test_identity_ratios_bitwise_zero():
-    rho = replication_log_ratios(CASE1_GEN, CASE1_GEN, FAST)
+    [rho] = replication_log_ratios([(CASE1_GEN, CASE1_GEN)], FAST)
     assert rho.shape == (FAST.reps, FAST.n)
     assert np.all(rho == 0.0)
 
@@ -94,7 +94,7 @@ def test_kl_alpha_encoded_as_one():
 
 
 def test_aggregation_from_shared_ratios_matches_direct_calls():
-    rho = replication_log_ratios(CASE1_GEN, CASE1_ALT, FAST)
+    [rho] = replication_log_ratios([(CASE1_GEN, CASE1_ALT)], FAST)
     for alpha in (0.5, 2.0):
         direct = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
         shared = estimate_from_log_ratios(rho, alpha)
@@ -105,7 +105,7 @@ def test_aggregation_from_shared_ratios_matches_direct_calls():
 
 
 def test_alpha_must_be_positive():
-    rho = replication_log_ratios(CASE1_GEN, CASE1_ALT, FAST)
+    [rho] = replication_log_ratios([(CASE1_GEN, CASE1_ALT)], FAST)
     for alpha in (-0.5, 0.0, math.inf, math.nan, "q", None, True):
         with pytest.raises(ValueError):
             estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
@@ -148,13 +148,13 @@ FAMILY_A_GEN = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
                                   (CASE1_GEN, FAMILY_A_GEN)])
 def test_log_ratios_are_one_chain_filter_differences(p, q):
     # equal d runs both filters in one loop, unequal d (a family-A model
-    # against a family-B one) one call per chain; either way the rows are
-    # the difference of the one-chain filters, bit for bit
-    rho = replication_log_ratios(p, q, FAST)
+    # against a family-B one) one loop per state count; either way the rows
+    # are the difference of the one-chain filters over whole paths, bit for bit
+    [rho] = replication_log_ratios([(p, q)], FAST)
     seeds = [mix_seed(FAST.seed, r) for r in range(FAST.reps)]
-    y, y_prev, _ = sample_paths(as_chain(p), seeds, FAST.n, FAST.burn_in)
-    want = (batch_log_normalizers([as_chain(p)], y, y_prev)[0]
-            - batch_log_normalizers([as_chain(q)], y, y_prev)[0])
+    y, y_prev, _ = sample_paths([as_chain(p)], seeds, FAST.n, FAST.burn_in)
+    want = (batch_log_normalizers([as_chain(p)], y[0], y_prev[0])[0]
+            - batch_log_normalizers([as_chain(q)], y[0], y_prev[0])[0])
     assert rho.flags.c_contiguous and np.array_equal(rho, want)
 
 
@@ -162,7 +162,7 @@ def test_iid_closed_form_oracle():
     # degenerate pairs reduce to i.i.d. Gaussians with known divergences
     p, q = iid_model(2.0, 0.9), iid_model(1.0, 1.0)
     cfg = McConfig(n=2000, reps=100, seed=0)
-    rho = replication_log_ratios(p, q, cfg)
+    [rho] = replication_log_ratios([(p, q)], cfg)
     for alpha in (0.5, 2.0):
         est = estimate_from_log_ratios(rho, alpha)
         want = gaussian_renyi(2.0, 0.9, 1.0, 1.0, alpha)
