@@ -31,9 +31,10 @@ Config schema (JSON):
 theta1 generates the data; theta is the alternative. Family "A" models use
 keys {p00, p11, mu, psi, sigma} with per-state pairs. Top-level alphas, mc,
 and grid apply to every case; a case may override any of them. The
-simulation engine runs the cases of one mc block and family as one batch,
-on the calling thread. The environment variable HMMDIV_THREADS caps how
-many cases the Fredholm engine runs concurrently (0 or unset = auto).
+simulation engine simulates the cases of one mc block and family as one
+batch on the calling thread. The environment variable HMMDIV_THREADS (0 or
+unset = auto) sizes a thread pool, which runs the Fredholm cases and each
+simulated case's estimates concurrently.
 """
 
 from __future__ import annotations
@@ -380,14 +381,15 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
     return values, diag
 
 
-def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
+def _mc_values(cases: list[tuple], cfg: McConfig, pool=None) -> list:
     """Simulation estimates of cases that share one McConfig, as one batch.
 
     `cases` holds (theta1, theta, order table) per case (`_orders`). One
     `replication_log_ratios` call simulates every case that has a finite
-    order, and its rows serve all of that case's orders; identical models
-    give exactly 0 (the two filters run the same arithmetic), and an
-    infinite order means inf without sampling.
+    order, and one `estimate_from_log_ratios` call per case serves all of
+    its finite orders, on `pool` when given; identical models give
+    exactly 0 (the two filters run the same arithmetic), and an infinite
+    order means inf without sampling.
 
     Returns, per case, ({alpha: DivergenceEstimate}, diagnostics), or the
     exception that stopped the case. The diagnostics hold the stage
@@ -397,7 +399,7 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     the wall time of its one call, are split evenly over the simulated
     cases as their "sample_seconds", "filter_seconds" and the simulation
     part of "mc_seconds", to which each case adds the time of its own
-    estimates; a case that is not simulated has 0 for the first two.
+    estimate call; a case that is not simulated has 0 for the first two.
     """
     infinite = [{a for a, (_, sd) in orders.items() if math.isinf(sd)} for *_, orders in cases]
     simulated = [i for i, (*_, orders) in enumerate(cases) if len(infinite[i]) < len(orders)]
@@ -412,23 +414,29 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     share = (time.perf_counter() - t0) / max(len(simulated), 1)
     rho_of = dict(zip(simulated, rhos))
     failed = {simulated[j]: exc for j, exc in errors.items()}
+
+    def estimate(i):
+        t1 = time.perf_counter()
+        finite = [order for a, (order, _) in cases[i][2].items() if a not in infinite[i]]
+        return estimate_from_log_ratios(rho_of[i], finite), time.perf_counter() - t1
+
+    ran = [i for i in simulated if i not in failed]
+    done = dict(zip(ran, (pool.map if pool else map)(estimate, ran)))
     results = []
     for i, (_, _, orders) in enumerate(cases):
         if i in failed:
             results.append(failed[i])
             continue
-        t1 = time.perf_counter()
-        ran = i in rho_of
-        rho = rho_of.pop(i, None)  # freed once the case's estimates are made
+        estimates, seconds = done.get(i, ([], 0.0))
+        estimates = iter(estimates)
         values = {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
-                  if a in infinite[i] else estimate_from_log_ratios(rho, order)
-                  for a, (order, _) in orders.items()}
-        diag = {stage: timings[stage] / len(simulated) if ran else 0.0
+                  if a in infinite[i] else next(estimates) for a, (order, _) in orders.items()}
+        diag = {stage: timings[stage] / len(simulated) if i in done else 0.0
                 for stage in ("sample_seconds", "filter_seconds")}
         diag["mc_top_term_share"] = {a: est.top_term_share for a, est in values.items()
                                      if a not in infinite[i]
                                      and est.alpha >= HEAVY_TAIL_MIN_ORDER}
-        diag["mc_seconds"] = (share if ran else 0.0) + time.perf_counter() - t1
+        diag["mc_seconds"] = (share if i in done else 0.0) + seconds
         results.append((values, diag))
     return results
 
@@ -566,37 +574,34 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
     diagnostics by name, and {name: exception} for the cases that raised.
     A failed case does not stop the others.
 
-    The Fredholm engine runs one case at a time on `workers` threads. The
-    simulation engine runs the cases of each McConfig and model family as
-    one batch (`_mc_values`) on the calling thread, while the threads work:
-    a family's chains share a state count, so each time block of a batch
-    is one filter call, and splitting by family bounds how many cases'
-    log ratios are held at once. A case that both engines fail reports the
+    With `workers` > 1 a pool of that many threads runs one Fredholm case
+    per task, then each simulated case's estimate call. The simulation
+    engine simulates the cases of each McConfig and model family as one
+    batch (`_mc_values`) on the calling thread, while the pool works: a
+    family's chains share a state count, so each time block of a batch is
+    one filter call, and splitting by family bounds how many cases' log
+    ratios are held at once. A case that both engines fail reports the
     Fredholm error.
     """
     fred = [None] * len(cases)
     mc = [None] * len(cases)
 
-    def simulate():
+    def simulate(pool):
         batches: dict[tuple, list[int]] = {}
         for i, (spec, _, _) in enumerate(cases):
             batches.setdefault((spec.mc, spec.family), []).append(i)
         for (cfg, _), members in batches.items():
             batch = [(cases[i][0].theta1, cases[i][0].theta, cases[i][1]) for i in members]
-            for i, result in zip(members, _mc_values(batch, cfg)):
+            for i, result in zip(members, _mc_values(batch, cfg, pool)):
                 mc[i] = result
 
-    if "fredholm" in methods and workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = pool.map(_fredholm_case, cases)
-            if "mc" in methods:
-                simulate()
-            fred = list(pending)
-    else:
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
         if "fredholm" in methods:
-            fred = [_fredholm_case(c) for c in cases]
+            fred = pool.map(_fredholm_case, cases) if pool else list(map(_fredholm_case, cases))
         if "mc" in methods:
-            simulate()
+            simulate(pool)
+        fred = list(fred)
     rows, per_case, failed = [], {}, {}
     for (spec, _, _), f, m in zip(cases, fred, mc):
         error = next((r for r in (f, m) if isinstance(r, Exception)), None)

@@ -219,6 +219,7 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
     unnorm = np.empty((k, d, block, reps))
     s = np.empty((block, k, 1, reps))
     tmp = np.empty((block, reps))
+    prev_buf = np.empty((block, reps))  # the observations before each step, per chain
     rows = list(zip(unnorm.transpose(2, 0, 1, 3), s))
     # a piece of one block returns its logs in place, as a view
     out = None if streamed and n == block else np.empty((k, reps, n))
@@ -226,9 +227,9 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
         # time-major block of every set; a view when y is one already
         y_blk = np.ascontiguousarray(np.moveaxis(sets[:, :, t0:t0 + _TIME_BLOCK], 2, 0))
         m = y_blk.shape[0]
-        prev_blk = np.concatenate((prev[None], y_blk[:-1]))
         for i, chain in enumerate(chains):
-            _fill_emission_pdfs(chain, y_blk[:, paths[i]], prev_blk[:, paths[i]],
+            prev_buf[0], prev_buf[1:m] = prev[paths[i]], y_blk[:-1, paths[i]]
+            _fill_emission_pdfs(chain, y_blk[:, paths[i]], prev_buf[:m],
                                 unnorm[i, :, :m].transpose(1, 0, 2), tmp[:m])
         # a row that underflows turns into nan from here on; the check
         # below reports it before any of its values are used

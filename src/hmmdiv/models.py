@@ -45,6 +45,9 @@ _MASK64 = (1 << 64) - 1
 # 16 chains of 8 family-B cases at 100 replications, 24 steps make it
 # 1.2 MB, while a longer block saves little per-block overhead.
 _TIME_BLOCK = 24
+# Time blocks whose uniforms the sampler draws per Generator.random call:
+# at 100 replications its draw buffer holds 0.15 MB.
+_DRAW_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -308,11 +311,14 @@ def as_chain(m: Model) -> LinearGaussianChain:
     )
 
 
-def _logsumexp(a: np.ndarray, axis: int, scratch: np.ndarray | None = None) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int, scratch: np.ndarray | None = None,
+               top: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(a))) over one axis, bit for bit as scipy 1.17's
     `scipy.special.logsumexp(a, axis=axis)` computes it for real a.
     The exponentials are formed in place, in `scratch` when given: a float
     array of a's shape, which may be a itself and is then overwritten.
+    `top`, when given, is a's maximum over the axis with keepdims, as the
+    caller already took it.
 
     The maximum is factored out and the m entries equal to it leave the
     sum, which gives log1p(s / m) + log(m) + max with s the sum of the
@@ -322,7 +328,8 @@ def _logsumexp(a: np.ndarray, axis: int, scratch: np.ndarray | None = None) -> n
     zeroed, a +inf max gives +inf, an all -inf slice -inf, and a nan
     stays nan.
     """
-    top = np.max(a, axis=axis, keepdims=True)
+    if top is None:
+        top = np.max(a, axis=axis, keepdims=True)
     at_top = a == top
     m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite max
@@ -362,7 +369,8 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     next burn_in + n step the chain; the noise is the inverse normal CDF
     of the uniforms after those, read from a second PCG64(seeds[r])
     advanced past them, so a seed's one stream is read in two places at
-    once. The rows of every chain read the same draws.
+    once, _DRAW_BLOCKS blocks' worth per call. The rows of every chain
+    read the same draws.
 
     Yields (y, x) for each block of m <= _TIME_BLOCK observed steps:
     time-major y of shape (m + 1, k, rows), whose row 0 is the observation
@@ -409,7 +417,10 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     z = np.minimum((start[:, None, :] <= u0[:, None]).sum(axis=-1), last).astype(np.int8).ravel()
 
     block = min(total, _TIME_BLOCK)
-    u = np.empty((rows, block))  # seed-major draws, read transposed
+    # seed-major draws of up to _DRAW_BLOCKS blocks, read transposed; the state
+    # draws are kept as their cells among the thresholds, so the noise reuses it
+    u = np.empty((rows, min(total, _DRAW_BLOCKS * block)))
+    cell_type = np.min_scalar_type(len(thresholds))
     x = np.empty((block, k * rows), dtype=np.int8)
     y = np.zeros((block + 1, k * rows))  # row 0: the observation before the block
     mean = np.empty(k * rows)
@@ -418,21 +429,25 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     chain_base = (np.arange(k) * d)[:, None]
     idx = np.empty(k * rows, dtype=np.intp)
     bounds = [*range(0, burn_in, block), *range(burn_in, total, block), total]
-    for t0, t1 in zip(bounds, bounds[1:]):
+    for blk, (t0, t1) in enumerate(zip(bounds, bounds[1:])):
         m = t1 - t0
-        for r, rng in enumerate(state_rngs):
-            rng.random(out=u[r, :m])
-        successors = successor[np.searchsorted(thresholds, u[:, :m].T, side="right")]
+        if blk % _DRAW_BLOCKS == 0:  # the next blocks' draws, one call per stream
+            t_draw, ahead = t0, bounds[min(blk + _DRAW_BLOCKS, len(bounds) - 1)] - t0
+            for r, rng in enumerate(state_rngs):
+                rng.random(out=u[r, :ahead])
+            cells = np.searchsorted(thresholds, u[:, :ahead].T, side="right").astype(cell_type)
+            for r, rng in enumerate(noise_rngs):
+                rng.random(out=u[r, :ahead])
+        drawn = slice(t0 - t_draw, t1 - t_draw)
+        successors = successor[cells[drawn]]
         for t in range(m):
             # the indices are in range by construction; "clip" skips the
             # buffered bounds check of the default mode
             z = successors[t].take(np.add(offsets, z, out=idx), out=x[t], mode="clip")
-        for r, rng in enumerate(noise_rngs):
-            rng.random(out=u[r, :m])
         # y_t = (c[z] + b[z] * y_{t-1}) + s[z] * eps_t, written over the noise
         states = x[:m].reshape(m, k, rows) + chain_base
         c_blk, b_blk = c[states].reshape(m, -1), b[states].reshape(m, -1)
-        np.multiply(_standard_normals(u[:, :m].T)[:, None, :], s[states],
+        np.multiply(_standard_normals(u[:, drawn].T)[:, None, :], s[states],
                     out=y[1:m + 1].reshape(m, k, rows))
         for t in range(m):
             np.multiply(b_blk[t], y[t], out=mean)

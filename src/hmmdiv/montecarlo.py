@@ -35,6 +35,10 @@ import numpy as np
 from .forward import DegenerateInputError, _underflow_message, batch_log_normalizers
 from .models import _logsumexp, as_chain, mix_seed, path_blocks, renyi_order, require_counts
 
+# Replications per pass of `estimate_from_log_ratios`: at n = 10000 the
+# rows and the scratch buffer are 640 KB each.
+_ROW_CHUNK = 8
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -54,6 +58,8 @@ class McConfig:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be nonnegative, got {self.burn_in}")
+        if not 0 <= self.seed < 2 ** 64:  # mix_seed would alias it mod 2^64
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -146,25 +152,37 @@ def replication_log_ratios(pairs, cfg: McConfig, timings: dict | None = None,
     return rho
 
 
-def estimate_from_log_ratios(rho: np.ndarray, alpha) -> DivergenceEstimate:
-    """Build the estimate for one order from log ratios rho, one nonempty
-    row per replication (ValueError otherwise); alpha is checked and
-    resolved by `models.renyi_order`."""
-    alpha = renyi_order(alpha)
+def estimate_from_log_ratios(rho: np.ndarray, orders) -> list[DivergenceEstimate]:
+    """Build one estimate per order from log ratios rho, one nonempty row
+    per replication (ValueError otherwise); each order is checked and
+    resolved by `models.renyi_order`. One order is the list of one:
+    `estimate_from_log_ratios(rho, [alpha])[0]`.
+
+    rho is read _ROW_CHUNK rows at a time, and every order is computed
+    while the rows are in cache, in one scratch buffer of that many rows.
+    Each replication statistic has the arithmetic of the whole-array
+    formula, so every value is the same bit for bit.
+    """
+    orders = [renyi_order(a) for a in orders]
     if np.ndim(rho) != 2 or 0 in np.shape(rho):
         raise ValueError(f"rho must be 2-D and not empty, got shape {np.shape(rho)}")
-    n = rho.shape[1]
-    share = None
-    if alpha == 1.0:
-        stats = rho.mean(axis=1)
-    else:
-        scaled = (alpha - 1.0) * rho
-        top = scaled.max(axis=1)
-        lse = _logsumexp(scaled, axis=1, scratch=scaled)  # one (reps, n) array per order
-        stats = (lse - math.log(n)) / (alpha - 1.0)
-        share = float(np.max(np.exp(top - lse)))
-    sd = float(stats.std(ddof=1)) if stats.shape[0] > 1 else 0.0
-    return DivergenceEstimate(
-        alpha=alpha, mean=float(stats.mean()), std_dev=sd, reps=rho.shape[0],
-        top_term_share=share,
-    )
+    reps, n = rho.shape
+    stats, shares = np.empty((2, len(orders), reps))
+    scratch = np.empty((min(reps, _ROW_CHUNK), n))
+    for r0 in range(0, reps, _ROW_CHUNK):
+        rows = rho[r0:r0 + _ROW_CHUNK]
+        part = slice(r0, r0 + len(rows))
+        for j, alpha in enumerate(orders):
+            if alpha == 1.0:
+                stats[j, part] = rows.mean(axis=1)
+                continue
+            scaled = np.multiply(alpha - 1.0, rows, out=scratch[:len(rows)])
+            top = scaled.max(axis=1, keepdims=True)
+            lse = _logsumexp(scaled, axis=1, scratch=scaled, top=top)
+            stats[j, part] = (lse - math.log(n)) / (alpha - 1.0)
+            shares[j, part] = np.exp(top[:, 0] - lse)
+    return [DivergenceEstimate(
+        alpha=alpha, mean=float(stats[j].mean()), reps=reps,
+        std_dev=float(stats[j].std(ddof=1)) if reps > 1 else 0.0,
+        top_term_share=None if alpha == 1.0 else float(np.max(shares[j])),
+    ) for j, alpha in enumerate(orders)]

@@ -52,5 +52,5 @@ def mc_estimates(mc_log_ratios):
     out = {}
     for cid, rho in mc_log_ratios.items():
         for a in ALPHA_GRID:
-            out[(cid, a)] = estimate_from_log_ratios(rho, 1.0 if a == "kl" else a)
+            out[(cid, a)] = estimate_from_log_ratios(rho, [1.0 if a == "kl" else a])[0]
     return out

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,9 @@ def test_per_case_overrides():
          "cases[0].mc.n: expected an integer, got 2000.7"),
         (lambda d: d["cases"][0].update(mc={"seed": 1.5}),
          "cases[0].mc.seed: expected an integer, got 1.5"),
+        (lambda d: d.update(mc={"seed": -1}), "top level.mc: seed must be in [0, 2**64), got -1"),
+        (lambda d: d["cases"][0].update(mc={"seed": 2 ** 64}),
+         "cases[0].mc: seed must be in [0, 2**64), got 18446744073709551616"),
         (lambda d: d["cases"][0].update(grid={"N": 16.9}),
          "cases[0].grid.N: expected an integer, got 16.9"),
         (lambda d: d["cases"][0]["theta1"].update(mu=2.0),
@@ -453,6 +457,28 @@ def test_batched_cases_equal_their_solo_runs(monkeypatch):
             want = estimate_renyi_mc(p, q, a, one)
             assert (repr(values[a].mean), repr(values[a].std_dev)) == (
                 repr(want.mean), repr(want.std_dev))
+
+
+def test_mc_estimates_run_on_the_pool(monkeypatch):
+    # with two threads an MC-only run opens the pool, and each simulated
+    # case's one estimate call runs on a pool thread; no value moves
+    mc = McConfig(n=300, reps=11, burn_in=10, seed=5)
+    alphas = (0.5, "kl", 1.5, 2.0)
+    specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], alphas, mc=mc) for k in (1, 4, 7)]
+    real, threads, runs = cli.estimate_from_log_ratios, [], {}
+    monkeypatch.setattr(cli, "estimate_from_log_ratios",
+                        lambda *args: threads.append(threading.current_thread())
+                        or real(*args))
+    for count in ("1", "2"):
+        monkeypatch.setenv("HMMDIV_THREADS", count)
+        threads.clear()
+        rows, diags = run_cases(specs, ("mc",), with_diagnostics=True)
+        shares = {name: {a: s.hex() for a, s in d["mc_top_term_share"].items()}
+                  for name, d in diags.items()}
+        runs[count] = mc_cells(rows), shares
+        assert [t is threading.main_thread() for t in threads] == [count == "1"] * len(specs)
+    assert runs["1"] == runs["2"]
+    assert all(set(shares) == {1.5, 2.0} for shares in runs["1"][1].values())
 
 
 def test_degenerate_case_fails_alone_in_its_batch():

@@ -19,6 +19,7 @@ from hmmdiv import (
     validate_model,
 )
 from hmmdiv.models import (
+    _DRAW_BLOCKS,
     _TIME_BLOCK,
     _logsumexp,
     _standard_normals,
@@ -329,6 +330,20 @@ def test_sample_paths_match_step_loop_bitwise(m, burn_in, rows):
         assert np.array_equal(g[0], w)
     y, _, x = got
     assert y.flags.c_contiguous and x.flags.c_contiguous and x.dtype == np.int8
+
+
+# the uniforms are drawn _DRAW_BLOCKS time blocks per call: a burn-in of 7
+# steps ends inside the first draw, a longer one in a later draw, and the
+# observed steps run over several draws and end in a partial block
+@pytest.mark.parametrize("burn_in", [7, _DRAW_BLOCKS * _TIME_BLOCK + 7])
+def test_sample_paths_match_step_loop_across_draws(burn_in):
+    chain = as_chain(CASES[7][0])
+    seeds = [mix_seed(5, r) for r in range(3)]
+    n = (2 * _DRAW_BLOCKS + 1) * _TIME_BLOCK + 5
+    got = sample_paths([chain], seeds, n, burn_in)
+    want = step_loop_sample_paths(chain, seeds, n, burn_in)
+    for g, w in zip(got, want):
+        assert np.array_equal(g[0], w)
 
 
 @pytest.mark.parametrize("burn_in", [0, 2 * _TIME_BLOCK + 5])

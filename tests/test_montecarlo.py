@@ -1,9 +1,11 @@
 """Simulation engine: estimator construction, identities, reference cells."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from hmmdiv import (
     DegenerateInputError,
@@ -15,9 +17,9 @@ from hmmdiv import (
     estimate_kl_mc,
     estimate_renyi_mc,
 )
-from hmmdiv.cases import CASES, REFERENCE, gaussian_kl, gaussian_renyi
+from hmmdiv.cases import ALPHA_GRID, CASES, REFERENCE, gaussian_kl, gaussian_renyi
 from hmmdiv.forward import batch_log_normalizers
-from hmmdiv.models import mix_seed, sample_paths
+from hmmdiv.models import mix_seed, renyi_order, sample_paths
 from hmmdiv.montecarlo import estimate_from_log_ratios, replication_log_ratios
 
 CASE1_GEN, CASE1_ALT = CASES[1]
@@ -40,6 +42,13 @@ def test_config_validation():
     for bad in (dict(seed=1.5), dict(n=200.0), dict(reps=5.5), dict(burn_in=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             McConfig(**bad)
+    # mix_seed reads the seed mod 2**64: seed -1 would run seed 2**64 - 1
+    for bad in (-1, 2 ** 64, -2 ** 64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got"):
+            McConfig(seed=bad)
+    top = McConfig(n=20, reps=2, burn_in=0, seed=2 ** 64 - 1)
+    assert estimate_kl_mc(CASE1_GEN, CASE1_ALT, top) != estimate_kl_mc(
+        CASE1_GEN, CASE1_ALT, McConfig(n=20, reps=2, burn_in=0, seed=0))
 
 
 def test_identity_is_exact_zero():
@@ -97,10 +106,10 @@ def test_aggregation_from_shared_ratios_matches_direct_calls():
     [rho] = replication_log_ratios([(CASE1_GEN, CASE1_ALT)], FAST)
     for alpha in (0.5, 2.0):
         direct = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
-        shared = estimate_from_log_ratios(rho, alpha)
+        shared = estimate_from_log_ratios(rho, [alpha])[0]
         assert direct.mean == shared.mean and direct.std_dev == shared.std_dev
     kl_direct = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
-    kl_shared = estimate_from_log_ratios(rho, 1.0)
+    kl_shared = estimate_from_log_ratios(rho, [1.0])[0]
     assert kl_direct.mean == kl_shared.mean
 
 
@@ -110,22 +119,82 @@ def test_alpha_must_be_positive():
         with pytest.raises(ValueError):
             estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
         with pytest.raises(ValueError):
-            estimate_from_log_ratios(rho, alpha)
+            estimate_from_log_ratios(rho, [alpha])[0]
     # "kl" and orders within 1e-8 of 1 are the KL limit
     kl = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
     for alpha in ("KL", 1.0 + 1e-9):
         est = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
         assert est.alpha == 1.0 and est.mean == kl.mean
-        assert estimate_from_log_ratios(rho, alpha) == kl
+        assert estimate_from_log_ratios(rho, [alpha])[0] == kl
 
 
 def test_log_ratios_must_be_a_nonempty_matrix():
     for shape in ((3, 0), (0, 5), (5,), (0,), (), (2, 3, 4)):
         for alpha in (0.5, "kl"):
             with pytest.raises(ValueError, match="rho must be 2-D and not empty"):
-                estimate_from_log_ratios(np.zeros(shape), alpha)
-    est = estimate_from_log_ratios(np.zeros((1, 1)), 0.5)  # the smallest accepted
+                estimate_from_log_ratios(np.zeros(shape), [alpha])[0]
+    est = estimate_from_log_ratios(np.zeros((1, 1)), [0.5])[0]  # the smallest accepted
     assert est.mean == 0.0 and est.std_dev == 0.0 and est.reps == 1
+
+
+def whole_array_estimate(rho, alpha):
+    """One order's estimate over the whole (reps, n) array at once: the
+    reference that the row-chunked pass over every order must match bit
+    for bit. Returns (order, mean, sd, top term share)."""
+    alpha = renyi_order(alpha)
+    share = None
+    if alpha == 1.0:
+        stats = rho.mean(axis=1)
+    else:
+        scaled = (alpha - 1.0) * rho
+        lse = logsumexp(scaled, axis=1)
+        stats = (lse - math.log(rho.shape[1])) / (alpha - 1.0)
+        share = float(np.max(np.exp(scaled.max(axis=1) - lse)))
+    sd = float(stats.std(ddof=1)) if len(stats) > 1 else 0.0
+    return alpha, float(stats.mean()), sd, share
+
+
+def hexed(*values):
+    return tuple(None if v is None else float(v).hex() for v in values)
+
+
+# near-KL orders, where the statistic cancels most, repeated orders and
+# "kl" among the Renyi orders
+MIXED_ORDERS = (0.5, 0.999, "kl", 1.001, 2.0, 0.5, 1.0 + 1e-9, 1.5)
+
+
+# reps of 1, 7 and 13 are not multiples of the row chunk
+@pytest.mark.parametrize("reps", [1, 7, 13])
+@pytest.mark.parametrize("n", [1, 301])
+def test_estimates_equal_the_whole_array_formula(reps, n):
+    rng = np.random.default_rng(100 * reps + n)
+    rho = rng.normal(scale=0.4, size=(reps, n))
+    rho[-1] *= 8.0  # one heavy row: a large top term share
+    for ratios in (rho, np.zeros((reps, n))):
+        got = estimate_from_log_ratios(ratios, MIXED_ORDERS)
+        assert len(got) == len(MIXED_ORDERS)
+        for est, alpha in zip(got, MIXED_ORDERS):
+            order, mean, sd, share = whole_array_estimate(ratios, alpha)
+            assert est.alpha == order and est.reps == reps
+            assert hexed(est.mean, est.std_dev, est.top_term_share) == hexed(mean, sd, share)
+        assert got[0] == got[5] and got[2] == got[6]
+    # p = q gives all-zero log ratios, and every order exactly 0
+    assert all(e.mean == 0.0 and e.std_dev == 0.0 for e in got)
+    assert estimate_from_log_ratios(rho, []) == []
+
+
+def test_estimates_hold_a_few_rows_of_scratch():
+    # every order of the 9 is computed on 8 rows at a time: no (reps, n)
+    # array per order (9 MB here)
+    rho = np.random.default_rng(9).normal(scale=0.4, size=(100, 10000))
+    tracemalloc.start()
+    try:
+        estimates = estimate_from_log_ratios(rho, ALPHA_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 9
+    assert peak < 2 * 2 ** 20
 
 
 def test_kl_call_is_the_kl_order():
@@ -164,11 +233,11 @@ def test_iid_closed_form_oracle():
     cfg = McConfig(n=2000, reps=100, seed=0)
     [rho] = replication_log_ratios([(p, q)], cfg)
     for alpha in (0.5, 2.0):
-        est = estimate_from_log_ratios(rho, alpha)
+        est = estimate_from_log_ratios(rho, [alpha])[0]
         want = gaussian_renyi(2.0, 0.9, 1.0, 1.0, alpha)
         se = est.std_dev / math.sqrt(cfg.reps)
         assert abs(est.mean - want) <= 3 * se
-    est = estimate_from_log_ratios(rho, 1.0)
+    est = estimate_from_log_ratios(rho, [1.0])[0]
     want = gaussian_kl(2.0, 0.9, 1.0, 1.0)
     assert abs(est.mean - want) <= 3 * est.std_dev / math.sqrt(cfg.reps)
 
