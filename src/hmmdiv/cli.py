@@ -33,8 +33,8 @@ keys {p00, p11, mu, psi, sigma} with per-state pairs. Top-level alphas, mc,
 and grid apply to every case; a case may override any of them. The
 simulation engine simulates the cases of one mc block and family as one
 batch on the calling thread. The environment variable HMMDIV_THREADS (0 or
-unset = auto) sizes a thread pool, which runs the Fredholm cases and each
-simulated case's estimates concurrently.
+unset = auto) sizes a thread pool, which runs the Fredholm cases
+concurrently, or in a simulation-only run each simulated case's estimates.
 """
 
 from __future__ import annotations
@@ -575,13 +575,13 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
     A failed case does not stop the others.
 
     With `workers` > 1 a pool of that many threads runs one Fredholm case
-    per task, then each simulated case's estimate call. The simulation
-    engine simulates the cases of each McConfig and model family as one
-    batch (`_mc_values`) on the calling thread, while the pool works: a
-    family's chains share a state count, so each time block of a batch is
-    one filter call, and splitting by family bounds how many cases' log
-    ratios are held at once. A case that both engines fail reports the
-    Fredholm error.
+    per task. The simulation engine simulates the cases of each McConfig
+    and model family as one batch (`_mc_values`) on the calling thread,
+    while the pool works: a family's chains share a state count, so each
+    time block of a batch is one filter call, and splitting by family
+    bounds how many cases' log ratios are held at once. Only a pool without
+    Fredholm cases runs the estimates (behind those, a batch waiting for
+    them would stall). A case both engines fail reports the Fredholm error.
     """
     fred = [None] * len(cases)
     mc = [None] * len(cases)
@@ -600,7 +600,7 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
         if "fredholm" in methods:
             fred = pool.map(_fredholm_case, cases) if pool else list(map(_fredholm_case, cases))
         if "mc" in methods:
-            simulate(pool)
+            simulate(None if "fredholm" in methods else pool)
         fred = list(fred)
     rows, per_case, failed = [], {}, {}
     for (spec, _, _), f, m in zip(cases, fred, mc):

@@ -461,24 +461,27 @@ def test_batched_cases_equal_their_solo_runs(monkeypatch):
 
 def test_mc_estimates_run_on_the_pool(monkeypatch):
     # with two threads an MC-only run opens the pool, and each simulated
-    # case's one estimate call runs on a pool thread; no value moves
+    # case's one estimate call runs on a pool thread; with Fredholm cases on
+    # the pool the estimates stay on the calling thread; no value moves
     mc = McConfig(n=300, reps=11, burn_in=10, seed=5)
     alphas = (0.5, "kl", 1.5, 2.0)
-    specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], alphas, mc=mc) for k in (1, 4, 7)]
+    specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], alphas, mc=mc,
+                      grid=GridSpec(N=16, quad_points=51)) for k in (1, 4, 7)]
     real, threads, runs = cli.estimate_from_log_ratios, [], {}
     monkeypatch.setattr(cli, "estimate_from_log_ratios",
                         lambda *args: threads.append(threading.current_thread())
                         or real(*args))
-    for count in ("1", "2"):
+    for count, methods in (("1", ("mc",)), ("2", ("mc",)), ("2", ("mc", "fredholm"))):
         monkeypatch.setenv("HMMDIV_THREADS", count)
         threads.clear()
-        rows, diags = run_cases(specs, ("mc",), with_diagnostics=True)
+        rows, diags = run_cases(specs, methods, with_diagnostics=True)
         shares = {name: {a: s.hex() for a, s in d["mc_top_term_share"].items()}
                   for name, d in diags.items()}
-        runs[count] = mc_cells(rows), shares
-        assert [t is threading.main_thread() for t in threads] == [count == "1"] * len(specs)
-    assert runs["1"] == runs["2"]
-    assert all(set(shares) == {1.5, 2.0} for shares in runs["1"][1].values())
+        runs[count, methods] = mc_cells(rows), shares
+        on_pool = count == "2" and methods == ("mc",)
+        assert [t is threading.main_thread() for t in threads] == [not on_pool] * len(specs)
+    assert len({repr(run) for run in runs.values()}) == 1
+    assert all(set(shares) == {1.5, 2.0} for shares in runs["1", ("mc",)][1].values())
 
 
 def test_degenerate_case_fails_alone_in_its_batch():
