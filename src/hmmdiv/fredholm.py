@@ -33,7 +33,10 @@ kernel's Q table is one batch over its distinct emissions, with one root
 cascade (`_bracketed_roots`). The J quadratures make one pass over the
 filter weights (`_quadrature_pass`): each weight's predictive-mixture rows
 and log ratio row are formed once and reduced at once to (weight, u)
-tables, so no (weight, u, y) grid is ever held. Within a case
+tables, so no (weight, u, y) grid is ever held. When no chain of a pass
+has a slope (all b = 0, as in a classical HMM), no emission reads u and
+the pass forms its grids and rows on one u row, copying each integrand
+down the u axis only for its final product, bit for bit. Within a case
 (`case_functionals`) one pass serves every functional of the case, and
 each call only contracts its table against its invariant density.
 
@@ -520,24 +523,27 @@ def _log_gauss(y, mean, sd):
     return -0.5 * z * z - math.log(sd) - _LOG_SQRT_2PI
 
 
-def _emission_grid(chain: LinearGaussianChain, grid: GridSpec):
-    """The Simpson nodes and weights on [-a, a], and log f_s(y | u) with u
-    and y on those nodes, shape (s, u, y)."""
+def _emission_grid(chain: LinearGaussianChain, grid: GridSpec, rows: int | None = None):
+    """The Simpson nodes and weights on [-a, a], and log f_s(y | u) with y
+    on those nodes and u on the first `rows` of them (all when None),
+    shape (s, u, y)."""
     nodes, wts = _simpson(-grid.a, grid.a, grid.quad_points)
-    logf = np.stack([_log_gauss(nodes[None, :], chain.c[s] + chain.b[s] * nodes[:, None], chain.s[s])
+    logf = np.stack([_log_gauss(nodes[None, :], chain.c[s] + chain.b[s] * nodes[:rows, None], chain.s[s])
                      for s in range(chain.d)])
     return nodes, wts, logf
 
 
-def _mix_log(chain: LinearGaussianChain, grid: GridSpec, logf: np.ndarray | None = None):
+def _mix_log(chain: LinearGaussianChain, grid: GridSpec, logf: np.ndarray | None = None,
+             rows: int | None = None):
     """Yield the log of the one-step predictive density
-    sum_s pred_s(w) * f_s(y | u) on the (u, y) quadrature nodes, one filter
-    weight w at a time: each row the bits of one logsumexp over the state
-    axis of the (s, u, y) terms, read-only since every functional of a
-    pass (`_quadrature_pass`) reads it. `logf` is the chain's log emission
-    grid when the caller has it (`_emission_grid`)."""
+    sum_s pred_s(w) * f_s(y | u) on the (u, y) quadrature nodes, u on the
+    first `rows` (`_emission_grid`), one filter weight w at a time: each
+    row the bits of one logsumexp over the state axis of the (s, u, y)
+    terms, read-only since every functional of a pass (`_quadrature_pass`)
+    reads it. `logf` is the chain's log emission grid when the caller has
+    it."""
     if logf is None:
-        _, _, logf = _emission_grid(chain, grid)
+        _, _, logf = _emission_grid(chain, grid, rows)
     terms = np.empty(logf.shape)  # one weight's terms, then their exponentials
     for lp in np.log(_predictive(chain.transition, grid.x_nodes)):
         row = _logsumexp(np.add(lp[:, None, None], logf, out=terms), axis=0, scratch=terms)
@@ -545,22 +551,23 @@ def _mix_log(chain: LinearGaussianChain, grid: GridSpec, logf: np.ndarray | None
         yield row
 
 
-def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec) -> tuple:
+def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec, rows: int) -> tuple:
     """The order-free terms of `_j_quadrature` under the generating chain:
     the Simpson weights (u and y share the nodes), `emission_reps()`,
-    log f_t(y | u) as (t, u, y), and by distinct emission e the density
-    f_e(y | u) on (u, y) and f_e(u | v) on (v, u); last, by (source,
-    target) emission pair that a transition joins, the normalizer g0 of
-    the contraction g, which folds in inner0, the y-integral of the
-    target's density."""
-    nodes, wts, log_gen = _emission_grid(gen, grid)
+    log f_t(y | u) as (t, u, y) with u on the first `rows`
+    (`_emission_grid`), and by distinct emission e the density f_e(y | u)
+    on those (u, y) and f_e(u | v) on (v, u); last, by (source, target)
+    emission pair that a transition joins, the normalizer g0 of the
+    contraction g, which folds in inner0, the y-integral of the target's
+    density on every u."""
+    nodes, wts, log_gen = _emission_grid(gen, grid, rows)
     v = grid.v_nodes
     reps = gen.emission_reps()
     firsts = sorted(set(reps))
     dens = {e: np.exp(log_gen[e]) for e in firsts}
     f_emis = {e: np.exp(_log_gauss(nodes[None, :], gen.c[e] + gen.b[e] * v[:, None], gen.s[e]))
               for e in firsts}
-    inner0 = {e: dens[e] @ wts for e in firsts}  # (u,)
+    inner0 = {e: np.resize(dens[e], (len(nodes),) * 2) @ wts for e in firsts}  # (u,)
     g0 = {(reps[s], reps[t]): f_emis[reps[s]] @ (wts * inner0[reps[t]])  # (v,)
           for t in range(gen.d) for s in range(gen.d) if gen.transition[s, t] > 0.0}
     return wts, reps, log_gen, dens, f_emis, g0
@@ -576,29 +583,38 @@ def _quadrature_pass(gen: LinearGaussianChain, grid: GridSpec, functionals) -> t
     mixture. Each weight's mixture row of every chain and its log ratio row
     of every filter are formed once and serve every functional; the
     integrand row is filled in place, and nothing of shape (w, u, y) is
-    held."""
-    terms = _quadrature_terms(gen, grid)
-    wts, reps, log_gen, dens, _, _ = terms
-    firsts = sorted(set(reps))
+    held.
+
+    When no chain of the pass has a slope (every b is 0), no emission
+    reads u, so every (u, y) grid is one u row repeated: the grids, the
+    mixture rows and the integrands are formed on that one row, and each
+    integrand is copied down the full (u, y) buffer before its product
+    with the weights: that product gives the full grid's bits, and a
+    product of the one row does not."""
     chains = list(dict.fromkeys(c for filt, alpha in functionals
                                 for c in ((filt,) if alpha is None else (gen, filt))))
+    r = grid.quad_points if any(np.any(c.b) for c in [gen, *chains]) else 1
+    terms = _quadrature_terms(gen, grid, r)
+    wts, reps, log_gen, dens, _, _ = terms
+    firsts = sorted(set(reps))
     tables = {f: {e: np.empty((grid.N - 1, grid.quad_points)) for e in firsts}
               for f in functionals}
     plan = [(alpha, chains.index(filt), tables[filt, alpha]) for filt, alpha in functionals]
-    buf = np.empty(log_gen.shape[1:])  # one integrand row
-    rows = (_mix_log(c, grid, log_gen if c == gen else None) for c in chains)
+    buf = np.empty((grid.quad_points,) * 2)  # one integrand, formed in its first r rows
+    head = buf[:r]
+    rows = (_mix_log(c, grid, log_gen if c == gen else None, r) for c in chains)
     for w, mix in enumerate(zip(*rows)):
         ratios = {}
         for alpha, k, inner in plan:
-            if alpha is None:
-                for e in firsts:
-                    inner[e][w] = np.multiply(mix[k], dens[e], out=buf) @ wts
-                continue
-            if k not in ratios:
+            if alpha is not None and k not in ratios:
                 ratios[k] = mix[chains.index(gen)] - mix[k]
             for e in firsts:
-                np.multiply(alpha - 1.0, ratios[k], out=buf)
-                np.exp(np.add(buf, log_gen[e], out=buf), out=buf)
+                if alpha is None:
+                    np.multiply(mix[k], dens[e], out=head)
+                else:
+                    np.multiply(alpha - 1.0, ratios[k], out=head)
+                    np.exp(np.add(head, log_gen[e], out=head), out=head)
+                buf[r:] = buf[0]
                 inner[e][w] = buf @ wts
     return terms, tables
 

@@ -33,6 +33,7 @@ from hmmdiv.cases import ALPHA_GRID, CASES
 from hmmdiv.cli import _fredholm_values, _orders
 from hmmdiv.fredholm import (
     _exp_sum_roots,
+    _j_quadrature,
     _log_gauss,
     _mix_log,
     _power_iteration,
@@ -717,8 +718,8 @@ def count_passes(monkeypatch, before_pass=lambda: None):
         built["pass"].append((threading.get_ident(), gen, list(functionals)))
         return real_pass(gen, grid, functionals)
 
-    def mixing(chain, grid, logf=None):
-        for row in real_mix(chain, grid, logf):
+    def mixing(chain, grid, logf=None, rows=None):
+        for row in real_mix(chain, grid, logf, rows):
             built["rows"].append(chain)
             yield row
 
@@ -735,7 +736,7 @@ def test_pass_evaluates_each_emission_grid_once(monkeypatch):
     want = fredholm._quadrature_pass(gen, grid, [(gen, None), (alt, None), (alt, 0.5)])
     grids, real = [], fredholm._emission_grid
     monkeypatch.setattr(fredholm, "_emission_grid",
-                        lambda chain, g: grids.append(chain) or real(chain, g))
+                        lambda chain, g, rows=None: grids.append(chain) or real(chain, g, rows))
     got = fredholm._quadrature_pass(gen, grid, [(gen, None), (alt, None), (alt, 0.5)])
     assert grids == [gen, alt]
     for f, tables in want[1].items():
@@ -836,26 +837,111 @@ def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
     assert repr(got) == repr([fredholm_values(*p, ("kl", 0.5, 2.0), grid) for p in pairs])
 
 
+def j_stage_peak(theta1, theta, grid):
+    """The traced peak bytes of a case's J stage, every order of the table."""
+    m = solve_invariant(build_kernel(theta1, theta, grid))
+    m1 = solve_invariant(build_kernel(theta1, theta1, grid))
+    orders = [1.0 if a == "kl" else a for a in ALPHA_GRID]
+    tracemalloc.start()
+    try:
+        with case_functionals(theta1, theta, orders, grid):
+            j_log(theta1, theta1, m1, grid)
+            j_log(theta, theta1, m, grid)
+            for order in orders:
+                if order != 1.0:
+                    j_alpha(theta1, theta, order, m, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_j_stage_holds_no_full_grid():
     # case 7's J stage at the defaults, every order of the table: one pass
     # keeps (w, u) tables and one weight's rows, never a (w, u, y) grid
     grid = GridSpec()
     grid_bytes = (grid.N - 1) * grid.quad_points ** 2 * 8
-    m = solve_invariant(build_kernel(CASE7_GEN, CASE7_ALT, grid))
-    m1 = solve_invariant(build_kernel(CASE7_GEN, CASE7_GEN, grid))
-    orders = [1.0 if a == "kl" else a for a in ALPHA_GRID]
-    tracemalloc.start()
-    try:
-        with case_functionals(CASE7_GEN, CASE7_ALT, orders, grid):
-            j_log(CASE7_GEN, CASE7_GEN, m1, grid)
-            j_log(CASE7_ALT, CASE7_GEN, m, grid)
-            for order in orders:
-                if order != 1.0:
-                    j_alpha(CASE7_GEN, CASE7_ALT, order, m, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = j_stage_peak(CASE7_GEN, CASE7_ALT, grid)
     assert peak <= 3 * grid_bytes
+
+
+def test_j_stage_without_slopes_holds_one_u_row():
+    # case 1 has no slope: its grids and mixture rows hold one u row each,
+    # and the largest arrays left are the (u, y) integrand buffer and the
+    # (w, u) tables (9.0 MB when every grid held every u row)
+    assert j_stage_peak(CASE1_GEN, CASE1_ALT, GridSpec()) < 3e6
+
+
+# --- one u row when no emission reads the previous observation ----------------------
+
+
+def _quadrature_pass_full(gen, grid, functionals):
+    """`_quadrature_pass` with every grid, mixture row and integrand on all
+    (u, y) nodes, whether an emission reads u or not: its terms and
+    tables."""
+    nodes, wts = _simpson(-grid.a, grid.a, grid.quad_points)
+    log_gen = np.stack([_log_gauss(nodes[None, :], gen.c[s] + gen.b[s] * nodes[:, None],
+                                   gen.s[s]) for s in range(gen.d)])
+    v = grid.v_nodes
+    reps = gen.emission_reps()
+    firsts = sorted(set(reps))
+    dens = {e: np.exp(log_gen[e]) for e in firsts}
+    f_emis = {e: np.exp(_log_gauss(nodes[None, :], gen.c[e] + gen.b[e] * v[:, None], gen.s[e]))
+              for e in firsts}
+    inner0 = {e: dens[e] @ wts for e in firsts}
+    g0 = {(reps[s], reps[t]): f_emis[reps[s]] @ (wts * inner0[reps[t]])
+          for t in range(gen.d) for s in range(gen.d) if gen.transition[s, t] > 0.0}
+    mix = {c: mixture(c, grid) for c in [gen] + [f for f, _ in functionals]}
+    tables = {
+        (filt, alpha): {e: np.stack([
+            (mix[filt][w] * dens[e] if alpha is None
+             else np.exp((alpha - 1.0) * (mix[gen][w] - mix[filt][w]) + log_gen[e])) @ wts
+            for w in range(grid.N - 1)]) for e in firsts}
+        for filt, alpha in functionals}
+    return (wts, reps, log_gen, dens, f_emis, g0), tables
+
+
+SELFTEST_PAIR = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
+                 ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9)))
+
+
+@pytest.mark.parametrize("pair, one_row", [
+    (CASES[1], True), (CASES[6], False), (CASES[7], False), (CASES[8], True),
+    (FAMILY_A_MIRRORS[1], True), (SELFTEST_PAIR, False),
+    # the generating chain has no slope but the filter has one
+    ((CASE1_GEN, CASES[6][1]), False),
+], ids=["case1", "case6", "case7", "case8", "a-case1", "a-selftest", "case1-gen-case6-filt"])
+def test_pass_on_one_u_row_equals_the_full_grid_pass(pair, one_row):
+    theta1, theta = pair
+    grid = GridSpec()
+    gen, filt = as_chain(theta1), as_chain(theta)
+    orders = (0.5, 0.999, 2.0)
+    functionals = [(gen, None), (filt, None)] + [(filt, a) for a in orders]
+    want_terms, want = _quadrature_pass_full(gen, grid, functionals)
+    terms, tables = fredholm._quadrature_pass(gen, grid, functionals)
+    assert terms[2].shape[1] == (1 if one_row else grid.quad_points)
+    for f in functionals:
+        for e, table in want[f].items():
+            assert_same_bits(tables[f][e], table)
+    m = solve_invariant(build_kernel(theta1, theta, grid))
+    with case_functionals(theta1, theta, (1.0,) + orders, grid):
+        got = [j_log(theta1, theta1, m, grid), j_log(theta, theta1, m, grid)]
+        got += [j_alpha(theta1, theta, a, m, grid) for a in orders]
+    assert_same_bits(np.array(got),
+                     np.array([_j_quadrature(gen, m, want_terms, want[f]) for f in functionals]))
+
+
+@pytest.mark.parametrize("pair, one_row", [(CASES[1], True), (CASES[6], False)],
+                         ids=["case1", "case6"])
+def test_pass_reduces_one_u_row_without_slopes(monkeypatch, pair, one_row):
+    grid = GridSpec()
+    gen, filt = as_chain(pair[0]), as_chain(pair[1])
+    shapes, real = [], fredholm._logsumexp
+    monkeypatch.setattr(fredholm, "_logsumexp",
+                        lambda a, axis, **kw: shapes.append(a.shape) or real(a, axis, **kw))
+    fredholm._quadrature_pass(gen, grid, [(gen, None), (filt, None), (filt, 0.5)])
+    rows = 1 if one_row else grid.quad_points
+    assert shapes == [(gen.d, rows, grid.quad_points)] * (2 * (grid.N - 1))
 
 
 # --- work shared between equal emissions -------------------------------------------
