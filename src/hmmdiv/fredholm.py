@@ -36,9 +36,11 @@ and log ratio row are formed once and reduced at once to (weight, u)
 tables, so no (weight, u, y) grid is ever held. When no chain of a pass
 has a slope (all b = 0, as in a classical HMM), no emission reads u and
 the pass forms its grids and rows on one u row, copying each integrand
-down the u axis only for its final product, bit for bit. Within a case
-(`case_functionals`) one pass serves every functional of the case, and
-each call only contracts its table against its invariant density.
+down the u axis only for its final product, bit for bit. The pass ends
+with each functional's (v, w) tables, one per (source, target) emission
+pair. Within a case (`case_functionals`) one pass serves every functional
+the case declares, each call only contracts its tables against its
+invariant density, and a call the case did not declare raises.
 
 Throughout, theta1 denotes the data-generating model and theta the
 alternative; filter weights track P(X_t = 0 | data). `hmmdiv.cli` combines
@@ -551,39 +553,26 @@ def _mix_log(chain: LinearGaussianChain, grid: GridSpec, logf: np.ndarray | None
         yield row
 
 
-def _quadrature_terms(gen: LinearGaussianChain, grid: GridSpec, rows: int) -> tuple:
-    """The order-free terms of `_j_quadrature` under the generating chain:
-    the Simpson weights (u and y share the nodes), `emission_reps()`,
-    log f_t(y | u) as (t, u, y) with u on the first `rows`
-    (`_emission_grid`), and by distinct emission e the density f_e(y | u)
-    on those (u, y) and f_e(u | v) on (v, u); last, by (source, target)
-    emission pair that a transition joins, the normalizer g0 of the
-    contraction g, which folds in inner0, the y-integral of the target's
-    density on every u."""
-    nodes, wts, log_gen = _emission_grid(gen, grid, rows)
-    v = grid.v_nodes
-    reps = gen.emission_reps()
-    firsts = sorted(set(reps))
-    dens = {e: np.exp(log_gen[e]) for e in firsts}
-    f_emis = {e: np.exp(_log_gauss(nodes[None, :], gen.c[e] + gen.b[e] * v[:, None], gen.s[e]))
-              for e in firsts}
-    inner0 = {e: np.resize(dens[e], (len(nodes),) * 2) @ wts for e in firsts}  # (u,)
-    g0 = {(reps[s], reps[t]): f_emis[reps[s]] @ (wts * inner0[reps[t]])  # (v,)
-          for t in range(gen.d) for s in range(gen.d) if gen.transition[s, t] > 0.0}
-    return wts, reps, log_gen, dens, f_emis, g0
-
-
-def _quadrature_pass(gen: LinearGaussianChain, grid: GridSpec, functionals) -> tuple:
+def _quadrature_pass(gen: LinearGaussianChain, grid: GridSpec, functionals) -> list:
     """One pass over the filter weights for J functionals of data from
     gen: (filt, alpha) is J^alpha under the filter chain filt, (filt, None)
-    J_log. Returns gen's `_quadrature_terms` and {functional: {e: inner}},
-    inner the (w, u) table, by distinct target emission e, of the
-    y-integral of the integrand times f_e(y | u): exp((alpha - 1) * r),
+    J_log. Returns, for each functional in turn, its tables: (T1[s, t], s,
+    g) for each (source s, target t) state pair that a transition joins,
+    target-outer, source-inner, g the functional's (v, w) table of its
+    (source, target) emission pair, one array shared by the state pairs of
+    that emission pair.
+
+    Source s carries the observation from v to u, target t draws y given
+    u. By distinct target emission e the pass forms the (w, u) table of
+    the y-integral of the integrand times f_e(y | u): exp((alpha - 1) * r),
     r the log ratio of gen's and filt's predictive mixtures, or filt's log
     mixture. Each weight's mixture row of every chain and its log ratio row
     of every filter are formed once and serve every functional; the
     integrand row is filled in place, and nothing of shape (w, u, y) is
-    held.
+    held. g is the u-integral of f_s(u | v) times the target's table,
+    self-normalized by g0, the same integral of the integrand 1, so that
+    a constant integrand integrates to exactly itself regardless of grid
+    truncation.
 
     When no chain of the pass has a slope (every b is 0), no emission
     reads u, so every (u, y) grid is one u row repeated: the grids, the
@@ -594,18 +583,25 @@ def _quadrature_pass(gen: LinearGaussianChain, grid: GridSpec, functionals) -> t
     chains = list(dict.fromkeys(c for filt, alpha in functionals
                                 for c in ((filt,) if alpha is None else (gen, filt))))
     r = grid.quad_points if any(np.any(c.b) for c in [gen, *chains]) else 1
-    terms = _quadrature_terms(gen, grid, r)
-    wts, reps, log_gen, dens, _, _ = terms
+    nodes, wts, log_gen = _emission_grid(gen, grid, r)
+    reps = gen.emission_reps()
     firsts = sorted(set(reps))
-    tables = {f: {e: np.empty((grid.N - 1, grid.quad_points)) for e in firsts}
-              for f in functionals}
-    plan = [(alpha, chains.index(filt), tables[filt, alpha]) for filt, alpha in functionals]
+    dens = {e: np.exp(log_gen[e]) for e in firsts}
+    v = grid.v_nodes
+    f_emis = {e: np.exp(_log_gauss(nodes[None, :], gen.c[e] + gen.b[e] * v[:, None], gen.s[e]))
+              for e in firsts}  # (v, u)
+    inner0 = {e: np.resize(dens[e], (len(nodes),) * 2) @ wts for e in firsts}  # (u,)
+    pairs = [(s, t) for t in range(gen.d) for s in range(gen.d) if gen.transition[s, t] > 0.0]
+    g0 = {(reps[s], reps[t]): f_emis[reps[s]] @ (wts * inner0[reps[t]]) for s, t in pairs}
+    inner = {f: {e: np.empty((grid.N - 1, grid.quad_points)) for e in firsts}
+             for f in functionals}
+    plan = [(alpha, chains.index(filt), inner[filt, alpha]) for filt, alpha in functionals]
     buf = np.empty((grid.quad_points,) * 2)  # one integrand, formed in its first r rows
     head = buf[:r]
     rows = (_mix_log(c, grid, log_gen if c == gen else None, r) for c in chains)
     for w, mix in enumerate(zip(*rows)):
         ratios = {}
-        for alpha, k, inner in plan:
+        for alpha, k, by_e in plan:
             if alpha is not None and k not in ratios:
                 ratios[k] = mix[chains.index(gen)] - mix[k]
             for e in firsts:
@@ -615,8 +611,14 @@ def _quadrature_pass(gen: LinearGaussianChain, grid: GridSpec, functionals) -> t
                     np.multiply(alpha - 1.0, ratios[k], out=head)
                     np.exp(np.add(head, log_gen[e], out=head), out=head)
                 buf[r:] = buf[0]
-                inner[e][w] = buf @ wts
-    return terms, tables
+                by_e[e][w] = buf @ wts
+
+    def normed(by_e):
+        g = {(es, et): np.einsum("u,vu,wu->vw", wts, f_emis[es], by_e[et]) / g0[es, et][:, None]
+             for es, et in g0}
+        return tuple((gen.transition[s, t], s, g[reps[s], reps[t]]) for s, t in pairs)
+
+    return [normed(inner[f]) for f in functionals]
 
 
 _case = threading.local()
@@ -628,76 +630,53 @@ def case_functionals(theta1, theta, orders, grid: GridSpec):
     J^alpha under the filter theta for each order alpha != 1 in orders
     and, if 1 (KL) is among them, J_log under both filters.
 
-    The first `j_log` or `j_alpha` call of a declared functional inside the
-    block (the same models, or equal ones, and grid) runs one
-    `_quadrature_pass` for all of them and keeps their inner tables,
-    (N - 1) x quad_points floats per distinct target emission; that call
-    and every later one then only contracts its table against its
-    invariant density. The tables go when the block exits. Each thread has
-    its own store, so cases running at once keep their own tables; outside
-    a block, or for a functional the block did not declare, a call runs a
-    pass of its own.
+    Inside the block the thread's record is (theta1, grid, {functional:
+    tables or None}). The first `j_log` or `j_alpha` call runs one
+    `_quadrature_pass` for all of them, each distinct model put in chain
+    form once, and keeps their tables, (N - 1)^2 floats per (source,
+    target) emission pair; every call only contracts its tables against
+    its invariant density. A call for other models (equal ones are the
+    same), another grid or an undeclared order raises ValueError. Each
+    thread has its own record, so cases running at once keep their own;
+    on exit the block restores the record it found.
     """
     wanted = [(theta1, None), (theta, None)] if 1.0 in orders else []
     wanted += [(theta, order) for order in orders if order != 1.0]
-    _case.store = {"theta1": theta1, "theta": theta, "grid": grid,
-                   "wanted": list(dict.fromkeys(wanted)), "pass": None}
+    outer = getattr(_case, "record", None)
+    _case.record = (theta1, grid, dict.fromkeys(wanted))
     try:
         yield
     finally:
-        _case.store = None
+        _case.record = outer
 
 
 def _functional(theta1, theta_filt, alpha: float | None, m: InvariantDensityGrid,
                 grid: GridSpec) -> float:
     """J^alpha (alpha set) or J_log (alpha None) under the filter
     theta_filt of data from theta1, against m: the contraction of its
-    inner tables, from this thread's case store when its block declared
-    the functional, else from a pass of its own. Inside the block the
-    models are put in chain form once, by the pass."""
+    tables from this thread's case record (`case_functionals`), outside a
+    block from a record of this functional alone."""
     key = (theta_filt, alpha)
-    store = getattr(_case, "store", None)
-    if (store is None or store["theta1"] != theta1 or store["grid"] != grid
-            or key not in store["wanted"]):
-        gen, filt = _filter_chain(theta1), _filter_chain(theta_filt)
-        terms, tables = _quadrature_pass(gen, grid, [(filt, alpha)])
-        return _j_quadrature(gen, m, terms, tables[filt, alpha])
-    if store["pass"] is None:
-        chains = {model: _filter_chain(model) for model in (store["theta1"], store["theta"])}
-        gen = chains[theta1]
-        terms, tables = _quadrature_pass(gen, grid, [(chains[f], a) for f, a in store["wanted"]])
-        store["pass"] = gen, terms, {(f, a): tables[chains[f], a] for f, a in store["wanted"]}
-    gen, terms, tables = store["pass"]
-    return _j_quadrature(gen, m, terms, tables[key])
+    case_theta1, case_grid, tables = (getattr(_case, "record", None)
+                                      or (theta1, grid, {key: None}))
+    if case_theta1 != theta1 or case_grid != grid or key not in tables:
+        raise ValueError("this thread's case_functionals block declared no such functional "
+                         "(models, grid and order)")
+    if tables[key] is None:
+        chains = {model: _filter_chain(model)
+                  for model in dict.fromkeys([theta1, *(f for f, _ in tables)])}
+        functionals = [(chains[f], a) for f, a in tables]
+        tables.update(zip(tables, _quadrature_pass(chains[theta1], grid, functionals)))
+    return _j_quadrature(tables[key], m)
 
 
-def _j_quadrature(gen: LinearGaussianChain, m: InvariantDensityGrid, terms: tuple,
-                  inner: dict) -> float:
-    """Shared quadrature core for J^alpha and J_log: the contraction of a
-    functional's inner tables (`_quadrature_pass`) against m.
-
-    Data come from the generating chain gen: source state s carries the
-    observation from v to u, target state t draws y given u. The inner
-    conditional expectations are self-normalized by the integrand-free
-    integral so that a constant integrand integrates to exactly itself
-    regardless of grid truncation.
-    The contraction g is taken once per (source, target) emission pair;
-    the terms add up target-outer, source-inner.
-    """
-    wts, reps, _, _, f_emis, g0 = terms
-    normed = {}
+def _j_quadrature(tables: tuple, m: InvariantDensityGrid) -> float:
+    """The contraction of a functional's tables (`_quadrature_pass`)
+    against m: the sum of T1[s, t] * <m_s, g> * cell area, in the tables'
+    order."""
     total = 0.0
-    for t in range(gen.d):
-        et = reps[t]
-        for s in range(gen.d):
-            if gen.transition[s, t] > 0.0:
-                pair = (reps[s], et)
-                if pair not in normed:
-                    g = np.einsum("u,vu,wu->vw", wts, f_emis[pair[0]], inner[et])
-                    normed[pair] = g / g0[pair][:, None]
-                total += gen.transition[s, t] * float(
-                    np.sum(m.components[s] * normed[pair])
-                ) * m.cell_area
+    for p, s, g in tables:
+        total += p * float(np.sum(m.components[s] * g)) * m.cell_area
     return float(total)
 
 

@@ -739,9 +739,17 @@ def test_pass_evaluates_each_emission_grid_once(monkeypatch):
                         lambda chain, g, rows=None: grids.append(chain) or real(chain, g, rows))
     got = fredholm._quadrature_pass(gen, grid, [(gen, None), (alt, None), (alt, 0.5)])
     assert grids == [gen, alt]
-    for f, tables in want[1].items():
-        for e, table in tables.items():
-            assert_same_bits(got[1][f][e], table)
+    assert len(got) == len(want) == 3
+    for tables, want_tables in zip(got, want):
+        assert_same_tables(tables, want_tables)
+
+
+def assert_same_tables(got, want):
+    """One functional's pass tables: the same (T1[s, t], s) terms in the
+    same order, and the same bits in each (v, w) table."""
+    assert [(p, s) for p, s, _ in got] == [(p, s) for p, s, _ in want]
+    for (_, _, g), (_, _, h) in zip(got, want):
+        assert_same_bits(g, h)
 
 
 def fredholm_values(theta1, theta, alphas, grid):
@@ -773,14 +781,15 @@ def test_functionals_equal_inside_and_outside_a_case(monkeypatch):
         assert len(built["rows"]) == 7 * (grid.N - 1)
         again = [repr(call()) for call in calls]
         assert len(built["pass"]) == 4
-        # a functional the block did not declare runs a pass of its own
-        j_alpha(CASE7_GEN, CASE7_ALT, 3.0, m, grid)
-        assert built["pass"][4][1:] == (gen, [(alt, 3.0)])
+        # a functional the block did not declare raises, and runs no pass
+        with pytest.raises(ValueError, match="declared no such functional"):
+            j_alpha(CASE7_GEN, CASE7_ALT, 3.0, m, grid)
+        assert len(built["pass"]) == 4
     assert inside == alone == again == want
-    # the store goes with the case
-    assert fredholm._case.store is None
+    # the record goes with the case
+    assert fredholm._case.record is None
     calls[0]()
-    assert len(built["pass"]) == 6
+    assert len(built["pass"]) == 5
 
 
 def test_case_builds_each_mixture_grid_once(monkeypatch):
@@ -796,26 +805,77 @@ def test_case_builds_each_mixture_grid_once(monkeypatch):
         assert [p[1] for p in built["pass"]] == [gen]
         assert collections.Counter(built["rows"]) == {gen: 7, alt: 7}
     # the models and the lattice are the key: a call on another grid, or
-    # with a model in chain form, runs its own pass, which the block does
-    # not keep
+    # with a model in chain form, raises and runs no pass; equal models
+    # are the same
     coarse, fine = GridSpec(N=8, quad_points=101), GridSpec(N=16, quad_points=101)
     m_coarse, m_fine = (solve_invariant(build_kernel(CASE1_GEN, CASE1_ALT, g))
                         for g in (coarse, fine))
     built["pass"].clear()
     with case_functionals(CASE1_GEN, CASE1_ALT, [0.5], coarse):
-        j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_fine, fine)
-        j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_fine, fine)
-        assert len(built["pass"]) == 2
+        with pytest.raises(ValueError):
+            j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_fine, fine)
+        assert len(built["pass"]) == 0
         want = j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_coarse, coarse)
         assert j_alpha(dataclasses.replace(CASE1_GEN), CASE1_ALT, 0.5, m_coarse, coarse) == want
-        assert len(built["pass"]) == 3
-        assert j_alpha(as_chain(CASE1_GEN), CASE1_ALT, 0.5, m_coarse, coarse) == want
-        assert len(built["pass"]) == 4
-        (tables,) = fredholm._case.store["pass"][2].values()
-        assert {e: t.shape for e, t in tables.items()} == {0: (7, 101), 1: (7, 101)}
+        assert len(built["pass"]) == 1
+        with pytest.raises(ValueError):
+            j_alpha(as_chain(CASE1_GEN), CASE1_ALT, 0.5, m_coarse, coarse)
+        assert len(built["pass"]) == 1
+        # (N - 1)^2 floats per (source, target) emission pair: the pair
+        # lift with psi2 = 0 emits by its second state, so 8 transitions
+        # join 4 emission pairs
+        (tables,) = fredholm._case.record[2].values()
+        assert len(tables) == 8 and {g.shape for _, _, g in tables} == {(7, 7)}
+        assert len({id(g) for _, _, g in tables}) == 4
     # the tables go with the case: a later call runs a pass anew
     j_alpha(CASE1_GEN, CASE1_ALT, 0.5, m_coarse, coarse)
-    assert len(built["pass"]) == 5
+    assert len(built["pass"]) == 2
+
+
+def test_undeclared_calls_inside_a_case_raise(monkeypatch):
+    # inside a block a call is one of the declared functionals or an
+    # error, never a second pass; outside a block a call runs one pass for
+    # its own functional
+    grid, other = GridSpec(N=8, quad_points=101), GridSpec(N=10, quad_points=101)
+    theta1, theta = CASES[1]
+    m = solve_invariant(build_kernel(theta1, theta, grid))
+    built = count_passes(monkeypatch)
+    want = j_alpha(theta1, theta, 0.5, m, grid)
+    assert [fs for _, _, fs in built["pass"]] == [[(as_chain(theta), 0.5)]]
+    with case_functionals(theta1, theta, [1.0, 0.5], grid):
+        undeclared = [
+            lambda: j_alpha(theta1, theta, 2.0, m, grid),  # an order
+            lambda: j_alpha(theta1, theta, 0.5, m, other),  # a grid
+            lambda: j_alpha(as_chain(theta1), theta, 0.5, m, grid),  # chain forms
+            lambda: j_alpha(theta1, as_chain(theta), 0.5, m, grid),
+            lambda: j_alpha(theta, theta1, 0.5, m, grid),  # swapped models
+            lambda: j_log(theta1, theta, m, grid),
+        ]
+        for call in undeclared:
+            with pytest.raises(ValueError, match="declared no such functional"):
+                call()
+        assert len(built["pass"]) == 1
+        assert j_alpha(theta1, theta, 0.5, m, grid) == want
+        assert [len(fs) for _, _, fs in built["pass"]] == [1, 3]
+    assert j_alpha(theta1, theta, 0.5, m, grid) == want
+    assert [len(fs) for _, _, fs in built["pass"]] == [1, 3, 1]
+
+
+def test_a_nested_case_restores_the_enclosing_record(monkeypatch):
+    # a case run inside another's block (divergence_fredholm enters a
+    # block of its own) leaves the enclosing case's tables in place, so
+    # each case runs one pass
+    grid = GridSpec(N=8, quad_points=101)
+    m = solve_invariant(build_kernel(*CASES[1], grid))
+    want = [j_alpha(*CASES[1], a, m, grid) for a in (0.5, 2.0)]
+    built = count_passes(monkeypatch)
+    with case_functionals(*CASES[1], [0.5, 2.0], grid):
+        got = [j_alpha(*CASES[1], 0.5, m, grid)]
+        divergence_fredholm(*CASES[2], 0.5, grid)
+        got.append(j_alpha(*CASES[1], 2.0, m, grid))
+    assert [len(fs) for _, _, fs in built["pass"]] == [2, 1]
+    assert got == want
+    assert fredholm._case.record is None
 
 
 def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
@@ -827,8 +887,8 @@ def test_concurrent_cases_each_build_their_grids_once(monkeypatch):
     built = count_passes(monkeypatch, before_pass=all_in.wait)
     with concurrent.futures.ThreadPoolExecutor(3) as pool:
         got = list(pool.map(lambda p: fredholm_values(*p, ("kl", 0.5, 2.0), grid), pairs))
-        # each worker's store went with its case
-        assert list(pool.map(lambda _: getattr(fredholm._case, "store", None), range(3))) \
+        # each worker's record went with its case
+        assert list(pool.map(lambda _: getattr(fredholm._case, "record", None), range(3))) \
             == [None] * 3
     assert len({thread for thread, _, _ in built["pass"]}) == len(built["pass"]) == 3
     assert {gen for _, gen, _ in built["pass"]} == {as_chain(t1) for t1, _ in pairs}
@@ -877,8 +937,8 @@ def test_j_stage_without_slopes_holds_one_u_row():
 
 def _quadrature_pass_full(gen, grid, functionals):
     """`_quadrature_pass` with every grid, mixture row and integrand on all
-    (u, y) nodes, whether an emission reads u or not: its terms and
-    tables."""
+    (u, y) nodes, whether an emission reads u or not, and each (source,
+    target) state pair's table formed on its own: its tables."""
     nodes, wts = _simpson(-grid.a, grid.a, grid.quad_points)
     log_gen = np.stack([_log_gauss(nodes[None, :], gen.c[s] + gen.b[s] * nodes[:, None],
                                    gen.s[s]) for s in range(gen.d)])
@@ -889,16 +949,23 @@ def _quadrature_pass_full(gen, grid, functionals):
     f_emis = {e: np.exp(_log_gauss(nodes[None, :], gen.c[e] + gen.b[e] * v[:, None], gen.s[e]))
               for e in firsts}
     inner0 = {e: dens[e] @ wts for e in firsts}
-    g0 = {(reps[s], reps[t]): f_emis[reps[s]] @ (wts * inner0[reps[t]])
-          for t in range(gen.d) for s in range(gen.d) if gen.transition[s, t] > 0.0}
     mix = {c: mixture(c, grid) for c in [gen] + [f for f, _ in functionals]}
-    tables = {
-        (filt, alpha): {e: np.stack([
+    out = []
+    for filt, alpha in functionals:
+        inner = {e: np.stack([
             (mix[filt][w] * dens[e] if alpha is None
              else np.exp((alpha - 1.0) * (mix[gen][w] - mix[filt][w]) + log_gen[e])) @ wts
             for w in range(grid.N - 1)]) for e in firsts}
-        for filt, alpha in functionals}
-    return (wts, reps, log_gen, dens, f_emis, g0), tables
+        tables = []
+        for t in range(gen.d):
+            for s in range(gen.d):
+                if gen.transition[s, t] > 0.0:
+                    es, et = reps[s], reps[t]
+                    g = np.einsum("u,vu,wu->vw", wts, f_emis[es], inner[et])
+                    g0 = f_emis[es] @ (wts * inner0[et])
+                    tables.append((gen.transition[s, t], s, g / g0[:, None]))
+        out.append(tuple(tables))
+    return out
 
 
 SELFTEST_PAIR = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
@@ -911,24 +978,32 @@ SELFTEST_PAIR = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
     # the generating chain has no slope but the filter has one
     ((CASE1_GEN, CASES[6][1]), False),
 ], ids=["case1", "case6", "case7", "case8", "a-case1", "a-selftest", "case1-gen-case6-filt"])
-def test_pass_on_one_u_row_equals_the_full_grid_pass(pair, one_row):
+def test_pass_on_one_u_row_equals_the_full_grid_pass(monkeypatch, pair, one_row):
     theta1, theta = pair
     grid = GridSpec()
     gen, filt = as_chain(theta1), as_chain(theta)
     orders = (0.5, 0.999, 2.0)
     functionals = [(gen, None), (filt, None)] + [(filt, a) for a in orders]
-    want_terms, want = _quadrature_pass_full(gen, grid, functionals)
-    terms, tables = fredholm._quadrature_pass(gen, grid, functionals)
-    assert terms[2].shape[1] == (1 if one_row else grid.quad_points)
-    for f in functionals:
-        for e, table in want[f].items():
-            assert_same_bits(tables[f][e], table)
+    want = _quadrature_pass_full(gen, grid, functionals)
+    u_rows, real = [], fredholm._emission_grid
+
+    def emission_grid(chain, g, rows=None):
+        nodes, wts, logf = real(chain, g, rows)
+        u_rows.append(logf.shape[1])
+        return nodes, wts, logf
+
+    monkeypatch.setattr(fredholm, "_emission_grid", emission_grid)
+    got = fredholm._quadrature_pass(gen, grid, functionals)
+    monkeypatch.undo()
+    assert set(u_rows) == {1 if one_row else grid.quad_points}
+    assert len(got) == len(want)
+    for tables, want_tables in zip(got, want):
+        assert_same_tables(tables, want_tables)
     m = solve_invariant(build_kernel(theta1, theta, grid))
     with case_functionals(theta1, theta, (1.0,) + orders, grid):
         got = [j_log(theta1, theta1, m, grid), j_log(theta, theta1, m, grid)]
         got += [j_alpha(theta1, theta, a, m, grid) for a in orders]
-    assert_same_bits(np.array(got),
-                     np.array([_j_quadrature(gen, m, want_terms, want[f]) for f in functionals]))
+    assert_same_bits(np.array(got), np.array([_j_quadrature(tables, m) for tables in want]))
 
 
 @pytest.mark.parametrize("pair, one_row", [(CASES[1], True), (CASES[6], False)],
@@ -1108,7 +1183,8 @@ def test_array_and_chain_models_reach_the_functionals():
     assert repr(j_alpha(as_array, CASE1_ALT, 0.5, m, grid)) == want
     assert repr(j_alpha(*chains, 0.5, m, grid)) == want
     with case_functionals(CASE1_GEN, CASE1_ALT, [0.5], grid):
-        assert repr(j_alpha(*chains, 0.5, m, grid)) == want
+        with pytest.raises(ValueError):
+            j_alpha(*chains, 0.5, m, grid)
         assert repr(j_alpha(as_array, CASE1_ALT, 0.5, m, grid)) == want
     want = divergence_fredholm(CASE1_GEN, CASE1_ALT, 0.5, grid).value
     assert repr(divergence_fredholm(as_array, CASE1_ALT, 0.5, grid).value) == repr(want)
