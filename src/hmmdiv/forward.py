@@ -10,25 +10,26 @@ with likelihood sum_j a_n(j). The filter below renormalizes a_t to sum 1
 after every step and accumulates log of the normalizers, which is what keeps
 it stable for n in the 1e5 range where the raw product underflows.
 
-`batch_log_normalizers(chains, y, y_prev)` runs the filters of several
-chains with equal state counts in one loop, each chain over its own set
-of paths (the simulation engine's p and q chains of one case read the
-same set), and works through the paths in blocks of time steps. Paths
-that arrive in pieces are filtered piece by piece with a `carry`, which
-holds the filters' weights from one piece to the next. The weights are
-state-major, (chain, state, path): a step is a product, a sum over the
-state axis, a division and one batched matmul by the transposed
-transitions, each into a buffer allocated once per call. A block's
+`batch_log_normalizers(chains, y, paths, carry)` runs the filters of
+several chains with equal state counts over one time-major block of path
+sets, as `models.path_blocks` yields it, each chain over its own set (the
+simulation engine's p and q chains of one case read the same set). A
+`carry` holds the filters' weights from one block to the next. The
+weights are state-major, (chain, state, path): a step is a product, a sum
+over the state axis, a division and one batched matmul by the transposed
+transitions, each into a buffer allocated once per block. The block's
 emission densities are filled in place, in one (block, path) slab per
 chain and state, once per distinct emission of each chain (the psi2 = 0
 pair lift has 2 among its 4 states) and copied to the states sharing it;
 they and the logs are each one pass over the block, and so is the
 underflow check of a block whose normalizers come near it. Every value is
 the one a step-at-a-time loop of a single chain computes, bit for bit
-(for fewer than 8 states, which numpy sums in sequence either way). The
-output is C-ordered: an F-ordered array of equal values would sum a row
-in another order, and so change the simulation estimates in the last
-digits.
+(for fewer than 8 states, which numpy sums in sequence either way).
+
+Its collectors, `_path_log_normalizers` and
+`montecarlo.replication_log_ratios`, write whole paths into C-ordered
+arrays: an F-ordered array of equal values would sum a row in another
+order, and so change the likelihoods and the estimates in the last digits.
 
 Two deliberately independent evaluators back the filter for testing:
 `brute_force_log_likelihood` sums the complete-data density over every hidden
@@ -37,7 +38,8 @@ path, and `matrix_log_likelihood` multiplies the density matrices
     M_t[j, i] = P[i, j] f_j(y_t | y_{t-1})
 
 against pi with max-rescaling instead of sum-rescaling. All agree to 1e-9
-on short paths; only the filter is meant for long ones.
+on short paths; only the filter is meant for long ones. Every route takes
+a 1-D, finite y and a finite y_prev, and raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -63,11 +65,34 @@ class DegenerateInputError(ValueError):
 _UNDERFLOW = 1e-300
 
 
+def _observations(y, y_prev) -> tuple[np.ndarray, float]:
+    """y as a 1-D float array and y_prev as a float; ValueError naming the
+    shape, or the first value that is not finite, of bad input."""
+    y, y_prev = np.asarray(y, dtype=float), float(y_prev)
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-D, got shape {y.shape}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"observations must be finite, got y[{bad[0]}] = {y[bad[0]]}")
+    if not math.isfinite(y_prev):
+        raise ValueError(f"y_prev must be finite, got {y_prev}")
+    return y, y_prev
+
+
 def _path_log_normalizers(m: Model, y: np.ndarray, y_prev: float) -> np.ndarray:
-    """Per-step log normalizers log s_t of one path's filter; their sum is
-    the log likelihood. The batch filter with a single row."""
-    y = np.asarray(y, dtype=float)[None, :]
-    return batch_log_normalizers([as_chain(m)], y, np.array([float(y_prev)]))[0, 0]
+    """Per-step log normalizers log s_t of one path's filter, C-ordered;
+    their sum is the log likelihood. The path is filtered in blocks of
+    _TIME_BLOCK steps with one carry, so a long path holds one block's
+    buffers at a time."""
+    y, y_prev = _observations(y, y_prev)
+    y = np.concatenate(([y_prev], y))[:, None, None]  # one set of one path
+    chains, carry = [as_chain(m)], {}
+    # an empty path is one block of no steps
+    pieces = [batch_log_normalizers(chains, y[t0:t0 + _TIME_BLOCK + 1], [0], carry)[0, 0]
+              for t0 in range(0, max(len(y) - 1, 1), _TIME_BLOCK)]
+    if carry["dead_at"]:
+        raise DegenerateInputError(_underflow_message(*carry["dead_at"][0]))
+    return np.concatenate(pieces)
 
 
 def log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float:
@@ -91,7 +116,7 @@ def brute_force_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> 
     """Exact likelihood by summing over every hidden path. Exponential in n;
     refuses inputs with more than 2^20 paths."""
     chain = as_chain(m)
-    y = np.asarray(y, dtype=float)
+    y, y_prev = _observations(y, y_prev)
     n = y.shape[0]
     if chain.d ** (n + 1) > 2 ** 20:
         raise ValueError(
@@ -119,7 +144,7 @@ def matrix_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float
     rescaling, matrix-vector products against M_t rather than elementwise
     updates); used as a cross-check."""
     chain = as_chain(m)
-    y = np.asarray(y, dtype=float)
+    y, y_prev = _observations(y, y_prev)
     n = y.shape[0]
     v = chain.pi.copy()
     log_scale = 0.0
@@ -156,52 +181,31 @@ def _underflow_message(step: int, path: int) -> str:
 
 
 def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
-                          y_prev: np.ndarray, paths: Sequence[int] | None = None,
-                          carry: dict | None = None) -> np.ndarray:
-    """Filter normalizers of several chains at once, each over its own paths.
+                          paths: Sequence[int], carry: dict) -> np.ndarray:
+    """Filter normalizers of several chains over one block of path sets.
 
-    `chains` is a sequence of k chains with equal d. y holds path sets of
-    shape (reps, n): either one, as a (reps, n) array that every chain
-    filters, or several, as a (sets, reps, n) array in which chain i
-    filters set `paths[i]` (by default set i); y_prev is (reps,) or
-    (sets, reps) to match. Returns a C-ordered (k, reps, n) array of
-    log s_t, row i for chains[i]. The k filters run in one loop: each step
-    is one batched matmul of the (k, d, d) transposed transitions by the
-    state-major (k, d, reps) weights. Every value is the one a one-chain
-    call computes, bit for bit, so log-ratio statistics between a model
-    and itself cancel to exact zeros.
+    `chains` are k chains with equal d. y is a time-major block of shape
+    (m + 1, sets, reps), as `models.path_blocks` yields it: y[0] holds the
+    observations before the block, and chain i filters set `paths[i]`.
+    Returns the block's log s_t as a (k, reps, m) view in time-major
+    memory, row i for chains[i]. Each step is one batched matmul of the
+    (k, d, d) transposed transitions by the state-major (k, d, reps)
+    weights, and every value is the one a one-chain call computes, bit for
+    bit, so log-ratio statistics between a model and itself cancel to
+    exact zeros.
 
-    Works in blocks of time steps (see the module docstring). A block's
-    emission densities are overwritten by its unnormalized weights, which
-    the underflow check reads once per block. When several filters
-    underflow, the error names the first chain in `chains` that did, at
-    its first dead step, and the first path dead there.
-
-    `carry` filters paths that arrive in pieces: pass an empty dict with
-    the first piece and the same dict with each next one, y_prev being
-    the observations before the piece. Each call then starts the filters
-    where the last one left them, and a chain whose weights underflow is
-    recorded in carry["dead_at"] as {chain index: (step, path)}, its first
-    dead step counted from the start of the first piece, instead of
-    raised; its later values are not meaningful. A piece of one time block
-    comes back as a view in time-major memory, not C-ordered.
+    `carry` holds the weights between blocks: an empty dict with the first
+    block, the same dict with each next one. A chain whose weights
+    underflow is recorded in carry["dead_at"] as {chain index: (step,
+    path)}, its first dead step counted from the first block's start and
+    the first path dead there; its later values are not meaningful.
     """
     chains = list(chains)
     d = chains[0].d
     if any(chain.d != d for chain in chains):
         raise ValueError("batch_log_normalizers needs chains of equal d, got "
                          f"{[chain.d for chain in chains]}")
-    k = len(chains)
-    sets = np.asarray(y, dtype=float)
-    prev = np.asarray(y_prev, dtype=float)
-    if sets.ndim == 2:
-        sets, prev = sets[None], prev[None]
-    if paths is None:
-        paths = [0] * k if len(sets) == 1 else range(k)
-    paths = list(paths)
-    _, reps, n = sets.shape
-    streamed = carry is not None
-    carry = {} if carry is None else carry
+    k, m, reps = len(chains), len(y) - 1, y.shape[2]
     if not carry:
         # the predictive weights P^T w of the next step, first pi
         carry.update(pred=np.repeat(np.stack([chain.pi for chain in chains])[:, :, None],
@@ -213,48 +217,32 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
     # for one path)
     w = np.empty_like(pred)
     w_t, pred_t = w.transpose(0, 2, 1), pred.transpose(0, 2, 1)
-    # a block's densities, then weights, in one (block, reps) slab per chain
-    # and state, and its normalizers; a step reads the views at its time
-    block = min(n, _TIME_BLOCK)
-    unnorm = np.empty((k, d, block, reps))
-    s = np.empty((block, k, 1, reps))
-    tmp = np.empty((block, reps))
-    prev_buf = np.empty((block, reps))  # the observations before each step, per chain
-    rows = list(zip(unnorm.transpose(2, 0, 1, 3), s))
-    # a piece of one block returns its logs in place, as a view
-    out = None if streamed and n == block else np.empty((k, reps, n))
-    for t0 in range(0, n, _TIME_BLOCK):
-        # time-major block of every set; a view when y is one already
-        y_blk = np.ascontiguousarray(np.moveaxis(sets[:, :, t0:t0 + _TIME_BLOCK], 2, 0))
-        m = y_blk.shape[0]
-        for i, chain in enumerate(chains):
-            prev_buf[0], prev_buf[1:m] = prev[paths[i]], y_blk[:-1, paths[i]]
-            _fill_emission_pdfs(chain, y_blk[:, paths[i]], prev_buf[:m],
-                                unnorm[i, :, :m].transpose(1, 0, 2), tmp[:m])
-        # a row that underflows turns into nan from here on; the check
-        # below reports it before any of its values are used
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for u, s_j in rows[:m]:
-                np.multiply(u, pred, out=u)
-                np.add.reduce(u, axis=-2, keepdims=True, out=s_j)
-                np.divide(u, s_j, out=w)
-                np.matmul(w_t, p, out=pred_t)
-            log_s = np.log(s[:m, :, 0], out=s[:m, :, 0]).transpose(1, 2, 0)
-        if out is None:
-            out = log_s
-        else:
-            out[:, :, t0:t0 + m] = log_s
+    # the densities, then weights, in one (m, reps) slab per chain and
+    # state, and the normalizers; a step reads the views at its time
+    unnorm = np.empty((k, d, m, reps))
+    s = np.empty((m, k, 1, reps))
+    tmp = np.empty((m, reps))
+    for i, chain in enumerate(chains):
+        _fill_emission_pdfs(chain, y[1:, paths[i]], y[:-1, paths[i]],
+                            unnorm[i].transpose(1, 0, 2), tmp)
+    # a row that underflows turns into nan from here on; dead_at records it
+    # before any of its values are used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for u, s_j in zip(unnorm.transpose(2, 0, 1, 3), s):
+            np.multiply(u, pred, out=u)
+            np.add.reduce(u, axis=-2, keepdims=True, out=s_j)
+            np.divide(u, s_j, out=w)
+            np.matmul(w_t, p, out=pred_t)
         # all d weights of a path are below _UNDERFLOW only if their sum is
         # below d * _UNDERFLOW, 2 d * _UNDERFLOW with its rounding: only a
         # block with such a sum needs the check of every weight
-        if np.any(s[:m] < 2 * d * _UNDERFLOW):
-            dead = np.all(unnorm[:, :, :m] < _UNDERFLOW, axis=1)  # (k, block, reps)
-            for i in np.flatnonzero(dead.any(axis=(1, 2))):
-                if i not in dead_at:
-                    t = int(dead[i].any(axis=-1).argmax())
-                    dead_at[int(i)] = (carry["steps"] + t0 + t + 1, int(dead[i, t].argmax()))
-        prev = y_blk[-1]
-    carry["steps"] += n
-    if not streamed and dead_at:
-        raise DegenerateInputError(_underflow_message(*dead_at[min(dead_at)]))
-    return out
+        near = np.any(s < 2 * d * _UNDERFLOW)
+        log_s = np.log(s[:, :, 0], out=s[:, :, 0]).transpose(1, 2, 0)
+    if near:
+        dead = np.all(unnorm < _UNDERFLOW, axis=1)  # (k, m, reps)
+        for i in np.flatnonzero(dead.any(axis=(1, 2))):
+            if i not in dead_at:
+                t = int(dead[i].any(axis=-1).argmax())
+                dead_at[int(i)] = (carry["steps"] + t + 1, int(dead[i, t].argmax()))
+    carry["steps"] += m
+    return log_s

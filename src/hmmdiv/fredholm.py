@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -365,14 +366,14 @@ def q(x: float, u: float, w: float, t: int, theta_gen, theta_filt) -> float:
     from state t of theta_gen's chain form, the filter run under
     theta_filt's. For family B, t = 2j + k is the pair state (j, k). x <= 0
     gives 0 and x >= 1 gives 1, since the weight lies in [0, 1]; x or u
-    not finite raises ValueError."""
+    not finite, and a t that is not an integer state, raise ValueError."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
     if not (math.isfinite(x) and math.isfinite(u)):
         raise ValueError(f"x and u must be finite, got x={x}, u={u}")
     gen, filt = _filter_chain(theta_gen), _filter_chain(theta_filt)
-    if t not in range(gen.d):
-        raise ValueError(f"t must be a state in 0..{gen.d - 1}, got {t}")
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t not in range(gen.d):
+        raise ValueError(f"t must be a state in 0..{gen.d - 1}, got {t!r}")
     if not 0.0 < x < 1.0:
         return float(x >= 1.0)
     return float(_q_batch(np.array([x]), np.array([u]), np.array([w]), [t], gen, filt)[0, 0])

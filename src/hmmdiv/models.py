@@ -331,7 +331,7 @@ def _logsumexp(a: np.ndarray, axis: int, scratch: np.ndarray | None = None,
     if top is None:
         top = np.max(a, axis=axis, keepdims=True)
     at_top = a == top
-    m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    m = np.count_nonzero(at_top, axis=axis, keepdims=True).astype(float)
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite max
         e = np.subtract(a, top, out=scratch)
         np.exp(e, out=e)

@@ -92,7 +92,8 @@ def replication_log_ratios(pairs, cfg: McConfig, timings: dict | None = None,
     pair (p, q) of models, shape (reps, n) each, paths sampled under p.
     The rows are the sole input of every estimator here, so callers
     evaluating several alpha values can compute them once and share them.
-    One pair is the batch of one: `replication_log_ratios([(p, q)], cfg)[0]`.
+    One pair is the batch of one: `replication_log_ratios([(p, q)], cfg)[0]`;
+    no pairs give [].
 
     The pairs run as one batch: `path_blocks` samples every pair's paths
     from one draw stream per replication seed, and each block is filtered
@@ -125,13 +126,13 @@ def replication_log_ratios(pairs, cfg: McConfig, timings: dict | None = None,
     rho = [np.empty((cfg.reps, cfg.n)) for _ in pairs]
     sampled = filtered = 0.0
     t0 = 0
+    blocks = path_blocks([p for p, _ in pairs], seeds, cfg.n, cfg.burn_in) if pairs else ()
     clock = time.perf_counter()
-    for y, _ in path_blocks([p for p, _ in pairs], seeds, cfg.n, cfg.burn_in):
+    for y, _ in blocks:
         tick = time.perf_counter()
         sampled += tick - clock
         m = len(y) - 1
-        sets = y[1:].transpose(1, 2, 0)  # (pairs, reps, block) views
-        log_s = {d: batch_log_normalizers(chains, sets, y[0], paths, carries[d])
+        log_s = {d: batch_log_normalizers(chains, y, paths, carries[d])
                  for d, (chains, paths) in groups.items()}
         for c, ((dp, ip), (dq, iq)) in enumerate(slots):
             np.subtract(log_s[dp][ip], log_s[dq][iq], out=rho[c][:, t0:t0 + m])

@@ -20,7 +20,12 @@ from hmmdiv import (
     sample_path,
 )
 from hmmdiv.cases import CASES
-from hmmdiv.forward import _UNDERFLOW, _fill_emission_pdfs, batch_log_normalizers
+from hmmdiv.forward import (
+    _UNDERFLOW,
+    _fill_emission_pdfs,
+    _path_log_normalizers,
+    batch_log_normalizers,
+)
 from hmmdiv.models import _TIME_BLOCK, mix_seed, sample_paths
 
 CASE1_GEN, CASE1_ALT = CASES[1]
@@ -72,9 +77,32 @@ def matrix_prefix_log_normalizers(m, y, y_prev=0.0):
     return np.diff(prefixes, prepend=0.0)
 
 
+def filter_paths(chains, y, y_prev, paths=None, ends=None, carry=None):
+    """The block filter over whole path sets: y of shape (sets, reps, n)
+    and y_prev of shape (sets, reps), or one set as (reps, n) and (reps,),
+    fed as time-major blocks ending at the steps `ends` (every _TIME_BLOCK
+    steps by default) with one carry. Chain i reads set paths[i], by
+    default set 0 of one set and set i of several. Returns the (k, reps, n)
+    normalizers; an underflow is left in carry["dead_at"]."""
+    y, y_prev = np.asarray(y, dtype=float), np.asarray(y_prev, dtype=float)
+    if y.ndim == 2:
+        y, y_prev = y[None], y_prev[None]
+    if paths is None:
+        paths = [0] * len(chains) if len(y) == 1 else range(len(chains))
+    n = y.shape[-1]
+    if ends is None:
+        ends = range(_TIME_BLOCK, n + _TIME_BLOCK, _TIME_BLOCK)
+    blocks = np.moveaxis(np.concatenate((y_prev[..., None], y), axis=-1), -1, 0)
+    carry = {} if carry is None else carry
+    pieces, t0 = [], 0
+    for t1 in ends:
+        pieces.append(batch_log_normalizers(chains, blocks[t0:t1 + 1], list(paths), carry))
+        t0 = t1
+    return np.concatenate(pieces, axis=-1)
+
+
 def filter_log_normalizers(m, y, y_prev=0.0):
-    return batch_log_normalizers([as_chain(m)], np.asarray(y, dtype=float)[None, :],
-                                 np.array([y_prev]))[0, 0]
+    return filter_paths([as_chain(m)], [y], [y_prev])[0, 0]
 
 
 # --- initialization -----------------------------------------------------------
@@ -178,15 +206,15 @@ def test_log_likelihood_iid_reduction():
 
 def test_log_likelihood_long_sequence_finite():
     # the eight generating chains' 100,000-step paths in one sampler call,
-    # and both models of every case in one filter call over them, as the
-    # simulation engine runs them; each row's sum is that model's log
-    # likelihood
+    # and both models of every case filtered together over them, block by
+    # block, as the simulation engine runs them; each row's sum is that
+    # model's log likelihood
     pairs = list(CASES.values())
     y, y_prev, _ = sample_paths([as_chain(t1) for t1, _ in pairs], [13], 100000, 100)
     assert np.array_equal(y[0, 0], sample_path(pairs[0][0], 100000, seed=13).y)
     chains = [as_chain(m) for pair in pairs for m in pair]
     paths = [i // 2 for i in range(len(chains))]
-    log_s = batch_log_normalizers(chains, y, y_prev, paths)
+    log_s = filter_paths(chains, y, y_prev, paths)
     assert log_s.shape == (16, 1, 100000)
     assert np.all(np.isfinite(log_s[:, 0].sum(axis=1)))
 
@@ -271,6 +299,23 @@ def test_all_routes_agree_on_an_empty_path():
             assert route(m, np.array([]), 0.4) == 0.0, route.__name__
 
 
+@pytest.mark.parametrize("route", [log_likelihood, matrix_log_likelihood,
+                                   brute_force_log_likelihood, per_step_log_ratios])
+@pytest.mark.parametrize("y, y_prev, message", [
+    (np.zeros((2, 3)), 0.0, r"1-D, got shape \(2, 3\)"),
+    (np.array([0.1, math.nan]), 0.0, r"finite, got y\[1\] = nan"),
+    (np.array([math.inf, 0.2]), 0.0, r"finite, got y\[0\] = inf"),
+    (np.array([0.1]), math.nan, "y_prev must be finite"),
+    (np.array([0.1]), -math.inf, "y_prev must be finite"),
+])
+def test_likelihood_routes_reject_bad_observations(route, y, y_prev, message):
+    # a 2-D y read as its first row, a nan likelihood and an "underflow"
+    # at an infinite observation were each a plausible wrong answer
+    models = (CASE1_GEN, CASE1_ALT) if route is per_step_log_ratios else (CASE1_GEN,)
+    with pytest.raises(ValueError, match=message):
+        route(*models, y, y_prev)
+
+
 def test_brute_force_rejects_huge_path_counts():
     y = np.zeros(12)
     with pytest.raises(ValueError):
@@ -311,7 +356,7 @@ def test_batch_normalizers_match_scalar_filter():
     chain = as_chain(CASE1_GEN)
     y = rng.normal(1.5, 1.2, size=(5, 60))
     y_prev = rng.normal(size=5)
-    batch = batch_log_normalizers([chain], y, y_prev)[0]
+    batch = filter_paths([chain], y, y_prev)[0]
     assert batch.shape == (5, 60)
     for r in range(5):
         steps = matrix_prefix_log_normalizers(chain, y[r], float(y_prev[r]))
@@ -366,15 +411,18 @@ def test_blocked_filter_matches_step_loop_bitwise(family, reps):
     y, y_prev, _ = sample_paths([as_chain(gen)], [mix_seed(5, r) for r in range(reps)],
                                 n, 20)
     y, y_prev = y[0], y_prev[0]
-    # both filters in one call (as the simulation engine runs them) and each
-    # alone must give the step loop's rows
+    # both filters in one call per block (as the simulation engine runs
+    # them) and each alone must give the step loop's rows
     chains = [as_chain(gen), as_chain(alt)]
-    stacked = batch_log_normalizers(chains, y, y_prev)
-    assert stacked.shape == (2, reps, n) and stacked.flags.c_contiguous
+    stacked = filter_paths(chains, y, y_prev)
+    assert stacked.shape == (2, reps, n)
     for i, chain in enumerate(chains):
         want = step_loop_log_normalizers(chain, y, y_prev)
-        assert np.array_equal(batch_log_normalizers([chain], y, y_prev)[0], want)
+        assert np.array_equal(filter_paths([chain], y, y_prev)[0], want)
         assert np.array_equal(stacked[i], want)
+        # the likelihoods' whole-path collector, C-ordered as their sums need
+        one = _path_log_normalizers(chain, y[0], y_prev[0])
+        assert one.flags.c_contiguous and np.array_equal(one, want[0])
 
 
 @pytest.mark.parametrize("m, distinct", [
@@ -395,45 +443,53 @@ def test_emission_densities_filled_once_per_distinct_emission(m, distinct):
 
 
 def test_filter_in_pieces_over_own_paths_matches_one_call():
-    # each chain filters its own path set, fed in pieces that do not align
-    # with the time blocks: with a carry, the pieces give the whole-path
-    # call's values bit for bit, and an underflow is recorded, not raised
+    # each chain filters its own path set, fed in blocks that do not align
+    # with the time blocks: with a carry, they give the time blocks' values
+    # bit for bit, and an underflow is recorded, not raised
     rng = np.random.default_rng(37)
     chains = [as_chain(random_model(rng, "B")) for _ in range(3)]
     n = 3 * _TIME_BLOCK + 5
     sets = rng.normal(1.0, 1.5, size=(2, 4, n))
     prev = rng.normal(size=(2, 4))
     paths = [1, 0, 1]
-    whole = batch_log_normalizers(chains, sets, prev, paths)
+    whole = filter_paths(chains, sets, prev, paths)
     for i, chain in enumerate(chains):
-        alone = batch_log_normalizers([chain], sets[paths[i]], prev[paths[i]])
+        alone = filter_paths([chain], sets[paths[i]], prev[paths[i]])
         assert np.array_equal(whole[i], alone[0])
-
-    def in_pieces(data, ends, carry):
-        pieces, t0 = [], 0
-        for t1 in ends:
-            before = prev if t0 == 0 else data[..., t0 - 1]
-            pieces.append(batch_log_normalizers(chains, data[..., t0:t1], before, paths, carry))
-            t0 = t1
-        return np.concatenate(pieces, axis=-1)
-
     carry = {}
-    assert np.array_equal(in_pieces(sets, (7, _TIME_BLOCK + 9, n), carry), whole)
+    pieces = filter_paths(chains, sets, prev, paths, (7, _TIME_BLOCK + 9, n), carry)
+    assert np.array_equal(pieces, whole)
     assert carry["dead_at"] == {} and carry["steps"] == n
     dead = sets.copy()
     dead[0, 2, _TIME_BLOCK + 3] = 1e4  # chain 1 reads set 0; dies at this step
-    carry = {}
-    in_pieces(dead, range(20, n + 20, 20), carry)
-    assert carry["dead_at"] == {1: (_TIME_BLOCK + 4, 2)}
-    with pytest.raises(DegenerateInputError, match=f"at step {_TIME_BLOCK + 4} in batch path 2"):
-        batch_log_normalizers(chains, dead, prev, paths)
+    for ends in (range(20, n + 20, 20), None):
+        carry = {}
+        filter_paths(chains, dead, prev, paths, ends, carry)
+        assert carry["dead_at"] == {1: (_TIME_BLOCK + 4, 2)}
+
+
+def test_uneven_blocks_give_the_bits_of_time_blocks():
+    # the block length is the caller's: blocks of 1, 5 and 40 steps, then
+    # the rest, give the values of _TIME_BLOCK-step blocks, for a stack of
+    # four-state chains and a two-state chain alone
+    rng = np.random.default_rng(38)
+    n = 3 * _TIME_BLOCK + 11
+    for family in ("A", "B"):
+        gen, alt = random_model(rng, family), random_model(rng, family)
+        chains = [as_chain(gen), as_chain(alt)] if family == "B" else [as_chain(gen)]
+        y, y_prev, _ = sample_paths([as_chain(gen)], [mix_seed(6, r) for r in range(5)], n, 10)
+        want = filter_paths(chains, y[0], y_prev[0])
+        carry = {}
+        got = filter_paths(chains, y[0], y_prev[0], ends=(1, 6, 46, n), carry=carry)
+        assert np.array_equal(got, want)
+        assert carry["steps"] == n and carry["dead_at"] == {}
 
 
 def test_stacked_filters_need_equal_state_counts():
     rng = np.random.default_rng(34)
     pair = (as_chain(random_model(rng, "A")), as_chain(random_model(rng, "B")))
     with pytest.raises(ValueError, match="equal d"):
-        batch_log_normalizers(pair, np.zeros((2, 5)), np.zeros(2))
+        batch_log_normalizers(pair, np.zeros((6, 1, 2)), [0, 0], {})
 
 
 def test_blocked_filter_underflow_names_the_reference_step():
@@ -444,14 +500,18 @@ def test_blocked_filter_underflow_names_the_reference_step():
     y[1, step - 1] = 1e3  # every state's density underflows to 0 here
     with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
         step_loop_log_normalizers(chain, y, np.zeros(3))
-    with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
-        batch_log_normalizers([chain], y, np.zeros(3))
+    carry = {}
+    filter_paths([chain], y, np.zeros(3), carry=carry)
+    assert carry["dead_at"] == {0: (step, 1)}
+    with pytest.raises(DegenerateInputError, match=f"at step {step} in batch path 0"):
+        log_likelihood(chain, y[1])
 
 
 def test_stacked_filters_report_the_first_chain_that_underflows():
     # the narrow chain dies at a 1e3 spike in the first block, the wide one
-    # only at a 1e5 spike in the third; one-chain calls in sequence order
-    # would report the first chain's first dead step, and so must the stack
+    # only at a 1e5 spike in the third; the stack records each dead chain's
+    # first dead step and path, as a one-chain filter records its own, and
+    # the one-path likelihood raises at that step
     narrow, wide = as_chain(iid_model(0.0, 0.5)), as_chain(iid_model(0.0, 100.0))
     n = 2 * _TIME_BLOCK + 3
     y = np.random.default_rng(35).normal(scale=0.5, size=(3, n))
@@ -459,14 +519,21 @@ def test_stacked_filters_report_the_first_chain_that_underflows():
     y[1, early - 1] = 1e3
     only_narrow = y.copy()
     y[2, late - 1] = 1e5
-    cases = [((wide, narrow), y, late), ((narrow, wide), y, early),
-             ((wide, narrow), only_narrow, early), ((narrow, narrow), y, early)]
-    for chains, data, step in cases:
-        with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
-            batch_log_normalizers(chains, data, np.zeros(3))
-        with pytest.raises(DegenerateInputError, match=f"at step {step} in"):
-            for chain in chains:
-                batch_log_normalizers([chain], data, np.zeros(3))
+    cases = [((wide, narrow), y, {0: (late, 2), 1: (early, 1)}),
+             ((narrow, wide), y, {0: (early, 1), 1: (late, 2)}),
+             ((wide, narrow), only_narrow, {1: (early, 1)}),
+             ((narrow, narrow), y, {0: (early, 1), 1: (early, 1)})]
+    for chains, data, want in cases:
+        carry = {}
+        filter_paths(chains, data, np.zeros(3), carry=carry)
+        assert carry["dead_at"] == want
+        for i, chain in enumerate(chains):
+            alone = {}
+            filter_paths([chain], data, np.zeros(3), carry=alone)
+            assert alone["dead_at"] == ({0: want[i]} if i in want else {})
+    for chain, path, step in ((narrow, 1, early), (wide, 2, late)):
+        with pytest.raises(DegenerateInputError, match=f"at step {step} in batch path 0"):
+            log_likelihood(chain, y[path])
 
 
 def test_four_state_reduces_to_two_state_when_memoryless():

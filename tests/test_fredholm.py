@@ -221,6 +221,11 @@ def test_q_four_state_rejects_bad_weight():
         q(0.5, 0.0, -0.1, 0, WIDE_GEN, WIDE_FILT)
     with pytest.raises(ValueError):
         q(0.5, 0.0, 0.5, 4, CASE1_GEN, CASE1_ALT)  # four pair states
+    # 1.0 and True equal a state but are not an index; both Q paths
+    for pair in ((WIDE_GEN, WIDE_FILT), (CASE1_GEN, CASE1_ALT)):
+        for t in (1.0, True, "1"):
+            with pytest.raises(ValueError, match="t must be a state"):
+                q(0.5, 0.0, 0.5, t, *pair)
 
 
 def test_q_rejects_values_that_are_not_finite():

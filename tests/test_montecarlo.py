@@ -16,9 +16,9 @@ from hmmdiv import (
     as_chain,
     estimate_kl_mc,
     estimate_renyi_mc,
+    per_step_log_ratios,
 )
 from hmmdiv.cases import ALPHA_GRID, CASES, REFERENCE, gaussian_kl, gaussian_renyi
-from hmmdiv.forward import batch_log_normalizers
 from hmmdiv.models import mix_seed, renyi_order, sample_paths
 from hmmdiv.montecarlo import estimate_from_log_ratios, replication_log_ratios
 
@@ -222,9 +222,14 @@ def test_log_ratios_are_one_chain_filter_differences(p, q):
     [rho] = replication_log_ratios([(p, q)], FAST)
     seeds = [mix_seed(FAST.seed, r) for r in range(FAST.reps)]
     y, y_prev, _ = sample_paths([as_chain(p)], seeds, FAST.n, FAST.burn_in)
-    want = (batch_log_normalizers([as_chain(p)], y[0], y_prev[0])[0]
-            - batch_log_normalizers([as_chain(q)], y[0], y_prev[0])[0])
+    want = [per_step_log_ratios(p, q, y[0, r], y_prev[0, r]) for r in range(FAST.reps)]
     assert rho.flags.c_contiguous and np.array_equal(rho, want)
+
+
+def test_a_batch_of_no_pairs_has_no_rows():
+    timings = {}
+    assert replication_log_ratios([], FAST, timings) == []
+    assert timings == {"sample_seconds": 0.0, "filter_seconds": 0.0}
 
 
 def test_iid_closed_form_oracle():
