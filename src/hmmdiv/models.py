@@ -384,6 +384,8 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     terms) is computed vectorized per block. Every value equals that of a
     loop doing all of it per step for one chain, bit for bit.
     """
+    if not chains:
+        raise ValueError("at least one chain is needed to sample paths")
     k, rows = len(chains), len(seeds)
     total = burn_in + n
     d = max(chain.d for chain in chains)

@@ -460,9 +460,9 @@ def test_batched_cases_equal_their_solo_runs(monkeypatch):
 
 
 def test_mc_estimates_run_on_the_pool(monkeypatch):
-    # with two threads an MC-only run opens the pool, and each simulated
-    # case's one estimate call runs on a pool thread; with Fredholm cases on
-    # the pool the estimates stay on the calling thread; no value moves
+    # with two threads each simulated case's one estimate call runs on a
+    # pool thread, whatever the methods; with one thread on the calling
+    # thread; no value moves
     mc = McConfig(n=300, reps=11, burn_in=10, seed=5)
     alphas = (0.5, "kl", 1.5, 2.0)
     specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], alphas, mc=mc,
@@ -478,10 +478,66 @@ def test_mc_estimates_run_on_the_pool(monkeypatch):
         shares = {name: {a: s.hex() for a, s in d["mc_top_term_share"].items()}
                   for name, d in diags.items()}
         runs[count, methods] = mc_cells(rows), shares
-        on_pool = count == "2" and methods == ("mc",)
-        assert [t is threading.main_thread() for t in threads] == [not on_pool] * len(specs)
+        assert [t is threading.main_thread() for t in threads] == [count == "1"] * len(specs)
     assert len({repr(run) for run in runs.values()}) == 1
     assert all(set(shares) == {1.5, 2.0} for shares in runs["1", ("mc",)][1].values())
+
+
+def test_simulation_ends_before_the_fredholm_cases_start(monkeypatch):
+    # at two threads with both engines, every simulation batch and its
+    # estimates end before the first Fredholm case starts, so the engines
+    # never contend; the rows equal those of one thread
+    mc = McConfig(n=200, reps=7, burn_in=10, seed=3)
+    grid = GridSpec(N=16, quad_points=51)
+    specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], (0.5, "kl"), mc=mc, grid=grid)
+             for k in (1, 2, 4)]
+    specs.append(CaseSpec("a", "A", *FAMILY_A_PAIR, (0.5, "kl"), mc=mc, grid=grid))
+    events = []
+
+    def logged(name):
+        real = getattr(cli, name)
+
+        def call(*args):
+            if name == "_fredholm_case":
+                events.append("fredholm")
+            result = real(*args)
+            events.append(name)
+            return result
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("replication_log_ratios", "estimate_from_log_ratios", "_fredholm_case"):
+        logged(name)
+    monkeypatch.setenv("HMMDIV_THREADS", "2")
+    rows = run_cases(specs)
+    first = events.index("fredholm")
+    assert events[:first].count("replication_log_ratios") == 2
+    assert events[:first].count("estimate_from_log_ratios") == len(specs)
+    assert set(events[first:]) == {"fredholm", "_fredholm_case"}
+    monkeypatch.setenv("HMMDIV_THREADS", "1")
+    assert [value_fields(r) for r in rows] == [value_fields(r) for r in run_cases(specs)]
+
+
+def test_a_batch_that_raises_fails_each_of_its_cases(monkeypatch):
+    # the family-A batch's one call raises: both of its cases fail with that
+    # error, and the family-B batch's cases finish with their solo values
+    mc = McConfig(n=120, reps=5, burn_in=10, seed=6)
+    specs = [CaseSpec("b1", "B", *bench.CASES[1], ("kl", 2.0), mc=mc),
+             CaseSpec("a1", "A", *FAMILY_A_PAIR, ("kl", 2.0), mc=mc),
+             CaseSpec("b3", "B", *bench.CASES[3], ("kl", 2.0), mc=mc),
+             CaseSpec("a2", "A", *FAMILY_A_PAIR[::-1], ("kl", 2.0), mc=mc)]
+    boom = RuntimeError("sampler stopped")
+
+    def sample(pairs, *args):
+        if isinstance(pairs[0][0], ModelAParams):
+            raise boom
+        return replication_log_ratios(pairs, *args)
+
+    monkeypatch.setattr(cli, "replication_log_ratios", sample)
+    rows, per_case, failed = cli._run_all(*cli._resolve(specs, ("mc",)), ("mc",))
+    assert failed == {"a1": boom, "a2": boom}
+    assert list(per_case) == ["b1", "b3"]
+    assert mc_cells(rows) == mc_cells(run_cases([specs[0]], ("mc",))
+                                      + run_cases([specs[2]], ("mc",)))
 
 
 def test_degenerate_case_fails_alone_in_its_batch():

@@ -226,6 +226,15 @@ def test_underflow_raises_degenerate_error():
         log_likelihood(m, np.array([50.0]))
 
 
+def test_matrix_route_underflow_names_the_step():
+    # the first observation is at the emission's center; the second is
+    # 5e161 scales away, where every state's density is 0
+    m = iid_model(0.0, 1e-160)
+    with np.errstate(over="ignore"), pytest.raises(DegenerateInputError,
+                                                   match="underflowed at step 2"):
+        matrix_log_likelihood(m, np.array([0.0, 50.0]))
+
+
 # --- per-step ratios -------------------------------------------------------------
 
 

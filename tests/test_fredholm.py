@@ -106,6 +106,12 @@ def test_chisq_central_value():
     assert math.isclose(noncentral_chisq1_cdf(1.0, 0.0), 0.682689, abs_tol=1e-6)
 
 
+def test_chisq_rejects_negative_noncentrality():
+    for lam in (-1e-12, [0.5, -2.0]):
+        with pytest.raises(ValueError, match="noncentrality must be nonnegative"):
+            noncentral_chisq1_cdf(1.0, lam)
+
+
 def test_chisq_matched_noncentrality():
     # sqrt(x) = sqrt(lambda) = 2: Phi(0) - Phi(-4)
     want = 0.5 - ndtr(-4.0)

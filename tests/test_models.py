@@ -23,7 +23,9 @@ from hmmdiv.models import (
     _TIME_BLOCK,
     _logsumexp,
     _standard_normals,
+    PathSample,
     mix_seed,
+    path_blocks,
     sample_paths,
 )
 from hmmdiv.cases import CASES
@@ -102,6 +104,11 @@ def chain_a(**overrides):
         (chain_a(b=[0.2, -math.inf]), "b must be finite"),
         (chain_a(s=[1.0, math.inf]), "s must be finite"),
         (chain_a(transition=[[1.5, -0.5], [0.3, 0.7]]), "must lie in [0, 1]"),
+        (model_a(p00=1.0), "0 < p00 < 1 required"),
+        (model_a(p11=0.0), "0 < p11 < 1 required"),
+        (model_a(psi=(0.2, -1.0)), "|psi[1]| < 1 required"),
+        (chain_a(pi=[0.7, 0.7]), "pi must be a probability vector"),
+        (chain_a(pi=[1.2, -0.2]), "pi must be a probability vector"),
     ],
 )
 def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
@@ -112,6 +119,23 @@ def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
     # the simulation engine refuses it as the alternative before sampling
     with pytest.raises(ValueError):
         estimate_kl_mc(model_a(), model, McConfig(n=10, reps=2))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(transition=[[0.6, 0.4, 0.0], [0.3, 0.7, 0.0]]), "transition shape"),
+    (dict(c=[0.5]), "length d"),
+    (dict(b=[0.2, -0.1, 0.0]), "length d"),
+    (dict(s=[1.0, 0.0]), "must be positive"),
+    (dict(s=[-1.0, 1.4]), "must be positive"),
+])
+def test_chain_form_rejects_bad_shapes_and_scales(fields, message):
+    with pytest.raises(ValueError, match=message):
+        chain_a(**fields)
+
+
+def test_path_sample_needs_equal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        PathSample(y=np.zeros(4), x=np.zeros(3), seed=0, burn_in=0)
 
 
 # --- stationary laws of the chain form ----------------------------------------
@@ -270,6 +294,21 @@ def test_sample_path_rejects_negative_burn_in():
     for burn_in in (-1, -20):
         with pytest.raises(ValueError, match="burn_in"):
             sample_path(CASE1_GEN, 10, burn_in=burn_in)
+
+
+def test_sample_paths_rejects_no_steps():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            sample_paths([as_chain(CASE1_GEN)], [0], n, 0)
+
+
+def test_sampling_needs_a_chain():
+    # no chains is a named error before any draw stream is set up, not an
+    # empty max() deep in the table build
+    with pytest.raises(ValueError, match="at least one chain"):
+        sample_paths([], [0], 5, 0)
+    with pytest.raises(ValueError, match="at least one chain"):
+        next(path_blocks([], [0, 1], 5, 2))
 
 
 def test_sample_path_is_the_batch_row():

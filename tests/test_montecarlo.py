@@ -90,6 +90,11 @@ def test_estimate_metadata():
     assert est.std_dev >= 0.0
 
 
+def test_estimate_rejects_a_negative_sd():
+    with pytest.raises(ValueError, match="std_dev cannot be negative"):
+        DivergenceEstimate(alpha=0.5, mean=0.1, std_dev=-1e-3, reps=4)
+
+
 def test_std_error_is_sd_over_root_reps():
     assert DivergenceEstimate(alpha=0.5, mean=0.1, std_dev=0.4, reps=16).std_error == 0.1
     assert DivergenceEstimate(alpha=0.5, mean=0.1, std_dev=0.3, reps=1).std_error == 0.0
@@ -224,6 +229,20 @@ def test_log_ratios_are_one_chain_filter_differences(p, q):
     y, y_prev, _ = sample_paths([as_chain(p)], seeds, FAST.n, FAST.burn_in)
     want = [per_step_log_ratios(p, q, y[0, r], y_prev[0, r]) for r in range(FAST.reps)]
     assert rho.flags.c_contiguous and np.array_equal(rho, want)
+
+
+def test_batch_raises_an_underflow_without_an_errors_dict():
+    # with no `errors` dict the batch raises the first failed pair's error
+    # once all have run; with one it returns None in that pair's place
+    bad = iid_model(0.0, 1e-160)
+    pairs = [(CASE1_GEN, CASE1_ALT), (CASE1_GEN, bad)]
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateInputError, match="replication"):
+            replication_log_ratios(pairs, FAST)
+        errors = {}
+        rho = replication_log_ratios(pairs, FAST, errors=errors)
+    assert list(errors) == [1] and rho[1] is None
+    assert np.array_equal(rho[0], replication_log_ratios(pairs[:1], FAST)[0])
 
 
 def test_a_batch_of_no_pairs_has_no_rows():
