@@ -31,11 +31,15 @@ Config schema (JSON):
 theta1 generates the data; theta is the alternative. Family "A" models use
 keys {p00, p11, mu, psi, sigma} with per-state pairs. Top-level alphas, mc,
 and grid apply to every case; a case may override any of them. The
-simulation engine simulates the cases of one mc block and family as one
-batch on the calling thread, and the Fredholm cases run after it. The
-environment variable HMMDIV_THREADS (0 or unset = auto) sizes a thread
-pool, which runs each simulated case's estimates and then the Fredholm
-cases concurrently.
+simulation engine runs first: the simulated cases of one mc block and
+family form a batch, split into contiguous shares, one per worker and at
+most one per simulated case, each simulated and estimated in one call.
+The environment variable HMMDIV_THREADS (0 or unset = auto) sets the
+worker count. On Linux, share 0 of each batch runs in the calling
+process and the others in worker processes forked for the simulation
+alone; elsewhere, and at one worker, every batch is one share in the
+calling process. The Fredholm cases run after it, on a pool of that
+many threads.
 """
 
 from __future__ import annotations
@@ -382,18 +386,24 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
     return values, diag
 
 
-def _mc_values(cases: list[tuple], cfg: McConfig, pool=None) -> list:
+def _simulated(orders: dict) -> bool:
+    """Whether the simulation samples paths for a case: some order of its
+    order table (`_orders`) has a finite rate."""
+    return any(math.isfinite(sd) for _, sd in orders.values())
+
+
+def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     """Simulation estimates of cases that share one McConfig, as one batch.
 
     `cases` holds (theta1, theta, order table) per case (`_orders`). One
     `replication_log_ratios` call simulates every case that has a finite
     order, and one `estimate_from_log_ratios` call per case serves all of
-    its finite orders, on `pool` when given; identical models give
-    exactly 0 (the two filters run the same arithmetic), and an infinite
-    order means inf without sampling.
+    its finite orders; identical models give exactly 0 (the two filters
+    run the same arithmetic), and an infinite order means inf without
+    sampling. An exception of the batch call propagates.
 
     Returns, per case, ({alpha: DivergenceEstimate}, diagnostics), or the
-    exception that stopped the case. The diagnostics hold the stage
+    error that stopped the case's filter. The diagnostics hold the stage
     timings and `mc_top_term_share`: {alpha: the estimate's
     `top_term_share`} for the finite orders of at least
     HEAVY_TAIL_MIN_ORDER. The batch's sampling and filtering seconds, and
@@ -403,15 +413,11 @@ def _mc_values(cases: list[tuple], cfg: McConfig, pool=None) -> list:
     estimate call; a case that is not simulated has 0 for the first two.
     """
     infinite = [{a for a, (_, sd) in orders.items() if math.isinf(sd)} for *_, orders in cases]
-    simulated = [i for i, (*_, orders) in enumerate(cases) if len(infinite[i]) < len(orders)]
+    simulated = [i for i, (*_, orders) in enumerate(cases) if _simulated(orders)]
     timings, errors, rhos = {}, {}, []
     t0 = time.perf_counter()
-    try:
-        if simulated:
-            rhos = replication_log_ratios([cases[i][:2] for i in simulated], cfg, timings,
-                                          errors)
-    except Exception as exc:  # the batch stopped: each of its cases failed with it
-        errors = dict.fromkeys(range(len(simulated)), exc)
+    if simulated:
+        rhos = replication_log_ratios([cases[i][:2] for i in simulated], cfg, timings, errors)
     share = (time.perf_counter() - t0) / max(len(simulated), 1)
     rho_of = dict(zip(simulated, rhos))
     failed = {simulated[j]: exc for j, exc in errors.items()}
@@ -421,8 +427,7 @@ def _mc_values(cases: list[tuple], cfg: McConfig, pool=None) -> list:
         finite = [order for a, (order, _) in cases[i][2].items() if a not in infinite[i]]
         return estimate_from_log_ratios(rho_of[i], finite), time.perf_counter() - t1
 
-    ran = [i for i in simulated if i not in failed]
-    done = dict(zip(ran, (pool.map if pool else map)(estimate, ran)))
+    done = {i: estimate(i) for i in simulated if i not in failed}
     results = []
     for i, (_, _, orders) in enumerate(cases):
         if i in failed:
@@ -569,34 +574,93 @@ def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
     return cases, workers
 
 
+def _mc_shares(cases: list[tuple], workers: int) -> list[tuple]:
+    """The simulation's shares of the cases that `_resolve` returned, as
+    (McConfig, case indices, runs in the calling process) per share.
+
+    The cases of each McConfig and model family form one batch; splitting
+    by family bounds the log ratios a batch holds at once (12.8 MB, not
+    17.6 MB, for 8 family-B and 3 family-A cases at the default McConfig).
+    A batch splits into min(workers, its simulated cases) contiguous
+    shares of near-equal simulated case counts, and a case that is not
+    simulated (`_simulated`) joins the share of the simulated case before
+    it. The first share of each batch runs in the calling process.
+    """
+    batches: dict[tuple, list[int]] = {}
+    for i, (spec, _, _) in enumerate(cases):
+        batches.setdefault((spec.mc, spec.family), []).append(i)
+    shares = []
+    for (cfg, _), members in batches.items():
+        simulated = [pos for pos, i in enumerate(members) if _simulated(cases[i][1])]
+        k = max(1, min(workers, len(simulated)))
+        cuts = [0, *(simulated[len(simulated) * j // k] for j in range(1, k)), len(members)]
+        shares += [(cfg, members[a:b], a == 0) for a, b in zip(cuts, cuts[1:])]
+    return shares
+
+
+def _simulate(cases: list[tuple], workers: int) -> list:
+    """The simulation results (`_mc_values`) of the cases that `_resolve`
+    returned, in case order, share by share (`_mc_shares`).
+
+    On Linux, the shares that do not run in the calling process run
+    meanwhile in a pool of at most workers - 1 processes, forked when the
+    first share is submitted and joined before this returns. Each share
+    runs the unchanged sampler, filter and estimator, and a pair's rows do
+    not depend on the pairs batched with it, so every value is the same
+    bit for bit at any worker count. Elsewhere, and at one worker, every
+    batch is one share in the calling process. A share that raises fails
+    each of its cases with that exception, and so does one whose worker
+    process dies (BrokenProcessPool).
+    """
+    shares = _mc_shares(cases, workers if sys.platform == "linux" else 1)
+    calls = [([(cases[i][0].theta1, cases[i][0].theta, cases[i][1]) for i in members], cfg)
+             for cfg, members, _ in shares]
+    remote = [j for j, (*_, here) in enumerate(shares) if not here]
+    pool = contextlib.nullcontext()
+    if remote:
+        import multiprocessing  # here, so that importing hmmdiv does not pay for it
+
+        pool = concurrent.futures.ProcessPoolExecutor(
+            min(workers - 1, len(remote)), mp_context=multiprocessing.get_context("fork"))
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except Exception as exc:  # the share stopped: each of its cases failed with it
+            return exc
+
+    with pool:
+        # once a worker has died, submit raises: the pool takes no more shares
+        futures = {j: outcome(pool.submit, _mc_values, *calls[j]) for j in remote}
+        outcomes = [None if j in futures else outcome(_mc_values, *calls[j])
+                    for j in range(len(shares))]
+        for j, future in futures.items():
+            outcomes[j] = future if isinstance(future, Exception) else outcome(future.result)
+    mc = [None] * len(cases)
+    for (_, members, _), out in zip(shares, outcomes):
+        for i, result in zip(members, [out] * len(members) if isinstance(out, Exception) else out):
+            mc[i] = result
+    return mc
+
+
 def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dict]:
     """Run every case that `_resolve` returned: the rows of the cases that
     finished, by case then alpha regardless of scheduling, their
     diagnostics by name, and {name: exception} for the cases that raised.
     A failed case does not stop the others.
 
-    The simulation engine runs first, on the calling thread: the cases of
-    each McConfig and model family form one batch (`_mc_values`), and
-    splitting by family bounds the log ratios a batch holds at once
-    (12.8 MB, not 17.6 MB, for 8 family-B and 3 family-A cases at the
-    default McConfig). Then the Fredholm cases run. With `workers` > 1 a
-    pool of that many threads runs each batch's estimates, then one
-    Fredholm case per task. A case both engines fail reports the Fredholm
-    error.
+    The simulation engine runs first (`_simulate`): each share of a batch
+    simulates and estimates its cases in one call, in the calling process
+    or, on Linux with `workers` > 1, in a forked worker process. Then the
+    Fredholm cases run, with `workers` > 1 on a pool of that many threads
+    (one case per task), opened only once every worker process has been
+    joined. A case both engines fail reports the Fredholm error.
     """
     fred = [None] * len(cases)
-    mc = [None] * len(cases)
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or contextlib.nullcontext():
-        if "mc" in methods:
-            batches: dict[tuple, list[int]] = {}
-            for i, (spec, _, _) in enumerate(cases):
-                batches.setdefault((spec.mc, spec.family), []).append(i)
-            for (cfg, _), members in batches.items():
-                batch = [(cases[i][0].theta1, cases[i][0].theta, cases[i][1]) for i in members]
-                for i, result in zip(members, _mc_values(batch, cfg, pool)):
-                    mc[i] = result
-        if "fredholm" in methods:
+    mc = _simulate(cases, workers) if "mc" in methods else [None] * len(cases)
+    if "fredholm" in methods:
+        pool = concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else None
+        with pool or contextlib.nullcontext():
             fred = list((pool.map if pool else map)(_fredholm_case, cases))
     rows, per_case, failed = [], {}, {}
     for (spec, _, _), f, m in zip(cases, fred, mc):

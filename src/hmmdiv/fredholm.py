@@ -97,7 +97,7 @@ class GridSpec:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        require_counts(self, ("N", "quad_points"))
+        require_counts(N=self.N, quad_points=self.quad_points)
         if self.N < 4:
             raise ValueError(f"N must be at least 4, got {self.N}")
         if not 0.0 < self.a < math.inf:

@@ -377,6 +377,9 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     before the block (0.0 before the first when burn_in = 0), and the chain
     states behind y[1:] as int8 of shape (m, k, rows). The buffers are
     reused by the next block; a block is valid until the next is asked for.
+    The arguments are checked when the first block is asked for: no
+    chains, a non-integer n, burn_in or seed, n < 1 and burn_in < 0 raise
+    ValueError.
 
     The state and observation recursions run one step at a time over all
     rows; what they read that does not depend on them (every state's
@@ -386,8 +389,15 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     """
     if not chains:
         raise ValueError("at least one chain is needed to sample paths")
+    require_counts(n=n, burn_in=burn_in)
+    for seed in seeds:
+        require_counts(seed=seed)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     k, rows = len(chains), len(seeds)
-    total = burn_in + n
+    total = int(burn_in) + int(n)  # PCG64.advance rejects numpy integers
     d = max(chain.d for chain in chains)
     state_rngs, noise_rngs = [], []
     for seed in seeds:
@@ -466,17 +476,12 @@ def sample_paths(chains, seeds, n: int, burn_in: int):
     (k, rows, n), the observation preceding y[..., 0] (0.0 when burn_in =
     0) of shape (k, rows), and the C-ordered chain states behind y as int8.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    k, rows = len(chains), len(seeds)
-    y = np.empty((k, rows, n))
-    x = np.empty((k, rows, n), dtype=np.int8)
     t0 = 0
     for y_blk, x_blk in path_blocks(chains, seeds, n, burn_in):
-        if t0 == 0:
+        if t0 == 0:  # allocated once `path_blocks` has checked the arguments
             y_prev = y_blk[0].copy()
+            y = np.empty((*y_prev.shape, n))
+            x = np.empty((*y_prev.shape, n), dtype=np.int8)
         m = len(x_blk)
         y[..., t0:t0 + m] = y_blk[1:].transpose(1, 2, 0)
         x[..., t0:t0 + m] = x_blk.transpose(1, 2, 0)
@@ -515,11 +520,10 @@ def renyi_order(alpha) -> float:
     return 1.0 if abs(order - 1.0) < 1e-8 else order
 
 
-def require_counts(obj, names) -> None:
-    """Raise ValueError unless each named field of obj is an integer; a
-    float, even an integral one, and a bool are not."""
-    for name in names:
-        value = getattr(obj, name)
+def require_counts(**counts) -> None:
+    """Raise ValueError, naming the first offender, unless each value is an
+    integer; a float, even an integral one, and a bool are not."""
+    for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 

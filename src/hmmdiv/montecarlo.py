@@ -51,7 +51,7 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_counts(self, ("n", "reps", "burn_in", "seed"))
+        require_counts(n=self.n, reps=self.reps, burn_in=self.burn_in, seed=self.seed)
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if self.reps < 1:

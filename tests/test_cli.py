@@ -5,11 +5,13 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -392,7 +394,9 @@ def test_mc_top_term_share_in_diagnostics(tmp_path):
 
 
 def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
-    # sigma1 = 1.5 against sigma = 1: the order-2 rate is infinite
+    # sigma1 = 1.5 against sigma = 1: the order-2 rate is infinite; one
+    # worker, so every simulation call is made in this process
+    monkeypatch.setenv("HMMDIV_THREADS", "1")
     theta1 = dataclasses.replace(bench.CASES[8][0], sigma=1.5)
     spec = CaseSpec("wide", "B", theta1, bench.CASES[8][1], (2.0,),
                     mc=McConfig(n=100, reps=4, burn_in=10))
@@ -430,7 +434,9 @@ def mc_cells(rows):
 def test_batched_cases_equal_their_solo_runs(monkeypatch):
     # one batch per McConfig and family: family-B (4-state) pairs under
     # two McConfigs, an identical pair among them, and a family-A (2-state)
-    # pair under the first
+    # pair under the first; one worker, so each batch is one call in this
+    # process
+    monkeypatch.setenv("HMMDIV_THREADS", "1")
     one, two = McConfig(n=150, reps=6, burn_in=10, seed=4), McConfig(n=90, reps=5, burn_in=0)
     alphas = ("kl", 0.5, 2.0)
     specs = [CaseSpec("b1", "B", *bench.CASES[1], alphas, mc=one),
@@ -459,40 +465,56 @@ def test_batched_cases_equal_their_solo_runs(monkeypatch):
                 repr(want.mean), repr(want.std_dev))
 
 
-def test_mc_estimates_run_on_the_pool(monkeypatch):
-    # with two threads each simulated case's one estimate call runs on a
-    # pool thread, whatever the methods; with one thread on the calling
-    # thread; no value moves
+linux_only = pytest.mark.skipif(sys.platform != "linux",
+                                reason="the simulation forks worker processes on Linux only")
+
+
+@linux_only
+def test_estimates_run_inside_their_share(monkeypatch, tmp_path):
+    # at two workers the batch's three cases split into shares of one and
+    # two cases; each case's one estimate call runs in its share's process,
+    # on that process's main thread, whatever the methods; no value moves
     mc = McConfig(n=300, reps=11, burn_in=10, seed=5)
     alphas = (0.5, "kl", 1.5, 2.0)
     specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], alphas, mc=mc,
                       grid=GridSpec(N=16, quad_points=51)) for k in (1, 4, 7)]
-    real, threads, runs = cli.estimate_from_log_ratios, [], {}
-    monkeypatch.setattr(cli, "estimate_from_log_ratios",
-                        lambda *args: threads.append(threading.current_thread())
-                        or real(*args))
+    real, log = cli.estimate_from_log_ratios, tmp_path / "estimates.log"
+
+    def logged(*args):
+        main_thread = threading.current_thread() is threading.main_thread()
+        with open(log, "a", encoding="utf-8") as fh:  # one line, from any process
+            fh.write(f"{os.getpid()} {main_thread}\n")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "estimate_from_log_ratios", logged)
+    runs = {}
     for count, methods in (("1", ("mc",)), ("2", ("mc",)), ("2", ("mc", "fredholm"))):
         monkeypatch.setenv("HMMDIV_THREADS", count)
-        threads.clear()
+        log.write_text("")
         rows, diags = run_cases(specs, methods, with_diagnostics=True)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        pids = [pid for pid, _ in calls]
+        assert len(calls) == len(specs) and all(main == "True" for _, main in calls)
+        assert pids.count(str(os.getpid())) == (3 if count == "1" else 1)
+        assert len(set(pids)) == (1 if count == "1" else 2)
         shares = {name: {a: s.hex() for a, s in d["mc_top_term_share"].items()}
                   for name, d in diags.items()}
         runs[count, methods] = mc_cells(rows), shares
-        assert [t is threading.main_thread() for t in threads] == [count == "1"] * len(specs)
     assert len({repr(run) for run in runs.values()}) == 1
     assert all(set(shares) == {1.5, 2.0} for shares in runs["1", ("mc",)][1].values())
 
 
 def test_simulation_ends_before_the_fredholm_cases_start(monkeypatch):
-    # at two threads with both engines, every simulation batch and its
-    # estimates end before the first Fredholm case starts, so the engines
-    # never contend; the rows equal those of one thread
+    # at two workers with both engines, every share of the simulation has
+    # ended in this process, and every worker process has been joined,
+    # before the first Fredholm case starts; the thread pool runs only
+    # Fredholm cases, and the rows equal those of one worker
     mc = McConfig(n=200, reps=7, burn_in=10, seed=3)
     grid = GridSpec(N=16, quad_points=51)
     specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], (0.5, "kl"), mc=mc, grid=grid)
              for k in (1, 2, 4)]
     specs.append(CaseSpec("a", "A", *FAMILY_A_PAIR, (0.5, "kl"), mc=mc, grid=grid))
-    events = []
+    events, children, on_pool = [], [], []
 
     def logged(name):
         real = getattr(cli, name)
@@ -500,6 +522,8 @@ def test_simulation_ends_before_the_fredholm_cases_start(monkeypatch):
         def call(*args):
             if name == "_fredholm_case":
                 events.append("fredholm")
+                children.append(multiprocessing.active_children())
+                on_pool.append(threading.current_thread() is not threading.main_thread())
             result = real(*args)
             events.append(name)
             return result
@@ -510,16 +534,102 @@ def test_simulation_ends_before_the_fredholm_cases_start(monkeypatch):
     monkeypatch.setenv("HMMDIV_THREADS", "2")
     rows = run_cases(specs)
     first = events.index("fredholm")
+    # here: the first share of the family-B batch (case1) and the family-A
+    # batch; case2 and case4 ran in a worker process
+    expected_local = 2 if sys.platform == "linux" else len(specs)
     assert events[:first].count("replication_log_ratios") == 2
-    assert events[:first].count("estimate_from_log_ratios") == len(specs)
+    assert events[:first].count("estimate_from_log_ratios") == expected_local
     assert set(events[first:]) == {"fredholm", "_fredholm_case"}
+    assert children == [[]] * len(specs) and all(on_pool)
     monkeypatch.setenv("HMMDIV_THREADS", "1")
     assert [value_fields(r) for r in rows] == [value_fields(r) for r in run_cases(specs)]
 
 
+def hex_cells(rows, diags):
+    """Every simulation cell and top-term share as float.hex strings."""
+    cells = [(r.case, r.alpha, r.mc_mean.hex(), r.mc_sd.hex()) for r in rows]
+    shares = {name: {a: s.hex() for a, s in d["mc_top_term_share"].items()}
+              for name, d in diags.items()}
+    return cells, shares
+
+
+def test_mc_cells_equal_at_any_worker_count(monkeypatch):
+    # two McConfigs, a family-A pair, an identical pair, a case whose
+    # orders are all infinite and seven simulated cases: the cells and
+    # top-term shares are the same bits at one, two and three workers
+    one, two = McConfig(n=140, reps=6, burn_in=10, seed=8), McConfig(n=90, reps=5, burn_in=0)
+    wide = dataclasses.replace(bench.CASES[8][0], sigma=1.5)  # the order-2 rate is infinite
+    alphas = ("kl", 0.5, 1.5, 2.0)
+    specs = [CaseSpec("b1", "B", *bench.CASES[1], alphas, mc=one),
+             CaseSpec("wide", "B", wide, bench.CASES[8][1], (2.0,), mc=one),
+             CaseSpec("same", "B", bench.CASES[2][0], bench.CASES[2][0], alphas, mc=one),
+             CaseSpec("b7", "B", *bench.CASES[7], alphas, mc=one),
+             CaseSpec("a", "A", *FAMILY_A_PAIR, alphas, mc=one),
+             CaseSpec("b4", "B", *bench.CASES[4], alphas, mc=one),
+             CaseSpec("b3", "B", *bench.CASES[3], alphas, mc=two),
+             CaseSpec("b6", "B", *bench.CASES[6], (1.5, 2.0), mc=two)]
+    calls = []
+    monkeypatch.setattr(cli, "replication_log_ratios",
+                        lambda pairs, *args: calls.append(list(pairs))
+                        or replication_log_ratios(pairs, *args))
+    runs = {}
+    for count in ("1", "2", "3"):
+        monkeypatch.setenv("HMMDIV_THREADS", count)
+        calls.clear()
+        runs[count] = hex_cells(*run_cases(specs, ("mc",), with_diagnostics=True))
+        if count == "2" and sys.platform == "linux":
+            # this process sees only the first share of each batch: b1 with
+            # wide (not simulated) and same; a; b3
+            pairs = {spec.name: (spec.theta1, spec.theta) for spec in specs}
+            assert calls == [[pairs["b1"], pairs["same"]], [pairs["a"]], [pairs["b3"]]]
+    assert runs["1"] == runs["2"] == runs["3"]
+    cells = {(case, alpha): mean for case, alpha, mean, _ in runs["1"][0]}
+    assert cells["wide", 2.0] == "inf" and cells["same", "kl"] == "0x0.0p+0"
+
+
+@linux_only
+def test_a_failed_worker_fails_only_its_shares_cases(monkeypatch):
+    # at two workers, case1 runs here and case3 and case4 in a worker; a
+    # share that raises in the worker fails each of its cases with the same
+    # exception type and message, and a worker that dies fails them with
+    # BrokenProcessPool instead of hanging; case1 keeps its solo values and
+    # no worker process outlives the call
+    mc = McConfig(n=120, reps=5, burn_in=10, seed=6)
+    specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], ("kl", 2.0), mc=mc) for k in (1, 3, 4)]
+    solo = mc_cells(run_cases(specs[:1], ("mc",)))
+    parent = os.getpid()
+
+    def raising(pairs, *args):
+        if os.getpid() != parent:
+            raise RuntimeError(f"sampler stopped on {len(pairs)} pairs")
+        return replication_log_ratios(pairs, *args)
+
+    def dying(pairs, *args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return replication_log_ratios(pairs, *args)
+
+    monkeypatch.setenv("HMMDIV_THREADS", "2")
+    for patched, error, message in ((raising, RuntimeError, "sampler stopped on 2 pairs"),
+                                    (dying, BrokenProcessPool, None)):
+        monkeypatch.setattr(cli, "replication_log_ratios", patched)
+        rows, per_case, failed = cli._run_all(*cli._resolve(specs, ("mc",)), ("mc",))
+        assert multiprocessing.active_children() == []
+        assert list(failed) == ["case3", "case4"] and list(per_case) == ["case1"]
+        assert all(type(exc) is error for exc in failed.values())
+        if message is not None:
+            assert [str(exc) for exc in failed.values()] == [message] * 2
+        assert mc_cells(rows) == solo
+        with pytest.raises(error):
+            run_cases(specs, ("mc",))
+        assert multiprocessing.active_children() == []
+
+
 def test_a_batch_that_raises_fails_each_of_its_cases(monkeypatch):
     # the family-A batch's one call raises: both of its cases fail with that
-    # error, and the family-B batch's cases finish with their solo values
+    # error, and the family-B batch's cases finish with their solo values;
+    # one worker, so the error is the object raised here
+    monkeypatch.setenv("HMMDIV_THREADS", "1")
     mc = McConfig(n=120, reps=5, burn_in=10, seed=6)
     specs = [CaseSpec("b1", "B", *bench.CASES[1], ("kl", 2.0), mc=mc),
              CaseSpec("a1", "A", *FAMILY_A_PAIR, ("kl", 2.0), mc=mc),
@@ -858,6 +968,33 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == default_config()
+
+
+@linux_only
+def test_multiprocessing_is_imported_only_to_open_the_worker_pool():
+    # importing hmmdiv, and a run with one worker, leave it unloaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(hmmdiv.__file__)),
+                    env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import os, sys\n"
+        "from hmmdiv import CaseSpec, McConfig, run_cases\n"
+        "from hmmdiv.cases import CASES\n"
+        "specs = [CaseSpec(f'case{k}', 'B', *CASES[k], ('kl',), mc=McConfig(n=50, reps=3))\n"
+        "         for k in (1, 2)]\n"
+        "loaded = ['multiprocessing' in sys.modules]\n"
+        "for count in ('1', '2'):\n"
+        "    os.environ['HMMDIV_THREADS'] = count\n"
+        "    run_cases(specs, ('mc',))\n"
+        "    loaded.append('multiprocessing' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[False, False, True]"
 
 
 def test_public_names_resolve():

@@ -302,6 +302,27 @@ def test_sample_paths_rejects_no_steps():
             sample_paths([as_chain(CASE1_GEN)], [0], n, 0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n": 2.5}, "n"), ({"n": 10.0}, "n"), ({"n": True}, "n"),
+    ({"burn_in": 0.5}, "burn_in"), ({"burn_in": False}, "burn_in"),
+    ({"seed": 0.5}, "seed"), ({"seed": True}, "seed"), ({"seed": "1"}, "seed"),
+])
+def test_sampling_rejects_non_integer_counts(kwargs, name):
+    # named before any draw stream is set up, not a TypeError deep in the
+    # sampler; a bool seed is not silently taken as 0 or 1
+    args = {"n": 10, "burn_in": 5, "seed": 3, **kwargs}
+    match = f"{name} must be an integer"
+    with pytest.raises(ValueError, match=match):
+        sample_path(CASE1_GEN, **args)
+    with pytest.raises(ValueError, match=match):
+        sample_paths([as_chain(CASE1_GEN)], [0, args["seed"]], args["n"], args["burn_in"])
+    with pytest.raises(ValueError, match=match):
+        next(path_blocks([as_chain(CASE1_GEN)], [args["seed"]], args["n"], args["burn_in"]))
+    # numpy integers are counts
+    path = sample_path(CASE1_GEN, np.int64(10), burn_in=np.int32(5), seed=np.uint64(3))
+    assert np.array_equal(path.y, sample_path(CASE1_GEN, 10, burn_in=5, seed=3).y)
+
+
 def test_sampling_needs_a_chain():
     # no chains is a named error before any draw stream is set up, not an
     # empty max() deep in the table build
