@@ -38,8 +38,7 @@ The environment variable HMMDIV_THREADS (0 or unset = auto) sets the
 worker count. On Linux, share 0 of each batch runs in the calling
 process and the others in worker processes forked for the simulation
 alone; elsewhere, and at one worker, every batch is one share in the
-calling process. The Fredholm cases run after it, on a pool of that
-many threads.
+calling process. Then the Fredholm cases run there, one by one.
 """
 
 from __future__ import annotations
@@ -234,10 +233,14 @@ def parse_config(doc: dict) -> list[CaseSpec]:
                 grid=_read(GridSpec, c["grid"], f"{where}.grid") if "grid" in c else default_grid,
             )
         )
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError("cases: names must be unique")
+    _check_unique_names(specs)
     return specs
+
+
+def _check_unique_names(specs: list[CaseSpec]) -> None:
+    """Rows, diagnostics and failed cases are keyed by the case name."""
+    if len({s.name for s in specs}) != len(specs):
+        raise ConfigError("cases: names must be unique")
 
 
 def serialize_config(specs: list[CaseSpec]) -> dict:
@@ -365,7 +368,7 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
         if any(order == 1.0 for order, _ in orders.values()):
             solves.append(solved(theta1))
         # one pass over the filter weights serves every J of the case
-        called = [order for a, (order, _) in orders.items() if order == 1.0 or a not in infinite]
+        called = [order for a, (order, _) in orders.items() if a not in infinite]
         with case_functionals(theta1, theta, called, grid):
             if len(solves) == 2:
                 kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
@@ -541,7 +544,8 @@ def run_case(spec: CaseSpec, methods=METHODS) -> list[ResultRow]:
     return run_cases([spec], methods)
 
 
-def _thread_count(n_cases: int) -> int:
+def _thread_count() -> int:
+    """HMMDIV_THREADS (0 or unset: one per CPU), for `_mc_shares` alone."""
     raw = os.environ.get("HMMDIV_THREADS", "0")
     try:
         val = int(raw)
@@ -549,17 +553,16 @@ def _thread_count(n_cases: int) -> int:
         raise ConfigError(f"HMMDIV_THREADS must be an integer, got {raw!r}")
     if val < 0:
         raise ConfigError(f"HMMDIV_THREADS must be >= 0, got {val}")
-    if val == 0:
-        val = os.cpu_count() or 1
-    return max(1, min(val, n_cases))
+    return val or os.cpu_count() or 1
 
 
 def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
-    """The checks made before any case runs: the methods and HMMDIV_THREADS
-    (ConfigError), each case's order table (`_orders`) and, with the
-    Fredholm engine, its tail margin. Returns (spec, orders, margin) per
-    case and the worker count, for `_run_all`."""
-    workers = _thread_count(len(specs))
+    """The checks made before any case runs: the methods, HMMDIV_THREADS
+    and the case names (ConfigError), each case's order table (`_orders`)
+    and, with the Fredholm engine, its tail margin. Returns (spec, orders,
+    margin) per case and the worker count, for `_run_all`."""
+    workers = _thread_count()
+    _check_unique_names(specs)
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
@@ -652,16 +655,12 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
     The simulation engine runs first (`_simulate`): each share of a batch
     simulates and estimates its cases in one call, in the calling process
     or, on Linux with `workers` > 1, in a forked worker process. Then the
-    Fredholm cases run, with `workers` > 1 on a pool of that many threads
-    (one case per task), opened only once every worker process has been
-    joined. A case both engines fail reports the Fredholm error.
+    Fredholm cases run one by one in the calling process, at any worker
+    count, so at most one dense kernel is alive. A case both engines fail
+    reports the Fredholm error.
     """
-    fred = [None] * len(cases)
     mc = _simulate(cases, workers) if "mc" in methods else [None] * len(cases)
-    if "fredholm" in methods:
-        pool = concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else None
-        with pool or contextlib.nullcontext():
-            fred = list((pool.map if pool else map)(_fredholm_case, cases))
+    fred = [_fredholm_case(c) if "fredholm" in methods else None for c in cases]
     rows, per_case, failed = [], {}, {}
     for (spec, _, _), f, m in zip(cases, fred, mc):
         error = next((r for r in (f, m) if isinstance(r, Exception)), None)

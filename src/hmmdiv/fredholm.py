@@ -637,9 +637,9 @@ def case_functionals(theta1, theta, orders, grid: GridSpec):
     form once, and keeps their tables, (N - 1)^2 floats per (source,
     target) emission pair; every call only contracts its tables against
     its invariant density. A call for other models (equal ones are the
-    same), another grid or an undeclared order raises ValueError. Each
-    thread has its own record, so cases running at once keep their own;
-    on exit the block restores the record it found.
+    same), another grid or an undeclared order raises ValueError. The
+    record is per thread, for callers that run cases on threads of their
+    own; on exit the block restores the record it found.
     """
     wanted = [(theta1, None), (theta, None)] if 1.0 in orders else []
     wanted += [(theta, order) for order in orders if order != 1.0]

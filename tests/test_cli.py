@@ -170,6 +170,25 @@ def test_duplicate_names_rejected():
     assert "unique" in str(exc.value)
 
 
+def test_run_cases_rejects_repeated_names_before_any_case_runs(monkeypatch, tmp_path):
+    # rows, diagnostics and failed cases are keyed by name, so two cases
+    # named "x" would merge: the run is refused before either engine starts
+    # and before --out is made
+    mc, grid = McConfig(n=100, reps=3), GridSpec(N=16, quad_points=51)
+    specs = [CaseSpec("x", "B", *bench.CASES[k], ("kl", 0.5), mc=mc, grid=grid)
+             for k in (1, 3)]
+    ran = []
+    for name in ("_simulate", "_fredholm_case"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
+    with pytest.raises(ConfigError, match="^cases: names must be unique$"):
+        run_cases(specs)
+    monkeypatch.setattr(cli, "load_config", lambda path: specs)
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="^cases: names must be unique$"):
+        reproduce_table("cfg.json", out_dir=str(out))
+    assert ran == [] and not out.exists()
+
+
 def test_family_theta_mismatch():
     doc = tiny_doc()
     doc["cases"][0]["family"] = "A"
@@ -306,6 +325,22 @@ def test_fredholm_tail_margin_in_diagnostics(fredholm_cases):
         # a case's margin is its smallest over the orders, KL at order 1
         sds = tail_sds(t1, t, [1.0 if a == "kl" else a for a in bench.ALPHA_GRID])
         assert fredholm_cases[cid][1]["tail_margin_sd"] == min(15.0 / sd for sd in sds)
+
+
+def test_kl_tail_sd_is_never_infinite():
+    # at order 1 the tail sd is theta1's widest emission sd, so the KL rate
+    # is finite for any pair: bundled, family A (the benchmark's three) and
+    # a pair of a family-B generator and a family-A alternative
+    a_case1 = (ModelAParams(0.59, 0.4, (2.0, 1.0), (0.0, 0.0), (1.5, 1.5)),
+               ModelAParams(0.59, 0.4, (1.0, 0.0), (0.0, 0.0), (2.0, 2.0)))
+    a_case6 = (ModelAParams(0.401, 0.6, (2.0, 1.0), (0.3, 0.3), (1.1, 1.1)),
+               ModelAParams(0.401, 0.6, (1.0, 0.0), (0.2, 0.2), (1.0, 1.0)))
+    wide = dataclasses.replace(bench.CASES[8][0], sigma=1.5)  # infinite at order 2
+    pairs = [*bench.CASES.values(), FAMILY_A_PAIR, a_case1, a_case6,
+             (bench.CASES[7][0], FAMILY_A_PAIR[1]), (wide, bench.CASES[8][1])]
+    for t1, t in pairs:
+        assert tail_sds(t1, t, [1.0]) == [float(models.as_chain(t1).s.max())]
+    assert tail_sds(wide, bench.CASES[8][1], [2.0]) == [math.inf]
 
 
 def test_tail_margin_is_checked_before_any_case_runs(monkeypatch):
@@ -504,45 +539,55 @@ def test_estimates_run_inside_their_share(monkeypatch, tmp_path):
     assert all(set(shares) == {1.5, 2.0} for shares in runs["1", ("mc",)][1].values())
 
 
-def test_simulation_ends_before_the_fredholm_cases_start(monkeypatch):
-    # at two workers with both engines, every share of the simulation has
-    # ended in this process, and every worker process has been joined,
-    # before the first Fredholm case starts; the thread pool runs only
-    # Fredholm cases, and the rows equal those of one worker
+def hexed(value):
+    """A value with every float, also inside tuples and dicts, as float.hex."""
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(hexed(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_fredholm_cases_run_on_the_calling_thread(monkeypatch):
+    # at one worker and at two, with both engines: every Fredholm case runs
+    # on this process's main thread, once the simulation has returned and
+    # its worker processes have been joined, and the run starts no thread;
+    # the rows and every non-timing diagnostic are the same bits at both
+    # counts
     mc = McConfig(n=200, reps=7, burn_in=10, seed=3)
     grid = GridSpec(N=16, quad_points=51)
     specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], (0.5, "kl"), mc=mc, grid=grid)
              for k in (1, 2, 4)]
     specs.append(CaseSpec("a", "A", *FAMILY_A_PAIR, (0.5, "kl"), mc=mc, grid=grid))
-    events, children, on_pool = [], [], []
+    real_case, real_simulate, seen, simulated = cli._fredholm_case, cli._simulate, [], []
 
-    def logged(name):
-        real = getattr(cli, name)
+    def logged(case):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     multiprocessing.active_children(), threading.active_count(),
+                     len(simulated)))
+        return real_case(case)
 
-        def call(*args):
-            if name == "_fredholm_case":
-                events.append("fredholm")
-                children.append(multiprocessing.active_children())
-                on_pool.append(threading.current_thread() is not threading.main_thread())
-            result = real(*args)
-            events.append(name)
-            return result
-        monkeypatch.setattr(cli, name, call)
+    def simulate(*args):
+        results = real_simulate(*args)
+        simulated.append(results)
+        return results
 
-    for name in ("replication_log_ratios", "estimate_from_log_ratios", "_fredholm_case"):
-        logged(name)
-    monkeypatch.setenv("HMMDIV_THREADS", "2")
-    rows = run_cases(specs)
-    first = events.index("fredholm")
-    # here: the first share of the family-B batch (case1) and the family-A
-    # batch; case2 and case4 ran in a worker process
-    expected_local = 2 if sys.platform == "linux" else len(specs)
-    assert events[:first].count("replication_log_ratios") == 2
-    assert events[:first].count("estimate_from_log_ratios") == expected_local
-    assert set(events[first:]) == {"fredholm", "_fredholm_case"}
-    assert children == [[]] * len(specs) and all(on_pool)
-    monkeypatch.setenv("HMMDIV_THREADS", "1")
-    assert [value_fields(r) for r in rows] == [value_fields(r) for r in run_cases(specs)]
+    monkeypatch.setattr(cli, "_fredholm_case", logged)
+    monkeypatch.setattr(cli, "_simulate", simulate)
+    runs = {}
+    for count in ("1", "2"):
+        monkeypatch.setenv("HMMDIV_THREADS", count)
+        seen.clear()
+        simulated.clear()
+        before = threading.active_count()
+        rows, diags = run_cases(specs, with_diagnostics=True)
+        assert threading.active_count() == before
+        assert seen == [(True, [], before, 1)] * len(specs)
+        runs[count] = ([hexed(value_fields(r)) for r in rows],
+                       {name: hexed({k: v for k, v in d.items() if not k.endswith("_seconds")})
+                        for name, d in diags.items()})
+    assert runs["1"] == runs["2"]
+    assert {"eigen_residual", "mc_top_term_share"} <= set(runs["2"][1]["case1"])
 
 
 def hex_cells(rows, diags):
