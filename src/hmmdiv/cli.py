@@ -32,13 +32,14 @@ theta1 generates the data; theta is the alternative. Family "A" models use
 keys {p00, p11, mu, psi, sigma} with per-state pairs. Top-level alphas, mc,
 and grid apply to every case; a case may override any of them. The
 simulation engine runs first: the simulated cases of one mc block and
-family form a batch, split into contiguous shares, one per worker and at
-most one per simulated case, each simulated and estimated in one call.
-The environment variable HMMDIV_THREADS (0 or unset = auto) sets the
-worker count. On Linux, share 0 of each batch runs in the calling
-process and the others in worker processes forked for the simulation
-alone; elsewhere, and at one worker, every batch is one share in the
-calling process. Then the Fredholm cases run there, one by one.
+generating model type form a batch, split into contiguous shares, one
+per worker and at most one per simulated case, each simulated and
+estimated in one call. The environment variable HMMDIV_THREADS sets the
+worker count (0 or unset: one per usable CPU). On Linux, share 0 of each
+batch runs in the calling process and the others in worker processes
+forked for the simulation alone; elsewhere, and at one worker, every
+batch is one share in the calling process. Then the Fredholm cases run
+there, one by one.
 """
 
 from __future__ import annotations
@@ -491,16 +492,22 @@ def _named(spec: CaseSpec):
         raise GridTooCoarseError(f"case {spec.name!r}: {exc}") from exc
 
 
+def _outcome(call, *args):
+    """call(*args), or the exception it raised: a failed share or case is
+    kept for `_run_all`, which reports it and lets the others finish."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the caller re-raises it once every case has run
+        return exc
+
+
 def _fredholm_case(case: tuple):
     """The Fredholm values and diagnostics, with its `fredholm_seconds`, of
-    one case from `_resolve`, or the exception that stopped it."""
+    one case from `_resolve`."""
     spec, orders, margin = case
     t0 = time.perf_counter()
-    try:
-        with _named(spec):
-            values, diag = _fredholm_values(spec.theta1, spec.theta, orders, spec.grid, margin)
-    except Exception as exc:  # kept for the caller, which re-raises it
-        return exc
+    with _named(spec):
+        values, diag = _fredholm_values(spec.theta1, spec.theta, orders, spec.grid, margin)
     diag["fredholm_seconds"] = time.perf_counter() - t0
     return values, diag
 
@@ -545,7 +552,7 @@ def run_case(spec: CaseSpec, methods=METHODS) -> list[ResultRow]:
 
 
 def _thread_count() -> int:
-    """HMMDIV_THREADS (0 or unset: one per CPU), for `_mc_shares` alone."""
+    """HMMDIV_THREADS (0 or unset: one per usable CPU), for `_simulate` alone."""
     raw = os.environ.get("HMMDIV_THREADS", "0")
     try:
         val = int(raw)
@@ -553,6 +560,8 @@ def _thread_count() -> int:
         raise ConfigError(f"HMMDIV_THREADS must be an integer, got {raw!r}")
     if val < 0:
         raise ConfigError(f"HMMDIV_THREADS must be >= 0, got {val}")
+    if val == 0 and hasattr(os, "sched_getaffinity"):  # os.cpu_count counts the host's
+        return len(os.sched_getaffinity(0))
     return val or os.cpu_count() or 1
 
 
@@ -577,70 +586,55 @@ def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
     return cases, workers
 
 
-def _mc_shares(cases: list[tuple], workers: int) -> list[tuple]:
-    """The simulation's shares of the cases that `_resolve` returned, as
-    (McConfig, case indices, runs in the calling process) per share.
+def _simulate(cases: list[tuple], workers: int) -> list:
+    """The simulation results (`_mc_values`) of the cases that `_resolve`
+    returned, in case order.
 
-    The cases of each McConfig and model family form one batch; splitting
-    by family bounds the log ratios a batch holds at once (12.8 MB, not
-    17.6 MB, for 8 family-B and 3 family-A cases at the default McConfig).
-    A batch splits into min(workers, its simulated cases) contiguous
-    shares of near-equal simulated case counts, and a case that is not
-    simulated (`_simulated`) joins the share of the simulated case before
-    it. The first share of each batch runs in the calling process.
+    The cases of each McConfig and generating model type form one batch;
+    the type fixes the generating chain's state count, and splitting by it
+    bounds the log ratios a batch holds at once (12.8 MB, not 17.6 MB, for
+    8 family-B and 3 family-A cases at the default McConfig). A batch
+    splits into min(workers, its simulated cases) contiguous shares of
+    near-equal simulated case counts, and a case that is not simulated
+    (`_simulated`) joins the share of the simulated case before it.
+
+    On Linux, the first share of each batch runs in the calling process,
+    and the others meanwhile in a pool of at most workers - 1 processes,
+    forked when the first share is submitted and joined before this
+    returns. Each share runs the unchanged sampler, filter and estimator,
+    and a pair's rows do not depend on the pairs batched with it, so every
+    value is the same bit for bit at any worker count. Elsewhere, and at
+    one worker, every batch is one share in the calling process. A share
+    that raises fails each of its cases with that exception, and so does
+    one whose worker process dies (BrokenProcessPool).
     """
     batches: dict[tuple, list[int]] = {}
     for i, (spec, _, _) in enumerate(cases):
-        batches.setdefault((spec.mc, spec.family), []).append(i)
-    shares = []
+        batches.setdefault((spec.mc, type(spec.theta1)), []).append(i)
+    here, away = [], []
     for (cfg, _), members in batches.items():
         simulated = [pos for pos, i in enumerate(members) if _simulated(cases[i][1])]
-        k = max(1, min(workers, len(simulated)))
+        k = max(1, min(workers if sys.platform == "linux" else 1, len(simulated)))
         cuts = [0, *(simulated[len(simulated) * j // k] for j in range(1, k)), len(members)]
-        shares += [(cfg, members[a:b], a == 0) for a, b in zip(cuts, cuts[1:])]
-    return shares
-
-
-def _simulate(cases: list[tuple], workers: int) -> list:
-    """The simulation results (`_mc_values`) of the cases that `_resolve`
-    returned, in case order, share by share (`_mc_shares`).
-
-    On Linux, the shares that do not run in the calling process run
-    meanwhile in a pool of at most workers - 1 processes, forked when the
-    first share is submitted and joined before this returns. Each share
-    runs the unchanged sampler, filter and estimator, and a pair's rows do
-    not depend on the pairs batched with it, so every value is the same
-    bit for bit at any worker count. Elsewhere, and at one worker, every
-    batch is one share in the calling process. A share that raises fails
-    each of its cases with that exception, and so does one whose worker
-    process dies (BrokenProcessPool).
-    """
-    shares = _mc_shares(cases, workers if sys.platform == "linux" else 1)
-    calls = [([(cases[i][0].theta1, cases[i][0].theta, cases[i][1]) for i in members], cfg)
-             for cfg, members, _ in shares]
-    remote = [j for j, (*_, here) in enumerate(shares) if not here]
+        first, *rest = [(members[a:b], cfg) for a, b in zip(cuts, cuts[1:])]
+        here.append(first)
+        away += rest
     pool = contextlib.nullcontext()
-    if remote:
+    if away:
         import multiprocessing  # here, so that importing hmmdiv does not pay for it
 
         pool = concurrent.futures.ProcessPoolExecutor(
-            min(workers - 1, len(remote)), mp_context=multiprocessing.get_context("fork"))
-
-    def outcome(call, *args):
-        try:
-            return call(*args)
-        except Exception as exc:  # the share stopped: each of its cases failed with it
-            return exc
-
+            min(workers - 1, len(away)), mp_context=multiprocessing.get_context("fork"))
+    pairs = [(spec.theta1, spec.theta, orders) for spec, orders, _ in cases]
     with pool:
         # once a worker has died, submit raises: the pool takes no more shares
-        futures = {j: outcome(pool.submit, _mc_values, *calls[j]) for j in remote}
-        outcomes = [None if j in futures else outcome(_mc_values, *calls[j])
-                    for j in range(len(shares))]
-        for j, future in futures.items():
-            outcomes[j] = future if isinstance(future, Exception) else outcome(future.result)
+        futures = [_outcome(pool.submit, _mc_values, [pairs[i] for i in members], cfg)
+                   for members, cfg in away]
+        outcomes = [_outcome(_mc_values, [pairs[i] for i in members], cfg)
+                    for members, cfg in here]
+        outcomes += [f if isinstance(f, Exception) else _outcome(f.result) for f in futures]
     mc = [None] * len(cases)
-    for (_, members, _), out in zip(shares, outcomes):
+    for (members, _), out in zip(here + away, outcomes):
         for i, result in zip(members, [out] * len(members) if isinstance(out, Exception) else out):
             mc[i] = result
     return mc
@@ -660,7 +654,7 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
     reports the Fredholm error.
     """
     mc = _simulate(cases, workers) if "mc" in methods else [None] * len(cases)
-    fred = [_fredholm_case(c) if "fredholm" in methods else None for c in cases]
+    fred = [_outcome(_fredholm_case, c) if "fredholm" in methods else None for c in cases]
     rows, per_case, failed = [], {}, {}
     for (spec, _, _), f, m in zip(cases, fred, mc):
         error = next((r for r in (f, m) if isinstance(r, Exception)), None)

@@ -378,8 +378,8 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     states behind y[1:] as int8 of shape (m, k, rows). The buffers are
     reused by the next block; a block is valid until the next is asked for.
     The arguments are checked when the first block is asked for: no
-    chains, a non-integer n, burn_in or seed, n < 1 and burn_in < 0 raise
-    ValueError.
+    chains, a non-integer n, burn_in or seed, n < 1, burn_in < 0 and
+    seed < 0 raise ValueError.
 
     The state and observation recursions run one step at a time over all
     rows; what they read that does not depend on them (every state's
@@ -392,6 +392,8 @@ def path_blocks(chains, seeds, n: int, burn_in: int):
     require_counts(n=n, burn_in=burn_in)
     for seed in seeds:
         require_counts(seed=seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if burn_in < 0:

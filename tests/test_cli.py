@@ -773,6 +773,21 @@ def test_run_cases_invalid_thread_env(monkeypatch):
             run_cases(specs)
 
 
+def test_auto_worker_count_is_one_per_usable_cpu(monkeypatch):
+    # os.cpu_count counts the host's CPUs: in a cpuset smaller than the
+    # host, one worker per host CPU would oversubscribe the ones it may use
+    monkeypatch.delenv("HMMDIV_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._thread_count() == 1
+    monkeypatch.setenv("HMMDIV_THREADS", "3")
+    assert cli._thread_count() == 3
+    # where the affinity call does not exist, the CPU count stands
+    monkeypatch.setenv("HMMDIV_THREADS", "0")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._thread_count() == 64
+
+
 # --- result checking --------------------------------------------------------------
 
 

@@ -302,16 +302,20 @@ def test_sample_paths_rejects_no_steps():
             sample_paths([as_chain(CASE1_GEN)], [0], n, 0)
 
 
-@pytest.mark.parametrize("kwargs, name", [
-    ({"n": 2.5}, "n"), ({"n": 10.0}, "n"), ({"n": True}, "n"),
-    ({"burn_in": 0.5}, "burn_in"), ({"burn_in": False}, "burn_in"),
-    ({"seed": 0.5}, "seed"), ({"seed": True}, "seed"), ({"seed": "1"}, "seed"),
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n": 2.5}, "n must be an integer"), ({"n": 10.0}, "n must be an integer"),
+    ({"n": True}, "n must be an integer"),
+    ({"burn_in": 0.5}, "burn_in must be an integer"),
+    ({"burn_in": False}, "burn_in must be an integer"),
+    ({"seed": 0.5}, "seed must be an integer"), ({"seed": True}, "seed must be an integer"),
+    ({"seed": "1"}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
 ])
-def test_sampling_rejects_non_integer_counts(kwargs, name):
+def test_sampling_rejects_non_integer_counts(kwargs, match):
     # named before any draw stream is set up, not a TypeError deep in the
-    # sampler; a bool seed is not silently taken as 0 or 1
+    # sampler or numpy's unnamed "expected non-negative integer"; a bool
+    # seed is not silently taken as 0 or 1
     args = {"n": 10, "burn_in": 5, "seed": 3, **kwargs}
-    match = f"{name} must be an integer"
     with pytest.raises(ValueError, match=match):
         sample_path(CASE1_GEN, **args)
     with pytest.raises(ValueError, match=match):
