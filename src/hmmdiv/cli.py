@@ -62,12 +62,14 @@ from .fredholm import (
     DivergenceResult,
     GridSpec,
     GridTooCoarseError,
+    NonConvergenceError,
     build_kernel,
     case_functionals,
     j_alpha,
     j_log,
     solve_invariant,
 )
+from .forward import DegenerateInputError
 from .models import (
     ModelAParams,
     ModelBParams,
@@ -86,6 +88,8 @@ METHODS = ("mc", "fredholm")
 # Fewest sds of an order's integrand tail (`tail_margin_sd`) the Fredholm
 # lattice must keep inside +-a: at 5 the error is 2.4e-3 relative, at 2.5 0.4.
 MIN_TAIL_MARGIN_SD = 6.0
+# The errors with which an engine rejects a case (`_named`); `run` exits 2 on them.
+CASE_ERRORS = (GridTooCoarseError, DegenerateInputError, NonConvergenceError)
 # Lowest order whose simulation diagnostics carry `mc_top_term_share`: the
 # (alpha - 1) power of the ratio grows heavy-tailed as alpha rises past 1.
 HEAVY_TAIL_MIN_ORDER = 1.5
@@ -171,18 +175,17 @@ def _check_keys(doc, where: str, known, required=()) -> None:
 
 def _number(value, kind, where: str):
     """A JSON number as kind (float or int); an int takes only an integral
-    number, so 2000.0 reads as 2000 and 2000.7 is an error."""
+    number, so 2000.0 reads as 2000 and 2000.7 is an error, and a number
+    that kind cannot hold (10**400 as a float) is an error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if kind is float:
-        return float(value)
     try:
-        count = int(value)
+        number = kind(value)
     except (OverflowError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if count != value:
+    if kind is int and number != value:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return count
+    return number
 
 
 def _read(cls, doc, where: str):
@@ -414,40 +417,31 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     the wall time of its one call, are split evenly over the simulated
     cases as their "sample_seconds", "filter_seconds" and the simulation
     part of "mc_seconds", to which each case adds the time of its own
-    estimate call; a case that is not simulated has 0 for the first two.
+    estimates; a case that is not simulated has 0 for the first two.
     """
-    infinite = [{a for a, (_, sd) in orders.items() if math.isinf(sd)} for *_, orders in cases]
     simulated = [i for i, (*_, orders) in enumerate(cases) if _simulated(orders)]
     timings, errors, rhos = {}, {}, []
     t0 = time.perf_counter()
     if simulated:
         rhos = replication_log_ratios([cases[i][:2] for i in simulated], cfg, timings, errors)
     share = (time.perf_counter() - t0) / max(len(simulated), 1)
-    rho_of = dict(zip(simulated, rhos))
+    rho_of = {i: rho for i, rho in zip(simulated, rhos) if rho is not None}
     failed = {simulated[j]: exc for j, exc in errors.items()}
-
-    def estimate(i):
-        t1 = time.perf_counter()
-        finite = [order for a, (order, _) in cases[i][2].items() if a not in infinite[i]]
-        return estimate_from_log_ratios(rho_of[i], finite), time.perf_counter() - t1
-
-    done = {i: estimate(i) for i in simulated if i not in failed}
     results = []
-    for i, (_, _, orders) in enumerate(cases):
-        if i in failed:
-            results.append(failed[i])
-            continue
-        estimates, seconds = done.get(i, ([], 0.0))
-        estimates = iter(estimates)
+    for i, (*_, orders) in enumerate(cases):
+        finite = [a for a, (_, sd) in orders.items() if math.isfinite(sd)]
         values = {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
-                  if a in infinite[i] else next(estimates) for a, (order, _) in orders.items()}
-        diag = {stage: timings[stage] / len(simulated) if i in done else 0.0
+                  for a, (order, _) in orders.items()}
+        t1 = time.perf_counter()
+        if i in rho_of:
+            values.update(zip(finite, estimate_from_log_ratios(
+                rho_of[i], [orders[a][0] for a in finite])))
+        diag = {stage: timings[stage] / len(simulated) if i in rho_of else 0.0
                 for stage in ("sample_seconds", "filter_seconds")}
-        diag["mc_top_term_share"] = {a: est.top_term_share for a, est in values.items()
-                                     if a not in infinite[i]
-                                     and est.alpha >= HEAVY_TAIL_MIN_ORDER}
-        diag["mc_seconds"] = (share if i in done else 0.0) + seconds
-        results.append((values, diag))
+        diag["mc_top_term_share"] = {a: values[a].top_term_share for a in finite
+                                     if values[a].alpha >= HEAVY_TAIL_MIN_ORDER}
+        diag["mc_seconds"] = share + (time.perf_counter() - t1) if i in rho_of else 0.0
+        results.append(failed.get(i, (values, diag)))
     return results
 
 
@@ -483,13 +477,14 @@ def estimate_kl_mc(p, q, cfg: McConfig | None = None) -> DivergenceEstimate:
     return estimate_renyi_mc(p, q, "kl", cfg)
 
 
-@contextlib.contextmanager
-def _named(spec: CaseSpec):
-    """Re-raise a GridTooCoarseError with the case's name."""
-    try:
-        yield
-    except GridTooCoarseError as exc:
-        raise GridTooCoarseError(f"case {spec.name!r}: {exc}") from exc
+def _named(name: str, exc: Exception) -> Exception:
+    """exc named for its case: an engine error (CASE_ERRORS) becomes a new
+    one of its type, caused by exc, whose message starts with the name."""
+    if not isinstance(exc, CASE_ERRORS):
+        return exc
+    named = type(exc)(f"case {name!r}: {exc}")
+    named.__cause__ = exc
+    return named
 
 
 def _outcome(call, *args):
@@ -506,8 +501,7 @@ def _fredholm_case(case: tuple):
     one case from `_resolve`."""
     spec, orders, margin = case
     t0 = time.perf_counter()
-    with _named(spec):
-        values, diag = _fredholm_values(spec.theta1, spec.theta, orders, spec.grid, margin)
+    values, diag = _fredholm_values(spec.theta1, spec.theta, orders, spec.grid, margin)
     diag["fredholm_seconds"] = time.perf_counter() - t0
     return values, diag
 
@@ -580,8 +574,10 @@ def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
     cases = []
     for s in specs:
         orders = _orders(s.theta1, s.theta, s.alphas)
-        with _named(s):
+        try:
             margin = _tail_margin(orders, s.grid, "fredholm" in methods and s.theta1 != s.theta)
+        except GridTooCoarseError as exc:
+            raise _named(s.name, exc) from exc
         cases.append((s, orders, margin))
     return cases, workers
 
@@ -643,8 +639,8 @@ def _simulate(cases: list[tuple], workers: int) -> list:
 def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dict]:
     """Run every case that `_resolve` returned: the rows of the cases that
     finished, by case then alpha regardless of scheduling, their
-    diagnostics by name, and {name: exception} for the cases that raised.
-    A failed case does not stop the others.
+    diagnostics by name, and {name: exception} for the cases that raised,
+    each named (`_named`). A failed case does not stop the others.
 
     The simulation engine runs first (`_simulate`): each share of a batch
     simulates and estimates its cases in one call, in the calling process
@@ -659,22 +655,19 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
     for (spec, _, _), f, m in zip(cases, fred, mc):
         error = next((r for r in (f, m) if isinstance(r, Exception)), None)
         if error is not None:
-            failed[spec.name] = error
+            failed[spec.name] = _named(spec.name, error)
             continue
         rows += _case_rows(spec, f, m)
         per_case[spec.name] = {**(f[1] if f else {}), **(m[1] if m else {})}
     return rows, per_case, failed
 
 
-def run_cases(specs: list[CaseSpec], methods=METHODS, with_diagnostics=False):
-    """Run every case (`_run_all`) and return its rows, with the per-case
-    diagnostics by name when asked; when cases fail, raise the first
-    failed case's exception once all have run."""
-    rows, per_case, failed = _run_all(*_resolve(specs, methods), methods)
+def run_cases(specs: list[CaseSpec], methods=METHODS) -> list[ResultRow]:
+    """Run every case (`_run_all`) and return its rows; when cases fail,
+    raise the first failed case's exception once all have run."""
+    rows, _, failed = _run_all(*_resolve(specs, methods), methods)
     if failed:
         raise next(iter(failed.values()))
-    if with_diagnostics:
-        return rows, per_case
     return rows
 
 
@@ -914,7 +907,7 @@ def main(argv=None) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
         rows, failures = reproduce_table(args.config, methods, args.out, args.check)
-    except (ConfigError, GridTooCoarseError) as exc:
+    except (ConfigError, *CASE_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(format_table(rows), end="")

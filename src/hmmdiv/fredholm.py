@@ -494,8 +494,13 @@ def solve_invariant(kernel: KernelMatrix, tol: float = 1e-12,
     Starts from the uniform positive vector; K nonnegative keeps every
     iterate nonnegative. Stops when ||K m - m||_1 <= tol on the
     ||m||_1 = 1 normalization, then rescales so the lattice mass
-    (values times cell_area) is 1.
+    (values times cell_area) is 1. A tol that is not finite and > 0, or a
+    max_iters that is not an integer >= 1, raises ValueError.
     """
+    require_counts(max_iters=max_iters)
+    if not (math.isfinite(tol) and tol > 0.0 and max_iters >= 1):
+        raise ValueError(f"tol must be finite and > 0 and max_iters >= 1, "
+                         f"got tol={tol!r}, max_iters={max_iters}")
     m, residual, it = _power_iteration(kernel.entries, tol, max_iters)
     n1 = kernel.grid.N - 1
     comps = (m / kernel.grid.cell_area).reshape(kernel.n_components, n1, n1)

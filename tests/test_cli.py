@@ -27,6 +27,7 @@ from hmmdiv import (
     McConfig,
     ModelAParams,
     ModelBParams,
+    NonConvergenceError,
     ResultRow,
     default_config,
     divergence_fredholm,
@@ -44,6 +45,8 @@ from hmmdiv.cli import check_rows, format_csv, format_table, main, selftest
 from hmmdiv import models
 from hmmdiv.models import tail_sds
 from hmmdiv.montecarlo import replication_log_ratios
+
+from conftest import run_diagnosed
 
 T1 = {"p01": 0.4, "p10": 0.59, "mu": [2.0, 2.0], "phi": 0.0, "psi1": 1.0,
       "psi2": 0.0, "sigma": 0.9}
@@ -127,6 +130,10 @@ def test_per_case_overrides():
         (lambda d: d["cases"][0].update(mc=[1]), "cases[0].mc: expected an object"),
         (lambda d: d.update(mc={"reps": True}), "top level.mc.reps: expected a number"),
         (lambda d: d.update(mc={"n": math.inf}), "cannot convert float infinity"),
+        (lambda d: d.update(grid={"a": 10 ** 400}),
+         "top level.grid.a: int too large to convert to float"),
+        (lambda d: d["cases"][0]["theta1"].update(mu=[10 ** 400, 1.0]),
+         "cases[0].theta1.mu: int too large to convert to float"),
         (lambda d: d["cases"][0].update(mc={"n": 2000.7}),
          "cases[0].mc.n: expected an integer, got 2000.7"),
         (lambda d: d["cases"][0].update(mc={"seed": 1.5}),
@@ -301,7 +308,7 @@ STAGE_KEYS = ("kernel_seconds", "solve_seconds", "quadrature_seconds")
 
 def test_fredholm_stage_timings_in_diagnostics():
     spec = tiny_spec(alphas=("kl", 0.5, 2.0))
-    _, diags = run_cases([spec], ("fredholm",), with_diagnostics=True)
+    _, diags = run_diagnosed([spec], ("fredholm",))
     diag = diags["c8"]
     assert all(diag[k] >= 0.0 for k in STAGE_KEYS)
     assert diag["kernel_seconds"] > 0.0 and diag["quadrature_seconds"] > 0.0
@@ -399,7 +406,7 @@ MC_STAGE_KEYS = ("sample_seconds", "filter_seconds")
 
 def test_mc_stage_timings_in_diagnostics():
     spec = tiny_spec(alphas=("kl", 0.5))
-    _, diags = run_cases([spec], ("mc",), with_diagnostics=True)
+    _, diags = run_diagnosed([spec], ("mc",))
     diag = diags["c8"]
     assert all(diag[k] >= 0.0 for k in MC_STAGE_KEYS)
     assert sum(diag[k] for k in MC_STAGE_KEYS) <= diag["mc_seconds"]
@@ -442,7 +449,7 @@ def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
         return replication_log_ratios(pairs, *args, **kwargs)
 
     monkeypatch.setattr(cli, "replication_log_ratios", counted)
-    rows, diags = run_cases([spec], ("mc",), with_diagnostics=True)
+    rows, diags = run_diagnosed([spec], ("mc",))
     assert calls == []
     assert [r.mc_mean for r in rows] == [math.inf]
     assert diags["wide"]["sample_seconds"] == diags["wide"]["filter_seconds"] == 0.0
@@ -451,7 +458,7 @@ def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
     assert len(calls) == 1
     # in a batch, the case left out of the simulation keeps zero stage times
     finite = dataclasses.replace(spec, name="finite", alphas=(1.5, 2.0))
-    rows, diags = run_cases([spec, finite], ("mc",), with_diagnostics=True)
+    rows, diags = run_diagnosed([spec, finite], ("mc",))
     assert calls[1:] == [[(theta1, bench.CASES[8][1])]]
     assert rows[0].mc_mean == math.inf and math.isfinite(rows[1].mc_mean)
     assert diags["wide"]["sample_seconds"] == diags["wide"]["filter_seconds"] == 0.0
@@ -526,7 +533,7 @@ def test_estimates_run_inside_their_share(monkeypatch, tmp_path):
     for count, methods in (("1", ("mc",)), ("2", ("mc",)), ("2", ("mc", "fredholm"))):
         monkeypatch.setenv("HMMDIV_THREADS", count)
         log.write_text("")
-        rows, diags = run_cases(specs, methods, with_diagnostics=True)
+        rows, diags = run_diagnosed(specs, methods)
         calls = [line.split() for line in log.read_text().splitlines()]
         pids = [pid for pid, _ in calls]
         assert len(calls) == len(specs) and all(main == "True" for _, main in calls)
@@ -580,7 +587,7 @@ def test_fredholm_cases_run_on_the_calling_thread(monkeypatch):
         seen.clear()
         simulated.clear()
         before = threading.active_count()
-        rows, diags = run_cases(specs, with_diagnostics=True)
+        rows, diags = run_diagnosed(specs)
         assert threading.active_count() == before
         assert seen == [(True, [], before, 1)] * len(specs)
         runs[count] = ([hexed(value_fields(r)) for r in rows],
@@ -621,7 +628,7 @@ def test_mc_cells_equal_at_any_worker_count(monkeypatch):
     for count in ("1", "2", "3"):
         monkeypatch.setenv("HMMDIV_THREADS", count)
         calls.clear()
-        runs[count] = hex_cells(*run_cases(specs, ("mc",), with_diagnostics=True))
+        runs[count] = hex_cells(*run_diagnosed(specs, ("mc",)))
         if count == "2" and sys.platform == "linux":
             # this process sees only the first share of each batch: b1 with
             # wide (not simulated) and same; a; b3
@@ -741,7 +748,7 @@ def test_fredholm_skips_the_kernel_when_every_order_is_infinite(monkeypatch):
         return fredholm.build_kernel(*args)
 
     monkeypatch.setattr(cli, "build_kernel", counted)
-    rows, diags = run_cases([spec], ("fredholm",), with_diagnostics=True)
+    rows, diags = run_diagnosed([spec], ("fredholm",))
     diag = diags["wide"]
     assert calls == []
     assert [r.fredholm for r in rows] == [math.inf]
@@ -992,6 +999,46 @@ def test_finished_cases_kept_when_a_later_case_fails(tmp_path, monkeypatch, caps
     assert list(diag["failed_cases"]) == ["case7"]
     assert diag["failed_cases"]["case7"].startswith(
         "GridTooCoarseError: case 'case7': pre-normalization column sum")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("engine", ["mc", "fredholm"])
+def test_a_case_either_engine_rejects_exits_two_named_once(tmp_path, monkeypatch, capsys,
+                                                           threads, engine):
+    # mc: theta's means 1000 and 1001 at sd 0.01 underflow its filter at the
+    # first step (at two workers, in a worker's share); fredholm: the
+    # family-B case's solves do not converge. The other case finishes, the
+    # error keeps its type and names the case once, and `run` exits 2 with
+    # one stderr line, no traceback
+    monkeypatch.setenv("HMMDIV_THREADS", threads)
+    mc, grid = McConfig(n=100, reps=4, burn_in=10), GridSpec(N=16, quad_points=51)
+    error = DegenerateInputError if engine == "mc" else NonConvergenceError
+    if engine == "mc":
+        far = ModelAParams(0.5, 0.5, (1000.0, 1001.0), (0.0, 0.0), (0.01, 0.01))
+        bad = CaseSpec("bad", "A", FAMILY_A_PAIR[0], far, ("kl", 0.5), mc=mc)
+    else:
+        real = cli.solve_invariant
+
+        def stuck(kernel):
+            if kernel.n_components == 4:
+                raise NonConvergenceError("power iteration did not reach 1.0e-12")
+            return real(kernel)
+
+        monkeypatch.setattr(cli, "solve_invariant", stuck)
+        bad = CaseSpec("bad", "B", *bench.CASES[1], ("kl", 0.5), grid=grid)
+    specs = [CaseSpec("ok", "A", *FAMILY_A_PAIR, ("kl", 0.5), mc=mc, grid=grid), bad]
+    with pytest.raises(error) as exc:
+        run_cases(specs, (engine,))
+    assert str(exc.value).startswith("case 'bad': ") and str(exc.value).count("'bad'") == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(serialize_config(specs)))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--methods", engine, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {exc.value}"]
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert list(diag["cases"]) == ["ok"]
+    assert diag["failed_cases"] == {"bad": f"{error.__name__}: {exc.value}"}
 
 
 def test_main_invalid_thread_env_exits_two(tmp_path, monkeypatch, capsys):

@@ -575,6 +575,24 @@ def test_solve_invariant_iteration_cap():
         solve_invariant(k, tol=1e-15, max_iters=1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": math.nan}, "got tol=nan, max_iters=100000"),
+    ({"tol": -1.0}, "got tol=-1.0,"),
+    ({"tol": 0.0}, "got tol=0.0,"),
+    ({"tol": math.inf}, "got tol=inf,"),
+    ({"max_iters": 0}, "got tol=1e-12, max_iters=0"),
+    ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+])
+def test_solve_invariant_rejects_bad_settings_before_iterating(monkeypatch, kwargs, message):
+    # a tol that is nan or <= 0 can never be met: the solve would run to the
+    # iteration cap and report a residual near 1e-16 as non-convergence
+    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8))
+    monkeypatch.setattr(fredholm, "_power_iteration", lambda *args: pytest.fail("iterated"))
+    with pytest.raises(ValueError, match=None) as exc:
+        solve_invariant(k, **kwargs)
+    assert message in str(exc.value)
+
+
 # --- divergence functionals -------------------------------------------------------
 
 
