@@ -45,12 +45,10 @@ from .cli import (
     ResultRow,
     default_config,
     divergence_fredholm,
-    estimate_kl_mc,
     estimate_renyi_mc,
     load_config,
     parse_config,
     reproduce_table,
-    run_case,
     run_cases,
     serialize_config,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "default_config",
     "divergence_fredholm",
     "estimate_from_log_ratios",
-    "estimate_kl_mc",
     "estimate_renyi_mc",
     "j_alpha",
     "j_log",
@@ -93,7 +90,6 @@ __all__ = [
     "q",
     "replication_log_ratios",
     "reproduce_table",
-    "run_case",
     "run_cases",
     "sample_path",
     "serialize_config",

@@ -47,6 +47,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -117,6 +119,8 @@ class CaseSpec:
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"case name must be a string, got {self.name!r}")
         where = f"case {self.name!r}"
         want = _model_class(self.family, where)
         for label, theta in (("theta1", self.theta1), ("theta", self.theta)):
@@ -228,7 +232,7 @@ def parse_config(doc: dict) -> list[CaseSpec]:
         cls = _model_class(c["family"], f"{where}.family")
         specs.append(
             CaseSpec(
-                name=str(c["name"]),
+                name=c["name"],
                 family=c["family"],
                 theta1=_read(cls, c["theta1"], f"{where}.theta1"),
                 theta=_read(cls, c["theta"], f"{where}.theta"),
@@ -243,8 +247,9 @@ def parse_config(doc: dict) -> list[CaseSpec]:
 
 def _check_unique_names(specs: list[CaseSpec]) -> None:
     """Rows, diagnostics and failed cases are keyed by the case name."""
-    if len({s.name for s in specs}) != len(specs):
-        raise ConfigError("cases: names must be unique")
+    for i, s in enumerate(specs):
+        if s.name in [t.name for t in specs[:i]]:
+            raise ConfigError(f"cases: names must be unique, {s.name!r} is repeated")
 
 
 def serialize_config(specs: list[CaseSpec]) -> dict:
@@ -463,18 +468,12 @@ def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> D
 def estimate_renyi_mc(p, q, alpha, cfg: McConfig | None = None) -> DivergenceEstimate:
     """Renyi divergence rate of p from q by simulation: the one-order,
     one-case call of the simulation pipeline, with paths sampled under p.
-    alpha is a number or "kl", routed and checked as in
+    alpha is a number or "kl" (the KL rate), routed and checked as in
     `divergence_fredholm`."""
     result = _mc_values([(p, q, _orders(p, q, (alpha,)))], cfg or McConfig())[0]
     if isinstance(result, Exception):
         raise result
     return result[0][alpha]
-
-
-def estimate_kl_mc(p, q, cfg: McConfig | None = None) -> DivergenceEstimate:
-    """KL divergence rate estimate: each replication contributes the
-    normalized log likelihood ratio of its path."""
-    return estimate_renyi_mc(p, q, "kl", cfg)
 
 
 def _named(name: str, exc: Exception) -> Exception:
@@ -532,17 +531,6 @@ def _case_rows(spec: CaseSpec, fred, mc) -> list[ResultRow]:
             )
         )
     return rows
-
-
-def run_case(spec: CaseSpec, methods=METHODS) -> list[ResultRow]:
-    """One ResultRow per alpha, populated for the requested methods: the
-    one-case call of `run_cases`.
-
-    Each engine runs once for the whole alpha grid (kernel solves for
-    Fredholm, path simulation and filtering for MC); its time is spread
-    evenly over the rows, so the per-row times add up to the case's.
-    """
-    return run_cases([spec], methods)
 
 
 def _thread_count() -> int:
@@ -663,8 +651,9 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
 
 
 def run_cases(specs: list[CaseSpec], methods=METHODS) -> list[ResultRow]:
-    """Run every case (`_run_all`) and return its rows; when cases fail,
-    raise the first failed case's exception once all have run."""
+    """Run every case (`_run_all`) and return its rows, by case then alpha
+    (one case: `run_cases([spec], methods)`); when cases fail, raise the
+    first failed case's exception once all have run."""
     rows, _, failed = _run_all(*_resolve(specs, methods), methods)
     if failed:
         raise next(iter(failed.values()))
@@ -749,14 +738,13 @@ def format_table(rows: list[ResultRow]) -> str:
 
 
 def format_csv(rows: list[ResultRow]) -> str:
-    out = ["case,alpha,fredholm,mc_mean,mc_sd,re_pct,fredholm_seconds,mc_seconds"]
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")  # quotes a name holding a comma or a quote
+    out.writerow("case,alpha,fredholm,mc_mean,mc_sd,re_pct,fredholm_seconds,mc_seconds".split(","))
     for r in rows:
-        cells = [r.case, str(r.alpha)]
-        for v in (r.fredholm, r.mc_mean, r.mc_sd, r.rel_err_pct,
-                  r.fredholm_seconds, r.mc_seconds):
-            cells.append("" if v is None else repr(float(v)))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+        vals = (r.fredholm, r.mc_mean, r.mc_sd, r.rel_err_pct, r.fredholm_seconds, r.mc_seconds)
+        out.writerow([r.case, str(r.alpha), *("" if v is None else repr(float(v)) for v in vals)])
+    return buf.getvalue()
 
 
 def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",

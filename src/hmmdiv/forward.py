@@ -150,7 +150,7 @@ def matrix_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float
     log_scale = 0.0
     prev = y_prev
     for t in range(n):
-        f = chain.emission_pdf(float(y[t]), prev)
+        f = np.exp(chain.emission_log_pdf(float(y[t]), prev))
         # step 1 has no transition factor: the weights start at pi
         mt = np.diag(f) if t == 0 else chain.transition.T * f[:, None]
         v = mt @ v

@@ -67,6 +67,9 @@ from .models import (
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# `solve_invariant`'s residual goal and its power-iteration cap.
+EIGEN_TOL = 1e-12
+EIGEN_MAX_ITERS = 100000
 
 
 class GridTooCoarseError(ValueError):
@@ -163,10 +166,13 @@ def noncentral_chisq1_cdf(x, lam):
 
     P(chi2_1(lam) <= x) = P(|Z + sqrt(lam)| <= sqrt(x))
                         = Phi(sqrt(x) - sqrt(lam)) - Phi(-sqrt(x) - sqrt(lam)),
-    an exact identity for one degree of freedom; 0 for x <= 0.
+    an exact identity for one degree of freedom; 0 for x <= 0, ValueError for a NaN.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    for name, arg in (("x", x), ("lam", lam)):
+        if np.isnan(arg).any():
+            raise ValueError(f"{name} must not be NaN")
     if np.any(lam < 0):
         raise ValueError("noncentrality must be nonnegative")
     rx = np.sqrt(np.maximum(x, 0.0))
@@ -487,21 +493,15 @@ def _power_iteration(entries: np.ndarray, tol: float, max_iters: int):
     )
 
 
-def solve_invariant(kernel: KernelMatrix, tol: float = 1e-12,
-                    max_iters: int = 100000) -> InvariantDensityGrid:
+def solve_invariant(kernel: KernelMatrix) -> InvariantDensityGrid:
     """Perron eigenvector of the column-stochastic kernel by power iteration.
 
     Starts from the uniform positive vector; K nonnegative keeps every
-    iterate nonnegative. Stops when ||K m - m||_1 <= tol on the
+    iterate nonnegative. Stops when ||K m - m||_1 <= EIGEN_TOL on the
     ||m||_1 = 1 normalization, then rescales so the lattice mass
-    (values times cell_area) is 1. A tol that is not finite and > 0, or a
-    max_iters that is not an integer >= 1, raises ValueError.
+    (values times cell_area) is 1.
     """
-    require_counts(max_iters=max_iters)
-    if not (math.isfinite(tol) and tol > 0.0 and max_iters >= 1):
-        raise ValueError(f"tol must be finite and > 0 and max_iters >= 1, "
-                         f"got tol={tol!r}, max_iters={max_iters}")
-    m, residual, it = _power_iteration(kernel.entries, tol, max_iters)
+    m, residual, it = _power_iteration(kernel.entries, EIGEN_TOL, EIGEN_MAX_ITERS)
     n1 = kernel.grid.N - 1
     comps = (m / kernel.grid.cell_area).reshape(kernel.n_components, n1, n1)
     return InvariantDensityGrid(

@@ -151,9 +151,6 @@ class LinearGaussianChain:
         y_prev = np.asarray(y_prev, dtype=float)[..., None]
         return _gauss_log_pdf(y, y_prev, self.c, self.b, self.s)
 
-    def emission_pdf(self, y, y_prev):
-        return np.exp(self.emission_log_pdf(y, y_prev))
-
 
 def _gauss_log_pdf(y, y_prev, c, b, s, out=None, tmp=None):
     """log N(y; c + b * y_prev, s^2) with broadcasting, as z = ((y - c) -
@@ -255,12 +252,6 @@ def validate_model(m: Model) -> list[str]:
     return problems
 
 
-def require_valid(m: Model) -> None:
-    problems = validate_model(m)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
-
-
 def transition_matrix(m: ModelAParams | ModelBParams) -> np.ndarray:
     """The 2-state transition matrix of either family."""
     if isinstance(m, ModelAParams):
@@ -281,7 +272,9 @@ def as_chain(m: Model) -> LinearGaussianChain:
     pi[i] * P[i, j]. In both forms chain state s ends in primitive state
     s % 2: pair state s = 2i + j ends in j.
     """
-    require_valid(m)
+    problems = validate_model(m)
+    if problems:
+        raise ValueError("invalid model: " + "; ".join(problems))
     if isinstance(m, LinearGaussianChain):
         return m
     p = transition_matrix(m)

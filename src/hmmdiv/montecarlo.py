@@ -20,8 +20,8 @@ paths are sampled and filtered together, one block of time steps at a
 time, replication r of every pair reading the draws of the same seed, and
 each pair's values are those of its run alone, bit for bit.
 
-The per-case driver over a list of orders, and its one-order calls
-`estimate_renyi_mc` and `estimate_kl_mc`, live in `hmmdiv.cli`.
+The per-case driver over a list of orders, and its one-order call
+`estimate_renyi_mc` (KL at alpha "kl"), live in `hmmdiv.cli`.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from hmmdiv import (
     noncentral_chisq1_cdf,
     q,
     replication_log_ratios,
-    run_case,
+    run_cases,
     sample_path,
 )
 from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE, gaussian_renyi
@@ -208,7 +208,7 @@ def test_infinite_renyi_orders_are_explicit():
     cfg = McConfig(n=200, reps=4, burn_in=20, seed=5)
     assert estimate_renyi_mc(theta1, theta, 2.0, cfg).mean == math.inf
     spec = CaseSpec("wide", "B", theta1, theta, (1.5, 2.0), mc=cfg)
-    finite, infinite = run_case(spec)
+    finite, infinite = run_cases([spec])
     assert infinite.fredholm == infinite.mc_mean == math.inf
     assert check_rows([spec], [infinite]) == []
     assert check_rows([spec], [dataclasses.replace(infinite, mc_mean=3.0, mc_sd=1.0)])

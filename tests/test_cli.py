@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -35,7 +36,6 @@ from hmmdiv import (
     load_config,
     parse_config,
     reproduce_table,
-    run_case,
     run_cases,
     serialize_config,
 )
@@ -152,6 +152,9 @@ def test_per_case_overrides():
         (lambda d: d["cases"][0].update(alphas=["kl", 2.0, "KL"]),
          "case 'c8': alpha 'kl' is repeated"),
         (lambda d: d["cases"][0].update(alphas=[1, 1.0]), "case 'c8': alpha 1.0 is repeated"),
+        (lambda d: d["cases"][0].update(name=5), "case name must be a string, got 5"),
+        (lambda d: d["cases"][0].update(name=None), "case name must be a string, got None"),
+        (lambda d: d["cases"][0].update(name=["x"]), "case name must be a string, got ['x']"),
     ],
 )
 def test_config_errors_name_the_key(mangle, needle):
@@ -187,11 +190,11 @@ def test_run_cases_rejects_repeated_names_before_any_case_runs(monkeypatch, tmp_
     ran = []
     for name in ("_simulate", "_fredholm_case"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
-    with pytest.raises(ConfigError, match="^cases: names must be unique$"):
+    with pytest.raises(ConfigError, match="^cases: names must be unique, 'x' is repeated$"):
         run_cases(specs)
     monkeypatch.setattr(cli, "load_config", lambda path: specs)
     out = tmp_path / "o"
-    with pytest.raises(ConfigError, match="^cases: names must be unique$"):
+    with pytest.raises(ConfigError, match="^cases: names must be unique, 'x' is repeated$"):
         reproduce_table("cfg.json", out_dir=str(out))
     assert ran == [] and not out.exists()
 
@@ -228,7 +231,7 @@ def test_load_config_invalid_json(tmp_path):
 
 def test_run_case_row_per_alpha():
     spec = tiny_spec(alphas=("kl", 0.5, 2.0))
-    rows = run_case(spec)
+    rows = run_cases([spec])
     assert [r.alpha for r in rows] == ["kl", 0.5, 2.0]
     assert all(r.case == "c8" for r in rows)
     for r in rows:
@@ -239,8 +242,8 @@ def test_run_case_row_per_alpha():
 
 def test_run_case_deterministic_values():
     spec = tiny_spec()
-    a = [value_fields(r) for r in run_case(spec)]
-    b = [value_fields(r) for r in run_case(spec)]
+    a = [value_fields(r) for r in run_cases([spec])]
+    b = [value_fields(r) for r in run_cases([spec])]
     assert a == b
 
 
@@ -248,7 +251,7 @@ def test_run_case_identity_rows_exact_zero():
     doc = tiny_doc()
     doc["cases"][0]["theta"] = dict(T1)
     spec = parse_config(doc)[0]
-    for r in run_case(spec):
+    for r in run_cases([spec]):
         assert r.fredholm == 0.0
         assert r.mc_mean == 0.0 and r.mc_sd == 0.0
         assert r.rel_err_pct is None
@@ -256,22 +259,22 @@ def test_run_case_identity_rows_exact_zero():
 
 def test_run_case_method_filtering():
     spec = tiny_spec(alphas=(0.5,))
-    (mc_only,) = run_case(spec, methods=("mc",))
+    (mc_only,) = run_cases([spec], methods=("mc",))
     assert mc_only.fredholm is None and mc_only.mc_mean is not None
     assert mc_only.rel_err_pct is None
-    (fred_only,) = run_case(spec, methods=("fredholm",))
+    (fred_only,) = run_cases([spec], methods=("fredholm",))
     assert fred_only.mc_mean is None and fred_only.fredholm is not None
     with pytest.raises(ValueError):
-        run_case(spec, methods=("bogus",))
+        run_cases([spec], methods=("bogus",))
     with pytest.raises(ValueError):
-        run_case(spec, methods=())
+        run_cases([spec], methods=())
 
 
 def test_run_case_fredholm_column_is_divergence_fredholm():
     t1, t = bench.CASES[1]
     grid = GridSpec(N=8, quad_points=101)
     spec = CaseSpec("case1", "B", t1, t, ("kl", 0.5, 2.0), grid=grid)
-    for row in run_case(spec, ("fredholm",)):
+    for row in run_cases([spec], ("fredholm",)):
         want = divergence_fredholm(t1, t, row.alpha, grid).value
         assert repr(row.fredholm) == repr(want), row.alpha
 
@@ -280,7 +283,7 @@ def test_run_case_mc_column_is_estimate_renyi_mc():
     t1, t = bench.CASES[1]
     mc = McConfig(n=200, reps=5, burn_in=20, seed=3)
     spec = CaseSpec("case1", "B", t1, t, ("kl", 0.5, 2.0), mc=mc)
-    for row in run_case(spec, ("mc",)):
+    for row in run_cases([spec], ("mc",)):
         want = estimate_renyi_mc(t1, t, row.alpha, mc)
         assert (repr(row.mc_mean), repr(row.mc_sd)) == (repr(want.mean), repr(want.std_dev))
 
@@ -297,7 +300,7 @@ def test_fredholm_layers_are_looked_up_on_cli(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cli, name, counted)
-    run_case(tiny_spec(alphas=("kl", 0.5, 2.0)), ("fredholm",))
+    run_cases([tiny_spec(alphas=("kl", 0.5, 2.0))], ("fredholm",))
     assert {k: len(v) for k, v in calls.items()} == {
         "build_kernel": 2, "solve_invariant": 2, "j_log": 2, "j_alpha": 2}
     assert [args[2] for args in calls["j_alpha"]] == [0.5, 2.0]
@@ -385,8 +388,8 @@ def test_a_case_builds_few_chain_forms(monkeypatch):
     # kernel, 2 for the case's one J pass and 2 for the simulation
     spec = CaseSpec("case1", "B", *bench.CASES[1], ("kl", 0.5, 2.0),
                     mc=McConfig(n=200, reps=5), grid=GridSpec(N=8, quad_points=101))
-    calls, real = [], models.require_valid
-    monkeypatch.setattr(models, "require_valid", lambda m: calls.append(m) or real(m))
+    calls, real = [], models.validate_model
+    monkeypatch.setattr(models, "validate_model", lambda m: calls.append(m) or real(m))
     run_cases([spec])
     assert len(calls) <= 10
 
@@ -395,7 +398,7 @@ def test_kl_values_are_python_floats():
     t1, t = bench.CASES[1]
     grid = GridSpec(N=8, quad_points=101)
     assert type(divergence_fredholm(t1, t, "kl", grid).value) is float
-    (row,) = run_case(CaseSpec("case1", "B", t1, t, ("kl",), grid=grid), ("fredholm",))
+    (row,) = run_cases([CaseSpec("case1", "B", t1, t, ("kl",), grid=grid)], ("fredholm",))
     assert type(row.fredholm) is float
     m = fredholm.solve_invariant(fredholm.build_kernel(t1, t1, grid))
     assert type(fredholm.j_log(t1, t1, m, grid)) is float
@@ -845,7 +848,7 @@ def test_check_rows_fails_any_gap_at_sd_zero():
 
 
 def test_table_and_csv_agree():
-    rows = run_case(tiny_spec())
+    rows = run_cases([tiny_spec()])
     table = format_table(rows)
     lines = table.splitlines()
     assert lines[0].split() == ["case", "alpha", "fredholm", "mc_mean",
@@ -865,6 +868,18 @@ def test_csv_blank_for_missing():
     rec = next(csv.DictReader(io.StringIO(format_csv(rows))))
     assert rec["mc_mean"] == "" and rec["mc_sd"] == ""
     assert float(rec["fredholm"]) == 1.0
+
+
+def test_csv_quotes_a_name_with_a_comma_and_a_quote(tmp_path):
+    # a name with a comma and a quote stays one cell under the 8-field header
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_doc(alphas=(0.5,), name='a,"b"')))
+    reproduce_table(str(cfg), methods=("fredholm",), out_dir=str(tmp_path))
+    with open(tmp_path / "table.csv", newline="", encoding="utf-8") as fh:
+        header, record = csv.reader(fh)
+    assert header == ["case", "alpha", "fredholm", "mc_mean", "mc_sd", "re_pct",
+                      "fredholm_seconds", "mc_seconds"]
+    assert len(record) == 8 and record[:2] == ['a,"b"', "0.5"]
 
 
 # --- artifacts ---------------------------------------------------------------------
@@ -967,7 +982,7 @@ def test_main_rejected_lattice_exits_two(tmp_path, capsys):
     spec = CaseSpec("case7", "B", t1, t, ("kl",), mc=McConfig(n=100, reps=4, burn_in=10),
                     grid=GridSpec(N=8))
     with pytest.raises(GridTooCoarseError, match="case 'case7'"):
-        run_case(spec)
+        run_cases([spec])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(serialize_config([spec])))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -1107,3 +1122,10 @@ def test_multiprocessing_is_imported_only_to_open_the_worker_pool():
 def test_public_names_resolve():
     assert "solve_invariant" in hmmdiv.__all__
     assert [n for n in hmmdiv.__all__ if not hasattr(hmmdiv, n)] == []
+
+
+def test_every_public_name_is_in_the_readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    assert [n for n in hmmdiv.__all__ if not re.search(rf"`{n}\b", readme)] == []

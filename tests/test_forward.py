@@ -182,7 +182,7 @@ def test_forward_weights_stay_normalized(seed, n):
 def test_log_likelihood_length_one():
     chain = as_chain(CASE1_GEN)
     y1 = -0.4
-    want = math.log(float((chain.pi * chain.emission_pdf(y1, 0.0)).sum()))
+    want = math.log(float((chain.pi * np.exp(chain.emission_log_pdf(y1, 0.0))).sum()))
     assert abs(log_likelihood(CASE1_GEN, np.array([y1])) - want) <= 1e-12
 
 
@@ -275,7 +275,7 @@ def test_brute_force_hand_expansion():
     y = np.array([0.9])
     want = math.log(
         sum(
-            chain.pi[z] * float(chain.emission_pdf(0.9, 0.0)[z])
+            chain.pi[z] * float(np.exp(chain.emission_log_pdf(0.9, 0.0))[z])
             for z in range(chain.d)
         )
     )
@@ -382,7 +382,7 @@ def step_loop_log_normalizers(chain, y, y_prev):
     out = np.empty((reps, n))
     for t in range(n):
         base = w if t == 0 else w @ p
-        unnorm = base * chain.emission_pdf(y[:, t], prev)
+        unnorm = base * np.exp(chain.emission_log_pdf(y[:, t], prev))
         s = unnorm.sum(axis=1)
         if np.any(np.all(unnorm < _UNDERFLOW, axis=1)):
             raise DegenerateInputError(
@@ -441,14 +441,14 @@ def test_blocked_filter_matches_step_loop_bitwise(family, reps):
     (shared_emission_pair("A-equal")[0], 1),
 ])
 def test_emission_densities_filled_once_per_distinct_emission(m, distinct):
-    # the filter's in-place fill gives emission_pdf's bits, for the states
-    # that share an emission too
+    # the filter's in-place fill gives exp(emission_log_pdf)'s bits, for
+    # the states that share an emission too
     chain = as_chain(m)
     assert len(set(chain.emission_reps())) == distinct
     y, y_prev = np.random.default_rng(36).normal(1.0, 1.5, size=(2, 40, 7))
     got = np.empty((40, chain.d, 7))
     _fill_emission_pdfs(chain, y, y_prev, got, np.empty((40, 7)))
-    assert np.array_equal(got, chain.emission_pdf(y, y_prev).transpose(0, 2, 1))
+    assert np.array_equal(got, np.exp(chain.emission_log_pdf(y, y_prev)).transpose(0, 2, 1))
 
 
 def test_filter_in_pieces_over_own_paths_matches_one_call():

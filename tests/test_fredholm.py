@@ -112,6 +112,17 @@ def test_chisq_rejects_negative_noncentrality():
             noncentral_chisq1_cdf(1.0, lam)
 
 
+def test_chisq_rejects_nan_and_keeps_infinite_limits():
+    # unchecked, a NaN x takes the x <= 0 branch and reads as a plausible 0.0
+    for x, lam, name in ((math.nan, 1.0, "x"), ([1.0, math.nan], 1.0, "x"),
+                         (1.0, math.nan, "lam"), (1.0, [0.5, math.nan], "lam")):
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+            noncentral_chisq1_cdf(x, lam)
+    assert noncentral_chisq1_cdf(math.inf, 2.0) == 1.0
+    assert noncentral_chisq1_cdf(-math.inf, 2.0) == 0.0
+    assert noncentral_chisq1_cdf(3.0, math.inf) == 0.0
+
+
 def test_chisq_matched_noncentrality():
     # sqrt(x) = sqrt(lambda) = 2: Phi(0) - Phi(-4)
     want = 0.5 - ndtr(-4.0)
@@ -569,28 +580,11 @@ def test_solve_invariant_properties():
     assert m.iterations >= 1
 
 
-def test_solve_invariant_iteration_cap():
+def test_solve_invariant_iteration_cap(monkeypatch):
     k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8))
+    monkeypatch.setattr(fredholm, "EIGEN_MAX_ITERS", 1)
     with pytest.raises(NonConvergenceError):
-        solve_invariant(k, tol=1e-15, max_iters=1)
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"tol": math.nan}, "got tol=nan, max_iters=100000"),
-    ({"tol": -1.0}, "got tol=-1.0,"),
-    ({"tol": 0.0}, "got tol=0.0,"),
-    ({"tol": math.inf}, "got tol=inf,"),
-    ({"max_iters": 0}, "got tol=1e-12, max_iters=0"),
-    ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
-])
-def test_solve_invariant_rejects_bad_settings_before_iterating(monkeypatch, kwargs, message):
-    # a tol that is nan or <= 0 can never be met: the solve would run to the
-    # iteration cap and report a residual near 1e-16 as non-convergence
-    k = build_kernel(CASE1_GEN, CASE1_ALT, GridSpec(N=8))
-    monkeypatch.setattr(fredholm, "_power_iteration", lambda *args: pytest.fail("iterated"))
-    with pytest.raises(ValueError, match=None) as exc:
-        solve_invariant(k, **kwargs)
-    assert message in str(exc.value)
+        solve_invariant(k)
 
 
 # --- divergence functionals -------------------------------------------------------

@@ -13,7 +13,7 @@ from hmmdiv import (
     ModelAParams,
     ModelBParams,
     as_chain,
-    estimate_kl_mc,
+    estimate_renyi_mc,
     sample_path,
     transition_matrix,
     validate_model,
@@ -118,7 +118,7 @@ def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
         as_chain(model)
     # the simulation engine refuses it as the alternative before sampling
     with pytest.raises(ValueError):
-        estimate_kl_mc(model_a(), model, McConfig(n=10, reps=2))
+        estimate_renyi_mc(model_a(), model, "kl", McConfig(n=10, reps=2))
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -230,7 +230,7 @@ def test_lift_marginal_matches_two_state_stationary():
 
 def pair_pdf(m, i, j, y, y_prev):
     """Family B's density f(y | X_{t-1}=i, X_t=j, y_prev) from its chain."""
-    return float(as_chain(m).emission_pdf(y, y_prev)[2 * i + j])
+    return float(np.exp(as_chain(m).emission_log_pdf(y, y_prev))[2 * i + j])
 
 
 def test_emission_peak_value():
@@ -275,7 +275,7 @@ def test_family_a_emission_ignores_previous_state():
     for j in (0, 1):
         z = (0.4 - m.mu[j] - m.psi[j] * 0.9) / m.sigma[j]
         want = math.exp(-0.5 * z * z) / (m.sigma[j] * math.sqrt(2 * math.pi))
-        assert math.isclose(chain.emission_pdf(0.4, 0.9)[j], want, rel_tol=1e-12)
+        assert math.isclose(np.exp(chain.emission_log_pdf(0.4, 0.9))[j], want, rel_tol=1e-12)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -14,7 +14,6 @@ from hmmdiv import (
     ModelAParams,
     ModelBParams,
     as_chain,
-    estimate_kl_mc,
     estimate_renyi_mc,
     per_step_log_ratios,
 )
@@ -47,15 +46,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got"):
             McConfig(seed=bad)
     top = McConfig(n=20, reps=2, burn_in=0, seed=2 ** 64 - 1)
-    assert estimate_kl_mc(CASE1_GEN, CASE1_ALT, top) != estimate_kl_mc(
-        CASE1_GEN, CASE1_ALT, McConfig(n=20, reps=2, burn_in=0, seed=0))
+    assert estimate_renyi_mc(CASE1_GEN, CASE1_ALT, "kl", top) != estimate_renyi_mc(
+        CASE1_GEN, CASE1_ALT, "kl", McConfig(n=20, reps=2, burn_in=0, seed=0))
 
 
 def test_identity_is_exact_zero():
     for alpha in (0.5, 1.001, 2.0):
         est = estimate_renyi_mc(CASE1_GEN, CASE1_GEN, alpha, FAST)
         assert est.mean == 0.0 and est.std_dev == 0.0
-    est = estimate_kl_mc(CASE1_GEN, CASE1_GEN, FAST)
+    est = estimate_renyi_mc(CASE1_GEN, CASE1_GEN, "kl", FAST)
     assert est.mean == 0.0 and est.std_dev == 0.0
 
 
@@ -68,7 +67,7 @@ def test_identity_ratios_bitwise_zero():
 def test_kl_branch_agrees_with_explicit_kl():
     for a in (1.0 - 1e-9, 1.0 + 1e-9):
         renyi = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, a, FAST)
-        kl = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
+        kl = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, "kl", FAST)
         assert abs(renyi.mean - kl.mean) <= 1e-6
         assert abs(renyi.std_dev - kl.std_dev) <= 1e-6
 
@@ -103,7 +102,7 @@ def test_std_error_is_sd_over_root_reps():
 
 
 def test_kl_alpha_encoded_as_one():
-    est = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
+    est = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, "kl", FAST)
     assert est.alpha == 1.0
 
 
@@ -113,7 +112,7 @@ def test_aggregation_from_shared_ratios_matches_direct_calls():
         direct = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
         shared = estimate_from_log_ratios(rho, [alpha])[0]
         assert direct.mean == shared.mean and direct.std_dev == shared.std_dev
-    kl_direct = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
+    kl_direct = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, "kl", FAST)
     kl_shared = estimate_from_log_ratios(rho, [1.0])[0]
     assert kl_direct.mean == kl_shared.mean
 
@@ -126,7 +125,7 @@ def test_alpha_must_be_positive():
         with pytest.raises(ValueError):
             estimate_from_log_ratios(rho, [alpha])[0]
     # "kl" and orders within 1e-8 of 1 are the KL limit
-    kl = estimate_kl_mc(CASE1_GEN, CASE1_ALT, FAST)
+    kl = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, "kl", FAST)
     for alpha in ("KL", 1.0 + 1e-9):
         est = estimate_renyi_mc(CASE1_GEN, CASE1_ALT, alpha, FAST)
         assert est.alpha == 1.0 and est.mean == kl.mean
@@ -204,14 +203,14 @@ def test_estimates_hold_a_few_rows_of_scratch():
 
 def test_kl_call_is_the_kl_order():
     for p, q in ((CASE1_GEN, CASE1_ALT), CASES[7]):
-        assert estimate_kl_mc(p, q, FAST) == estimate_renyi_mc(p, q, "kl", FAST)
+        assert estimate_renyi_mc(p, q, "kl", FAST) == estimate_renyi_mc(p, q, 1.0, FAST)
 
 
 def test_degenerate_filter_reports_replication():
     # an alternative with an absurd emission scale underflows the filter
     bad = iid_model(0.0, 1e-160)
     with np.errstate(over="ignore"), pytest.raises(DegenerateInputError) as err:
-        estimate_kl_mc(CASE1_GEN, bad, FAST)
+        estimate_renyi_mc(CASE1_GEN, bad, "kl", FAST)
     assert "replication" in str(err.value)
 
 
