@@ -575,22 +575,23 @@ def _simulate(cases: list[tuple], workers: int) -> list:
     returned, in case order.
 
     The cases of each McConfig and generating model type form one batch;
-    the type fixes the generating chain's state count, and splitting by it
-    bounds the log ratios a batch holds at once (12.8 MB, not 17.6 MB, for
-    8 family-B and 3 family-A cases at the default McConfig). A batch
-    splits into min(workers, its simulated cases) contiguous shares of
-    near-equal simulated case counts, and a case that is not simulated
-    (`_simulated`) joins the share of the simulated case before it.
+    the filter takes any state counts, and the type is in the key only to
+    bound the log ratios a batch holds (12.8 MB, not 17.6 MB, for the
+    kl-mixed benchmark's 8 family-B and 3 family-A cases). A batch splits
+    into min(workers, its simulated cases) contiguous shares of near-equal
+    simulated case counts, and a case that is not simulated (`_simulated`)
+    joins the share of the simulated case before it.
 
     On Linux, the first share of each batch runs in the calling process,
     and the others meanwhile in a pool of at most workers - 1 processes,
     forked when the first share is submitted and joined before this
     returns. Each share runs the unchanged sampler, filter and estimator,
     and a pair's rows do not depend on the pairs batched with it, so every
-    value is the same bit for bit at any worker count. Elsewhere, and at
-    one worker, every batch is one share in the calling process. A share
-    that raises fails each of its cases with that exception, and so does
-    one whose worker process dies (BrokenProcessPool).
+    value is the same bit for bit at any worker count (at reps = 1, when a
+    batch's models have equal state counts). Elsewhere, and at one worker,
+    every batch is one share in the calling process. A share that raises
+    fails each of its cases with that exception, and so does one whose
+    worker process dies (BrokenProcessPool).
     """
     batches: dict[tuple, list[int]] = {}
     for i, (spec, _, _) in enumerate(cases):

@@ -11,20 +11,24 @@ after every step and accumulates log of the normalizers, which is what keeps
 it stable for n in the 1e5 range where the raw product underflows.
 
 `batch_log_normalizers(chains, y, paths, carry)` runs the filters of
-several chains with equal state counts over one time-major block of path
+several chains, of any state counts, over one time-major block of path
 sets, as `models.path_blocks` yields it, each chain over its own set (the
-simulation engine's p and q chains of one case read the same set). A
-`carry` holds the filters' weights from one block to the next. The
-weights are state-major, (chain, state, path): a step is a product, a sum
-over the state axis, a division and one batched matmul by the transposed
-transitions, each into a buffer allocated once per block. The block's
-emission densities are filled in place, in one (block, path) slab per
-chain and state, once per distinct emission of each chain (the psi2 = 0
-pair lift has 2 among its 4 states) and copied to the states sharing it;
-they and the logs are each one pass over the block, and so is the
-underflow check of a block whose normalizers come near it. Every value is
-the one a step-at-a-time loop of a single chain computes, bit for bit
-(for fewer than 8 states, which numpy sums in sequence either way).
+simulation engine's p and q chains of one case read the same set), padded
+as the sampler pads them to the largest count, with no mass and zero
+density on a padded state. A `carry` holds the filters' weights from one
+block to the next. The weights are state-major, (chain, state, path): a
+step is a product, a sum over the state axis, a division and one batched
+matmul by the transposed transitions, each into a buffer allocated once
+per block. The block's emission densities are filled in place, in one
+(block, path) slab per chain and state, once per distinct emission of
+each chain (the psi2 = 0 pair lift has 2 among its 4 states) and copied
+to the states sharing it; they and the logs are each one pass over the
+block, and so is the underflow check of a block whose normalizers come
+near it. Every value is the one a step-at-a-time loop of a single chain
+computes, bit for bit (for fewer than 8 states, which numpy sums in
+sequence either way), and over several paths a padded chain's are those
+of its call alone; over one path BLAS's vector-matrix product rounds a
+padded row otherwise.
 
 Its collectors, `_path_log_normalizers` and
 `montecarlo.replication_log_ratios`, write whole paths into C-ordered
@@ -184,15 +188,15 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
                           paths: Sequence[int], carry: dict) -> np.ndarray:
     """Filter normalizers of several chains over one block of path sets.
 
-    `chains` are k chains with equal d. y is a time-major block of shape
-    (m + 1, sets, reps), as `models.path_blocks` yields it: y[0] holds the
-    observations before the block, and chain i filters set `paths[i]`.
-    Returns the block's log s_t as a (k, reps, m) view in time-major
-    memory, row i for chains[i]. Each step is one batched matmul of the
-    (k, d, d) transposed transitions by the state-major (k, d, reps)
-    weights, and every value is the one a one-chain call computes, bit for
-    bit, so log-ratio statistics between a model and itself cancel to
-    exact zeros.
+    `chains` are k chains of any state counts, padded to the largest, d.
+    y is a time-major block of shape (m + 1, sets, reps), as
+    `models.path_blocks` yields it: y[0] holds the observations before the
+    block, and chain i filters set `paths[i]`. Returns the block's log s_t
+    as a (k, reps, m) view in time-major memory, row i for chains[i]. Each
+    step is one batched matmul of the (k, d, d) transposed transitions by
+    the state-major (k, d, reps) weights, and every value is the one a
+    one-chain call computes, bit for bit (for reps > 1 or equal counts), so
+    log-ratio statistics between a model and itself cancel to exact zeros.
 
     `carry` holds the weights between blocks: an empty dict with the first
     block, the same dict with each next one. A chain whose weights
@@ -201,30 +205,28 @@ def batch_log_normalizers(chains: Sequence[LinearGaussianChain], y: np.ndarray,
     the first path dead there; its later values are not meaningful.
     """
     chains = list(chains)
-    d = chains[0].d
-    if any(chain.d != d for chain in chains):
-        raise ValueError("batch_log_normalizers needs chains of equal d, got "
-                         f"{[chain.d for chain in chains]}")
     k, m, reps = len(chains), len(y) - 1, y.shape[2]
+    d = max(chain.d for chain in chains)
+    # every chain padded to d states, with no mass and zero density there;
+    # the densities, then weights, in one (m, reps) slab per chain and
+    # state, and the normalizers; a step reads the views at its time
+    pi, p, unnorm = np.zeros((k, d)), np.zeros((k, d, d)), np.empty((k, d, m, reps))
+    s = np.empty((m, k, 1, reps))
+    tmp = np.empty((m, reps))
+    for i, chain in enumerate(chains):
+        pi[i, :chain.d], p[i, :chain.d, :chain.d] = chain.pi, chain.transition
+        _fill_emission_pdfs(chain, y[1:, paths[i]], y[:-1, paths[i]],
+                            unnorm[i].transpose(1, 0, 2), tmp)
+        unnorm[i, chain.d:] = 0.0
     if not carry:
         # the predictive weights P^T w of the next step, first pi
-        carry.update(pred=np.repeat(np.stack([chain.pi for chain in chains])[:, :, None],
-                                    reps, axis=2), steps=0, dead_at={})
+        carry.update(pred=np.repeat(pi[:, :, None], reps, axis=2), steps=0, dead_at={})
     pred, dead_at = carry["pred"], carry["dead_at"]
-    p = np.stack([chain.transition for chain in chains])
     # formed as w^T P on transposed views, BLAS sums them in the order of
     # the row-vector product w @ P for any number of paths (P^T @ w differs
     # for one path)
     w = np.empty_like(pred)
     w_t, pred_t = w.transpose(0, 2, 1), pred.transpose(0, 2, 1)
-    # the densities, then weights, in one (m, reps) slab per chain and
-    # state, and the normalizers; a step reads the views at its time
-    unnorm = np.empty((k, d, m, reps))
-    s = np.empty((m, k, 1, reps))
-    tmp = np.empty((m, reps))
-    for i, chain in enumerate(chains):
-        _fill_emission_pdfs(chain, y[1:, paths[i]], y[:-1, paths[i]],
-                            unnorm[i].transpose(1, 0, 2), tmp)
     # a row that underflows turns into nan from here on; dead_at records it
     # before any of its values are used
     with np.errstate(divide="ignore", invalid="ignore"):

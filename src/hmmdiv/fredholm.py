@@ -166,7 +166,8 @@ def noncentral_chisq1_cdf(x, lam):
 
     P(chi2_1(lam) <= x) = P(|Z + sqrt(lam)| <= sqrt(x))
                         = Phi(sqrt(x) - sqrt(lam)) - Phi(-sqrt(x) - sqrt(lam)),
-    an exact identity for one degree of freedom; 0 for x <= 0, ValueError for a NaN.
+    an exact identity for one degree of freedom; 0 for x <= 0, ValueError for a NaN
+    or x = lam = inf (inf - inf).
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -175,6 +176,8 @@ def noncentral_chisq1_cdf(x, lam):
             raise ValueError(f"{name} must not be NaN")
     if np.any(lam < 0):
         raise ValueError("noncentrality must be nonnegative")
+    if np.any(np.isposinf(x) & np.isposinf(lam)):
+        raise ValueError("x and lam must not both be inf")
     rx = np.sqrt(np.maximum(x, 0.0))
     rl = np.sqrt(lam)
     out = np.where(x > 0.0, ndtr(rx - rl) - ndtr(-rx - rl), 0.0)

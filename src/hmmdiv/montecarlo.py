@@ -18,7 +18,8 @@ Replication r uses an independent generator seeded by a splitmix64 mix of
 Several pairs of models run as one batch (`replication_log_ratios`): their
 paths are sampled and filtered together, one block of time steps at a
 time, replication r of every pair reading the draws of the same seed, and
-each pair's values are those of its run alone, bit for bit.
+each pair's values are those of its run alone, bit for bit (at one
+replication, when the batch's chains have equal state counts).
 
 The per-case driver over a list of orders, and its one-order call
 `estimate_renyi_mc` (KL at alpha "kl"), live in `hmmdiv.cli`.
@@ -97,10 +98,11 @@ def replication_log_ratios(pairs, cfg: McConfig, timings: dict | None = None,
 
     The pairs run as one batch: `path_blocks` samples every pair's paths
     from one draw stream per replication seed, and each block is filtered
-    by one `batch_log_normalizers` call per state count, over the chains of
-    every pair that have it, before the next block is sampled. Only the
-    rho arrays are full length. Every row equals the pair's run alone, bit
-    for bit.
+    by one `batch_log_normalizers` call, pair c's p and q chains at
+    positions 2c and 2c + 1 of the stack, before the next block is
+    sampled. Only the rho arrays are full length. Every row equals the
+    pair's run alone, bit for bit (at reps = 1, when the batch's chains
+    have equal state counts).
 
     When `timings` is given, the seconds spent sampling the paths and
     running the filters, summed over the blocks of the whole batch, are
@@ -111,18 +113,9 @@ def replication_log_ratios(pairs, cfg: McConfig, timings: dict | None = None,
     """
     pairs = [(as_chain(p), as_chain(q)) for p, q in pairs]
     seeds = [mix_seed(cfg.seed, r) for r in range(cfg.reps)]
-    # filter groups by state count: {d: (chains, the pair of each chain)}
-    groups: dict[int, tuple[list, list]] = {}
-    slots = []  # per pair, the (d, position in its group) of p's and q's chain
-    for c, pair in enumerate(pairs):
-        slot = []
-        for chain in pair:
-            chains, owners = groups.setdefault(chain.d, ([], []))
-            slot.append((chain.d, len(chains)))
-            chains.append(chain)
-            owners.append(c)
-        slots.append(slot)
-    carries = {d: {} for d in groups}
+    chains = [chain for pair in pairs for chain in pair]
+    paths = [i // 2 for i in range(len(chains))]
+    carry: dict = {}
     rho = [np.empty((cfg.reps, cfg.n)) for _ in pairs]
     sampled = filtered = 0.0
     t0 = 0
@@ -132,18 +125,17 @@ def replication_log_ratios(pairs, cfg: McConfig, timings: dict | None = None,
         tick = time.perf_counter()
         sampled += tick - clock
         m = len(y) - 1
-        log_s = {d: batch_log_normalizers(chains, y, paths, carries[d])
-                 for d, (chains, paths) in groups.items()}
-        for c, ((dp, ip), (dq, iq)) in enumerate(slots):
-            np.subtract(log_s[dp][ip], log_s[dq][iq], out=rho[c][:, t0:t0 + m])
+        log_s = batch_log_normalizers(chains, y, paths, carry)
+        for c in range(len(pairs)):
+            np.subtract(log_s[2 * c], log_s[2 * c + 1], out=rho[c][:, t0:t0 + m])
         del log_s  # not held while the next block is sampled and filtered
         t0 += m
         clock = time.perf_counter()
         filtered += clock - tick
     if timings is not None:
         timings.update(sample_seconds=sampled, filter_seconds=filtered)
-    for c, slot in enumerate(slots):
-        dead = [carries[d]["dead_at"][i] for d, i in slot if i in carries[d]["dead_at"]]
+    for c in range(len(pairs)):  # no pairs leave the carry empty
+        dead = [carry["dead_at"][i] for i in (2 * c, 2 * c + 1) if i in carry["dead_at"]]
         if dead:
             exc = DegenerateInputError(
                 f"{_underflow_message(*dead[0])} (replication = path index)")

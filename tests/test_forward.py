@@ -494,11 +494,55 @@ def test_uneven_blocks_give_the_bits_of_time_blocks():
         assert carry["steps"] == n and carry["dead_at"] == {}
 
 
-def test_stacked_filters_need_equal_state_counts():
+def random_chain(rng, d, scale=(0.4, 2.5)):
+    """A chain of d states with random positive masses and emission
+    standard deviations drawn from `scale`."""
+    pi, transition = rng.uniform(0.05, 1.0, size=d), rng.uniform(0.05, 1.0, size=(d, d))
+    return LinearGaussianChain(pi=pi / pi.sum(),
+                               transition=transition / transition.sum(axis=1, keepdims=True),
+                               c=rng.uniform(-2, 2, d), b=rng.uniform(-0.8, 0.8, d),
+                               s=rng.uniform(*scale, size=d))
+
+
+def test_stacked_filters_of_any_state_counts_match_their_solo_calls():
+    # chains of 1 to 10 states, each count twice, four per call over two
+    # path sets and blocks that do not align with the time blocks: every
+    # chain is padded to its stack's widest and, over several paths, gives
+    # its one-chain call's values bit for bit; over one path, the padded
+    # vector-matrix product agrees with it to rounding
     rng = np.random.default_rng(34)
-    pair = (as_chain(random_model(rng, "A")), as_chain(random_model(rng, "B")))
-    with pytest.raises(ValueError, match="equal d"):
-        batch_log_normalizers(pair, np.zeros((6, 1, 2)), [0, 0], {})
+    n = 2 * _TIME_BLOCK + 7
+    ends = (7, _TIME_BLOCK + 9, n)
+    counts = rng.permutation(np.tile(np.arange(1, 11), 2)).reshape(5, 4)
+    for reps in (4, 1):
+        sets = rng.normal(0.5, 1.5, size=(2, reps, n))
+        prev = rng.normal(size=(2, reps))
+        for stack in counts:
+            chains = [random_chain(rng, int(d)) for d in stack]
+            paths = [int(p) for p in rng.integers(0, 2, size=len(chains))]
+            carry = {}
+            stacked = filter_paths(chains, sets, prev, paths, ends, carry)
+            assert carry["steps"] == n and carry["dead_at"] == {}
+            for i, chain in enumerate(chains):
+                alone = filter_paths([chain], sets[paths[i]], prev[paths[i]], ends=ends)[0]
+                if reps > 1:
+                    assert np.array_equal(stacked[i], alone)
+                else:
+                    np.testing.assert_allclose(stacked[i], alone, rtol=1e-13, atol=1e-13)
+    # a padded chain that underflows records its solo call's step and path,
+    # and the chains beside it, wider and narrower, keep their values
+    narrow = as_chain(iid_model(0.0, 0.5))  # 4 states
+    chains = [random_chain(rng, 10, (50.0, 100.0)), narrow, random_chain(rng, 1, (50.0, 100.0))]
+    y = rng.normal(scale=0.5, size=(3, n))
+    step = _TIME_BLOCK + 4
+    y[2, step - 1] = 1e3  # the narrow chain's densities underflow to 0 here
+    carry = {}
+    stacked = filter_paths(chains, y, np.zeros(3), ends=ends, carry=carry)
+    alone = {}
+    filter_paths([narrow], y, np.zeros(3), ends=ends, carry=alone)
+    assert carry["dead_at"] == {1: (step, 2)} and alone["dead_at"] == {0: (step, 2)}
+    for i in (0, 2):
+        assert np.array_equal(stacked[i], filter_paths([chains[i]], y, np.zeros(3), ends=ends)[0])
 
 
 def test_blocked_filter_underflow_names_the_reference_step():

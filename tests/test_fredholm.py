@@ -112,15 +112,21 @@ def test_chisq_rejects_negative_noncentrality():
             noncentral_chisq1_cdf(1.0, lam)
 
 
+@pytest.mark.filterwarnings("error")
 def test_chisq_rejects_nan_and_keeps_infinite_limits():
     # unchecked, a NaN x takes the x <= 0 branch and reads as a plausible 0.0
     for x, lam, name in ((math.nan, 1.0, "x"), ([1.0, math.nan], 1.0, "x"),
                          (1.0, math.nan, "lam"), (1.0, [0.5, math.nan], "lam")):
         with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
             noncentral_chisq1_cdf(x, lam)
+    # unchecked, sqrt(x) - sqrt(lam) is inf - inf: nan and a RuntimeWarning
+    for x, lam in ((math.inf, math.inf), ([1.0, math.inf], math.inf)):
+        with pytest.raises(ValueError, match="^x and lam must not both be inf$"):
+            noncentral_chisq1_cdf(x, lam)
     assert noncentral_chisq1_cdf(math.inf, 2.0) == 1.0
     assert noncentral_chisq1_cdf(-math.inf, 2.0) == 0.0
     assert noncentral_chisq1_cdf(3.0, math.inf) == 0.0
+    assert noncentral_chisq1_cdf(-math.inf, math.inf) == 0.0
 
 
 def test_chisq_matched_noncentrality():

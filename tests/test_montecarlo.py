@@ -220,9 +220,9 @@ FAMILY_A_GEN = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
 @pytest.mark.parametrize("p, q", [(CASE1_GEN, CASE1_ALT), (FAMILY_A_GEN, CASE1_ALT),
                                   (CASE1_GEN, FAMILY_A_GEN)])
 def test_log_ratios_are_one_chain_filter_differences(p, q):
-    # equal d runs both filters in one loop, unequal d (a family-A model
-    # against a family-B one) one loop per state count; either way the rows
-    # are the difference of the one-chain filters over whole paths, bit for bit
+    # both filters run in one call per block, a family-A model's two-state
+    # chain padded to four states beside a family-B one's; the rows are the
+    # difference of the one-chain filters over whole paths, bit for bit
     [rho] = replication_log_ratios([(p, q)], FAST)
     seeds = [mix_seed(FAST.seed, r) for r in range(FAST.reps)]
     y, y_prev, _ = sample_paths([as_chain(p)], seeds, FAST.n, FAST.burn_in)
