@@ -4,9 +4,7 @@ Fredholm / Perron-eigenvector method on the filter's invariant density."""
 
 from .forward import (
     DegenerateInputError,
-    brute_force_log_likelihood,
     log_likelihood,
-    matrix_log_likelihood,
     per_step_log_ratios,
 )
 from .fredholm import (
@@ -73,7 +71,6 @@ __all__ = [
     "PathSample",
     "ResultRow",
     "as_chain",
-    "brute_force_log_likelihood",
     "build_kernel",
     "default_config",
     "divergence_fredholm",
@@ -83,7 +80,6 @@ __all__ = [
     "j_log",
     "load_config",
     "log_likelihood",
-    "matrix_log_likelihood",
     "noncentral_chisq1_cdf",
     "parse_config",
     "per_step_log_ratios",

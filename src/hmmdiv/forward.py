@@ -1,4 +1,4 @@
-"""Normalized forward recursion and reference likelihood evaluators.
+"""Normalized forward recursion for the observation likelihood.
 
 The joint density of observations y_1..y_n given y_0 factors through the
 unnormalized forward weights
@@ -35,20 +35,14 @@ Its collectors, `_path_log_normalizers` and
 arrays: an F-ordered array of equal values would sum a row in another
 order, and so change the likelihoods and the estimates in the last digits.
 
-Two deliberately independent evaluators back the filter for testing:
-`brute_force_log_likelihood` sums the complete-data density over every hidden
-path, and `matrix_log_likelihood` multiplies the density matrices
-
-    M_t[j, i] = P[i, j] f_j(y_t | y_{t-1})
-
-against pi with max-rescaling instead of sum-rescaling. All agree to 1e-9
-on short paths; only the filter is meant for long ones. Every route takes
-a 1-D, finite y and a finite y_prev, and raises ValueError otherwise.
+`log_likelihood` and `per_step_log_ratios` take a 1-D, finite y and a
+finite y_prev, and raise ValueError otherwise. The tests check the filter
+against two independent evaluators, a sum over every hidden path and a
+density-matrix product (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 
@@ -114,59 +108,6 @@ def per_step_log_ratios(p: Model, q: Model, y: np.ndarray, y_prev: float = 0.0) 
     increment is bitwise zero.
     """
     return _path_log_normalizers(p, y, y_prev) - _path_log_normalizers(q, y, y_prev)
-
-
-def brute_force_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float:
-    """Exact likelihood by summing over every hidden path. Exponential in n;
-    refuses inputs with more than 2^20 paths."""
-    chain = as_chain(m)
-    y, y_prev = _observations(y, y_prev)
-    n = y.shape[0]
-    if chain.d ** (n + 1) > 2 ** 20:
-        raise ValueError(
-            f"brute force with d={chain.d}, n={n} exceeds the 2^20 path cap"
-        )
-    if n == 0:
-        return 0.0  # the log of the empty product
-    log_pi = np.log(chain.pi + 0.0)
-    log_p = np.log(chain.transition + 1e-300)
-    # emission log densities, shape (n, d)
-    prevs = np.concatenate(([y_prev], y[:-1]))
-    log_f = np.vstack([chain.emission_log_pdf(y[t], prevs[t]) for t in range(n)])
-    terms = []
-    for path in itertools.product(range(chain.d), repeat=n):
-        lp = log_pi[path[0]] + log_f[0, path[0]]
-        for t in range(1, n):
-            lp += log_p[path[t - 1], path[t]] + log_f[t, path[t]]
-        terms.append(math.exp(lp))
-    return math.log(math.fsum(terms))
-
-
-def matrix_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float:
-    """Likelihood via the density-matrix product ||M_n ... M_1 pi||_1 with
-    per-step max rescaling. Independent arithmetic from the filter (max
-    rescaling, matrix-vector products against M_t rather than elementwise
-    updates); used as a cross-check."""
-    chain = as_chain(m)
-    y, y_prev = _observations(y, y_prev)
-    n = y.shape[0]
-    v = chain.pi.copy()
-    log_scale = 0.0
-    prev = y_prev
-    for t in range(n):
-        f = np.exp(chain.emission_log_pdf(float(y[t]), prev))
-        # step 1 has no transition factor: the weights start at pi
-        mt = np.diag(f) if t == 0 else chain.transition.T * f[:, None]
-        v = mt @ v
-        if np.all(v < _UNDERFLOW):
-            raise DegenerateInputError(
-                f"all forward weights underflowed at step {t + 1}; observations "
-                "are incompatible with the model's emission scales")
-        mx = v.max()
-        v /= mx
-        log_scale += math.log(mx)
-        prev = float(y[t])
-    return log_scale + math.log(v.sum())
 
 
 def _fill_emission_pdfs(chain: LinearGaussianChain, y, y_prev, out, tmp) -> None:

@@ -74,8 +74,10 @@ EIGEN_MAX_ITERS = 100000
 
 class GridTooCoarseError(ValueError):
     """Discretization failed a sanity gate: a pre-normalization kernel
-    column sum fell outside [0.5, 1.5] (increase N or a), or the lattice
-    keeps too few sds of an order's integrand tail (increase a)."""
+    column sum fell outside [0.5, 1.5] (increase N or a), the lattice
+    keeps too few sds of an order's integrand tail (increase a), or the
+    engine gave a divergence below zero, which a finer lattice need not
+    cure."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -386,22 +388,6 @@ def q(x: float, u: float, w: float, t: int, theta_gen, theta_filt) -> float:
     if not 0.0 < x < 1.0:
         return float(x >= 1.0)
     return float(_q_batch(np.array([x]), np.array([u]), np.array([w]), [t], gen, filt)[0, 0])
-
-
-def simulate_q(x, u, w, t: int, theta_gen, theta_filt, rng: np.random.Generator,
-               size: int) -> float:
-    """Indicator simulation of `q` for the selftest and the tests: the
-    share of `size` draws of Y from state t of theta_gen's chain form
-    (from rng's standard normals) at which the filter's signed mixture
-    sum_s sign_s pred_s f_s(y | u) is <= 0, evaluated directly."""
-    gen, filt = as_chain(theta_gen), as_chain(theta_filt)
-    y = gen.c[t] + gen.b[t] * u + gen.s[t] * rng.standard_normal(size)
-    g = np.zeros(size)
-    for s in range(filt.d):
-        pred = w * filt.transition[0, s] + (1 - w) * filt.transition[1, s]
-        f = np.exp(-0.5 * ((y - filt.c[s] - filt.b[s] * u) / filt.s[s]) ** 2) / filt.s[s]
-        g += (1 - x if s % 2 == 0 else -x) * pred * f
-    return float(np.mean(g <= 0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,10 @@ from hmmdiv import (
     McConfig,
     ModelAParams,
     ModelBParams,
-    brute_force_log_likelihood,
     divergence_fredholm,
     estimate_from_log_ratios,
     estimate_renyi_mc,
     log_likelihood,
-    matrix_log_likelihood,
     noncentral_chisq1_cdf,
     q,
     replication_log_ratios,
@@ -34,7 +32,8 @@ from hmmdiv import (
 )
 from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE, gaussian_renyi
 from hmmdiv.cli import check_rows
-from hmmdiv.fredholm import simulate_q
+
+from oracles import FAMILY_A_PAIR, brute_force_log_likelihood, matrix_log_likelihood, simulate_q
 
 RECORDED = Path(__file__).resolve().parents[1] / "benchmarks" / "recorded.json"
 EFFECTIVE_ALPHA = {a: (1.0 if a == "kl" else float(a)) for a in ALPHA_GRID}
@@ -114,10 +113,7 @@ def test_engines_agree_within_simulation_error(fredholm_results, mc_estimates):
 
 
 def test_engines_agree_on_family_a():
-    # the selftest pair: state-dependent AR coefficients and noise scales,
-    # so both the chi-square Q and the per-state emissions are exercised
-    theta1 = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
-    theta = ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9))
+    theta1, theta = FAMILY_A_PAIR
     [rho] = replication_log_ratios([(theta1, theta)], McConfig())
     for alpha in ("kl", 0.5):
         det = divergence_fredholm(theta1, theta, alpha).value

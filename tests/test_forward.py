@@ -13,9 +13,7 @@ from hmmdiv import (
     ModelAParams,
     ModelBParams,
     as_chain,
-    brute_force_log_likelihood,
     log_likelihood,
-    matrix_log_likelihood,
     per_step_log_ratios,
     sample_path,
 )
@@ -27,6 +25,8 @@ from hmmdiv.forward import (
     batch_log_normalizers,
 )
 from hmmdiv.models import _TIME_BLOCK, mix_seed, sample_paths
+
+from oracles import FAMILY_A_PAIR, brute_force_log_likelihood, matrix_log_likelihood
 
 CASE1_GEN, CASE1_ALT = CASES[1]
 
@@ -302,8 +302,7 @@ def test_brute_force_single_state_chain():
 
 def test_all_routes_agree_on_an_empty_path():
     # the likelihood of no observations is the empty product, 1
-    for m in (CASE1_GEN, as_chain(CASE1_ALT),
-              ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))):
+    for m in (CASE1_GEN, as_chain(CASE1_ALT), FAMILY_A_PAIR[0]):
         for route in (log_likelihood, matrix_log_likelihood, brute_force_log_likelihood):
             assert route(m, np.array([]), 0.4) == 0.0, route.__name__
 

@@ -41,9 +41,10 @@ from hmmdiv.fredholm import (
     _q_half,
     _simpson,
     case_functionals,
-    simulate_q,
 )
 from hmmdiv.models import LinearGaussianChain, as_chain
+
+from oracles import FAMILY_A_PAIR, simulate_q
 
 CASE1_GEN, CASE1_ALT = CASES[1]
 CASE7_GEN, CASE7_ALT = CASES[7]
@@ -997,13 +998,9 @@ def _quadrature_pass_full(gen, grid, functionals):
     return out
 
 
-SELFTEST_PAIR = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
-                 ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9)))
-
-
 @pytest.mark.parametrize("pair, one_row", [
     (CASES[1], True), (CASES[6], False), (CASES[7], False), (CASES[8], True),
-    (FAMILY_A_MIRRORS[1], True), (SELFTEST_PAIR, False),
+    (FAMILY_A_MIRRORS[1], True), (FAMILY_A_PAIR, False),
     # the generating chain has no slope but the filter has one
     ((CASE1_GEN, CASES[6][1]), False),
 ], ids=["case1", "case6", "case7", "case8", "a-case1", "a-selftest", "case1-gen-case6-filt"])
@@ -1130,16 +1127,14 @@ def _q_half_per_state(gen, filt, grid):
 
 
 # every kind of pair the kernel takes: family B with psi2 = 0 and not, the
-# family-A mirrors (one variance), the selftest pair (chi-square), and
+# family-A mirrors (one variance), the family-A pair (chi-square), and
 # mixed pairs in both directions
 MIXED_A = ModelAParams(0.401, 0.6, (1.0, 0.0), (0.2, 0.2), (1.0, 1.0))
-SELFTEST_PAIR = (ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4)),
-                 ModelAParams(0.5, 0.5, (0.8, -0.2), (0.1, 0.3), (1.2, 0.9)))
 Q_HALF_PAIRS = {
     **{f"case{k}": CASES[k] for k in (1, 6, 7, 8)},
-    "a-case1": FAMILY_A_MIRRORS[1], "a-selftest": SELFTEST_PAIR,
+    "a-case1": FAMILY_A_MIRRORS[1], "a-selftest": FAMILY_A_PAIR,
     "b7-a": (CASE7_GEN, MIXED_A), "a-b7": (MIXED_A, CASE7_GEN),
-    "b1-a": (CASE1_GEN, SELFTEST_PAIR[1]), "a-b6": (SELFTEST_PAIR[0], CASES[6][1]),
+    "b1-a": (CASE1_GEN, FAMILY_A_PAIR[1]), "a-b6": (FAMILY_A_PAIR[0], CASES[6][1]),
 }
 
 

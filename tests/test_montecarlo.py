@@ -11,7 +11,6 @@ from hmmdiv import (
     DegenerateInputError,
     DivergenceEstimate,
     McConfig,
-    ModelAParams,
     ModelBParams,
     as_chain,
     estimate_renyi_mc,
@@ -20,6 +19,8 @@ from hmmdiv import (
 from hmmdiv.cases import ALPHA_GRID, CASES, REFERENCE, gaussian_kl, gaussian_renyi
 from hmmdiv.models import mix_seed, renyi_order, sample_paths
 from hmmdiv.montecarlo import estimate_from_log_ratios, replication_log_ratios
+
+from oracles import FAMILY_A_PAIR
 
 CASE1_GEN, CASE1_ALT = CASES[1]
 FAST = McConfig(n=200, reps=5, burn_in=20, seed=3)
@@ -214,11 +215,8 @@ def test_degenerate_filter_reports_replication():
     assert "replication" in str(err.value)
 
 
-FAMILY_A_GEN = ModelAParams(0.6, 0.7, (0.5, -0.5), (0.2, -0.1), (1.0, 1.4))
-
-
-@pytest.mark.parametrize("p, q", [(CASE1_GEN, CASE1_ALT), (FAMILY_A_GEN, CASE1_ALT),
-                                  (CASE1_GEN, FAMILY_A_GEN)])
+@pytest.mark.parametrize("p, q", [(CASE1_GEN, CASE1_ALT), (FAMILY_A_PAIR[0], CASE1_ALT),
+                                  (CASE1_GEN, FAMILY_A_PAIR[0])])
 def test_log_ratios_are_one_chain_filter_differences(p, q):
     # both filters run in one call per block, a family-A model's two-state
     # chain padded to four states beside a family-B one's; the rows are the
