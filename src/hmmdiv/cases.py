@@ -21,8 +21,6 @@ which makes it the calibration anchor.
 
 from __future__ import annotations
 
-import math
-
 from .models import ModelBParams
 
 ALPHA_GRID = (0.5, 0.8, 0.99, 0.999, "kl", 1.001, 1.01, 1.5, 2.0)
@@ -156,29 +154,3 @@ REFERENCE: dict[object, dict[int, tuple[float, float, float]]] = {
         8: (0.8587, 0.8590, 0.0176),
     },
 }
-
-# case 8 closed forms: theta1 is i.i.d. N(2, 0.81), theta is i.i.d. N(1, 1)
-CASE8_CLOSED_FORM = {"kl": 0.51036, 0.5: 0.28178, 2.0: 0.85874}
-
-
-def gaussian_kl(mu1: float, s1: float, mu2: float, s2: float) -> float:
-    """KL(N(mu1, s1^2) || N(mu2, s2^2))."""
-    return (
-        math.log(s2 / s1)
-        + (s1 * s1 + (mu1 - mu2) ** 2) / (2.0 * s2 * s2)
-        - 0.5
-    )
-
-
-def gaussian_renyi(mu1: float, s1: float, mu2: float, s2: float,
-                   alpha: float) -> float:
-    """Renyi divergence D_alpha(N(mu1, s1^2) || N(mu2, s2^2)); requires the
-    mixed variance (1-alpha) s1^2 + alpha s2^2 to be positive."""
-    v1, v2 = s1 * s1, s2 * s2
-    va = (1.0 - alpha) * v1 + alpha * v2
-    if va <= 0:
-        raise ValueError("Renyi divergence of this order is infinite")
-    return (
-        alpha * (mu1 - mu2) ** 2 / (2.0 * va)
-        - (math.log(va / (v1 ** (1.0 - alpha) * v2 ** alpha))) / (2.0 * (alpha - 1.0))
-    )

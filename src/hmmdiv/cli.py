@@ -98,9 +98,6 @@ CASE_ERRORS = (GridTooCoarseError, DegenerateInputError, NonConvergenceError)
 # bundled pairs with one mean changed in its last bit), but the value, that
 # divided by alpha - 1, by up to 4e-8 at orders 1 +- 1.1e-8.
 NEGATIVE_TOL = 1e-9
-# Lowest order whose simulation diagnostics carry `mc_top_term_share`: the
-# (alpha - 1) power of the ratio grows heavy-tailed as alpha rises past 1.
-HEAVY_TAIL_MIN_ORDER = 1.5
 
 
 class ConfigError(ValueError):
@@ -352,19 +349,21 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
     dense kernel is alive at a time.
 
     The diagnostics time the three stages: kernel assembly, invariant
-    solves and the J quadratures (`j_log` and `j_alpha` together), and
-    hold the case's `tail_margin_sd` (`_tail_margin`), which the caller
-    checks before any kernel is built.
+    solves and the J quadratures (`j_log` and `j_alpha` together), and the
+    whole call as `fredholm_seconds`; they hold the case's
+    `tail_margin_sd` (`_tail_margin`), which the caller checks before any
+    kernel is built.
     """
+    t0 = time.perf_counter()
     infinite = {a for a, (_, sd) in orders.items() if math.isinf(sd)}
     values = dict.fromkeys(orders, 0.0)
     diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
     diag["tail_margin_sd"] = tail_margin
 
     def timed(stage, layer, *args):
-        t0 = time.perf_counter()
+        start = time.perf_counter()
         out = layer(*args)
-        diag[stage] += time.perf_counter() - t0
+        diag[stage] += time.perf_counter() - start
         return out
 
     if theta1 == theta:
@@ -407,6 +406,7 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
         diag["max_col_sum_deviation"] = max(deviations)
         diag["iterations"] = sum(m.iterations for m in solves)
     diag["grid"] = _settings(grid)
+    diag["fredholm_seconds"] = time.perf_counter() - t0
     return values, diag
 
 
@@ -429,12 +429,12 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     Returns, per case, ({alpha: DivergenceEstimate}, diagnostics), or the
     error that stopped the case's filter. The diagnostics hold the stage
     timings and `mc_top_term_share`: {alpha: the estimate's
-    `top_term_share`} for the finite orders of at least
-    HEAVY_TAIL_MIN_ORDER. The batch's sampling and filtering seconds, and
-    the wall time of its one call, are split evenly over the simulated
-    cases as their "sample_seconds", "filter_seconds" and the simulation
-    part of "mc_seconds", to which each case adds the time of its own
-    estimates; a case that is not simulated has 0 for the first two.
+    `top_term_share`} for the finite Renyi orders. The batch's sampling
+    and filtering seconds, and the wall time of its one call, are split
+    evenly over the simulated cases as their "sample_seconds",
+    "filter_seconds" and the simulation part of "mc_seconds", to which each
+    case adds the time of its own estimates; a case that is not simulated
+    has 0 for the first two.
     """
     simulated = [i for i, (*_, orders) in enumerate(cases) if _simulated(orders)]
     timings, errors, rhos = {}, {}, []
@@ -456,7 +456,7 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
         diag = {stage: timings[stage] / len(simulated) if i in rho_of else 0.0
                 for stage in ("sample_seconds", "filter_seconds")}
         diag["mc_top_term_share"] = {a: values[a].top_term_share for a in finite
-                                     if values[a].alpha >= HEAVY_TAIL_MIN_ORDER}
+                                     if values[a].alpha != 1.0}
         diag["mc_seconds"] = share + (time.perf_counter() - t1) if i in rho_of else 0.0
         results.append(failed.get(i, (values, diag)))
     return results
@@ -464,7 +464,11 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
 
 def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> DivergenceResult:
     """Divergence rate of theta1 from theta by the deterministic engine:
-    the one-order call of the per-case Fredholm pipeline.
+    the one-order call of the per-case Fredholm pipeline. A Renyi value is
+    the one-step functional log E_pi[(p_theta1 / p_theta)^(alpha-1)] /
+    (alpha - 1) (`j_alpha`), the path-level rate only for i.i.d. pairs and
+    at KL (`hmmdiv.montecarlo`). Its diagnostics are those a run writes
+    for the case.
 
     alpha may be a number or "kl"; values within 1e-8 of 1 route to the KL
     path, and other orders that are not finite and > 0 raise ValueError.
@@ -482,7 +486,8 @@ def estimate_renyi_mc(p, q, alpha, cfg: McConfig | None = None) -> DivergenceEst
     """Renyi divergence rate of p from q by simulation: the one-order,
     one-case call of the simulation pipeline, with paths sampled under p.
     alpha is a number or "kl" (the KL rate), routed and checked as in
-    `divergence_fredholm`."""
+    `divergence_fredholm`. The estimate is of the one-step functional, as
+    there, not of the path-level rate (`hmmdiv.montecarlo`)."""
     result = _mc_values([(p, q, _orders(p, q, (alpha,)))], cfg or McConfig())[0]
     if isinstance(result, Exception):
         raise result
@@ -499,6 +504,14 @@ def _named(name: str, exc: Exception) -> Exception:
     return named
 
 
+def _failure(exc: Exception) -> str:
+    """The one line that reports an error, on stderr and in `failed_cases`:
+    "<ErrorType>: case '<name>': ..." for an engine error (`_named`)."""
+    if isinstance(exc, ConfigError):
+        return f"config error: {exc}"
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _outcome(call, *args):
     """call(*args), or the exception it raised: a failed share or case is
     kept for `_run_all`, which reports it and lets the others finish."""
@@ -506,16 +519,6 @@ def _outcome(call, *args):
         return call(*args)
     except Exception as exc:  # the caller re-raises it once every case has run
         return exc
-
-
-def _fredholm_case(case: tuple):
-    """The Fredholm values and diagnostics, with its `fredholm_seconds`, of
-    one case from `_resolve`."""
-    spec, orders, margin = case
-    t0 = time.perf_counter()
-    values, diag = _fredholm_values(spec.theta1, spec.theta, orders, spec.grid, margin)
-    diag["fredholm_seconds"] = time.perf_counter() - t0
-    return values, diag
 
 
 def _case_rows(spec: CaseSpec, fred, mc) -> list[ResultRow]:
@@ -652,7 +655,8 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
     reports the Fredholm error.
     """
     mc = _simulate(cases, workers) if "mc" in methods else [None] * len(cases)
-    fred = [_outcome(_fredholm_case, c) if "fredholm" in methods else None for c in cases]
+    fred = [_outcome(_fredholm_values, spec.theta1, spec.theta, orders, spec.grid, margin)
+            if "fredholm" in methods else None for spec, orders, margin in cases]
     rows, per_case, failed = [], {}, {}
     for (spec, _, _), f, m in zip(cases, fred, mc):
         error = next((r for r in (f, m) if isinstance(r, Exception)), None)
@@ -736,15 +740,18 @@ def _fmt(value, decimals=4, width=10) -> str:
 
 
 def format_table(rows: list[ResultRow]) -> str:
+    """The aligned table: the case column is as wide as the longest name,
+    and at least 10 characters."""
+    width = max([10, *(len(r.case) for r in rows)])
     header = (
-        f"{'case':<10} {'alpha':>6} {'fredholm':>10} {'mc_mean':>10} "
+        f"{'case':<{width}} {'alpha':>6} {'fredholm':>10} {'mc_mean':>10} "
         f"{'mc_sd':>10} {'re_pct':>10} {'fred_s':>8} {'mc_s':>8}"
     )
     lines = [header, "-" * len(header)]
     for r in rows:
         alpha = r.alpha if isinstance(r.alpha, str) else f"{r.alpha:g}"
         lines.append(
-            f"{r.case:<10} {alpha:>6} {_fmt(r.fredholm)} {_fmt(r.mc_mean)} "
+            f"{r.case:<{width}} {alpha:>6} {_fmt(r.fredholm)} {_fmt(r.mc_mean)} "
             f"{_fmt(r.mc_sd)} {_fmt(r.rel_err_pct)} "
             f"{_fmt(r.fredholm_seconds, 3, 8)} {_fmt(r.mc_seconds, 3, 8)}"
         )
@@ -788,7 +795,7 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
         "methods": list(methods),
         "wall_seconds": elapsed,
         "cases": per_case,
-        "failed_cases": {name: f"{type(exc).__name__}: {exc}" for name, exc in failed.items()},
+        "failed_cases": {name: _failure(exc) for name, exc in failed.items()},
     }
 
     with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8") as fh:
@@ -840,7 +847,7 @@ def main(argv=None) -> int:
     try:
         rows, failures = reproduce_table(args.config, methods, args.out, args.check)
     except (ConfigError, *CASE_ERRORS) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(_failure(exc), file=sys.stderr)
         return 2
     print(format_table(rows), end="")
     if failures:

@@ -159,7 +159,6 @@ class InvariantDensityGrid:
 class DivergenceResult:
     alpha: float
     value: float
-    method: str = "fredholm"
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -679,7 +678,10 @@ def j_alpha(theta1, theta, alpha: float, m: InvariantDensityGrid,
             grid: GridSpec) -> float:
     """J^alpha: expected (alpha-1) power of the one-step predictive-density
     ratio, against the invariant density m (solved with filter theta).
-    The divergence is log(J^alpha)/(alpha-1)."""
+    The divergence is log(J^alpha)/(alpha-1), the one-step functional
+    log E_pi[(p_theta1 / p_theta)^(alpha-1)] / (alpha - 1); that is the
+    path-level rate lim (1/n) D_alpha(P^n_theta1 || P^n_theta) only for
+    i.i.d. pairs and at KL (`hmmdiv.montecarlo`)."""
     alpha = renyi_order(alpha)
     if alpha == 1.0:
         raise ValueError("alpha = 1 has no power functional; use j_log")

@@ -30,10 +30,17 @@ from hmmdiv import (
     run_cases,
     sample_path,
 )
-from hmmdiv.cases import ALPHA_GRID, CASE8_CLOSED_FORM, CASES, REFERENCE, gaussian_renyi
+from hmmdiv.cases import ALPHA_GRID, CASES, REFERENCE
 from hmmdiv.cli import check_rows
 
-from oracles import FAMILY_A_PAIR, brute_force_log_likelihood, matrix_log_likelihood, simulate_q
+from oracles import (
+    CASE8_CLOSED_FORM,
+    FAMILY_A_PAIR,
+    brute_force_log_likelihood,
+    gaussian_renyi,
+    matrix_log_likelihood,
+    simulate_q,
+)
 
 RECORDED = Path(__file__).resolve().parents[1] / "benchmarks" / "recorded.json"
 EFFECTIVE_ALPHA = {a: (1.0 if a == "kl" else float(a)) for a in ALPHA_GRID}

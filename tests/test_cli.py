@@ -190,7 +190,7 @@ def test_run_cases_rejects_repeated_names_before_any_case_runs(monkeypatch, tmp_
     specs = [CaseSpec("x", "B", *bench.CASES[k], ("kl", 0.5), mc=mc, grid=grid)
              for k in (1, 3)]
     ran = []
-    for name in ("_simulate", "_fredholm_case"):
+    for name in ("_simulate", "_fredholm_values"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
     with pytest.raises(ConfigError, match="^cases: names must be unique, 'x' is repeated$"):
         run_cases(specs)
@@ -419,13 +419,13 @@ def test_mc_stage_timings_in_diagnostics():
 
 def test_mc_top_term_share_in_diagnostics(tmp_path):
     # the largest share of a replication's log-sum-exp carried by its
-    # largest term, for the finite orders >= 1.5 only; no value moves
+    # largest term, for every finite Renyi order; no value moves
     spec = tiny_spec(alphas=(0.5, "kl", 1.5, 2.0))
     orders = cli._orders(spec.theta1, spec.theta, spec.alphas)
     [(values, diag)] = cli._mc_values([(spec.theta1, spec.theta, orders)], spec.mc)
     [rho] = replication_log_ratios([(spec.theta1, spec.theta)], spec.mc)
-    assert set(diag["mc_top_term_share"]) == {1.5, 2.0}
-    for a in (1.5, 2.0):
+    assert set(diag["mc_top_term_share"]) == {0.5, 1.5, 2.0}
+    for a in (0.5, 1.5, 2.0):
         scaled = (a - 1.0) * rho
         want = np.max(np.exp(scaled.max(axis=1) - logsumexp(scaled, axis=1)))
         assert math.isclose(diag["mc_top_term_share"][a], want, rel_tol=1e-12)
@@ -437,7 +437,7 @@ def test_mc_top_term_share_in_diagnostics(tmp_path):
     cfg.write_text(json.dumps(tiny_doc(alphas=(0.5, "kl", 1.5, 2.0))))
     reproduce_table(str(cfg), methods=("mc",), out_dir=str(tmp_path))
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
-    assert set(diag["cases"]["c8"]["mc_top_term_share"]) == {"1.5", "2.0"}
+    assert set(diag["cases"]["c8"]["mc_top_term_share"]) == {"0.5", "1.5", "2.0"}
 
 
 def test_mc_skips_simulation_when_every_order_is_infinite(monkeypatch):
@@ -544,7 +544,7 @@ def test_estimates_run_inside_their_share(monkeypatch, tmp_path):
                   for name, d in diags.items()}
         runs[count, methods] = mc_cells(rows), shares
     assert len({repr(run) for run in runs.values()}) == 1
-    assert all(set(shares) == {1.5, 2.0} for shares in runs["1", ("mc",)][1].values())
+    assert all(set(shares) == {0.5, 1.5, 2.0} for shares in runs["1", ("mc",)][1].values())
 
 
 def hexed(value):
@@ -567,20 +567,20 @@ def test_fredholm_cases_run_on_the_calling_thread(monkeypatch):
     specs = [CaseSpec(f"case{k}", "B", *bench.CASES[k], (0.5, "kl"), mc=mc, grid=grid)
              for k in (1, 2, 4)]
     specs.append(CaseSpec("a", "A", *FAMILY_A_PAIR, (0.5, "kl"), mc=mc, grid=grid))
-    real_case, real_simulate, seen, simulated = cli._fredholm_case, cli._simulate, [], []
+    real_values, real_simulate, seen, simulated = cli._fredholm_values, cli._simulate, [], []
 
-    def logged(case):
+    def logged(*args):
         seen.append((threading.current_thread() is threading.main_thread(),
                      multiprocessing.active_children(), threading.active_count(),
                      len(simulated)))
-        return real_case(case)
+        return real_values(*args)
 
     def simulate(*args):
         results = real_simulate(*args)
         simulated.append(results)
         return results
 
-    monkeypatch.setattr(cli, "_fredholm_case", logged)
+    monkeypatch.setattr(cli, "_fredholm_values", logged)
     monkeypatch.setattr(cli, "_simulate", simulate)
     runs = {}
     for count in ("1", "2"):
@@ -596,6 +596,13 @@ def test_fredholm_cases_run_on_the_calling_thread(monkeypatch):
                         for name, d in diags.items()})
     assert runs["1"] == runs["2"]
     assert {"eigen_residual", "mc_top_term_share"} <= set(runs["2"][1]["case1"])
+
+
+def test_one_order_call_returns_the_run_diagnostics(fredholm_cases):
+    # divergence_fredholm is the one-order call of the case pipeline, so it
+    # returns the keys a run writes for the case, `fredholm_seconds` too
+    res = divergence_fredholm(*bench.CASES[1], 0.5)
+    assert list(res.diagnostics) == list(fredholm_cases[1][1])
 
 
 def hex_cells(rows, diags):
@@ -861,6 +868,20 @@ def test_table_and_csv_agree():
         assert cells[3] == f"{row.mc_mean:.4f}"
 
 
+def test_table_columns_align_for_long_names():
+    # the case column is as wide as the longest name, so every cell of a
+    # row ends where its header label ends, whatever the name's length
+    rows = [ResultRow(case=name, alpha=a, fredholm=0.1234, mc_mean=0.1231, mc_sd=0.01,
+                      rel_err_pct=0.25, fredholm_seconds=0.05, mc_seconds=0.02)
+            for name in ("case1", "persistent-p20") for a in (0.5, "kl")]
+    header, rule, *lines = format_table(rows).splitlines()
+    ends = [m.end() for m in re.finditer(r"\S+", header)]
+    assert len(rule) == len(header) and len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        assert line.startswith(row.case + " ")
+        assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends[1:]
+
+
 def test_csv_blank_for_missing():
     rows = [ResultRow(case="x", alpha=0.5, fredholm=1.0)]
     rec = next(csv.DictReader(io.StringIO(format_csv(rows))))
@@ -988,7 +1009,7 @@ def test_main_rejected_lattice_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(serialize_config([spec])))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "config error: case 'case7': " in capsys.readouterr().err
+    assert "GridTooCoarseError: case 'case7': " in capsys.readouterr().err
 
 
 def test_a_divergence_below_zero_is_refused(tmp_path, capsys):
@@ -1005,7 +1026,10 @@ def test_a_divergence_below_zero_is_refused(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(serialize_config([spec])))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"config error: {exc.value}"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"GridTooCoarseError: {exc.value}"]
+    diag = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
+    assert diag["failed_cases"] == {"p05": err[0]}
 
 
 def test_rounding_near_identical_models_is_not_refused():
@@ -1034,7 +1058,8 @@ def test_finished_cases_kept_when_a_later_case_fails(tmp_path, monkeypatch, caps
     cfg.write_text(json.dumps(serialize_config(specs)))
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--methods", "fredholm", "--out", str(out)]) == 2
-    assert "config error: case 'case7': pre-normalization column sum" in capsys.readouterr().err
+    assert ("GridTooCoarseError: case 'case7': pre-normalization column sum"
+            in capsys.readouterr().err)
     want = run_cases(specs[:1], ("fredholm",))
     lines = (out / "table.csv").read_text().splitlines()
     assert lines[0] == "case,alpha,fredholm,mc_mean,mc_sd,re_pct,fredholm_seconds,mc_seconds"
@@ -1083,10 +1108,10 @@ def test_a_case_either_engine_rejects_exits_two_named_once(tmp_path, monkeypatch
     out = tmp_path / "o"
     assert main(["run", str(cfg), "--methods", engine, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"config error: {exc.value}"]
+    assert err == [f"{error.__name__}: {exc.value}"]
     diag = json.loads((out / "diagnostics.json").read_text())
     assert list(diag["cases"]) == ["ok"]
-    assert diag["failed_cases"] == {"bad": f"{error.__name__}: {exc.value}"}
+    assert diag["failed_cases"] == {"bad": err[0]}
 
 
 def test_main_invalid_thread_env_exits_two(tmp_path, monkeypatch, capsys):
@@ -1145,10 +1170,14 @@ def test_public_names_resolve():
     assert [n for n in hmmdiv.__all__ if not hasattr(hmmdiv, n)] == []
 
 
-def test_every_public_name_is_in_the_readme(capsys):
+def read_readme() -> str:
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
               encoding="utf-8") as fh:
-        readme = fh.read()
+        return fh.read()
+
+
+def test_every_public_name_is_in_the_readme(capsys):
+    readme = read_readme()
     assert [n for n in hmmdiv.__all__ if not re.search(rf"`{n}\b", readme)] == []
     # and it names nothing that is gone: each `module.name` resolves, and
     # each command of its CLI block is one that `main` takes
@@ -1163,3 +1192,23 @@ def test_every_public_name_is_in_the_readme(capsys):
             main([cmd, "--help"])
         assert exc.value.code == 0, cmd
     capsys.readouterr()
+
+
+def test_every_diagnostics_key_is_in_the_readme(tmp_path):
+    # the top-level keys and the per-case keys of both engines, of an
+    # identity case and of a case whose every order is infinite
+    doc = tiny_doc(alphas=(0.5, "kl", 2.0))
+    same = {**doc["cases"][0], "name": "same", "theta": dict(T1)}
+    wide = {**doc["cases"][0], "name": "wide", "alphas": [2.0],
+            "theta1": {**T1, "sigma": 1.5}}  # the order-2 rate is infinite
+    doc["cases"] += [same, wide]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    reproduce_table(str(cfg), out_dir=str(tmp_path))
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert set(diag["cases"]) == {"c8", "same", "wide"}
+    assert diag["cases"]["same"]["identity"] is True
+    assert diag["cases"]["wide"]["tail_margin_sd"] is None
+    keys = set(diag).union(*diag["cases"].values())
+    readme = read_readme()
+    assert sorted(k for k in keys if f"`{k}`" not in readme) == []

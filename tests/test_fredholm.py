@@ -637,7 +637,6 @@ def test_divergence_kl_routing():
     c = divergence_fredholm(CASE1_GEN, CASE1_ALT, 1.0)
     assert a.value == b.value == c.value
     assert a.alpha == 1.0
-    assert a.method == "fredholm"
 
 
 def test_divergence_rejects_orders_outside_the_domain(monkeypatch):
