@@ -29,7 +29,6 @@ from .models import (
     as_chain,
     sample_path,
     transition_matrix,
-    validate_model,
 )
 from .montecarlo import (
     DivergenceEstimate,
@@ -91,5 +90,4 @@ __all__ = [
     "serialize_config",
     "solve_invariant",
     "transition_matrix",
-    "validate_model",
 ]

@@ -76,7 +76,6 @@ from .models import (
     ModelBParams,
     renyi_order,
     tail_sds,
-    validate_model,
 )
 from .montecarlo import (
     DivergenceEstimate,
@@ -129,9 +128,6 @@ class CaseSpec:
         for label, theta in (("theta1", self.theta1), ("theta", self.theta)):
             if not isinstance(theta, want):
                 raise ConfigError(f"{where}: {label} does not match family {self.family}")
-            problems = validate_model(theta)
-            if problems:
-                raise ConfigError(f"{where}: {label} invalid: " + "; ".join(problems))
         if not isinstance(self.alphas, (list, tuple)) or not self.alphas:
             raise ConfigError(f"{where}: alphas must be a non-empty list, got {self.alphas!r}")
         for a in self.alphas:

@@ -136,20 +136,17 @@ class GridSpec:
 class KernelMatrix:
     """Discretized Fredholm kernel, column-normalized to stochastic form."""
 
-    dim: int
     entries: np.ndarray
     pre_norm_col_sums: np.ndarray
-    n_components: int
     grid: GridSpec
 
 
 @dataclass(frozen=True)
 class InvariantDensityGrid:
     """Perron eigenvector reshaped to per-component lattices, scaled so the
-    total mass (sum of values times cell_area) is 1."""
+    total mass (sum of values times grid.cell_area) is 1."""
 
     components: np.ndarray
-    cell_area: float
     eigen_residual: float
     iterations: int
     grid: GridSpec
@@ -455,13 +452,7 @@ def build_kernel(theta_gen, theta_filt, grid: GridSpec) -> KernelMatrix:
             f"the lattice (N={grid.N}, a={grid.a}) is too coarse for these models"
         )
     entries /= col_sums  # in place: one dense array per kernel
-    return KernelMatrix(
-        dim=entries.shape[0],
-        entries=entries,
-        pre_norm_col_sums=col_sums,
-        n_components=gen.d,
-        grid=grid,
-    )
+    return KernelMatrix(entries=entries, pre_norm_col_sums=col_sums, grid=grid)
 
 
 def _power_iteration(entries: np.ndarray, tol: float, max_iters: int):
@@ -491,10 +482,9 @@ def solve_invariant(kernel: KernelMatrix) -> InvariantDensityGrid:
     """
     m, residual, it = _power_iteration(kernel.entries, EIGEN_TOL, EIGEN_MAX_ITERS)
     n1 = kernel.grid.N - 1
-    comps = (m / kernel.grid.cell_area).reshape(kernel.n_components, n1, n1)
+    comps = (m / kernel.grid.cell_area).reshape(-1, n1, n1)
     return InvariantDensityGrid(
         components=comps,
-        cell_area=kernel.grid.cell_area,
         eigen_residual=residual,
         iterations=it,
         grid=kernel.grid,
@@ -670,7 +660,7 @@ def _j_quadrature(tables: tuple, m: InvariantDensityGrid) -> float:
     order."""
     total = 0.0
     for p, s, g in tables:
-        total += p * float(np.sum(m.components[s] * g)) * m.cell_area
+        total += p * float(np.sum(m.components[s] * g)) * m.grid.cell_area
     return float(total)
 
 

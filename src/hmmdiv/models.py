@@ -19,7 +19,9 @@ through its first-order lift onto the four pair states
 Both families (and the four-state lift) reduce to one shape: a finite hidden
 chain whose state j emits Y | Y_prev ~ N(c_j + b_j * Y_prev, s_j^2). That
 shape is `LinearGaussianChain`; the filter, samplers, and likelihood engines
-only ever see it, so they work for general d.
+only ever see it, so they work for general d. Each of the three types
+checks its numbers when it is built and raises one ValueError that names
+every violated constraint, so the engines take any model as valid.
 
 The one path sampler, `path_blocks`, steps the paths of several chains and
 seeds together and yields them a block of time steps at a time, so a
@@ -62,6 +64,18 @@ class ModelAParams:
 
     def __post_init__(self):
         _freeze_pairs(self, ("mu", "psi", "sigma"))
+        problems = _pair_shape_problems(self, ("mu", "psi", "sigma"))
+        if not problems:
+            problems = _probability_problems(self, ("p00", "p11"))
+            for k in (0, 1):
+                if not math.isfinite(self.mu[k]):
+                    problems.append(f"mu[{k}] must be finite, got {self.mu[k]}")
+                if not abs(self.psi[k]) < 1.0:
+                    problems.append(f"|psi[{k}]| < 1 required, got {self.psi[k]}")
+                if not 0.0 < self.sigma[k] < math.inf:
+                    problems.append(
+                        f"sigma[{k}] must be positive and finite, got {self.sigma[k]}")
+        _raise_invalid(problems)
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,26 @@ class ModelBParams:
 
     def __post_init__(self):
         _freeze_pairs(self, ("mu",))
+        problems = _pair_shape_problems(self, ("mu",))
+        if not problems:
+            problems = _probability_problems(self, ("p01", "p10"))
+            terms = {"mu[0]": self.mu[0], "mu[1]": self.mu[1], "psi1": self.psi1,
+                     "psi2": self.psi2}
+            infinite = [f"{name} must be finite, got {v}"
+                        for name, v in terms.items() if not math.isfinite(v)]
+            problems += infinite
+            if not infinite:
+                # finite terms can still overflow in the pair-state intercepts of `as_chain`
+                for i, j in np.ndindex(2, 2):
+                    mean = self.psi2 * self.mu[i] + self.psi1 * self.mu[j]
+                    if not math.isfinite(mean):
+                        problems.append(f"pair mean psi2 * mu[{i}] + psi1 * mu[{j}] "
+                                        f"must be finite, got {mean}")
+            if not abs(self.phi) < 1.0:
+                problems.append(f"|phi| < 1 required, got {self.phi}")
+            if not 0.0 < self.sigma < math.inf:
+                problems.append(f"sigma must be positive and finite, got {self.sigma}")
+        _raise_invalid(problems)
 
 
 def _freeze_pairs(m, names) -> None:
@@ -95,6 +129,24 @@ def _freeze_pairs(m, names) -> None:
             value = value.tolist()
         if isinstance(value, list):
             object.__setattr__(m, name, tuple(value))
+
+
+def _pair_shape_problems(m, names) -> list[str]:
+    """A per-state tuple of the wrong length is reported alone, since the
+    per-state checks cannot run on it."""
+    return [f"{name} must have exactly 2 entries, got {getattr(m, name)!r}"
+            for name in names if np.shape(getattr(m, name)) != (2,)]
+
+
+def _probability_problems(m, names) -> list[str]:
+    return [f"0 < {name} < 1 required, got {getattr(m, name)}"
+            for name in names if not 0.0 < getattr(m, name) < 1.0]
+
+
+def _raise_invalid(problems: list[str]) -> None:
+    """One ValueError naming every violated constraint, not just the first."""
+    if problems:
+        raise ValueError("invalid model: " + "; ".join(problems))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,16 +166,28 @@ class LinearGaussianChain:
     s: np.ndarray
 
     def __post_init__(self):
-        for name in ("pi", "transition", "c", "b", "s"):
+        names = ("pi", "transition", "c", "b", "s")
+        for name in names:
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
             getattr(self, name).flags.writeable = False
+        if self.pi.ndim != 1:
+            _raise_invalid([f"pi must be a vector, got shape {self.pi.shape}"])
         d = self.pi.shape[0]
         if self.transition.shape != (d, d):
-            raise ValueError("transition shape must match pi length")
+            _raise_invalid(["transition shape must match pi length"])
         if not (self.c.shape == self.b.shape == self.s.shape == (d,)):
-            raise ValueError("emission parameter vectors must have length d")
+            _raise_invalid(["emission parameter vectors must have length d"])
+        problems = [f"{name} must be finite, got {getattr(self, name)}"
+                    for name in names if not np.all(np.isfinite(getattr(self, name)))]
         if np.any(self.s <= 0.0):
-            raise ValueError("emission standard deviations must be positive")
+            problems.append("emission standard deviations must be positive")
+        if np.any(self.transition < 0.0) or np.any(self.transition > 1.0):
+            problems.append("transition probabilities must lie in [0, 1]")
+        if abs(self.pi.sum() - 1.0) > 1e-12 or np.any(self.pi < 0):
+            problems.append("pi must be a probability vector")
+        if np.any(np.abs(self.transition.sum(axis=1) - 1.0) > 1e-12):
+            problems.append("transition rows must sum to 1")
+        _raise_invalid(problems)
         keys = [np.array([self.c[t], self.b[t], self.s[t]]).tobytes() for t in range(d)]
         object.__setattr__(self, "_emission_reps", tuple(keys.index(key) for key in keys))
 
@@ -144,12 +208,6 @@ class LinearGaussianChain:
         """For each state, the first state with the same emission numbers
         (c, b, s): what depends on the emission alone is computed once."""
         return list(self._emission_reps)
-
-    def emission_log_pdf(self, y, y_prev):
-        """Log emission densities, one per state; broadcasts over y/y_prev."""
-        y = np.asarray(y, dtype=float)[..., None]
-        y_prev = np.asarray(y_prev, dtype=float)[..., None]
-        return _gauss_log_pdf(y, y_prev, self.c, self.b, self.s)
 
 
 def _gauss_log_pdf(y, y_prev, c, b, s, out=None, tmp=None):
@@ -189,69 +247,6 @@ class PathSample:
 Model = ModelAParams | ModelBParams | LinearGaussianChain
 
 
-def _pair_shape_problems(m: Model, names) -> list[str]:
-    return [f"{name} must have exactly 2 entries, got {getattr(m, name)!r}"
-            for name in names if np.shape(getattr(m, name)) != (2,)]
-
-
-def validate_model(m: Model) -> list[str]:
-    """Check parameter constraints; returns a list of violations (empty = ok).
-
-    Report-style on purpose: the CLI wants every violated constraint named,
-    not just the first. Non-finite parameters are violations; a per-state
-    tuple of the wrong length is reported alone, since the per-state checks
-    cannot run on it.
-    """
-    problems: list[str] = []
-    if isinstance(m, ModelAParams):
-        problems += _pair_shape_problems(m, ("mu", "psi", "sigma"))
-        if problems:
-            return problems
-        for name in ("p00", "p11"):
-            v = getattr(m, name)
-            if not (0.0 < v < 1.0):
-                problems.append(f"0 < {name} < 1 required, got {v}")
-        for k in (0, 1):
-            if not math.isfinite(m.mu[k]):
-                problems.append(f"mu[{k}] must be finite, got {m.mu[k]}")
-            if not abs(m.psi[k]) < 1.0:
-                problems.append(f"|psi[{k}]| < 1 required, got {m.psi[k]}")
-            if not 0.0 < m.sigma[k] < math.inf:
-                problems.append(f"sigma[{k}] must be positive and finite, got {m.sigma[k]}")
-    elif isinstance(m, ModelBParams):
-        problems += _pair_shape_problems(m, ("mu",))
-        if problems:
-            return problems
-        for name in ("p01", "p10"):
-            v = getattr(m, name)
-            if not (0.0 < v < 1.0):
-                problems.append(f"0 < {name} < 1 required, got {v}")
-        for k in (0, 1):
-            if not math.isfinite(m.mu[k]):
-                problems.append(f"mu[{k}] must be finite, got {m.mu[k]}")
-        for name in ("psi1", "psi2"):
-            if not math.isfinite(getattr(m, name)):
-                problems.append(f"{name} must be finite, got {getattr(m, name)}")
-        if not abs(m.phi) < 1.0:
-            problems.append(f"|phi| < 1 required, got {m.phi}")
-        if not 0.0 < m.sigma < math.inf:
-            problems.append(f"sigma must be positive and finite, got {m.sigma}")
-    elif isinstance(m, LinearGaussianChain):
-        for name in ("pi", "transition", "c", "b", "s"):
-            if not np.all(np.isfinite(getattr(m, name))):
-                problems.append(f"{name} must be finite, got {getattr(m, name)}")
-        if np.any(m.transition < 0.0) or np.any(m.transition > 1.0):
-            problems.append("transition probabilities must lie in [0, 1]")
-        if np.any(np.abs(m.pi.sum() - 1.0) > 1e-12) or np.any(m.pi < 0):
-            problems.append("pi must be a probability vector")
-        rowsum = m.transition.sum(axis=1)
-        if np.any(np.abs(rowsum - 1.0) > 1e-12):
-            problems.append("transition rows must sum to 1")
-    else:
-        raise TypeError(f"not a model: {type(m).__name__}")
-    return problems
-
-
 def transition_matrix(m: ModelAParams | ModelBParams) -> np.ndarray:
     """The 2-state transition matrix of either family."""
     if isinstance(m, ModelAParams):
@@ -263,7 +258,7 @@ def transition_matrix(m: ModelAParams | ModelBParams) -> np.ndarray:
 
 def as_chain(m: Model) -> LinearGaussianChain:
     """Reduce any supported model to the common filter form; a chain is
-    validated and returned as it is.
+    returned as it is. Every model was checked when it was built.
 
     Both families start from the 2-state matrix P, whose stationary law is
     (p10, p01) / (p01 + p10). Family B is lifted onto the pair states
@@ -272,11 +267,10 @@ def as_chain(m: Model) -> LinearGaussianChain:
     pi[i] * P[i, j]. In both forms chain state s ends in primitive state
     s % 2: pair state s = 2i + j ends in j.
     """
-    problems = validate_model(m)
-    if problems:
-        raise ValueError("invalid model: " + "; ".join(problems))
     if isinstance(m, LinearGaussianChain):
         return m
+    if not isinstance(m, (ModelAParams, ModelBParams)):
+        raise TypeError(f"not a model: {type(m).__name__}")
     p = transition_matrix(m)
     # (p10, p01): the stationary law before its normalizer, which divides last
     balance = np.array([p[1, 0], p[0, 1]])

@@ -13,6 +13,9 @@ agree with `forward.log_likelihood` to 1e-9 on short paths, and take a
 `simulate_q` is the indicator simulation of `fredholm.q`, and
 `gaussian_kl` and `gaussian_renyi` are the closed forms of two Gaussians,
 which case 8's i.i.d. models reduce to (`CASE8_CLOSED_FORM`).
+`emission_log_pdf` is the exception: it evaluates a chain's emission
+densities with the engine's own `models._gauss_log_pdf`, so that a check
+of the filter's in-place density fill compares the same bits.
 """
 
 import itertools
@@ -22,7 +25,7 @@ import numpy as np
 
 from hmmdiv import DegenerateInputError, ModelAParams, ModelBParams, as_chain
 from hmmdiv.forward import _UNDERFLOW, _observations
-from hmmdiv.models import Model
+from hmmdiv.models import Model, _gauss_log_pdf
 
 # state-dependent AR coefficients and noise scales: the filter's two
 # variances differ, so Q takes the chi-square closed form, and every state
@@ -66,6 +69,14 @@ def gaussian_renyi(mu1: float, s1: float, mu2: float, s2: float,
     )
 
 
+def emission_log_pdf(chain, y, y_prev):
+    """Log emission densities of a chain form, one per state on the last
+    axis; broadcasts over y and y_prev."""
+    y = np.asarray(y, dtype=float)[..., None]
+    y_prev = np.asarray(y_prev, dtype=float)[..., None]
+    return _gauss_log_pdf(y, y_prev, chain.c, chain.b, chain.s)
+
+
 def brute_force_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float:
     """Exact likelihood by summing over every hidden path. Exponential in n;
     refuses inputs with more than 2^20 paths."""
@@ -82,7 +93,7 @@ def brute_force_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> 
     log_p = np.log(chain.transition + 1e-300)
     # emission log densities, shape (n, d)
     prevs = np.concatenate(([y_prev], y[:-1]))
-    log_f = np.vstack([chain.emission_log_pdf(y[t], prevs[t]) for t in range(n)])
+    log_f = np.vstack([emission_log_pdf(chain, y[t], prevs[t]) for t in range(n)])
     terms = []
     for path in itertools.product(range(chain.d), repeat=n):
         lp = log_pi[path[0]] + log_f[0, path[0]]
@@ -104,7 +115,7 @@ def matrix_log_likelihood(m: Model, y: np.ndarray, y_prev: float = 0.0) -> float
     log_scale = 0.0
     prev = y_prev
     for t in range(n):
-        f = np.exp(chain.emission_log_pdf(float(y[t]), prev))
+        f = np.exp(emission_log_pdf(chain, float(y[t]), prev))
         # step 1 has no transition factor: the weights start at pi
         mt = np.diag(f) if t == 0 else chain.transition.T * f[:, None]
         v = mt @ v

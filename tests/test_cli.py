@@ -148,7 +148,7 @@ def test_per_case_overrides():
         (lambda d: d["cases"][0]["theta1"].update(mu=2.0),
          "cases[0].theta1.mu: expected a list, got 2.0"),
         (lambda d: d["cases"][0]["theta1"].update(sigma=-1.0),
-         "case 'c8': theta1 invalid: sigma must be positive and finite, got -1.0"),
+         "cases[0].theta1: invalid model: sigma must be positive and finite, got -1.0"),
         (lambda d: d["cases"][0].update(alphas=[0.5, 0.5, "kl", "KL"]),
          "case 'c8': alpha 0.5 is repeated"),
         (lambda d: d["cases"][0].update(alphas=["kl", 2.0, "KL"]),
@@ -386,12 +386,14 @@ def test_each_case_resolves_its_orders_once(monkeypatch):
 
 
 def test_a_case_builds_few_chain_forms(monkeypatch):
-    # `as_chain` validates on every call: 2 for the order table, 2 per
-    # kernel, 2 for the case's one J pass and 2 for the simulation
+    # `as_chain` builds a checked chain form from a model on every call: 2
+    # for the order table, 2 per kernel, 2 for the case's one J pass and 2
+    # for the simulation
     spec = CaseSpec("case1", "B", *bench.CASES[1], ("kl", 0.5, 2.0),
                     mc=McConfig(n=200, reps=5), grid=GridSpec(N=8, quad_points=101))
-    calls, real = [], models.validate_model
-    monkeypatch.setattr(models, "validate_model", lambda m: calls.append(m) or real(m))
+    calls, real = [], models.LinearGaussianChain.__post_init__
+    monkeypatch.setattr(models.LinearGaussianChain, "__post_init__",
+                        lambda chain: calls.append(chain) or real(chain))
     run_cases([spec])
     assert len(calls) <= 10
 
@@ -987,6 +989,20 @@ def test_main_bad_methods_exit_two_without_artifacts(tmp_path, capsys, methods):
     assert not out.exists()
 
 
+def test_main_overflowing_pair_mean_is_a_config_error(tmp_path, capsys):
+    # every number is finite, but family B's pair-state intercept
+    # psi2 * mu[0] + psi1 * mu[0] is not: the model is refused when built
+    doc = tiny_doc()
+    doc["cases"][0]["theta1"].update(mu=[1e308, 1.0], psi1=1.5, psi2=1.5)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg), "--methods", "mc", "--check", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: cases[0].theta1: invalid model: "
+        "pair mean psi2 * mu[0] + psi1 * mu[0] must be finite, got inf"]
+    assert not out.exists()
+
+
 def test_main_unusable_out_exits_two_before_any_case_runs(tmp_path, monkeypatch, capsys):
     ran = []
     monkeypatch.setattr(cli, "_run_all", lambda *args: ran.append(args))
@@ -1093,7 +1109,7 @@ def test_a_case_either_engine_rejects_exits_two_named_once(tmp_path, monkeypatch
         real = cli.solve_invariant
 
         def stuck(kernel):
-            if kernel.n_components == 4:
+            if len(kernel.entries) == 4 * 15 ** 2:  # the pair lift
                 raise NonConvergenceError("power iteration did not reach 1.0e-12")
             return real(kernel)
 

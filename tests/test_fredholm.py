@@ -447,8 +447,8 @@ def test_exp_sum_roots_match_fixed_bisection_case7(monkeypatch):
 
 def test_kernel_dimension_family_a():
     k = build_kernel(WIDE_GEN, WIDE_FILT, GridSpec(N=4))
-    assert k.dim == 2 * 9
-    assert k.n_components == 2
+    assert k.entries.shape == (2 * 9, 2 * 9)
+    assert solve_invariant(k).components.shape == (2, 3, 3)
 
 
 def test_kernel_columns_stochastic():
@@ -581,7 +581,7 @@ def test_solve_invariant_properties():
     m = solve_invariant(k)
     assert m.eigen_residual <= 1e-12
     assert np.all(m.components >= 0)
-    mass = m.components.sum() * m.cell_area
+    mass = m.components.sum() * m.grid.cell_area
     assert abs(mass - 1.0) <= 1e-10
     assert m.components.shape == (4, 7, 7)
     assert m.iterations >= 1
@@ -1168,7 +1168,7 @@ def _j_quadrature_per_state(gen, m, grid, r, alpha):
                 g0 = f_emis[s] @ (wts * inner0)
                 total += gen.transition[s, t] * float(
                     np.sum(m.components[s] * (g / g0[:, None]))
-                ) * m.cell_area
+                ) * m.grid.cell_area
     return float(total)
 
 

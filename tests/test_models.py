@@ -1,7 +1,8 @@
-"""Parameter containers, validation, the chain form, and path sampling."""
+"""Parameter containers, their checks, the chain form, and path sampling."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,11 @@ from hypothesis import assume, given, strategies as st
 from scipy.special import logsumexp
 
 from hmmdiv import (
-    McConfig,
     ModelAParams,
     ModelBParams,
     as_chain,
-    estimate_renyi_mc,
     sample_path,
     transition_matrix,
-    validate_model,
 )
 from hmmdiv.models import (
     _DRAW_BLOCKS,
@@ -29,6 +27,8 @@ from hmmdiv.models import (
     sample_paths,
 )
 from hmmdiv.cases import CASES
+
+from oracles import emission_log_pdf
 
 CASE1_GEN, CASE1_ALT = CASES[1]
 
@@ -52,28 +52,32 @@ valid_model_b = st.builds(
 )
 
 
-# --- validate_model ---------------------------------------------------------
+# --- checks at construction ----------------------------------------------------
 
 
-def test_validate_rejects_zero_sigma():
-    problems = validate_model(model_b(sigma=0.0))
-    assert any("sigma must be positive" in p for p in problems)
+def test_zero_sigma_is_rejected():
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        model_b(sigma=0.0)
 
 
-def test_validate_rejects_unit_phi():
-    problems = validate_model(model_b(phi=1.0))
-    assert any("|phi| < 1 required" in p for p in problems)
+def test_unit_phi_is_rejected():
+    with pytest.raises(ValueError, match=re.escape("|phi| < 1 required")):
+        model_b(phi=1.0)
 
 
-def test_validate_accepts_benchmark_params():
-    assert validate_model(CASE1_ALT) == []
+def test_benchmark_params_build():
+    # dataclasses.replace builds each model anew from its fields
+    assert dataclasses.replace(CASE1_ALT) == CASE1_ALT
     for t1, t in CASES.values():
-        assert validate_model(t1) == [] and validate_model(t) == []
+        assert dataclasses.replace(t1) == t1 and dataclasses.replace(t) == t
 
 
-def test_validate_reports_every_violation():
-    problems = validate_model(model_b(p01=1.5, phi=2.0, sigma=-1.0))
-    assert len(problems) == 3
+def test_one_error_names_every_violation():
+    with pytest.raises(ValueError) as exc:
+        model_b(p01=1.5, phi=2.0, sigma=-1.0)
+    assert str(exc.value) == ("invalid model: 0 < p01 < 1 required, got 1.5; "
+                              "|phi| < 1 required, got 2.0; "
+                              "sigma must be positive and finite, got -1.0")
 
 
 def model_a(**overrides):
@@ -87,38 +91,36 @@ def chain_a(**overrides):
 
 
 @pytest.mark.parametrize(
-    "model, needle",
+    "build, needle",
     [
-        (model_a(mu=(math.nan, 1.0)), "mu[0] must be finite"),
-        (model_a(sigma=(1.0, math.inf)), "sigma[1] must be positive and finite"),
-        (model_a(mu=(0.0, 1.0, 2.0)), "mu must have exactly 2 entries"),
-        (model_a(sigma=(1.0,)), "sigma must have exactly 2 entries"),
-        (model_b(mu=(1.0,)), "mu must have exactly 2 entries"),
-        (model_b(mu=(1.0, -math.inf)), "mu[1] must be finite"),
-        (model_b(psi1=math.nan), "psi1 must be finite"),
-        (model_b(psi2=math.inf), "psi2 must be finite"),
-        (model_b(sigma=math.inf), "sigma must be positive and finite"),
-        (chain_a(pi=[math.nan, 0.5]), "pi must be finite"),
-        (chain_a(transition=[[0.6, 0.4], [math.inf, 0.7]]), "transition must be finite"),
-        (chain_a(c=[math.nan, -0.5]), "c must be finite"),
-        (chain_a(b=[0.2, -math.inf]), "b must be finite"),
-        (chain_a(s=[1.0, math.inf]), "s must be finite"),
-        (chain_a(transition=[[1.5, -0.5], [0.3, 0.7]]), "must lie in [0, 1]"),
-        (model_a(p00=1.0), "0 < p00 < 1 required"),
-        (model_a(p11=0.0), "0 < p11 < 1 required"),
-        (model_a(psi=(0.2, -1.0)), "|psi[1]| < 1 required"),
-        (chain_a(pi=[0.7, 0.7]), "pi must be a probability vector"),
-        (chain_a(pi=[1.2, -0.2]), "pi must be a probability vector"),
+        (lambda: model_a(mu=(math.nan, 1.0)), "mu[0] must be finite"),
+        (lambda: model_a(sigma=(1.0, math.inf)), "sigma[1] must be positive and finite"),
+        (lambda: model_a(mu=(0.0, 1.0, 2.0)), "mu must have exactly 2 entries"),
+        (lambda: model_a(sigma=(1.0,)), "sigma must have exactly 2 entries"),
+        (lambda: model_b(mu=(1.0,)), "mu must have exactly 2 entries"),
+        (lambda: model_b(mu=(1.0, -math.inf)), "mu[1] must be finite"),
+        (lambda: model_b(psi1=math.nan), "psi1 must be finite"),
+        (lambda: model_b(psi2=math.inf), "psi2 must be finite"),
+        (lambda: model_b(sigma=math.inf), "sigma must be positive and finite"),
+        (lambda: chain_a(pi=[math.nan, 0.5]), "pi must be finite"),
+        (lambda: chain_a(transition=[[0.6, 0.4], [math.inf, 0.7]]), "transition must be finite"),
+        (lambda: chain_a(c=[math.nan, -0.5]), "c must be finite"),
+        (lambda: chain_a(b=[0.2, -math.inf]), "b must be finite"),
+        (lambda: chain_a(s=[1.0, math.inf]), "s must be finite"),
+        (lambda: chain_a(transition=[[1.5, -0.5], [0.3, 0.7]]), "must lie in [0, 1]"),
+        (lambda: model_a(p00=1.0), "0 < p00 < 1 required"),
+        (lambda: model_a(p11=0.0), "0 < p11 < 1 required"),
+        (lambda: model_a(psi=(0.2, -1.0)), "|psi[1]| < 1 required"),
+        (lambda: chain_a(pi=[0.7, 0.7]), "pi must be a probability vector"),
+        (lambda: chain_a(pi=[1.2, -0.2]), "pi must be a probability vector"),
+        (lambda: model_b(mu=(1e308, 1.0), psi1=1.5, psi2=1.5),
+         "pair mean psi2 * mu[0] + psi1 * mu[0] must be finite, got inf"),
     ],
 )
-def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
-    problems = validate_model(model)
-    assert any(needle in p for p in problems), problems
-    with pytest.raises(ValueError):
-        as_chain(model)
-    # the simulation engine refuses it as the alternative before sampling
-    with pytest.raises(ValueError):
-        estimate_renyi_mc(model_a(), model, "kl", McConfig(n=10, reps=2))
+def test_construction_rejects_nonfinite_and_wrong_lengths(build, needle):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert needle in str(exc.value)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -127,6 +129,8 @@ def test_validate_rejects_nonfinite_and_wrong_lengths(model, needle):
     (dict(b=[0.2, -0.1, 0.0]), "length d"),
     (dict(s=[1.0, 0.0]), "must be positive"),
     (dict(s=[-1.0, 1.4]), "must be positive"),
+    (dict(pi=0.5, transition=[[1.0]], c=[0.0], b=[0.0], s=[1.0]),
+     re.escape("pi must be a vector, got shape ()")),
 ])
 def test_chain_form_rejects_bad_shapes_and_scales(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -180,10 +184,8 @@ def test_stationary_fixed_point_for_all_benchmark_chains():
 
 def test_transition_matrix_rejects_bad_rows():
     for rows in ([[0.7, 0.7], [0.5, 0.5]], [[1.2, -0.2], [0.5, 0.5]]):
-        chain = chain_a(transition=rows)
-        assert validate_model(chain) != []
         with pytest.raises(ValueError):
-            as_chain(chain)
+            chain_a(transition=rows)
 
 
 # --- four-state lift ----------------------------------------------------------
@@ -230,7 +232,7 @@ def test_lift_marginal_matches_two_state_stationary():
 
 def pair_pdf(m, i, j, y, y_prev):
     """Family B's density f(y | X_{t-1}=i, X_t=j, y_prev) from its chain."""
-    return float(np.exp(as_chain(m).emission_log_pdf(y, y_prev))[2 * i + j])
+    return float(np.exp(emission_log_pdf(as_chain(m), y, y_prev))[2 * i + j])
 
 
 def test_emission_peak_value():
@@ -275,7 +277,7 @@ def test_family_a_emission_ignores_previous_state():
     for j in (0, 1):
         z = (0.4 - m.mu[j] - m.psi[j] * 0.9) / m.sigma[j]
         want = math.exp(-0.5 * z * z) / (m.sigma[j] * math.sqrt(2 * math.pi))
-        assert math.isclose(np.exp(chain.emission_log_pdf(0.4, 0.9))[j], want, rel_tol=1e-12)
+        assert math.isclose(np.exp(emission_log_pdf(chain, 0.4, 0.9))[j], want, rel_tol=1e-12)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -476,8 +478,10 @@ def test_as_chain_family_a_dimension():
 
 
 def test_as_chain_rejects_invalid():
-    with pytest.raises(ValueError):
-        as_chain(model_b(sigma=-2.0))
+    # a model is checked when built; what is not a model is refused here
+    for m in ((0.4, 0.6), "case1", None):
+        with pytest.raises(TypeError, match="not a model"):
+            as_chain(m)
 
 
 # --- log-sum-exp ------------------------------------------------------------------
@@ -511,7 +515,7 @@ def test_logsumexp_matches_scipy_bitwise_on_engine_inputs():
     # (0, j) and (1, j) emit alike, so maxima tie along the state axis
     chain = as_chain(CASE1_GEN)
     nodes = np.linspace(-15.0, 15.0, 41)
-    logf = chain.emission_log_pdf(nodes[None, :], nodes[:, None]).transpose(2, 0, 1)
+    logf = emission_log_pdf(chain, nodes[None, :], nodes[:, None]).transpose(2, 0, 1)
     assert np.array_equal(logf[0], logf[2]) and np.array_equal(logf[1], logf[3])
     assert_same_bits(_logsumexp(logf, axis=0), logsumexp(logf, axis=0))
     for w in (0.1, 0.5, 0.9):

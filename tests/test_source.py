@@ -1,18 +1,23 @@
-"""Hygiene of the library source: no dead imports and no dead private names.
+"""Hygiene of the library source: no dead imports, no dead private names
+and no dead public methods.
 
 Each module of `hmmdiv` is parsed with `ast`. An import must be read in its
 module (a re-export counts when `__all__` lists it), and a private
 module-level function, class or constant must be read somewhere in the
-package: by name, as an attribute, or imported by another module.
+package: by name, as an attribute, or imported by another module. A public
+method or property of a class must be read somewhere in the package, or
+named in backticks in the README, which is where a caller learns of it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import hmmdiv
 
 SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(Path(hmmdiv.__file__).parent.glob("*.py"))}
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def read_names(tree) -> set:
@@ -63,4 +68,16 @@ def test_every_private_module_name_is_read():
                 continue
             dead += [f"{name}: {d}" for d in defined
                      if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert dead == []
+
+
+def test_every_public_method_is_read_or_documented():
+    read = set().union(*(read_names(tree) for tree in SOURCES.values()))
+    named = {word for _, span in re.findall(r"(`+)(.+?)\1", README, re.DOTALL)
+             for word in re.findall(r"\w+", span)}
+    dead = [f"{name}: {cls.name}.{node.name}"
+            for name, tree in SOURCES.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in read | named]
     assert dead == []
