@@ -150,8 +150,6 @@ class ResultRow:
     mc_mean: float | None = None
     mc_sd: float | None = None
     rel_err_pct: float | None = None
-    fredholm_seconds: float | None = None
-    mc_seconds: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +157,9 @@ class ResultRow:
 
 
 def _settings(obj) -> dict:
-    """The init fields of a model, McConfig or GridSpec by name, in field
-    order, per-state pairs as lists: the JSON block `_read` reads back."""
-    values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+    """The fields of a model, McConfig or GridSpec by name, in field order,
+    per-state pairs as lists: the JSON block `_read` reads back."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
@@ -196,9 +194,8 @@ def _read(cls, doc, where: str):
     takes its type from the dataclass annotations (per-state pairs are
     lists of numbers); fields without a default are required, the others
     keep their default when the block leaves them out."""
-    init = [f for f in fields(cls) if f.init]
-    _check_keys(doc, where, [f.name for f in init],
-                [f.name for f in init if f.default is MISSING])
+    _check_keys(doc, where, [f.name for f in fields(cls)],
+                [f.name for f in fields(cls) if f.default is MISSING])
     hints = typing.get_type_hints(cls)
     values = {}
     for k, v in doc.items():
@@ -518,13 +515,12 @@ def _outcome(call, *args):
 
 
 def _case_rows(spec: CaseSpec, fred, mc) -> list[ResultRow]:
-    """The rows of one case from its engines' values and diagnostics, each
-    None when the engine did not run; an engine's seconds are spread
-    evenly over the rows."""
+    """The rows of one case from its engines' {alpha: value} dicts, each
+    None when the engine did not run."""
     rows = []
     for a in spec.alphas:
-        det = None if fred is None else fred[0][a]
-        est = None if mc is None else mc[0][a]
+        det = None if fred is None else fred[a]
+        est = None if mc is None else mc[a]
         rel = None
         if (det is not None and est is not None and est.mean != 0.0
                 and math.isfinite(est.mean)):
@@ -537,9 +533,6 @@ def _case_rows(spec: CaseSpec, fred, mc) -> list[ResultRow]:
                 mc_mean=None if est is None else est.mean,
                 mc_sd=None if est is None else est.std_dev,
                 rel_err_pct=rel,
-                fredholm_seconds=None if fred is None else
-                fred[1]["fredholm_seconds"] / len(spec.alphas),
-                mc_seconds=None if mc is None else mc[1]["mc_seconds"] / len(spec.alphas),
             )
         )
     return rows
@@ -659,7 +652,7 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
         if error is not None:
             failed[spec.name] = _named(spec.name, error)
             continue
-        rows += _case_rows(spec, f, m)
+        rows += _case_rows(spec, f and f[0], m and m[0])
         per_case[spec.name] = {**(f[1] if f else {}), **(m[1] if m else {})}
     return rows, per_case, failed
 
@@ -682,6 +675,7 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
     """Compare results against the applicable bands; returns one message per
     failing cell (empty = all good).
 
+    A nan value fails its cell, and so does every band it enters.
     Cross-method: |fredholm - mc| <= 3 * mc sd whenever both methods ran.
     Benchmark cases additionally check the deterministic value against the
     reference within max(0.01, 5%) and the MC mean within 3 reference sd of
@@ -693,12 +687,16 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
     for row in rows:
         spec = spec_by_name[row.case]
         cell = f"{row.case} alpha={row.alpha}"
+        nan = [k for k in ("fredholm", "mc_mean", "mc_sd")
+               if getattr(row, k) is not None and math.isnan(getattr(row, k))]
+        if nan:
+            failures.append(f"{cell}: {', '.join(nan)} not a number")
         if (row.fredholm is not None and row.mc_mean is not None
                 and row.fredholm != row.mc_mean):
             gap = abs(row.fredholm - row.mc_mean)
             # a one-sided infinity fails at any sd, and any gap at sd 0; two
             # equal values never get here
-            if math.isinf(gap) or gap > 3.0 * (row.mc_sd or 0.0):
+            if math.isinf(gap) or not gap <= 3.0 * (row.mc_sd or 0.0):
                 failures.append(
                     f"{cell}: |fredholm - mc| = {gap:.4f} exceeds 3*sd = "
                     f"{3.0 * (row.mc_sd or 0.0):.4f}"
@@ -711,13 +709,13 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
         ref_det, ref_mean, ref_sd = ref
         if row.fredholm is not None:
             band = max(0.01, 0.05 * abs(ref_det))
-            if abs(row.fredholm - ref_det) > band:
+            if not abs(row.fredholm - ref_det) <= band:
                 failures.append(
                     f"{cell}: fredholm {row.fredholm:.4f} outside "
                     f"{ref_det:.4f} +- {band:.4f}"
                 )
         if row.mc_mean is not None:
-            if abs(row.mc_mean - ref_mean) > 3.0 * ref_sd:
+            if not abs(row.mc_mean - ref_mean) <= 3.0 * ref_sd:
                 failures.append(
                     f"{cell}: mc mean {row.mc_mean:.4f} outside "
                     f"{ref_mean:.4f} +- {3.0 * ref_sd:.4f}"
@@ -729,10 +727,8 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
 # artifacts
 
 
-def _fmt(value, decimals=4, width=10) -> str:
-    if value is None:
-        return " " * width
-    return f"{value:{width}.{decimals}f}"
+def _fmt(value) -> str:
+    return " " * 10 if value is None else f"{value:10.4f}"
 
 
 def format_table(rows: list[ResultRow]) -> str:
@@ -741,15 +737,14 @@ def format_table(rows: list[ResultRow]) -> str:
     width = max([10, *(len(r.case) for r in rows)])
     header = (
         f"{'case':<{width}} {'alpha':>6} {'fredholm':>10} {'mc_mean':>10} "
-        f"{'mc_sd':>10} {'re_pct':>10} {'fred_s':>8} {'mc_s':>8}"
+        f"{'mc_sd':>10} {'re_pct':>10}"
     )
     lines = [header, "-" * len(header)]
     for r in rows:
         alpha = r.alpha if isinstance(r.alpha, str) else f"{r.alpha:g}"
         lines.append(
             f"{r.case:<{width}} {alpha:>6} {_fmt(r.fredholm)} {_fmt(r.mc_mean)} "
-            f"{_fmt(r.mc_sd)} {_fmt(r.rel_err_pct)} "
-            f"{_fmt(r.fredholm_seconds, 3, 8)} {_fmt(r.mc_seconds, 3, 8)}"
+            f"{_fmt(r.mc_sd)} {_fmt(r.rel_err_pct)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -757,9 +752,9 @@ def format_table(rows: list[ResultRow]) -> str:
 def format_csv(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")  # quotes a name holding a comma or a quote
-    out.writerow("case,alpha,fredholm,mc_mean,mc_sd,re_pct,fredholm_seconds,mc_seconds".split(","))
+    out.writerow("case,alpha,fredholm,mc_mean,mc_sd,re_pct".split(","))
     for r in rows:
-        vals = (r.fredholm, r.mc_mean, r.mc_sd, r.rel_err_pct, r.fredholm_seconds, r.mc_seconds)
+        vals = (r.fredholm, r.mc_mean, r.mc_sd, r.rel_err_pct)
         out.writerow([r.case, str(r.alpha), *("" if v is None else repr(float(v)) for v in vals)])
     return buf.getvalue()
 

@@ -92,14 +92,13 @@ class GridSpec:
     v_i = -a + 2ai/N and filter nodes x_i = w_i = i/N, i = 1..N-1, with the
     boundary values of the density clamped to zero. quad_points is the
     per-axis resolution of the Simpson rules used for the divergence
-    quadratures. delta = 1/(2N) is the half-step of the central difference
-    that replaces dQ/dx.
+    quadratures. dQ/dx is the central difference of Q over one step 1/N
+    between the half nodes (2i -+ 1)/(2N).
     """
 
     N: int = 16
     a: float = 15.0
     quad_points: int = 201
-    delta: float = field(init=False)
 
     def __post_init__(self):
         require_counts(N=self.N, quad_points=self.quad_points)
@@ -111,7 +110,6 @@ class GridSpec:
             raise ValueError(
                 f"quad_points must be odd and at least 51, got {self.quad_points}"
             )
-        object.__setattr__(self, "delta", 1.0 / (2.0 * self.N))
 
     @property
     def v_nodes(self) -> np.ndarray:
@@ -124,7 +122,7 @@ class GridSpec:
 
     @property
     def x_half_nodes(self) -> np.ndarray:
-        # the points x_i +- delta, i = 1..N-1, collapse to (2m-1)/(2N), m = 1..N
+        # the points x_i +- 1/(2N), i = 1..N-1, collapse to (2m-1)/(2N), m = 1..N
         return (2.0 * np.arange(1, self.N + 1) - 1.0) / (2.0 * self.N)
 
     @property
@@ -421,7 +419,7 @@ def _assemble(gen: LinearGaussianChain, q_half: np.ndarray, grid: GridSpec) -> n
     v = grid.v_nodes
     dq = np.diff(q_half, axis=2)
     np.clip(dq, 0.0, None, out=dq)
-    rate = dq / (2.0 * grid.delta)  # (t, u, x, w)
+    rate = dq / (1.0 / grid.N)  # (t, u, x, w); dq * N rounds differently
     carry = np.stack([_norm_pdf(v[:, None], gen.c[s] + gen.b[s] * v[None, :], gen.s[s])
                       for s in range(d)])  # (s, u, v)
     k6 = (gen.transition.T[:, None, None, :, None, None]  # (t, u, x, s, v, w)

@@ -233,8 +233,6 @@ class PathSample:
 
     y: np.ndarray
     x: np.ndarray
-    seed: int
-    burn_in: int
     y_prev: float = 0.0
 
     def __post_init__(self):
@@ -490,7 +488,7 @@ def sample_path(m: Model, n: int, burn_in: int = 100, seed: int = 0) -> PathSamp
     x = x[0, 0]
     if isinstance(m, ModelBParams):
         x = x % 2  # pair state (i, j) -> current state j
-    return PathSample(y=y[0, 0], x=x, seed=seed, burn_in=burn_in, y_prev=float(y_prev[0, 0]))
+    return PathSample(y=y[0, 0], x=x, y_prev=float(y_prev[0, 0]))
 
 
 def renyi_order(alpha) -> float:

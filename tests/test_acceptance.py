@@ -20,9 +20,11 @@ from hmmdiv import (
     McConfig,
     ModelAParams,
     ModelBParams,
+    ResultRow,
     divergence_fredholm,
     estimate_from_log_ratios,
     estimate_renyi_mc,
+    load_config,
     log_likelihood,
     noncentral_chisq1_cdf,
     q,
@@ -117,6 +119,12 @@ def test_engines_agree_within_simulation_error(fredholm_results, mc_estimates):
                 f"case {cid} alpha={alpha}: |{det:.4f} - {est.mean:.4f}| "
                 f"> 3 * {est.std_dev:.4f}"
             )
+
+
+def test_bundled_table_passes_check_rows(fredholm_results, mc_estimates):
+    rows = [ResultRow(f"case{cid}", a, fredholm_results[(cid, a)], est.mean, est.std_dev)
+            for (cid, a), est in mc_estimates.items()]
+    assert check_rows(load_config("benchmark"), rows) == []
 
 
 def test_engines_agree_on_family_a():

@@ -70,11 +70,6 @@ def tiny_spec(**kw):
     return parse_config(tiny_doc(**kw))[0]
 
 
-def value_fields(row):
-    return (row.case, row.alpha, row.fredholm, row.mc_mean, row.mc_sd,
-            row.rel_err_pct)
-
-
 # --- config --------------------------------------------------------------------
 
 
@@ -239,14 +234,11 @@ def test_run_case_row_per_alpha():
     for r in rows:
         assert r.fredholm is not None and r.mc_mean is not None
         assert r.mc_sd >= 0 and r.rel_err_pct is not None
-        assert r.fredholm_seconds > 0 and r.mc_seconds > 0
 
 
 def test_run_case_deterministic_values():
     spec = tiny_spec()
-    a = [value_fields(r) for r in run_cases([spec])]
-    b = [value_fields(r) for r in run_cases([spec])]
-    assert a == b
+    assert run_cases([spec]) == run_cases([spec])
 
 
 def test_run_case_identity_rows_exact_zero():
@@ -593,7 +585,7 @@ def test_fredholm_cases_run_on_the_calling_thread(monkeypatch):
         rows, diags = run_diagnosed(specs)
         assert threading.active_count() == before
         assert seen == [(True, [], before, 1)] * len(specs)
-        runs[count] = ([hexed(value_fields(r)) for r in rows],
+        runs[count] = ([hexed(dataclasses.astuple(r)) for r in rows],
                        {name: hexed({k: v for k, v in d.items() if not k.endswith("_seconds")})
                         for name, d in diags.items()})
     assert runs["1"] == runs["2"]
@@ -775,11 +767,10 @@ def test_run_cases_thread_count_independent(monkeypatch):
     doc["cases"].append({**doc["cases"][0], "name": "c8c"})
     specs = parse_config(doc)
     monkeypatch.setenv("HMMDIV_THREADS", "1")
-    seq = [value_fields(r) for r in run_cases(specs)]
+    seq = run_cases(specs)
     monkeypatch.setenv("HMMDIV_THREADS", "3")
-    par = [value_fields(r) for r in run_cases(specs)]
-    assert seq == par
-    assert [f[0] for f in seq] == ["c8", "c8b", "c8c"]
+    assert run_cases(specs) == seq
+    assert [r.case for r in seq] == ["c8", "c8b", "c8c"]
 
 
 def test_run_cases_invalid_thread_env(monkeypatch):
@@ -851,6 +842,33 @@ def test_check_rows_fails_any_gap_at_sd_zero():
     assert check_rows([spec], [dataclasses.replace(row, mc_mean=0.5)]) == []
 
 
+@pytest.mark.parametrize("values", [
+    dict(fredholm=math.nan, mc_mean=0.11, mc_sd=0.01),
+    dict(fredholm=0.109, mc_mean=math.nan, mc_sd=0.01),
+    dict(fredholm=0.109, mc_mean=0.11, mc_sd=math.nan),
+    dict(fredholm=math.nan),
+    dict(mc_mean=math.nan, mc_sd=0.0),
+])
+def test_check_rows_fails_a_nan_cell(values):
+    # a comparison with nan is False, so every band is written to fail it;
+    # the same row with finite values passes
+    spec = CaseSpec("case1", "B", *bench.CASES[1], (0.5,))
+    row = ResultRow(case="case1", alpha=0.5, **values)
+    assert any(f.startswith("case1 alpha=0.5: ") for f in check_rows([spec], [row]))
+    finite = {k: 0.01 if k == "mc_sd" else 0.11 for k in values}
+    assert check_rows([spec], [ResultRow(case="case1", alpha=0.5, **finite)]) == []
+
+
+def test_check_rows_fails_a_nan_cell_that_no_band_checks():
+    doc = tiny_doc(alphas=(0.5,))
+    doc["cases"][0]["theta"]["mu"] = [1.1, 0.9]  # no reference band applies
+    spec = parse_config(doc)[0]
+    rows = [ResultRow(case="c8", alpha=0.5, fredholm=math.nan),
+            ResultRow(case="c8", alpha=0.5, mc_mean=math.nan, mc_sd=math.nan)]
+    assert check_rows([spec], rows) == ["c8 alpha=0.5: fredholm not a number",
+                                        "c8 alpha=0.5: mc_mean, mc_sd not a number"]
+
+
 # --- formatting ------------------------------------------------------------------
 
 
@@ -859,7 +877,7 @@ def test_table_and_csv_agree():
     table = format_table(rows)
     lines = table.splitlines()
     assert lines[0].split() == ["case", "alpha", "fredholm", "mc_mean",
-                                "mc_sd", "re_pct", "fred_s", "mc_s"]
+                                "mc_sd", "re_pct"]
     reader = csv.DictReader(io.StringIO(format_csv(rows)))
     for row, rec, line in zip(rows, reader, lines[2:]):
         assert float(rec["fredholm"]) == row.fredholm
@@ -874,7 +892,7 @@ def test_table_columns_align_for_long_names():
     # the case column is as wide as the longest name, so every cell of a
     # row ends where its header label ends, whatever the name's length
     rows = [ResultRow(case=name, alpha=a, fredholm=0.1234, mc_mean=0.1231, mc_sd=0.01,
-                      rel_err_pct=0.25, fredholm_seconds=0.05, mc_seconds=0.02)
+                      rel_err_pct=0.25)
             for name in ("case1", "persistent-p20") for a in (0.5, "kl")]
     header, rule, *lines = format_table(rows).splitlines()
     ends = [m.end() for m in re.finditer(r"\S+", header)]
@@ -882,6 +900,23 @@ def test_table_columns_align_for_long_names():
     for row, line in zip(rows, lines):
         assert line.startswith(row.case + " ")
         assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends[1:]
+
+
+def test_tables_are_the_same_bytes_across_runs_and_worker_counts(tmp_path, monkeypatch):
+    # the tables hold no timing: two runs of one config, at one worker and
+    # at two (on Linux, the second case then runs in a forked share), write
+    # the same bytes
+    doc = tiny_doc(alphas=(0.5, "kl"))
+    doc["cases"].append({**doc["cases"][0], "name": "c8b", "theta": {**T0, "sigma": 1.2}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    tables = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HMMDIV_THREADS", threads)
+        out = tmp_path / threads
+        reproduce_table(str(cfg), out_dir=str(out))
+        tables.append([(out / name).read_bytes() for name in ("table.txt", "table.csv")])
+    assert tables[0] == tables[1]
 
 
 def test_csv_blank_for_missing():
@@ -892,15 +927,14 @@ def test_csv_blank_for_missing():
 
 
 def test_csv_quotes_a_name_with_a_comma_and_a_quote(tmp_path):
-    # a name with a comma and a quote stays one cell under the 8-field header
+    # a name with a comma and a quote stays one cell under the 6-field header
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(tiny_doc(alphas=(0.5,), name='a,"b"')))
     reproduce_table(str(cfg), methods=("fredholm",), out_dir=str(tmp_path))
     with open(tmp_path / "table.csv", newline="", encoding="utf-8") as fh:
         header, record = csv.reader(fh)
-    assert header == ["case", "alpha", "fredholm", "mc_mean", "mc_sd", "re_pct",
-                      "fredholm_seconds", "mc_seconds"]
-    assert len(record) == 8 and record[:2] == ['a,"b"', "0.5"]
+    assert header == ["case", "alpha", "fredholm", "mc_mean", "mc_sd", "re_pct"]
+    assert len(record) == 6 and record[:2] == ['a,"b"', "0.5"]
 
 
 # --- artifacts ---------------------------------------------------------------------
@@ -1078,7 +1112,7 @@ def test_finished_cases_kept_when_a_later_case_fails(tmp_path, monkeypatch, caps
             in capsys.readouterr().err)
     want = run_cases(specs[:1], ("fredholm",))
     lines = (out / "table.csv").read_text().splitlines()
-    assert lines[0] == "case,alpha,fredholm,mc_mean,mc_sd,re_pct,fredholm_seconds,mc_seconds"
+    assert lines[0] == "case,alpha,fredholm,mc_mean,mc_sd,re_pct"
     recs = list(csv.DictReader(lines))
     assert [(r["case"], r["alpha"], r["fredholm"]) for r in recs] == [
         ("case1", str(w.alpha), repr(float(w.fredholm))) for w in want]
@@ -1208,6 +1242,13 @@ def test_every_public_name_is_in_the_readme(capsys):
             main([cmd, "--help"])
         assert exc.value.code == 0, cmd
     capsys.readouterr()
+
+
+def test_readme_sample_output_is_the_real_output():
+    readme = read_readme()
+    block = readme.split("Sample of `hmmdiv run benchmark` output:\n\n```\n")[1].split("```")[0]
+    spec = CaseSpec("case1", "B", *bench.CASES[1], (0.5, 0.8, "kl", 2.0))
+    assert block.splitlines() == format_table(run_cases([spec])).splitlines()
 
 
 def test_every_diagnostics_key_is_in_the_readme(tmp_path):

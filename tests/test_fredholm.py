@@ -80,16 +80,15 @@ def test_grid_validation():
 
 def test_grid_nodes():
     g = GridSpec(N=8, a=4.0)
-    assert g.delta == 1.0 / 16.0
     np.testing.assert_allclose(g.v_nodes, -4.0 + np.arange(1, 8), atol=1e-15)
     np.testing.assert_allclose(g.x_nodes, np.arange(1, 8) / 8.0, atol=1e-15)
     np.testing.assert_allclose(
         g.x_half_nodes, (2 * np.arange(1, 9) - 1) / 16.0, atol=1e-15
     )
     assert math.isclose(g.cell_area, 1.0 / 8.0)
-    # half nodes bracket each x node at +- delta
-    np.testing.assert_allclose(g.x_half_nodes[:-1] + g.delta, g.x_nodes, atol=1e-15)
-    np.testing.assert_allclose(g.x_half_nodes[1:] - g.delta, g.x_nodes, atol=1e-15)
+    # half nodes bracket each x node at +- 1/(2N)
+    np.testing.assert_allclose(g.x_half_nodes[:-1] + 1.0 / 16.0, g.x_nodes, atol=1e-15)
+    np.testing.assert_allclose(g.x_half_nodes[1:] - 1.0 / 16.0, g.x_nodes, atol=1e-15)
 
 
 # --- noncentral chi-square -------------------------------------------------------
@@ -477,7 +476,7 @@ def test_kernel_single_entry_hand_assembled():
     )
     q_hi = q(half[x_i + 1], v[u_i], wn[w_i], j, WIDE_GEN, WIDE_FILT)
     q_lo = q(half[x_i], v[u_i], wn[w_i], j, WIDE_GEN, WIDE_FILT)
-    rate = max(q_hi - q_lo, 0.0) / (2 * grid.delta)
+    rate = max(q_hi - q_lo, 0.0) / (1.0 / grid.N)
     want = p * g * rate * grid.cell_area
 
     got = k.entries[row, col] * k.pre_norm_col_sums[col]
@@ -491,7 +490,7 @@ def _assemble_block_loop(gen, q_half, grid):
     v = grid.v_nodes
     dq = np.diff(q_half, axis=2)
     np.clip(dq, 0.0, None, out=dq)
-    rate = dq / (2.0 * grid.delta)
+    rate = dq / (1.0 / grid.N)
     f_trans = [fredholm._norm_pdf(v[:, None], gen.c[s] + gen.b[s] * v[None, :], gen.s[s])
                for s in range(d)]
     k6 = np.zeros((d, n1, n1, d, n1, n1))

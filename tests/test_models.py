@@ -139,7 +139,7 @@ def test_chain_form_rejects_bad_shapes_and_scales(fields, message):
 
 def test_path_sample_needs_equal_lengths():
     with pytest.raises(ValueError, match="equal length"):
-        PathSample(y=np.zeros(4), x=np.zeros(3), seed=0, burn_in=0)
+        PathSample(y=np.zeros(4), x=np.zeros(3))
 
 
 # --- stationary laws of the chain form ----------------------------------------
