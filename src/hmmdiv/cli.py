@@ -309,6 +309,12 @@ def _orders(theta1, theta, alphas) -> dict:
     return dict(zip(alphas, zip(orders, tail_sds(theta1, theta, orders))))
 
 
+def _finite(orders: dict) -> dict:
+    """{alpha: order} for the alphas of an order table (`_orders`) whose
+    rate is finite, in table order: the orders an engine computes."""
+    return {a: order for a, (order, sd) in orders.items() if math.isfinite(sd)}
+
+
 def _tail_margin(orders: dict, grid: GridSpec, gated: bool) -> float | None:
     """The smallest grid.a / tail sd over the finite orders of an order
     table: how many standard deviations of the integrand's Gaussian tail
@@ -316,42 +322,41 @@ def _tail_margin(orders: dict, grid: GridSpec, gated: bool) -> float | None:
     models differ), a margin below MIN_TAIL_MARGIN_SD raises
     GridTooCoarseError."""
     margins = []
-    for order, sd in orders.values():
+    for a, (_, sd) in orders.items():
         if math.isfinite(sd):
             margins.append(grid.a / sd if sd > 0.0 else math.inf)  # sd 0: no tail
             if margins[-1] < MIN_TAIL_MARGIN_SD and gated:
                 raise GridTooCoarseError(
-                    f"alpha = {order:g}: the lattice keeps {margins[-1]:.2f} sds of the "
+                    f"alpha = {a}: the lattice keeps {margins[-1]:.2f} sds of the "
                     f"integrand's tail, fewer than {MIN_TAIL_MARGIN_SD:g}; increase a")
     return min(margins, default=None)
 
 
-def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
-                     tail_margin: float | None) -> tuple[dict, dict]:
+def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec) -> tuple[dict, dict]:
     """Fredholm values {alpha: rate} for every alpha of an order table
     (`_orders`), and the solver diagnostics.
 
-    One theta-filter kernel solve serves every Renyi order and the KL cross
-    term; a theta1-filter solve is added only when some order is KL (within
-    1e-8 of 1, or "kl"), which differences the two log functionals.
-    Identical models give exactly zero: the ratio integrand is identically
-    1, so no discretization may blur the answer. Orders whose rate is
-    infinite give inf, and when every order is, no kernel is built. A value
-    below zero raises GridTooCoarseError naming its order (NEGATIVE_TOL). Each
-    kernel is dropped once solved, its column-sum deviation kept: one
-    dense kernel is alive at a time.
+    One theta-filter kernel solve serves every finite Renyi order
+    (`_finite`) and the KL cross term; a theta1-filter solve is added only
+    when some order is KL (within 1e-8 of 1, or "kl"), which differences
+    the two log functionals. Identical models give exactly zero: the ratio
+    integrand is identically 1, so no discretization may blur the answer.
+    Orders whose rate is infinite give inf, and when every order is, no
+    kernel is built. A finite order whose value overflows or falls below
+    zero (NEGATIVE_TOL) raises GridTooCoarseError naming it. Each kernel is
+    dropped once solved, its column-sum deviation kept: one dense kernel
+    is alive at a time.
 
     The diagnostics time the three stages: kernel assembly, invariant
     solves and the J quadratures (`j_log` and `j_alpha` together), and the
-    whole call as `fredholm_seconds`; they hold the case's
-    `tail_margin_sd` (`_tail_margin`), which the caller checks before any
-    kernel is built.
+    whole call as `fredholm_seconds`; they hold the case's `tail_margin_sd`
+    (`_tail_margin`), checked before any kernel is built.
     """
     t0 = time.perf_counter()
-    infinite = {a for a, (_, sd) in orders.items() if math.isinf(sd)}
-    values = dict.fromkeys(orders, 0.0)
+    finite = _finite(orders)
+    values = dict.fromkeys(orders, 0.0 if theta1 == theta else math.inf)
     diag = dict.fromkeys(("kernel_seconds", "solve_seconds", "quadrature_seconds"), 0.0)
-    diag["tail_margin_sd"] = tail_margin
+    diag["tail_margin_sd"] = _tail_margin(orders, grid, theta1 != theta)
 
     def timed(stage, layer, *args):
         start = time.perf_counter()
@@ -361,9 +366,7 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
 
     if theta1 == theta:
         diag["identity"] = True
-    elif len(infinite) == len(orders):
-        values = dict.fromkeys(orders, math.inf)
-    else:
+    elif finite:
         deviations = []
 
         def solved(theta_filt):
@@ -373,27 +376,28 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
             return timed("solve_seconds", solve_invariant, kernel)
 
         solves = [solved(theta)]
-        if any(order == 1.0 for order, _ in orders.values()):
+        if 1.0 in finite.values():
             solves.append(solved(theta1))
-        # one pass over the filter weights serves every J of the case
-        called = [order for a, (order, _) in orders.items() if a not in infinite]
-        with case_functionals(theta1, theta, called, grid):
+        # one pass over the filter weights serves every J of the case; an
+        # overflow in it leaves a value inf or nan, which is refused below
+        with case_functionals(theta1, theta, finite.values(), grid), np.errstate(over="ignore"):
             if len(solves) == 2:
                 kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
                       - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
-            for a, (order, _) in orders.items():
+            for a, order in finite.items():
                 if order == 1.0:
                     values[a] = kl
-                elif a in infinite:
-                    values[a] = math.inf
                 else:
                     j = timed("quadrature_seconds", j_alpha, theta1, theta, order,
                               solves[0], grid)
                     values[a] = math.log(j) / (order - 1.0)
-        for a, (order, _) in orders.items():
+        for a, order in finite.items():
+            if not math.isfinite(values[a]):
+                raise GridTooCoarseError(f"alpha = {a}: the quadrature overflowed to "
+                                         f"{values[a]}; the engine failed on this pair")
             if values[a] * (abs(order - 1.0) or 1.0) < -NEGATIVE_TOL:
                 raise GridTooCoarseError(
-                    f"alpha = {order:g}: the lattice gave {values[a]:.6g}, below zero, "
+                    f"alpha = {a}: the lattice gave {values[a]:.6g}, below zero, "
                     "which no divergence rate is; the engine failed on this pair")
         diag["eigen_residual"] = max(m.eigen_residual for m in solves)
         diag["max_col_sum_deviation"] = max(deviations)
@@ -403,21 +407,15 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec,
     return values, diag
 
 
-def _simulated(orders: dict) -> bool:
-    """Whether the simulation samples paths for a case: some order of its
-    order table (`_orders`) has a finite rate."""
-    return any(math.isfinite(sd) for _, sd in orders.values())
-
-
 def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     """Simulation estimates of cases that share one McConfig, as one batch.
 
-    `cases` holds (theta1, theta, order table) per case (`_orders`). One
-    `replication_log_ratios` call simulates every case that has a finite
-    order, and one `estimate_from_log_ratios` call per case serves all of
-    its finite orders; identical models give exactly 0 (the two filters
-    run the same arithmetic), and an infinite order means inf without
-    sampling. An exception of the batch call propagates.
+    `cases` holds (spec.theta1, spec.theta, orders) per (spec, orders)
+    pair. One `replication_log_ratios` call simulates every case that has a
+    finite order, and one `estimate_from_log_ratios` call per case serves
+    all of its finite orders (`_finite`); identical models give exactly 0
+    (the two filters run the same arithmetic), and an infinite order means
+    inf without sampling. An exception of the batch call propagates.
 
     Returns, per case, ({alpha: DivergenceEstimate}, diagnostics), or the
     error that stopped the case's filter. The diagnostics hold the stage
@@ -429,7 +427,7 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     case adds the time of its own estimates; a case that is not simulated
     has 0 for the first two.
     """
-    simulated = [i for i, (*_, orders) in enumerate(cases) if _simulated(orders)]
+    simulated = [i for i, (*_, orders) in enumerate(cases) if _finite(orders)]
     timings, errors, rhos = {}, {}, []
     t0 = time.perf_counter()
     if simulated:
@@ -439,17 +437,16 @@ def _mc_values(cases: list[tuple], cfg: McConfig) -> list:
     failed = {simulated[j]: exc for j, exc in errors.items()}
     results = []
     for i, (*_, orders) in enumerate(cases):
-        finite = [a for a, (_, sd) in orders.items() if math.isfinite(sd)]
+        finite = _finite(orders)
         values = {a: DivergenceEstimate(alpha=order, mean=math.inf, std_dev=0.0, reps=cfg.reps)
                   for a, (order, _) in orders.items()}
         t1 = time.perf_counter()
         if i in rho_of:
-            values.update(zip(finite, estimate_from_log_ratios(
-                rho_of[i], [orders[a][0] for a in finite])))
+            values.update(zip(finite, estimate_from_log_ratios(rho_of[i], finite.values())))
         diag = {stage: timings[stage] / len(simulated) if i in rho_of else 0.0
                 for stage in ("sample_seconds", "filter_seconds")}
-        diag["mc_top_term_share"] = {a: values[a].top_term_share for a in finite
-                                     if values[a].alpha != 1.0}
+        diag["mc_top_term_share"] = {a: values[a].top_term_share
+                                     for a, order in finite.items() if order != 1.0}
         diag["mc_seconds"] = share + (time.perf_counter() - t1) if i in rho_of else 0.0
         results.append(failed.get(i, (values, diag)))
     return results
@@ -470,8 +467,7 @@ def divergence_fredholm(theta1, theta, alpha, grid: GridSpec | None = None) -> D
     """
     grid = grid or GridSpec()
     orders = _orders(theta1, theta, (alpha,))
-    margin = _tail_margin(orders, grid, theta1 != theta)
-    values, diag = _fredholm_values(theta1, theta, orders, grid, margin)
+    values, diag = _fredholm_values(theta1, theta, orders, grid)
     return DivergenceResult(alpha=orders[alpha][0], value=values[alpha], diagnostics=diag)
 
 
@@ -555,8 +551,8 @@ def _thread_count() -> int:
 def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
     """The checks made before any case runs: the methods, HMMDIV_THREADS
     and the case names (ConfigError), each case's order table (`_orders`)
-    and, with the Fredholm engine, its tail margin. Returns (spec, orders,
-    margin) per case and the worker count, for `_run_all`."""
+    and, with the Fredholm engine, its tail margin (`_tail_margin`).
+    Returns the (spec, orders) pair of each case and the worker count."""
     workers = _thread_count()
     _check_unique_names(specs)
     for m in methods:
@@ -568,24 +564,24 @@ def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
     for s in specs:
         orders = _orders(s.theta1, s.theta, s.alphas)
         try:
-            margin = _tail_margin(orders, s.grid, "fredholm" in methods and s.theta1 != s.theta)
+            _tail_margin(orders, s.grid, "fredholm" in methods and s.theta1 != s.theta)
         except GridTooCoarseError as exc:
             raise _named(s.name, exc) from exc
-        cases.append((s, orders, margin))
+        cases.append((s, orders))
     return cases, workers
 
 
 def _simulate(cases: list[tuple], workers: int) -> list:
-    """The simulation results (`_mc_values`) of the cases that `_resolve`
-    returned, in case order.
+    """The simulation results (`_mc_values`) of the (spec, orders) pairs
+    that `_resolve` returned, in case order.
 
     The cases of each McConfig and generating model type form one batch;
     the filter takes any state counts, and the type is in the key only to
     bound the log ratios a batch holds (12.8 MB, not 17.6 MB, for the
     kl-mixed benchmark's 8 family-B and 3 family-A cases). A batch splits
     into min(workers, its simulated cases) contiguous shares of near-equal
-    simulated case counts, and a case that is not simulated (`_simulated`)
-    joins the share of the simulated case before it.
+    simulated case counts, and a case that is not simulated (no order of
+    it is finite, `_finite`) joins the share of the simulated case before it.
 
     On Linux, the first share of each batch runs in the calling process,
     and the others meanwhile in a pool of at most workers - 1 processes,
@@ -599,11 +595,11 @@ def _simulate(cases: list[tuple], workers: int) -> list:
     worker process dies (BrokenProcessPool).
     """
     batches: dict[tuple, list[int]] = {}
-    for i, (spec, _, _) in enumerate(cases):
+    for i, (spec, _) in enumerate(cases):
         batches.setdefault((spec.mc, type(spec.theta1)), []).append(i)
     here, away = [], []
     for (cfg, _), members in batches.items():
-        simulated = [pos for pos, i in enumerate(members) if _simulated(cases[i][1])]
+        simulated = [pos for pos, i in enumerate(members) if _finite(cases[i][1])]
         k = max(1, min(workers if sys.platform == "linux" else 1, len(simulated)))
         cuts = [0, *(simulated[len(simulated) * j // k] for j in range(1, k)), len(members)]
         first, *rest = [(members[a:b], cfg) for a, b in zip(cuts, cuts[1:])]
@@ -615,7 +611,7 @@ def _simulate(cases: list[tuple], workers: int) -> list:
 
         pool = concurrent.futures.ProcessPoolExecutor(
             min(workers - 1, len(away)), mp_context=multiprocessing.get_context("fork"))
-    pairs = [(spec.theta1, spec.theta, orders) for spec, orders, _ in cases]
+    pairs = [(spec.theta1, spec.theta, orders) for spec, orders in cases]
     with pool:
         # once a worker has died, submit raises: the pool takes no more shares
         futures = [_outcome(pool.submit, _mc_values, [pairs[i] for i in members], cfg)
@@ -631,10 +627,11 @@ def _simulate(cases: list[tuple], workers: int) -> list:
 
 
 def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dict]:
-    """Run every case that `_resolve` returned: the rows of the cases that
-    finished, by case then alpha regardless of scheduling, their
-    diagnostics by name, and {name: exception} for the cases that raised,
-    each named (`_named`). A failed case does not stop the others.
+    """Run every (spec, orders) pair that `_resolve` returned: the rows of
+    the cases that finished, by case then alpha regardless of scheduling,
+    their diagnostics by name, and {name: exception} for the cases that
+    raised, each named (`_named`). A failed case does not stop the others.
+    Each engine computes the finite orders of a case's table (`_finite`).
 
     The simulation engine runs first (`_simulate`): each share of a batch
     simulates and estimates its cases in one call, in the calling process
@@ -644,10 +641,10 @@ def _run_all(cases: list[tuple], workers: int, methods) -> tuple[list, dict, dic
     reports the Fredholm error.
     """
     mc = _simulate(cases, workers) if "mc" in methods else [None] * len(cases)
-    fred = [_outcome(_fredholm_values, spec.theta1, spec.theta, orders, spec.grid, margin)
-            if "fredholm" in methods else None for spec, orders, margin in cases]
+    fred = [_outcome(_fredholm_values, spec.theta1, spec.theta, orders, spec.grid)
+            if "fredholm" in methods else None for spec, orders in cases]
     rows, per_case, failed = [], {}, {}
-    for (spec, _, _), f, m in zip(cases, fred, mc):
+    for (spec, _), f, m in zip(cases, fred, mc):
         error = next((r for r in (f, m) if isinstance(r, Exception)), None)
         if error is not None:
             failed[spec.name] = _named(spec.name, error)
@@ -733,17 +730,18 @@ def _fmt(value) -> str:
 
 def format_table(rows: list[ResultRow]) -> str:
     """The aligned table: the case column is as wide as the longest name,
-    and at least 10 characters."""
+    and at least 10 characters, and the alpha column as wide as the
+    longest order, spelled `str(alpha)` as in table.csv, and at least 6."""
     width = max([10, *(len(r.case) for r in rows)])
+    a_width = max([6, *(len(str(r.alpha)) for r in rows)])
     header = (
-        f"{'case':<{width}} {'alpha':>6} {'fredholm':>10} {'mc_mean':>10} "
+        f"{'case':<{width}} {'alpha':>{a_width}} {'fredholm':>10} {'mc_mean':>10} "
         f"{'mc_sd':>10} {'re_pct':>10}"
     )
     lines = [header, "-" * len(header)]
     for r in rows:
-        alpha = r.alpha if isinstance(r.alpha, str) else f"{r.alpha:g}"
         lines.append(
-            f"{r.case:<{width}} {alpha:>6} {_fmt(r.fredholm)} {_fmt(r.mc_mean)} "
+            f"{r.case:<{width}} {str(r.alpha):>{a_width}} {_fmt(r.fredholm)} {_fmt(r.mc_mean)} "
             f"{_fmt(r.mc_sd)} {_fmt(r.rel_err_pct)}"
         )
     return "\n".join(lines) + "\n"

@@ -76,8 +76,9 @@ class GridTooCoarseError(ValueError):
     """Discretization failed a sanity gate: a pre-normalization kernel
     column sum fell outside [0.5, 1.5] (increase N or a), the lattice
     keeps too few sds of an order's integrand tail (increase a), or the
-    engine gave a divergence below zero, which a finer lattice need not
-    cure."""
+    engine gave a divergence below zero, or one whose quadrature
+    overflowed at an order whose rate is finite, which a finer lattice
+    need not cure."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -361,6 +361,24 @@ def test_tail_margin_is_checked_before_any_case_runs(monkeypatch):
     assert calls == []
 
 
+def test_driver_refuses_a_coarse_lattice_before_building_a_kernel(monkeypatch):
+    # the sigma1 = 1.5 pair at order 1.6 keeps 5.0 tail sds at a = 15: the
+    # driver alone refuses it, and builds no kernel; with theta = theta1 it
+    # reports the margin and gives 0, which no lattice can blur
+    wide, alt = dataclasses.replace(bench.CASES[8][0], sigma=1.5), bench.CASES[8][1]
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(cli, "build_kernel", no_kernel)
+    orders = cli._orders(wide, alt, (1.6,))
+    with pytest.raises(GridTooCoarseError, match=r"^alpha = 1\.6: the lattice keeps 5\.00 sds"):
+        cli._fredholm_values(wide, alt, orders, GridSpec())
+    values, diag = cli._fredholm_values(wide, wide, orders, GridSpec())
+    assert values == {1.6: 0.0} and diag["identity"] is True
+    assert diag["tail_margin_sd"] == 15.0 / tail_sds(wide, alt, [1.6])[0]
+
+
 def test_each_case_resolves_its_orders_once(monkeypatch):
     # one order table per case, read by the margin gate and both drivers
     calls = {"_orders": 0, "tail_sds": 0}
@@ -889,17 +907,25 @@ def test_table_and_csv_agree():
 
 
 def test_table_columns_align_for_long_names():
-    # the case column is as wide as the longest name, so every cell of a
-    # row ends where its header label ends, whatever the name's length
+    # the case and alpha columns are as wide as their longest entries, so
+    # every cell of a row ends where its header label ends, whatever the
+    # name's length; each order is labelled as table.csv spells it, so two
+    # orders near 1 (both Renyi) keep distinct labels
+    orders = (0.5, "kl", 0.9999999, 1.0000001, 123456789.0)
     rows = [ResultRow(case=name, alpha=a, fredholm=0.1234, mc_mean=0.1231, mc_sd=0.01,
                       rel_err_pct=0.25)
-            for name in ("case1", "persistent-p20") for a in (0.5, "kl")]
+            for name in ("case1", "persistent-p20") for a in orders]
     header, rule, *lines = format_table(rows).splitlines()
     ends = [m.end() for m in re.finditer(r"\S+", header)]
     assert len(rule) == len(header) and len(lines) == len(rows)
+    labels = []
     for row, line in zip(rows, lines):
         assert line.startswith(row.case + " ")
         assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends[1:]
+        labels.append(line.split()[1])
+    for a, label in zip(orders, labels[len(orders):]):
+        assert label == a if isinstance(a, str) else float(label) == a
+    assert len(set(labels)) == len(orders)
 
 
 def test_tables_are_the_same_bytes_across_runs_and_worker_counts(tmp_path, monkeypatch):
@@ -1060,6 +1086,26 @@ def test_main_rejected_lattice_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps(serialize_config([spec])))
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "GridTooCoarseError: case 'case7': " in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_finite_order_whose_quadrature_overflows_is_refused(tmp_path, capsys):
+    # case 1's rate is finite at every order (`tail_sds`), but at order 3000
+    # its J overflows to inf: the order is refused, not written as inf, and
+    # the refusal is the one report, with no numpy overflow warning
+    t1, t = bench.CASES[1]
+    assert divergence_fredholm(t1, t, 1000.0).value == 0.5510199210777325
+    with pytest.raises(GridTooCoarseError, match=r"^alpha = 3000\.0: the quadrature overflowed"):
+        divergence_fredholm(t1, t, 3000.0)
+    spec = CaseSpec("case1", "B", t1, t, (1000.0, 3000.0))
+    with pytest.raises(GridTooCoarseError,
+                       match=r"^case 'case1': alpha = 3000\.0: the quadrature overflowed"):
+        run_cases([spec], ("fredholm",))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(serialize_config([spec])))
+    assert main(["run", str(cfg), "--methods", "fredholm", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("GridTooCoarseError: case 'case1': alpha = 3000.0")
 
 
 def test_a_divergence_below_zero_is_refused(tmp_path, capsys):

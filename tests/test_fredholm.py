@@ -782,7 +782,7 @@ def assert_same_tables(got, want):
 
 def fredholm_values(theta1, theta, alphas, grid):
     """The per-case Fredholm driver's values on the case's order table."""
-    return _fredholm_values(theta1, theta, _orders(theta1, theta, alphas), grid, None)[0]
+    return _fredholm_values(theta1, theta, _orders(theta1, theta, alphas), grid)[0]
 
 
 def test_functionals_equal_inside_and_outside_a_case(monkeypatch):

@@ -7,6 +7,8 @@ module-level function, class or constant must be read somewhere in the
 package: by name, as an attribute, or imported by another module. A public
 method or property of a class must be read somewhere in the package, or
 named in backticks in the README, which is where a caller learns of it.
+A private name in backticks in a module's text (`_x` or `module._x`) must
+name something that the package defines or assigns.
 """
 
 import ast
@@ -15,8 +17,9 @@ from pathlib import Path
 
 import hmmdiv
 
-SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-           for path in sorted(Path(hmmdiv.__file__).parent.glob("*.py"))}
+TEXTS = {path.name: path.read_text(encoding="utf-8")
+         for path in sorted(Path(hmmdiv.__file__).parent.glob("*.py"))}
+SOURCES = {name: ast.parse(text) for name, text in TEXTS.items()}
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
@@ -81,3 +84,18 @@ def test_every_public_method_is_read_or_documented():
             for node in cls.body if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_") and node.name not in read | named]
     assert dead == []
+
+
+def test_every_backticked_private_name_is_defined():
+    defined = set()
+    for tree in SOURCES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+    stale = [f"{name}: {ref}" for name, text in TEXTS.items()
+             for ref in re.findall(r"`(?:\w+\.)?(_\w+)`", text) if ref not in defined]
+    assert stale == []
