@@ -56,7 +56,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .models import (
     LinearGaussianChain,
@@ -158,6 +157,13 @@ class DivergenceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _ndtr(x):
+    """scipy.special.ndtr, imported at first use: a process that runs no
+    Fredholm kernel loads no scipy."""
+    from scipy.special import ndtr
+    return ndtr(x)
+
+
 def noncentral_chisq1_cdf(x, lam):
     """CDF of the noncentral chi-square with 1 degree of freedom.
 
@@ -177,7 +183,7 @@ def noncentral_chisq1_cdf(x, lam):
         raise ValueError("x and lam must not both be inf")
     rx = np.sqrt(np.maximum(x, 0.0))
     rl = np.sqrt(lam)
-    out = np.where(x > 0.0, ndtr(rx - rl) - ndtr(-rx - rl), 0.0)
+    out = np.where(x > 0.0, _ndtr(rx - rl) - _ndtr(-rx - rl), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -333,7 +339,7 @@ def _q_batch(x, u, w, states, gen: LinearGaussianChain, filt: LinearGaussianChai
     sign_lo = _sign_exp_sum(expo, logmag, sgn, lo)
     sign_hi = _sign_exp_sum(expo, logmag, sgn, hi)
 
-    cdf = ndtr((nodes - mg[..., None]) / sg[..., None])
+    cdf = _ndtr((nodes - mg[..., None]) / sg[..., None])
     mass = np.sum((cdf[..., 1:] - cdf[..., :-1]) * (sign_mid <= 0), axis=-1)
     mass += cdf[..., 0] * (sign_lo <= 0)
     mass += (1.0 - cdf[..., -1]) * (sign_hi <= 0)
@@ -638,13 +644,17 @@ def _functional(theta1, theta_filt, alpha: float | None, m: InvariantDensityGrid
     """J^alpha (alpha set) or J_log (alpha None) under the filter
     theta_filt of data from theta1, against m: the contraction of its
     tables from this thread's case record (`case_functionals`), outside a
-    block from a record of this functional alone."""
+    block from a record of this functional alone. m must be solved on
+    grid, the lattice of the tables; ValueError otherwise."""
     key = (theta_filt, alpha)
     case_theta1, case_grid, tables = (getattr(_case, "record", None)
                                       or (theta1, grid, {key: None}))
     if case_theta1 != theta1 or case_grid != grid or key not in tables:
         raise ValueError("this thread's case_functionals block declared no such functional "
                          "(models, grid and order)")
+    if m.grid != grid:  # the tables would contract against another lattice's nodes
+        raise ValueError(f"the invariant density was solved on {m.grid}, "
+                         f"not on the functional's {grid}")
     if tables[key] is None:
         chains = {model: _filter_chain(model)
                   for model in dict.fromkeys([theta1, *(f for f, _ in tables)])}

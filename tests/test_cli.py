@@ -1261,6 +1261,32 @@ def test_multiprocessing_is_imported_only_to_open_the_worker_pool():
     assert proc.stdout.split("\n")[-2] == "[False, False, True]"
 
 
+def test_scipy_is_imported_only_by_the_fredholm_engine():
+    # importing hmmdiv and a simulation-only run leave scipy unloaded; the
+    # first Fredholm kernel loads scipy.special
+    env = dict(os.environ, HMMDIV_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(hmmdiv.__file__)),
+                    env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys\n"
+        "from hmmdiv import CaseSpec, GridSpec, McConfig, run_cases\n"
+        "from hmmdiv.cases import CASES\n"
+        "spec = CaseSpec('case1', 'B', *CASES[1], (0.5,), mc=McConfig(n=50, reps=3),\n"
+        "                grid=GridSpec(N=8, quad_points=101))\n"
+        "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
+        "run_cases([spec], ('mc',))\n"
+        "loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "run_cases([spec], ('fredholm',))\n"
+        "print(loaded, 'scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[[], []] True"
+
+
 def test_public_names_resolve():
     assert "solve_invariant" in hmmdiv.__all__
     assert [n for n in hmmdiv.__all__ if not hasattr(hmmdiv, n)] == []

@@ -889,6 +889,23 @@ def test_undeclared_calls_inside_a_case_raise(monkeypatch):
     assert [len(fs) for _, _, fs in built["pass"]] == [1, 3, 1]
 
 
+def test_a_functional_refuses_a_density_from_another_lattice(monkeypatch):
+    # the tables are built on the functional's grid: against a density solved
+    # on another a, the contraction gave a plausible wrong number, and on
+    # another N a broadcast error
+    theta1, theta = CASES[6]
+    grid = GridSpec(N=8, quad_points=101)
+    m = solve_invariant(build_kernel(theta1, theta, grid))
+    built = count_passes(monkeypatch)
+    for other in (dataclasses.replace(grid, a=12.0), dataclasses.replace(grid, N=10)):
+        for call in (lambda: j_alpha(theta1, theta, 0.5, m, other),
+                     lambda: j_log(theta, theta1, m, other)):
+            with pytest.raises(ValueError, match="solved on") as info:
+                call()
+            assert str(grid) in str(info.value) and str(other) in str(info.value)
+    assert built["pass"] == []
+
+
 def test_a_nested_case_restores_the_enclosing_record(monkeypatch):
     # a case run inside another's block (divergence_fredholm enters a
     # block of its own) leaves the enclosing case's tables in place, so

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from hmmdiv import (
     ModelAParams,
@@ -18,6 +18,7 @@ from hmmdiv import (
 )
 from hmmdiv.models import (
     _DRAW_BLOCKS,
+    _EXP_M2,
     _TIME_BLOCK,
     _logsumexp,
     _standard_normals,
@@ -346,6 +347,23 @@ def test_sample_path_is_the_batch_row():
         path = sample_path(CASE1_GEN, 400, burn_in=30, seed=seed)
         assert np.array_equal(path.y, y[0, r]) and path.y_prev == y_prev[0, r]
         assert np.array_equal(path.x, x[0, r] % 2)
+
+
+def test_standard_normals_are_scipy_ndtri():
+    # the numpy port of Cephes ndtri gives scipy's bits on the central range;
+    # its tails use np.log, whose SIMD loops may differ from libm's log in
+    # the last bit, so there a few values may move by a few ulps
+    eps = 2.0 ** -53
+    u = np.random.default_rng(36).random(1_200_000)
+    got, want = _standard_normals(u), ndtri(np.clip(u, eps, 1.0 - eps))
+    central = (u > _EXP_M2) & (u < 1.0 - _EXP_M2)
+    assert np.array_equal(got[central], want[central])
+    assert np.count_nonzero(got != want) <= 1e-4 * u.size
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+    ends = [eps, 1.0 - eps, 0.5]
+    for switch in (_EXP_M2, 1.0 - _EXP_M2):
+        ends += [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0)]
+    assert np.array_equal(_standard_normals(np.array(ends)), ndtri(ends))
 
 
 def step_loop_sample_paths(chain, seeds, n, burn_in):

@@ -8,7 +8,9 @@ package: by name, as an attribute, or imported by another module. A public
 method or property of a class must be read somewhere in the package, or
 named in backticks in the README, which is where a caller learns of it.
 A private name in backticks in a module's text (`_x` or `module._x`) must
-name something that the package defines or assigns.
+name something that the package defines or assigns. scipy is imported in
+one place only, inside the function that needs it, so that a process that
+does not call it loads no scipy.
 """
 
 import ast
@@ -99,3 +101,24 @@ def test_every_backticked_private_name_is_defined():
     stale = [f"{name}: {ref}" for name, text in TEXTS.items()
              for ref in re.findall(r"`(?:\w+\.)?(_\w+)`", text) if ref not in defined]
     assert stale == []
+
+
+def scipy_imports(node, scope=None):
+    """The scipy imports under node, each as the name of the innermost
+    function around it, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            yield scope
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from scipy_imports(child, child.name if inner else scope)
+
+
+def test_scipy_is_imported_once_inside_a_function():
+    sites = [(name, scope) for name, tree in SOURCES.items() for scope in scipy_imports(tree)]
+    assert sites == [("fredholm.py", "_ndtr")]
