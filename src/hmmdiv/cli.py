@@ -54,7 +54,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -128,6 +128,9 @@ class CaseSpec:
         for label, theta in (("theta1", self.theta1), ("theta", self.theta)):
             if not isinstance(theta, want):
                 raise ConfigError(f"{where}: {label} does not match family {self.family}")
+        for label, cls in (("mc", McConfig), ("grid", GridSpec)):
+            if not isinstance(value := getattr(self, label), cls):
+                raise ConfigError(f"{where}: {label} must be a {cls.__name__}, got {value!r}")
         if not isinstance(self.alphas, (list, tuple)) or not self.alphas:
             raise ConfigError(f"{where}: alphas must be a non-empty list, got {self.alphas!r}")
         for a in self.alphas:
@@ -157,10 +160,12 @@ class ResultRow:
 
 
 def _settings(obj) -> dict:
-    """The fields of a model, McConfig or GridSpec by name, in field order,
-    per-state pairs as lists: the JSON block `_read` reads back."""
+    """The fields of a record (a CaseSpec, model, McConfig or GridSpec) by
+    name, in field order, a nested record as its own block and a tuple as
+    a list: the JSON block that `_read` (a case: `parse_config`) reads back."""
     values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    return {k: _settings(v) if is_dataclass(v) else list(v) if isinstance(v, tuple) else v
+            for k, v in values.items()}
 
 
 def _check_keys(doc, where: str, known, required=()) -> None:
@@ -223,7 +228,7 @@ def parse_config(doc: dict) -> list[CaseSpec]:
     specs = []
     for idx, c in enumerate(doc["cases"]):
         where = f"cases[{idx}]"
-        _check_keys(c, where, ("name", "family", "theta1", "theta", "alphas", "mc", "grid"),
+        _check_keys(c, where, [f.name for f in fields(CaseSpec)],
                     ("name", "family", "theta1", "theta"))
         cls = _model_class(c["family"], f"{where}.family")
         specs.append(
@@ -249,21 +254,9 @@ def _check_unique_names(specs: list[CaseSpec]) -> None:
 
 
 def serialize_config(specs: list[CaseSpec]) -> dict:
-    """Inverse of parse_config, fully explicit per case (round-trips)."""
-    return {
-        "cases": [
-            {
-                "name": s.name,
-                "family": s.family,
-                "theta1": _settings(s.theta1),
-                "theta": _settings(s.theta),
-                "alphas": list(s.alphas),
-                "mc": _settings(s.mc),
-                "grid": _settings(s.grid),
-            }
-            for s in specs
-        ]
-    }
+    """Inverse of parse_config: every field of each case and of its
+    records, explicit per case (round-trips)."""
+    return {"cases": [_settings(s) for s in specs]}
 
 
 def default_config() -> dict:
@@ -336,11 +329,12 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec) -> tuple[dict,
     """Fredholm values {alpha: rate} for every alpha of an order table
     (`_orders`), and the solver diagnostics.
 
-    One theta-filter kernel solve serves every finite Renyi order
-    (`_finite`) and the KL cross term; a theta1-filter solve is added only
-    when some order is KL (within 1e-8 of 1, or "kl"), which differences
-    the two log functionals. Identical models give exactly zero: the ratio
-    integrand is identically 1, so no discretization may blur the answer.
+    The case's finite orders (`_finite`) declare its J functionals
+    (`case_functionals`), and their plan is followed: one kernel solve per
+    filter model in it (theta's, and theta1's when some order is KL), then
+    each functional once, KL as the difference of the two log functionals.
+    Identical models give exactly zero: the ratio integrand is identically
+    1, so no discretization may blur the answer.
     Orders whose rate is infinite give inf, and when every order is, no
     kernel is built. A finite order whose value overflows or falls below
     zero (NEGATIVE_TOL) raises GridTooCoarseError naming it. Each kernel is
@@ -375,23 +369,18 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec) -> tuple[dict,
             deviations.append(float(np.abs(kernel.pre_norm_col_sums - 1.0).max()))
             return timed("solve_seconds", solve_invariant, kernel)
 
-        solves = [solved(theta)]
-        if 1.0 in finite.values():
-            solves.append(solved(theta1))
-        # one pass over the filter weights serves every J of the case; an
-        # overflow in it leaves a value inf or nan, which is refused below
-        with case_functionals(theta1, theta, finite.values(), grid), np.errstate(over="ignore"):
-            if len(solves) == 2:
-                kl = (timed("quadrature_seconds", j_log, theta1, theta1, solves[1], grid)
-                      - timed("quadrature_seconds", j_log, theta, theta1, solves[0], grid))
-            for a, order in finite.items():
-                if order == 1.0:
-                    values[a] = kl
-                else:
-                    j = timed("quadrature_seconds", j_alpha, theta1, theta, order,
-                              solves[0], grid)
-                    values[a] = math.log(j) / (order - 1.0)
+        # one pass over the filter weights serves every J of the case
+        with case_functionals(theta1, theta, finite.values(), grid) as plan:
+            solves = {f: solved(f) for f in dict.fromkeys(f for f, _ in plan)}
+            # an overflow leaves a J inf or nan, and its value is refused below
+            with np.errstate(over="ignore"):
+                j = {(f, order): timed("quadrature_seconds", j_log, f, theta1, solves[f], grid)
+                     if order is None else
+                     timed("quadrature_seconds", j_alpha, theta1, f, order, solves[f], grid)
+                     for f, order in plan}
         for a, order in finite.items():
+            values[a] = (j[theta1, None] - j[theta, None] if order == 1.0
+                         else math.log(j[theta, order]) / (order - 1.0))
             if not math.isfinite(values[a]):
                 raise GridTooCoarseError(f"alpha = {a}: the quadrature overflowed to "
                                          f"{values[a]}; the engine failed on this pair")
@@ -399,9 +388,9 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec) -> tuple[dict,
                 raise GridTooCoarseError(
                     f"alpha = {a}: the lattice gave {values[a]:.6g}, below zero, "
                     "which no divergence rate is; the engine failed on this pair")
-        diag["eigen_residual"] = max(m.eigen_residual for m in solves)
+        diag["eigen_residual"] = max(m.eigen_residual for m in solves.values())
         diag["max_col_sum_deviation"] = max(deviations)
-        diag["iterations"] = sum(m.iterations for m in solves)
+        diag["iterations"] = sum(m.iterations for m in solves.values())
     diag["grid"] = _settings(grid)
     diag["fredholm_seconds"] = time.perf_counter() - t0
     return values, diag
@@ -555,6 +544,8 @@ def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
     Returns the (spec, orders) pair of each case and the worker count."""
     workers = _thread_count()
     _check_unique_names(specs)
+    if isinstance(methods, str):  # the loop below would check it letter by letter
+        raise ConfigError(f"methods must be a sequence of names, not the string {methods!r}")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")

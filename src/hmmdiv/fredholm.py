@@ -617,7 +617,10 @@ _case = threading.local()
 def case_functionals(theta1, theta, orders, grid: GridSpec):
     """Declare one case's J functionals on this thread: data from theta1,
     J^alpha under the filter theta for each order alpha != 1 in orders
-    and, if 1 (KL) is among them, J_log under both filters.
+    and, if 1 (KL) is among them, J_log under both filters. The block
+    yields them, each once, as the case's plan: (filter model, order)
+    pairs, order None for J_log, KL's two first; each filter model in the
+    plan needs an invariant density of its own.
 
     Inside the block the thread's record is (theta1, grid, {functional:
     tables or None}). The first `j_log` or `j_alpha` call runs one
@@ -632,9 +635,10 @@ def case_functionals(theta1, theta, orders, grid: GridSpec):
     wanted = [(theta1, None), (theta, None)] if 1.0 in orders else []
     wanted += [(theta, order) for order in orders if order != 1.0]
     outer = getattr(_case, "record", None)
-    _case.record = (theta1, grid, dict.fromkeys(wanted))
+    tables = dict.fromkeys(wanted)
+    _case.record = (theta1, grid, tables)
     try:
-        yield
+        yield tuple(tables)
     finally:
         _case.record = outer
 

@@ -4,8 +4,10 @@ configuration (lattice N = 16, a = 15; simulation n = 2000, reps = 100)
 unless the criterion itself is about changing that configuration."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from hmmdiv import (
     run_cases,
     sample_path,
 )
+from hmmdiv import cli
 from hmmdiv.cases import ALPHA_GRID, CASES, REFERENCE
 from hmmdiv.cli import check_rows
 
@@ -87,10 +90,39 @@ def test_tables_match_the_recorded_benchmark_values(fredholm_results, mc_estimat
         got[f"case{cid}|{alpha}|fredholm"] = [value]
     for (cid, alpha), est in mc_estimates.items():
         got[f"case{cid}|{alpha}|mc"] = [est.mean, est.std_dev]
+    _assert_recorded(got, recorded)
+
+
+def _assert_recorded(got, recorded):
+    """Every cell as recorded, within 1e-12 relative, as benchmarks/run.py holds it."""
     assert got.keys() == recorded.keys()
     moved = [f"{cell}: {got[cell]} vs recorded {ref}" for cell, ref in recorded.items()
              if not all(abs(v - r) <= 1e-12 * abs(r) for v, r in zip(got[cell], ref))]
     assert not moved, "\n".join(moved)
+
+
+def _benchmark_workloads():
+    """benchmarks/workloads.py, loaded by path (the benchmark is no package)."""
+    path = RECORDED.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["kl-mixed", "mc-long-2t"])
+def test_workloads_match_the_recorded_benchmark_values(name, monkeypatch):
+    # kl-mixed alone runs the family-A paths, and mc-long-2t the forked
+    # shares of two workers; both at the recorded seed 0
+    w = _benchmark_workloads()[name]
+    monkeypatch.setenv("HMMDIV_THREADS", str(w.threads))
+    rows, _, failed = cli._run_all(*cli._resolve(w.specs(0), w.methods), w.methods)
+    assert failed == {}
+    got = {f"{r.case}|{r.alpha}|{engine}":
+           [r.fredholm] if engine == "fredholm" else [r.mc_mean, r.mc_sd]
+           for r in rows for engine in w.methods}
+    _assert_recorded(got, json.loads(RECORDED.read_text())[name])
 
 
 # --- 3. static Gaussian case matches its closed forms --------------------------------

@@ -83,6 +83,24 @@ def test_default_config_round_trips():
     json.dumps(doc)  # artifact must be serializable as-is
 
 
+def test_serialize_config_inverts_parse_config():
+    # per-case alphas, mc and grid overrides, and a family-A case
+    doc = tiny_doc()
+    doc["cases"].append({
+        "name": "a", "family": "A",
+        "theta1": {"p00": 0.6, "p11": 0.7, "mu": [0.5, -0.5], "psi": [0.2, -0.1],
+                   "sigma": [1.0, 1.4]},
+        "theta": {"p00": 0.5, "p11": 0.5, "mu": [0.8, -0.2], "psi": [0.1, 0.3],
+                  "sigma": [1.2, 0.9]},
+        "alphas": ["KL", 1.5], "mc": {"reps": 3}, "grid": {"N": 8}})
+    specs = parse_config(doc)
+    assert specs[1].theta1 == FAMILY_A_PAIR[0] and specs[1].alphas == ("kl", 1.5)
+    out = serialize_config(specs)
+    assert [list(c) for c in out["cases"]] == [[f.name for f in dataclasses.fields(CaseSpec)]] * 2
+    assert parse_config(out) == specs
+    assert parse_config(json.loads(json.dumps(out))) == specs
+
+
 def test_benchmark_token():
     assert load_config("benchmark") == parse_config(default_config())
 
@@ -206,6 +224,32 @@ def test_family_theta_mismatch():
         CaseSpec("x", "A", *bench.CASES[1], ("kl",))
 
 
+@pytest.mark.parametrize("records, needle", [
+    ({"mc": None}, "mc must be a McConfig, got None"),
+    ({"grid": None}, "grid must be a GridSpec, got None"),
+    ({"mc": {"n": 100}}, "mc must be a McConfig, got {'n': 100}"),
+    ({"grid": McConfig()}, "grid must be a GridSpec, got McConfig("),
+])
+def test_case_spec_checks_its_records(records, needle):
+    # a wrong record used to fail only mid-run, in the engine that read it
+    with pytest.raises(ConfigError) as exc:
+        CaseSpec("x", "B", *bench.CASES[1], ("kl",), **records)
+    assert str(exc.value).startswith(f"case 'x': {needle}")
+
+
+def test_a_string_of_methods_is_refused(tmp_path):
+    # a bare string would run its letters as methods: "unknown method 'm'"
+    spec = tiny_spec(alphas=(0.5,))
+    with pytest.raises(ConfigError, match="^methods must be a sequence of names, not the "
+                                          "string 'mc'$"):
+        run_cases([spec], "mc")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_doc(alphas=(0.5,))))
+    with pytest.raises(ConfigError, match="not the string 'fredholm'$"):
+        reproduce_table(str(cfg), "fredholm", out_dir=str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+
 def test_one_and_kl_are_two_labels():
     # the same order under two labels, each with its own row
     assert tiny_spec(alphas=(1.0, "kl")).alphas == (1.0, "kl")
@@ -282,7 +326,12 @@ def test_run_case_mc_column_is_estimate_renyi_mc():
         assert (repr(row.mc_mean), repr(row.mc_sd)) == (repr(want.mean), repr(want.std_dev))
 
 
-def test_fredholm_layers_are_looked_up_on_cli(monkeypatch):
+@pytest.mark.parametrize("alphas, counts", [
+    # KL needs the theta1-filter solve as well: two kernels
+    (("kl", 0.5, 2.0), {"build_kernel": 2, "solve_invariant": 2, "j_log": 2, "j_alpha": 2}),
+    ((0.5, 2.0), {"build_kernel": 1, "solve_invariant": 1, "j_alpha": 2}),
+], ids=["kl", "renyi-only"])
+def test_fredholm_layers_are_looked_up_on_cli(monkeypatch, alphas, counts):
     # the benchmark's tracer and fault injection patch these names on cli
     calls = {}
     for name in ("build_kernel", "solve_invariant", "j_alpha", "j_log"):
@@ -294,9 +343,8 @@ def test_fredholm_layers_are_looked_up_on_cli(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cli, name, counted)
-    run_cases([tiny_spec(alphas=("kl", 0.5, 2.0))], ("fredholm",))
-    assert {k: len(v) for k, v in calls.items()} == {
-        "build_kernel": 2, "solve_invariant": 2, "j_log": 2, "j_alpha": 2}
+    run_cases([tiny_spec(alphas=alphas)], ("fredholm",))
+    assert {k: len(v) for k, v in calls.items()} == counts
     assert [args[2] for args in calls["j_alpha"]] == [0.5, 2.0]
 
 
@@ -981,7 +1029,7 @@ def test_reproduce_table_artifacts(tmp_path):
     assert all(diag["cases"]["c8"][k] >= 0.0 for k in STAGE_KEYS + MC_STAGE_KEYS)
     spec = parse_config(tiny_doc(alphas=(0.5,)))[0]
     assert diag["cases"]["c8"]["tail_margin_sd"] == 10.0 / tail_sds(spec.theta1, spec.theta, [0.5])[0]
-    assert parse_config(diag["config"])  # embedded config is itself loadable
+    assert parse_config(diag["config"]) == [spec]  # the run's own cases
 
 
 # --- entry point -------------------------------------------------------------------
