@@ -53,6 +53,7 @@ import math
 import os
 import sys
 import time
+import traceback
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -152,7 +153,15 @@ class ResultRow:
     fredholm: float | None = None
     mc_mean: float | None = None
     mc_sd: float | None = None
-    rel_err_pct: float | None = None
+
+    @property
+    def rel_err_pct(self) -> float | None:
+        """(fredholm - mc_mean) / mc_mean in percent; None unless both
+        engines ran and mc_mean is finite and nonzero."""
+        mc = self.mc_mean
+        if self.fredholm is None or mc is None or mc == 0.0 or not math.isfinite(mc):
+            return None
+        return (self.fredholm - mc) / mc * 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +400,6 @@ def _fredholm_values(theta1, theta, orders: dict, grid: GridSpec) -> tuple[dict,
         diag["eigen_residual"] = max(m.eigen_residual for m in solves.values())
         diag["max_col_sum_deviation"] = max(deviations)
         diag["iterations"] = sum(m.iterations for m in solves.values())
-    diag["grid"] = _settings(grid)
     diag["fredholm_seconds"] = time.perf_counter() - t0
     return values, diag
 
@@ -502,25 +510,11 @@ def _outcome(call, *args):
 def _case_rows(spec: CaseSpec, fred, mc) -> list[ResultRow]:
     """The rows of one case from its engines' {alpha: value} dicts, each
     None when the engine did not run."""
-    rows = []
-    for a in spec.alphas:
-        det = None if fred is None else fred[a]
-        est = None if mc is None else mc[a]
-        rel = None
-        if (det is not None and est is not None and est.mean != 0.0
-                and math.isfinite(est.mean)):
-            rel = (det - est.mean) / est.mean * 100.0
-        rows.append(
-            ResultRow(
-                case=spec.name,
-                alpha=a,
-                fredholm=det,
-                mc_mean=None if est is None else est.mean,
-                mc_sd=None if est is None else est.std_dev,
-                rel_err_pct=rel,
-            )
-        )
-    return rows
+    return [ResultRow(case=spec.name, alpha=a,
+                      fredholm=None if fred is None else fred[a],
+                      mc_mean=None if mc is None else mc[a].mean,
+                      mc_sd=None if mc is None else mc[a].std_dev)
+            for a in spec.alphas]
 
 
 def _thread_count() -> int:
@@ -538,9 +532,10 @@ def _thread_count() -> int:
 
 
 def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
-    """The checks made before any case runs: the methods, HMMDIV_THREADS
-    and the case names (ConfigError), each case's order table (`_orders`)
-    and, with the Fredholm engine, its tail margin (`_tail_margin`).
+    """The checks made before any case runs: the methods (none unknown or
+    repeated), HMMDIV_THREADS and the case names (ConfigError), each case's
+    order table (`_orders`) and, with the Fredholm engine, its tail margin
+    (`_tail_margin`).
     Returns the (spec, orders) pair of each case and the worker count."""
     workers = _thread_count()
     _check_unique_names(specs)
@@ -549,6 +544,8 @@ def _resolve(specs: list[CaseSpec], methods) -> tuple[list[tuple], int]:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        if list(methods).count(m) > 1:
+            raise ConfigError(f"method {m!r} is repeated")
     if not methods:
         raise ConfigError("at least one method is required")
     cases = []
@@ -715,44 +712,50 @@ def check_rows(specs: list[CaseSpec], rows: list[ResultRow]) -> list[str]:
 # artifacts
 
 
-def _fmt(value) -> str:
-    return " " * 10 if value is None else f"{value:10.4f}"
+# The value columns of both tables, after case and alpha: (header, ResultRow attribute).
+_COLUMNS = (("fredholm", "fredholm"), ("mc_mean", "mc_mean"), ("mc_sd", "mc_sd"),
+            ("re_pct", "rel_err_pct"))
+
+
+def _values(row: ResultRow) -> list:
+    return [getattr(row, attr) for _, attr in _COLUMNS]
 
 
 def format_table(rows: list[ResultRow]) -> str:
     """The aligned table: the case column is as wide as the longest name,
-    and at least 10 characters, and the alpha column as wide as the
-    longest order, spelled `str(alpha)` as in table.csv, and at least 6."""
+    and at least 10 characters, the alpha column as wide as the longest
+    order, spelled `str(alpha)` as in table.csv, and at least 6, and each
+    value 10 wide at 4 decimals, blank where it is None."""
     width = max([10, *(len(r.case) for r in rows)])
     a_width = max([6, *(len(str(r.alpha)) for r in rows)])
-    header = (
-        f"{'case':<{width}} {'alpha':>{a_width}} {'fredholm':>10} {'mc_mean':>10} "
-        f"{'mc_sd':>10} {'re_pct':>10}"
-    )
+
+    def line(case, alpha, cells):
+        return " ".join([f"{case:<{width}}", f"{alpha:>{a_width}}", *cells])
+
+    header = line("case", "alpha", (f"{name:>10}" for name, _ in _COLUMNS))
     lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r.case:<{width}} {str(r.alpha):>{a_width}} {_fmt(r.fredholm)} {_fmt(r.mc_mean)} "
-            f"{_fmt(r.mc_sd)} {_fmt(r.rel_err_pct)}"
-        )
+    lines += [line(r.case, str(r.alpha),
+                   (" " * 10 if v is None else f"{v:10.4f}" for v in _values(r)))
+              for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def format_csv(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")  # quotes a name holding a comma or a quote
-    out.writerow("case,alpha,fredholm,mc_mean,mc_sd,re_pct".split(","))
+    out.writerow(["case", "alpha", *(name for name, _ in _COLUMNS)])
     for r in rows:
-        vals = (r.fredholm, r.mc_mean, r.mc_sd, r.rel_err_pct)
-        out.writerow([r.case, str(r.alpha), *("" if v is None else repr(float(v)) for v in vals)])
+        out.writerow([r.case, str(r.alpha),
+                      *("" if v is None else repr(float(v)) for v in _values(r))])
     return buf.getvalue()
 
 
 def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
                     check: bool = False):
-    """Run a config end to end and write table.txt, table.csv, and
-    diagnostics.json into out_dir. Returns (rows, failures); failures is
-    empty unless check is set and bands were violated.
+    """Run a config end to end, check its rows when check is set
+    (`check_rows`), and write table.txt, table.csv, and diagnostics.json
+    into out_dir. Returns (rows, failures); failures is empty unless check
+    is set and bands were violated.
 
     When cases fail, the artifacts hold the rows of the cases that
     finished, diagnostics.json names each failed case and its error under
@@ -768,7 +771,7 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
     t0 = time.perf_counter()
     rows, per_case, failed = _run_all(cases, workers, methods)
     elapsed = time.perf_counter() - t0
-
+    failures = check_rows(specs, rows) if check else []
     diagnostics = {
         "config_path": config_path,
         "config": serialize_config(specs),  # self-describing artifact
@@ -776,18 +779,13 @@ def reproduce_table(config_path: str, methods=METHODS, out_dir: str = ".",
         "wall_seconds": elapsed,
         "cases": per_case,
         "failed_cases": {name: _failure(exc) for name, exc in failed.items()},
+        "check_failures": failures,
     }
-
-    with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_table(rows))
-    with open(os.path.join(out_dir, "table.csv"), "w", encoding="utf-8") as fh:
-        fh.write(format_csv(rows))
-
-    failures = check_rows(specs, rows) if check else []
-    diagnostics["check_failures"] = failures
-    with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
-        json.dump(diagnostics, fh, indent=2, default=float)
-        fh.write("\n")
+    artifacts = {"table.txt": format_table(rows), "table.csv": format_csv(rows),
+                 "diagnostics.json": json.dumps(diagnostics, indent=2, default=float) + "\n"}
+    for name, text in artifacts.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     if failed:
         raise next(iter(failed.values()))
     return rows, failures
@@ -829,6 +827,9 @@ def main(argv=None) -> int:
     except (ConfigError, *CASE_ERRORS) as exc:
         print(_failure(exc), file=sys.stderr)
         return 2
+    except Exception:  # a fault in the program, not a refusal of a case
+        traceback.print_exc()
+        return 3
     print(format_table(rows), end="")
     if failures:
         print(f"\n{len(failures)} check failure(s):", file=sys.stderr)
@@ -836,7 +837,3 @@ def main(argv=None) -> int:
             print(f"  {f}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

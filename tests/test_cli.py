@@ -1,5 +1,6 @@
 """Config parsing, case execution, table formatting, artifacts, entry point."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import importlib
@@ -248,6 +249,20 @@ def test_a_string_of_methods_is_refused(tmp_path):
     with pytest.raises(ConfigError, match="not the string 'fredholm'$"):
         reproduce_table(str(cfg), "fredholm", out_dir=str(tmp_path / "o"))
     assert not (tmp_path / "o").exists()
+
+
+def test_a_repeated_method_is_refused(tmp_path, capsys):
+    # as a repeated case name or order is: before any case runs, with no
+    # artifacts, and `run` exits 2
+    spec = tiny_spec(alphas=(0.5,))
+    with pytest.raises(ConfigError, match="^method 'mc' is repeated$"):
+        run_cases([spec], ("mc", "mc"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_doc(alphas=(0.5,))))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--methods", "mc,mc,fredholm", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: method 'mc' is repeated\n"
+    assert not out.exists()
 
 
 def test_one_and_kl_are_two_labels():
@@ -707,6 +722,26 @@ def test_mc_cells_equal_at_any_worker_count(monkeypatch):
     assert cells["wide", 2.0] == "inf" and cells["same", "kl"] == "0x0.0p+0"
 
 
+def test_off_linux_every_batch_is_one_share_in_this_process(monkeypatch):
+    # elsewhere than Linux no worker pool opens, at any worker count: each
+    # of the two batches (one per McConfig, each of two simulated cases, so
+    # two shares apiece on Linux at two workers) runs as one share in this
+    # process, and its cells and top-term shares are the one-worker run's
+    one, two = McConfig(n=120, reps=4, burn_in=10, seed=5), McConfig(n=90, reps=3, burn_in=0)
+    specs = [CaseSpec(f"b{k}", "B", *bench.CASES[k], ("kl", 0.5, 1.5), mc=mc)
+             for k, mc in ((1, one), (3, one), (4, two), (6, two))]
+    monkeypatch.setenv("HMMDIV_THREADS", "1")
+    want = hex_cells(*run_diagnosed(specs, ("mc",)))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was opened")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setenv("HMMDIV_THREADS", "2")
+    assert hex_cells(*run_diagnosed(specs, ("mc",))) == want
+
+
 @linux_only
 def test_a_failed_worker_fails_only_its_shares_cases(monkeypatch):
     # at two workers, case1 runs here and case3 and case4 in a worker; a
@@ -944,6 +979,7 @@ def test_table_and_csv_agree():
     lines = table.splitlines()
     assert lines[0].split() == ["case", "alpha", "fredholm", "mc_mean",
                                 "mc_sd", "re_pct"]
+    assert lines[0].split() == next(csv.reader(io.StringIO(format_csv(rows))))
     reader = csv.DictReader(io.StringIO(format_csv(rows)))
     for row, rec, line in zip(rows, reader, lines[2:]):
         assert float(rec["fredholm"]) == row.fredholm
@@ -960,8 +996,7 @@ def test_table_columns_align_for_long_names():
     # name's length; each order is labelled as table.csv spells it, so two
     # orders near 1 (both Renyi) keep distinct labels
     orders = (0.5, "kl", 0.9999999, 1.0000001, 123456789.0)
-    rows = [ResultRow(case=name, alpha=a, fredholm=0.1234, mc_mean=0.1231, mc_sd=0.01,
-                      rel_err_pct=0.25)
+    rows = [ResultRow(case=name, alpha=a, fredholm=0.1234, mc_mean=0.1231, mc_sd=0.01)
             for name in ("case1", "persistent-p20") for a in orders]
     header, rule, *lines = format_table(rows).splitlines()
     ends = [m.end() for m in re.finditer(r"\S+", header)]
@@ -991,6 +1026,19 @@ def test_tables_are_the_same_bytes_across_runs_and_worker_counts(tmp_path, monke
         reproduce_table(str(cfg), out_dir=str(out))
         tables.append([(out / name).read_bytes() for name in ("table.txt", "table.csv")])
     assert tables[0] == tables[1]
+
+
+def test_rel_err_pct_is_derived_from_the_row():
+    # a row stores no ratio, so a replaced row never keeps a stale one
+    row = ResultRow(case="x", alpha=0.5, fredholm=0.11, mc_mean=0.1, mc_sd=0.01)
+    assert row.rel_err_pct == (0.11 - 0.1) / 0.1 * 100.0
+    assert dataclasses.replace(row, mc_mean=None).rel_err_pct is None
+    assert dataclasses.replace(row, fredholm=0.12).rel_err_pct == (0.12 - 0.1) / 0.1 * 100.0
+    for changes in ({"fredholm": None}, {"mc_mean": 0.0}, {"mc_mean": math.inf},
+                    {"mc_mean": math.nan}):
+        assert dataclasses.replace(row, **changes).rel_err_pct is None
+    assert [f.name for f in dataclasses.fields(ResultRow)] == [
+        "case", "alpha", "fredholm", "mc_mean", "mc_sd"]
 
 
 def test_csv_blank_for_missing():
@@ -1030,6 +1078,8 @@ def test_reproduce_table_artifacts(tmp_path):
     spec = parse_config(tiny_doc(alphas=(0.5,)))[0]
     assert diag["cases"]["c8"]["tail_margin_sd"] == 10.0 / tail_sds(spec.theta1, spec.theta, [0.5])[0]
     assert parse_config(diag["config"]) == [spec]  # the run's own cases
+    # which hold each case's grid, so no per-case block echoes it
+    assert [name for name, d in diag["cases"].items() if "grid" in d] == []
 
 
 # --- entry point -------------------------------------------------------------------
@@ -1216,6 +1266,35 @@ def test_finished_cases_kept_when_a_later_case_fails(tmp_path, monkeypatch, caps
     assert list(diag["failed_cases"]) == ["case7"]
     assert diag["failed_cases"]["case7"].startswith(
         "GridTooCoarseError: case 'case7': pre-normalization column sum")
+
+
+def test_a_fault_exits_three_after_writing_the_finished_cases(tmp_path, monkeypatch, capsys):
+    # an error that no engine raises to refuse a case is a fault: `run`
+    # prints its traceback and exits 3, not 1 (check failures) nor 2, once
+    # the other case's rows and the failed case's line are written
+    real = cli.j_log
+    bad = {**T1, "mu": [2.5, 2.5]}
+
+    def j_log(theta_filt, theta1, m, grid):
+        if theta1.mu == (2.5, 2.5):
+            raise FloatingPointError("overflow in the stub")
+        return real(theta_filt, theta1, m, grid)
+
+    monkeypatch.setattr(cli, "j_log", j_log)
+    doc = tiny_doc()
+    doc["cases"].append({**doc["cases"][0], "name": "bad", "theta1": bad})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "Traceback (most recent call last):"
+    assert err[-1] == "FloatingPointError: overflow in the stub"
+    recs = list(csv.DictReader(io.StringIO((out / "table.csv").read_text())))
+    assert [(r["case"], r["alpha"]) for r in recs] == [("c8", "kl"), ("c8", "0.5")]
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert list(diag["cases"]) == ["c8"]
+    assert diag["failed_cases"] == {"bad": err[-1]}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
